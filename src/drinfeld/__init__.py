@@ -74,6 +74,7 @@ from .pairing import (
     f_chain_sum,
     f_recursive,
     f_root_order_variant,
+    f_rootfree,
     moore_eval,
     moore_poly,
     weil_evaluate,

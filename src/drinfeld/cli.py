@@ -1,6 +1,14 @@
 """Command-line surface: coefficient-family computation, pairing
 evaluation, torsion inspection, and verification runs.
 
+`drinfeld fa --route` picks the f_a construction: `rootfree` (the
+default, the root-free normal-form product used everywhere else in the
+package), `chain` (chain sum over the roots), `recursive` (peel-one-root
+recursion) or `both` (chain and recursive side by side, exit 1 when
+they differ).  `fa --json` reports the route taken in
+`provenance.route` as "rootfree", "chain" or "recursive"; `both` emits
+one object per oracle under "chain" and "recursive" plus "match".
+
 Exit codes: 0 success, 1 at least one verification FAIL, 2 malformed
 input or config, 3 domain errors (non-monic operator, points outside
 torsion, operator divisible by the characteristic), 4 a search cap or
@@ -11,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .core import DrinfeldModule, GaloisElement, ResidueRing, galois_action_matrix, torsion
@@ -25,7 +34,7 @@ from .errors import (
     SearchCapExceeded,
 )
 from .fields import dim_between, make_field
-from .pairing import f_chain_sum, f_recursive, weil_evaluate, weil_polynomial
+from .pairing import f_chain_sum, f_recursive, f_rootfree, weil_evaluate, weil_polynomial
 from .polynomials import UniPoly
 from .verify import (
     SUITE_NAMES,
@@ -83,7 +92,8 @@ def cmd_fa(args):
             print(rec.render())
             print("match" if match else "MISMATCH")
         return 0 if match else 1
-    fa = f_recursive(a, args.r) if route == "recursive" else f_chain_sum(a, args.r)
+    build = {"rootfree": f_rootfree, "chain": f_chain_sum, "recursive": f_recursive}[route]
+    fa = build(a, args.r)
     if args.json:
         _emit(fa.to_json())
     else:
@@ -195,7 +205,7 @@ def cmd_galois_det(args):
             gen = tpsi.a_basis(seed=cfg.seed)[0]
             ring = ResidueRing(a)
             rows = []
-            order = tm.m * tpsi.m // _gcd(tm.m, tpsi.m)
+            order = math.lcm(tm.m, tpsi.m)
             for k in range(order):
                 sigma = GaloisElement(k)
                 det = ring.det(galois_action_matrix(tm, sigma, basis))
@@ -221,12 +231,6 @@ def cmd_galois_det(args):
             if not all(row["equal"] for row in rows):
                 return 1
     return 0
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def cmd_verify(args):
@@ -286,8 +290,12 @@ def build_parser():
     p_fa.add_argument("--a", required=True,
                       help="little-endian coefficient ranks, e.g. 1,1,1")
     p_fa.add_argument("--r", type=int, required=True, help="number of variables")
-    p_fa.add_argument("--route", choices=("chain", "recursive", "both"),
-                      default="chain")
+    p_fa.add_argument("--route", choices=("rootfree", "chain", "recursive", "both"),
+                      default="rootfree",
+                      help="rootfree (default): normal-form product, no root scan; "
+                      "chain / recursive: the root-based oracles; both: compare "
+                      "the two oracles.  --json reports the route in "
+                      "provenance.route")
     p_fa.add_argument("--json", action="store_true")
     p_fa.set_defaults(func=cmd_fa)
 

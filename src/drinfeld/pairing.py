@@ -8,9 +8,24 @@ index chains 1 = i_0 <= i_1 <= ... <= i_r = n of
     prod_j  prod_{i not in [i_{j-1}, i_j]} (T_j - alpha_i),
 
 a symmetric polynomial of degree <= n-1 in every variable whose
-coefficients always land back in GF(q).  Two independent constructions
-are provided (the chain sum above and a peel-one-root recursion) so
-each can serve as the other's oracle.
+coefficients always land back in GF(q).
+
+The production construction (`f_rootfree`) never finds a root.  With
+Delta_a(x, y) = (a(x) - a(y)) / (x - y) and I = (a(T_1), ..., a(T_r)),
+
+    f_a = NF_I( prod_{j=1}^{r-1} Delta_a(T_j, T_{j+1}) ),
+
+reducing modulo I after each factor.  It holds because, for squarefree
+a, the quotient ring is the ring of functions on roots^r: the exchange
+congruence makes f_a vanish off the diagonal, and on the diagonal both
+sides equal a'(alpha)^(r-1).  Both sides are polynomials in a's
+coefficients, so the identity extends to every monic a, inseparable
+ones included.
+
+The chain sum above (`f_chain_sum`, `f_root_order_variant`) and a
+peel-one-root recursion (`f_recursive`) are kept as its independent
+oracles; only the verification suites, the tests and the CLI's
+`--route chain|recursive|both` use them.
 
 The pairing itself contracts f_a against Moore determinants of
 operator images,
@@ -37,7 +52,14 @@ from .errors import (
     RationalityFailure,
 )
 from .fields import FieldElement, determinant, field_from_descriptor
-from .polynomials import MultiPoly, UniPoly, roots_in_field, splitting_level
+from .polynomials import (
+    IdealI,
+    MultiPoly,
+    UniPoly,
+    normal_form,
+    roots_in_field,
+    splitting_level,
+)
 
 
 class FaPoly:
@@ -105,7 +127,8 @@ def chain_sum_over_roots(level, roots, r):
             omitted = [roots[i - 1] for i in range(1, n + 1) if not lo <= i <= hi]
             term = term * _linear_product(level, r, j - 1, omitted)
         acc = acc + term
-    assert count == comb(n + r - 2, r - 1), "chain enumeration miscounted"
+    if count != comb(n + r - 2, r - 1):  # pragma: no cover - enumeration is exact
+        raise AssertionError("chain enumeration miscounted")
     return acc
 
 
@@ -134,6 +157,37 @@ def _check_inputs(a, r):
         raise ArityMismatch("need r >= 1")
 
 
+def _difference_quotient(a, nvars, j):
+    """Delta_a(T_{j+1}, T_{j+2}) = sum_i a_i sum_{k<i} T_{j+1}^k T_{j+2}^(i-1-k)."""
+    terms = {}
+    for i in range(1, a.degree + 1):
+        c = a[i]
+        if c.is_zero():
+            continue
+        for k in range(i):
+            exps = [0] * nvars
+            exps[j] = k
+            exps[j + 1] = i - 1 - k
+            terms[tuple(exps)] = c
+    return MultiPoly(a.ctx, nvars, terms)
+
+
+def f_rootfree(a, r):
+    """f_a as the normal form of the product of the r-1 difference
+    quotients of neighbouring variables; no roots are computed.
+
+    This is the construction every production path uses.  Each call
+    rebuilds the product, which is cheap, so nothing is memoized.
+    """
+    _check_inputs(a, r)
+    ideal = IdealI(a, r)
+    poly = MultiPoly.one(a.ctx, r)
+    for j in range(r - 1):
+        poly = normal_form(poly * _difference_quotient(a, r, j), ideal)
+    return FaPoly(poly, a, r, "rootfree", ())
+
+
+# memo for the root-based oracles only
 _F_CACHE = {}
 
 
@@ -397,7 +451,7 @@ def weil_polynomial(phi, a, arity=None, f_poly=None):
         raise NonMonic(f"{a.render()} must be monic of degree >= 1")
     r = phi.rank if arity is None else arity
     if f_poly is None:
-        f_poly = f_chain_sum(a, r).poly
+        f_poly = f_rootfree(a, r).poly
     K = phi.K
     n = a.degree
     tpow_coeffs = [phi.phi_tpow(i).coeffs for i in range(n)]
@@ -453,7 +507,7 @@ def weil_evaluate(phi, a, betas, f_poly=None):
     level = _torsion_guard(phi, a, betas)
     r = phi.rank
     if f_poly is None:
-        f_poly = f_chain_sum(a, r).poly
+        f_poly = f_rootfree(a, r).poly
     applied = []
     for b in betas:
         applied.append([phi.phi_tpow(i)(b) for i in range(a.degree)])

@@ -58,8 +58,9 @@ class UniPoly:
 
     @classmethod
     def from_ranks(cls, ctx, ranks):
-        """Coefficients given as element ranks (ints mod p when prime)."""
-        return cls(ctx, tuple(ctx.element_of_rank(int(r) % ctx.order) for r in ranks))
+        """Coefficients given as element ranks, each in [0, order);
+        anything else raises ValueError."""
+        return cls(ctx, tuple(ctx.element_of_rank(int(r)) for r in ranks))
 
     # -- structure -----------------------------------------------------------
 

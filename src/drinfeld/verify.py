@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -42,6 +43,7 @@ from .pairing import (
     f_chain_sum,
     f_recursive,
     f_root_order_variant,
+    f_rootfree,
     weil_evaluate,
     weil_polynomial,
 )
@@ -296,8 +298,9 @@ def _closed_form_r2(base, a):
 
 
 def verify_f_identities(cfg, fault=None):
-    """Dual construction, symmetry, root-order invariance, rationality,
-    degree bounds, and every applicable closed form, over the grid."""
+    """Dual construction, root-free product against the chain sum,
+    symmetry, root-order invariance, rationality, degree bounds, and
+    every applicable closed form, over the grid."""
     suite = _Suite(cfg)
     base = cfg.base_ctx()
     rng = random.Random(cfg.seed)
@@ -331,6 +334,25 @@ def verify_f_identities(cfg, fault=None):
                 }
 
             suite.run(f"f.chain_eq_recursive{tag}", chain_eq_recursive)
+
+            def rootfree_eq_chain(poly=poly, a=a, r=r):
+                rootfree = f_rootfree(a, r).poly
+                if rootfree == poly:
+                    return True
+                return False, {
+                    "identity": "f_rootfree_eq_chain",
+                    "inputs": {
+                        "p": cfg.p,
+                        "e": cfg.e,
+                        "a": [c.rank() for c in a.coeffs],
+                        "r": r,
+                        "fault": fault,
+                    },
+                    "lhs": rootfree.to_json(),
+                    "rhs": poly.to_json(),
+                }
+
+            suite.run(f"f.rootfree_eq_chain{tag}", rootfree_eq_chain)
 
             def symmetry(poly=poly, r=r, a=a):
                 for sigma in itertools.permutations(range(r)):
@@ -847,7 +869,7 @@ def verify_det_representation(cfg, fault=None):
         basis = tm.a_basis(seed=cfg.seed)
         w_gen = tpsi.a_basis(seed=cfg.seed)[0]
         ring = ResidueRing(a)
-        period = tm.m * tpsi.m // _gcd(tm.m, tpsi.m)
+        period = math.lcm(tm.m, tpsi.m)
 
         def det_match():
             for k in range(period):
@@ -868,12 +890,6 @@ def verify_det_representation(cfg, fault=None):
 
         suite.run(f"det.scalar_match{tag}", det_match)
     return suite.report
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -1005,7 +1021,7 @@ def reevaluate(counterexample):
     mismatch reproduces."""
     identity = counterexample.get("identity")
     inputs = counterexample.get("inputs", {})
-    if identity == "f_chain_eq_recursive":
+    if identity in ("f_chain_eq_recursive", "f_rootfree_eq_chain"):
         base = make_field(int(inputs["p"]), int(inputs.get("e", 1)))
         a = UniPoly.from_ranks(base, inputs["a"])
         r = int(inputs["r"])
@@ -1015,6 +1031,8 @@ def reevaluate(counterexample):
             terms = dict(poly.terms)
             terms[key] = terms[key] + base.one_element
             poly = MultiPoly(base, r, terms)
+        if identity == "f_rootfree_eq_chain":
+            return poly != f_rootfree(a, r).poly
         return poly != f_recursive(a, r).poly
     if identity in ("multilinear", "compatibility"):
         phi = DrinfeldModule.from_json(inputs["module"])

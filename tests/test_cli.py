@@ -37,8 +37,50 @@ def test_fa_json_roundtrip(capsys):
     )
     assert code == 0
     obj = json.loads(out)
-    assert obj["provenance"]["route"] == "chain"
+    assert obj["provenance"]["route"] == "rootfree"
     assert [tuple(t["exps"]) for t in obj["terms"]] == [(1, 0), (0, 1), (0, 0)]
+    code, out, _ = run_cli(
+        capsys, "fa", "--q", "2", "--a", "1,1,1", "--r", "2", "--json",
+        "--route", "chain",
+    )
+    assert code == 0
+    assert json.loads(out)["provenance"]["route"] == "chain"
+
+
+def test_fa_out_of_range_rank_exit2(capsys):
+    code, out, err = run_cli(capsys, "fa", "--q", "2", "--a", "5,1", "--r", "2")
+    assert code == 2 and out == "" and "out of range" in err
+    code, _, err = run_cli(capsys, "fa", "--q", "3", "--a=-1,1", "--r", "2")
+    assert code == 2 and "out of range" in err
+
+
+def test_weil_out_of_range_rank_exit2(capsys):
+    code, out, err = run_cli(capsys, "weil", "--module", MODULE_I, "--a", "0,3")
+    assert code == 2 and out == "" and "out of range" in err
+
+
+def test_production_paths_never_scan_roots(capsys, monkeypatch):
+    from drinfeld import pairing
+    from drinfeld.core import DrinfeldModule, torsion
+    from drinfeld.polynomials import UniPoly
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("root scan on a production path")
+
+    monkeypatch.setattr(pairing, "roots_in_field", forbidden)
+    monkeypatch.setattr(pairing, "splitting_level", forbidden)
+    code, out, _ = run_cli(
+        capsys, "fa", "--q", "1009", "--a", "11,0,1", "--r", "2", "--json"
+    )
+    assert code == 0 and json.loads(out)["provenance"]["route"] == "rootfree"
+    phi = DrinfeldModule.from_json(json.loads(MODULE_I))
+    a = UniPoly.from_ranks(phi.base, [1, 1, 1])
+    assert not pairing.weil_polynomial(phi, a).is_zero()
+    tm = torsion(phi, a)
+    tup = list(tm.fq_basis[: phi.rank])
+    ev = pairing.PairingEvaluator(phi, a, tm.level)
+    assert ev(tup) == pairing.weil_evaluate(phi, a, tup)
+    assert not ev(tup).is_zero()
 
 
 def test_fa_nonmonic_exit3(capsys):

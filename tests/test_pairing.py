@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drinfeld.core import DrinfeldModule, torsion
 from drinfeld.errors import (
@@ -16,6 +18,7 @@ from drinfeld.pairing import (
     f_chain_sum,
     f_recursive,
     f_root_order_variant,
+    f_rootfree,
     moore_eval,
     moore_poly,
     weil_evaluate,
@@ -133,6 +136,39 @@ def test_f_dual_construction_grid():
             for a in all_monic(base, d):
                 for r in (1, 2, 3):
                     assert f_chain_sum(a, r) == f_recursive(a, r)
+
+
+FIELDS = {2: F2, 3: F3, 4: make_field(2, 2), 5: make_field(5), 7: make_field(7),
+          9: make_field(3, 2)}
+
+
+@st.composite
+def monic_operators(draw):
+    """Monic a of degree <= 3 over GF(q): random coefficients, T**n, or a
+    product of linear factors with a repeated root."""
+    q = draw(st.sampled_from(sorted(FIELDS)))
+    base = FIELDS[q]
+    rank = st.integers(0, q - 1)
+    kind = draw(st.sampled_from(("random", "power", "repeated")))
+    if kind == "random":
+        n = draw(st.integers(1, 3))
+        return UniPoly.from_ranks(base, [draw(rank) for _ in range(n)] + [1])
+    if kind == "power":
+        return UniPoly.gen(base) ** draw(st.integers(1, 3))
+    t = UniPoly.gen(base)
+    root = UniPoly.constant(base.element_of_rank(draw(rank)))
+    a = (t - root) ** draw(st.integers(2, 3))
+    if a.degree < 3 and draw(st.booleans()):
+        a = a * (t - UniPoly.constant(base.element_of_rank(draw(rank))))
+    return a
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(a=monic_operators(), r=st.integers(1, 4))
+def test_f_rootfree_matches_both_oracles(a, r):
+    rootfree = f_rootfree(a, r)
+    assert rootfree.route == "rootfree" and rootfree.roots == ()
+    assert rootfree.poly == f_chain_sum(a, r).poly == f_recursive(a, r).poly
 
 
 def test_f_recursion_peel_example():

@@ -100,10 +100,10 @@ def test_mutation_flip_coefficient_detected():
     assert fails
     for entry in fails:
         assert entry.counterexample is not None
-    sample = next(
-        c for c in fails if c.counterexample["identity"] == "f_chain_eq_recursive"
-    )
-    assert reevaluate(sample.counterexample)
+    for identity in ("f_chain_eq_recursive", "f_rootfree_eq_chain"):
+        sample = next(c for c in fails if c.counterexample["identity"] == identity)
+        assert sample.name.startswith(f"f.{identity[2:]}")
+        assert reevaluate(sample.counterexample)
 
 
 def test_mutation_fa_plus_t1_detected():
