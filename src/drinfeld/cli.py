@@ -103,7 +103,7 @@ def cmd_fa(args):
 
 def _parse_point(level, spec):
     if isinstance(spec, int):
-        return level.element_of_rank(spec % level.order)
+        return level.element_of_rank(spec)
     return level.element_from_json(spec)
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from .errors import (
     InseparableTorsion,
     LevelMismatch,
+    MalformedInput,
     NonMonic,
     NotSquarefree,
     PointNotInModule,
@@ -274,6 +275,14 @@ class DrinfeldModule:
 
     @classmethod
     def from_json(cls, obj, K=None):
+        if not (
+            isinstance(obj, dict)
+            and {"K", "theta", "g"} <= obj.keys()
+            and isinstance(obj["g"], list)
+        ):
+            raise MalformedInput(
+                'a Drinfeld module is an object with "K", "theta" and a list "g"'
+            )
         level = K if K is not None else field_from_descriptor(obj["K"])
         theta = level.element_from_json(obj["theta"])
         g = tuple(level.element_from_json(c) for c in obj["g"])

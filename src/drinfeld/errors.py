@@ -29,6 +29,11 @@ class NotInSubfield(DrinfeldError):
     """An element could not be projected down to the requested level."""
 
 
+class MalformedInput(DrinfeldError, ValueError):
+    """Outside input (JSON, a config, a coordinate) has the wrong shape
+    or a value out of range; nothing is silently reduced or coerced."""
+
+
 class WrongLength(DrinfeldError):
     """A coordinate vector has the wrong number of entries."""
 

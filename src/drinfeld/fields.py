@@ -8,24 +8,47 @@ Frobenius computation (x -> x**q), regardless of how much further the
 tower is extended.  ``extend(ctx, m)`` stacks one more level of degree
 m on top of any context.
 
-Internally an element of the prime field is an integer in ``range(p)``
-and an element of an extension is a tuple of parent values,
-little-endian in the residue generator.  These raw payloads are plain
-ints/tuples, so equality and hashing are structural and every value is
-immutable.  The public wrapper is :class:`FieldElement`.
+Every context ranks its elements 0 .. order-1 by flattening an
+element's coordinates, little-endian in the residue generator, to
+base-p digits; modulus searches, root scans and exhaustive sweeps all
+enumerate elements in rank order, which is what makes runs
+reproducible across machines.  Embedding a lower level keeps ranks.
 
-Every context ranks its elements 0 .. order-1 by flattening the payload
-to base-p digits; modulus searches, root scans and exhaustive sweeps
-all enumerate elements in rank order, which is what makes runs
-reproducible across machines.
+A raw payload takes one of two forms, known only to this module:
+
+* packed: an element of the prime field, or of any extension level of
+  order <= PACKED_MAX_ORDER (2**16), is its rank, a plain int.  For
+  p = 2 addition is ``a ^ b``; embedding is the identity and projecting
+  down is a range check.
+* tuple: above the cap an element is a tuple of parent payloads, so a
+  tuple level over a packed parent holds ints as coordinates.
+
+A packed level multiplies through log/exp tables of the powers of its
+smallest-rank primitive element g: a*b = exp[log a + log b], with
+inverse, power and Frobenius read off log a as well.  For odd p,
+addition uses Zech logarithms, zech[k] = log(1 + g**k) (K. Huber,
+"Some comments on Zech's logarithms", IEEE Trans. IT 36, 1990).  The
+tables are ``array('H')`` and are built on demand: until a level has
+done ``order`` operations it runs the slow digit path (coordinates over
+the parent, the tuple-level multiply, back to a rank; over GF(2), a
+carry-less multiply of the rank bits), so a level that a search
+touches a few hundred times never pays for its tables.  Payloads
+are ints or tuples, so equality and hashing are structural and every
+value is immutable.  The public wrapper is :class:`FieldElement`;
+``elem``, ``element_of_rank`` and the nested-array JSON form are the
+ways in from outside.
 """
 
 from __future__ import annotations
+
+from array import array
+from operator import and_, xor
 
 from .errors import (
     DivisionByZero,
     InvalidDegree,
     LevelMismatch,
+    MalformedInput,
     NonPrimeCharacteristic,
     NotInSubfield,
     ReducibleModulus,
@@ -203,6 +226,27 @@ def _is_prime(n):
 # contexts
 # ---------------------------------------------------------------------------
 
+# extension levels up to this order store an element as its rank
+PACKED_MAX_ORDER = 2**16
+
+
+def _same(a):
+    return a
+
+
+def _prime_factors(n):
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
 
 class FieldCtx:
     """One level of a tower of finite fields.
@@ -210,6 +254,10 @@ class FieldCtx:
     Do not instantiate directly; use :func:`make_field` and
     :func:`extend`, which validate inputs and cache levels so that
     identical constructions return the identical context object.
+
+    ``add``, ``sub``, ``neg`` and ``mul`` are per-level callables on
+    payloads; a packed level swaps them for table lookups once it has
+    built its tables.
     """
 
     __slots__ = (
@@ -221,6 +269,19 @@ class FieldCtx:
         "base",
         "order",
         "dim_over_prime",
+        "packed",
+        "add",
+        "sub",
+        "neg",
+        "mul",
+        "_mod",
+        "_zero",
+        "_one",
+        "_mask",
+        "_slow_ops",
+        "_log",
+        "_exp",
+        "_zech",
         "_ext_cache",
         "_zero_el",
         "_one_el",
@@ -232,60 +293,72 @@ class FieldCtx:
         self.p = p
         self.parent = parent
         self.degree = degree
-        self.modulus = modulus
+        self._mod = modulus  # parent payloads, little-endian
+        self._mask = None  # modulus bits, for GF(2^d) over GF(2) only
         if parent is None:
             self.order = p
             self.dim_over_prime = 1
             self.q = p
             self.base = self
+            self.packed = True
+            self.modulus = None
         else:
             self.order = parent.order**degree
             self.dim_over_prime = parent.dim_over_prime * degree
             self.q = parent.q
             self.base = parent.base
+            self.packed = self.order <= PACKED_MAX_ORDER
+            self.modulus = tuple(parent._coordinate_tuple(c) for c in modulus)
+            if self.packed and p == 2 and parent.parent is None:
+                self._mask = self._from_coords(modulus)
+        if self.packed:
+            self._zero, self._one = 0, 1
+        else:
+            self._zero = (parent._zero,) * degree
+            self._one = (parent._one,) + self._zero[1:]
+        self._slow_ops = 0
+        self._log = self._exp = self._zech = None
         self._ext_cache = {}
         self._zero_el = None
         self._one_el = None
         self._inv_cache = {}
         self._frob_cache = {}
+        self._install_ops()
+
+    def _install_ops(self):
+        p, par = self.p, self.parent
+        if p == 2:
+            # characteristic 2: -a = a at every level, and on ranks a + b is a ^ b
+            self.neg = _same
+            if self.packed:
+                self.add = self.sub = xor
+        if par is None:
+            if p == 2:
+                self.mul = and_
+            else:
+                self.add = lambda a, b: (a + b) % p
+                self.sub = lambda a, b: (a - b) % p
+                self.neg = lambda a: -a % p
+                self.mul = lambda a, b: a * b % p
+        elif self.packed:
+            if p != 2:
+                self.add, self.sub, self.neg = self._add_slow, self._sub_slow, self._neg_slow
+            self.mul = self._mul_slow
+        else:
+            # look the parent's ops up per call: a packed parent may switch to tables
+            self.add = self.sub = lambda a, b: tuple(map(par.add, a, b))
+            if p != 2:
+                self.sub = lambda a, b: tuple(map(par.sub, a, b))
+                self.neg = lambda a: tuple(map(par.neg, a))
+            self.mul = self._mul_over_prime if par.parent is None else self._mul_generic
 
     # -- payload arithmetic -------------------------------------------------
 
     def zero(self):
-        if self.parent is None:
-            return 0
-        return (self.parent.zero(),) * self.degree
+        return self._zero
 
     def one(self):
-        if self.parent is None:
-            return 1 % self.p
-        par = self.parent
-        return (par.one(),) + (par.zero(),) * (self.degree - 1)
-
-    def add(self, a, b):
-        if self.parent is None:
-            return (a + b) % self.p
-        par = self.parent
-        return tuple(par.add(x, y) for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        if self.parent is None:
-            return (a - b) % self.p
-        par = self.parent
-        return tuple(par.sub(x, y) for x, y in zip(a, b))
-
-    def neg(self, a):
-        if self.parent is None:
-            return (-a) % self.p
-        par = self.parent
-        return tuple(par.neg(x) for x in a)
-
-    def mul(self, a, b):
-        if self.parent is None:
-            return (a * b) % self.p
-        if self.parent.parent is None:
-            return self._mul_over_prime(a, b)
-        return self._mul_generic(a, b)
+        return self._one
 
     def _mul_over_prime(self, a, b):
         # fast path: coefficients are plain ints mod p
@@ -296,7 +369,7 @@ class FieldCtx:
             if ai:
                 for j, bj in enumerate(b):
                     prod[i + j] += ai * bj
-        mod = self.modulus
+        mod = self._mod
         for k in range(2 * d - 2, d - 1, -1):
             c = prod[k] % p
             if c:
@@ -309,8 +382,9 @@ class FieldCtx:
 
     def _mul_generic(self, a, b):
         par = self.parent
+        padd, psub, pmul = par.add, par.sub, par.mul
         d = self.degree
-        zero = par.zero()
+        zero = par._zero
         prod = [zero] * (2 * d - 1)
         for i, ai in enumerate(a):
             if ai == zero:
@@ -318,8 +392,8 @@ class FieldCtx:
             for j, bj in enumerate(b):
                 if bj == zero:
                     continue
-                prod[i + j] = par.add(prod[i + j], par.mul(ai, bj))
-        mod = self.modulus
+                prod[i + j] = padd(prod[i + j], pmul(ai, bj))
+        mod = self._mod
         for k in range(2 * d - 2, d - 1, -1):
             c = prod[k]
             if c == zero:
@@ -328,25 +402,176 @@ class FieldCtx:
             for j in range(d):
                 mj = mod[j]
                 if mj != zero:
-                    prod[off + j] = par.sub(prod[off + j], par.mul(c, mj))
+                    prod[off + j] = psub(prod[off + j], pmul(c, mj))
         return tuple(prod[:d])
 
+    def _mul_gf2(self, a, b):
+        # packed GF(2^d) over GF(2): carry-less product, reduced by the modulus
+        if a < b:
+            a, b = b, a
+        r = 0
+        while b:
+            if b & 1:
+                r ^= a
+            a <<= 1
+            b >>= 1
+        d, mask = self.degree, self._mask
+        top = r.bit_length() - 1
+        while top >= d:
+            r ^= mask << (top - d)
+            top = r.bit_length() - 1
+        return r
+
+    # The slow digit path of a packed level, used until its tables exist.
+
+    def _coords(self, a):
+        """Parent payloads of `a`, little-endian: the digits of a rank on
+        a packed level, the tuple itself above the cap."""
+        if not self.packed:
+            return a
+        size = self.parent.order
+        out = []
+        for _ in range(self.degree):
+            a, c = divmod(a, size)
+            out.append(c)
+        return out
+
+    def _from_coords(self, coords):
+        if not self.packed:
+            return tuple(coords)
+        size = self.parent.order
+        r = 0
+        for c in reversed(coords):
+            r = r * size + c
+        return r
+
+    def _tick(self):
+        # a caller may still hold a slow op after the switch: build only once
+        self._slow_ops += 1
+        if self._slow_ops == self.order:
+            self._build_tables()
+
+    def _mul_raw(self, a, b):
+        if self._mask is not None:
+            return self._mul_gf2(a, b)
+        mul = self._mul_over_prime if self.parent.parent is None else self._mul_generic
+        return self._from_coords(mul(self._coords(a), self._coords(b)))
+
+    def _mul_slow(self, a, b):
+        self._tick()
+        return self._mul_raw(a, b)
+
+    def _coordwise(self, op, *payloads):
+        self._tick()
+        return self._from_coords(list(map(op, *map(self._coords, payloads))))
+
+    def _add_slow(self, a, b):
+        return self._coordwise(self.parent.add, a, b)
+
+    def _sub_slow(self, a, b):
+        return self._coordwise(self.parent.sub, a, b)
+
+    def _neg_slow(self, a):
+        return self._coordwise(self.parent.neg, a)
+
+    def _pow_raw(self, a, e):
+        result, acc = 1, a
+        while e > 0:
+            if e & 1:
+                result = self._mul_raw(result, acc)
+            acc = self._mul_raw(acc, acc)
+            e >>= 1
+        return result
+
+    def _build_tables(self):
+        """Log/exp tables (and Zech logarithms for odd p) of a packed
+        level, from the powers of its smallest-rank primitive element."""
+        n = self.order - 1
+        factors = _prime_factors(n)
+        g = 2
+        while any(self._pow_raw(g, n // f) == 1 for f in factors):
+            g += 1
+        log = array("H", bytes(2 * self.order))
+        exp = array("H", bytes(4 * n))  # doubled: exp[i + j] needs no reduction
+        x = 1
+        for k in range(n):
+            exp[k] = exp[k + n] = x
+            log[x] = k
+            x = self._mul_raw(g, x)  # g first: the product loop skips its zero digits
+        if self.p != 2:
+            # zech[k] = log(1 + g**k), with n marking 1 + g**k = 0; stored three
+            # times over so that sub's index log(-b) - log(a) + n needs no reduction
+            size, padd = self.parent.order, self.parent.add
+            zech = array("H", bytes(6 * n))
+            for k in range(n):
+                x = exp[k]
+                low = x % size
+                y = x - low + padd(low, 1)
+                zech[k] = zech[k + n] = zech[k + 2 * n] = log[y] if y else n
+            self._zech = zech
+        self._log, self._exp = log, exp
+        self._inv_cache.clear()
+        self._frob_cache.clear()
+        self._install_table_ops()
+
+    def _install_table_ops(self):
+        log, exp, zech = self._log, self._exp, self._zech
+        n = self.order - 1
+
+        def mul(a, b):
+            if a and b:
+                return exp[log[a] + log[b]]
+            return 0
+
+        self.mul = mul
+        if self.p == 2:
+            return  # add, sub and neg stay xor and the identity
+        half = n // 2  # g**half = -1
+
+        def add(a, b):
+            if not a:
+                return b
+            if not b:
+                return a
+            la = log[a]
+            z = zech[log[b] - la + n]
+            return 0 if z == n else exp[la + z]
+
+        def sub(a, b):
+            if not b:
+                return a
+            lb = log[b] + half  # log of -b
+            if not a:
+                return exp[lb]
+            la = log[a]
+            z = zech[lb - la + n]
+            return 0 if z == n else exp[la + z]
+
+        def neg(a):
+            return exp[log[a] + half] if a else 0
+
+        self.add, self.sub, self.neg = add, sub, neg
+
     def inv(self, a):
-        if a == self.zero():
+        if a == self._zero:
             raise DivisionByZero(f"inverse of zero in {self!r}")
+        if self._log is not None:
+            return self._exp[self.order - 1 - self._log[a]]
         cached = self._inv_cache.get(a)
         if cached is not None:
             return cached
         if self.parent is None:
             result = pow(a, self.p - 2, self.p)
         else:
+            if self.packed:
+                self._tick()
             par = self.parent
-            d, u, _ = _pxgcd(par, list(a), list(self.modulus))
+            mod = list(self._mod)
+            d, u, _ = _pxgcd(par, list(self._coords(a)), mod)
             if _pdeg(d) != 0:  # pragma: no cover - modulus is irreducible
                 raise DivisionByZero("element not invertible")
-            u = _pmod(par, u, list(self.modulus))
-            u = u + [par.zero()] * (self.degree - len(u))
-            result = tuple(u)
+            u = _pmod(par, u, mod)
+            result = self._from_coords(u + [par._zero] * (self.degree - len(u)))
         self._inv_cache[a] = result
         return result
 
@@ -354,9 +579,18 @@ class FieldCtx:
         return self.mul(a, self.inv(b))
 
     def power(self, a, e):
+        log = self._log
+        if log is not None:
+            if a:
+                return self._exp[log[a] * e % (self.order - 1)]
+            if e < 0:
+                raise DivisionByZero(f"inverse of zero in {self!r}")
+            return 0 if e else 1
         if e < 0:
             return self.power(self.inv(a), -e)
-        result = self.one()
+        if self.parent is None:
+            return pow(a, e, self.p)
+        result = self._one
         acc = a
         while e > 0:
             if e & 1:
@@ -369,6 +603,12 @@ class FieldCtx:
         """Payload of a**(q**k) for q the tower's base cardinality."""
         if k == 0 or self.order <= self.q:
             return a  # fixed by x -> x**q at or below the base level
+        log = self._log
+        if log is not None:
+            if not a:
+                return 0
+            n = self.order - 1
+            return self._exp[log[a] * pow(self.q, k, n) % n]
         cache = self._frob_cache
         for _ in range(k):
             nxt = cache.get(a)
@@ -381,7 +621,7 @@ class FieldCtx:
     # -- ranking and enumeration --------------------------------------------
 
     def rank_of(self, a):
-        if self.parent is None:
+        if self.packed:
             return a
         par = self.parent
         r = 0
@@ -392,7 +632,7 @@ class FieldCtx:
     def payload_of_rank(self, n):
         if not 0 <= n < self.order:
             raise ValueError(f"rank {n} out of range for {self!r}")
-        if self.parent is None:
+        if self.packed:
             return n
         par = self.parent
         coeffs = []
@@ -402,8 +642,9 @@ class FieldCtx:
         return tuple(coeffs)
 
     def iter_payloads(self):
-        for n in range(self.order):
-            yield self.payload_of_rank(n)
+        if self.packed:
+            return iter(range(self.order))
+        return map(self.payload_of_rank, range(self.order))
 
     def elements(self):
         """All elements of this level, in rank order."""
@@ -415,44 +656,45 @@ class FieldCtx:
     @property
     def zero_element(self):
         if self._zero_el is None:
-            self._zero_el = FieldElement(self, self.zero())
+            self._zero_el = FieldElement(self, self._zero)
         return self._zero_el
 
     @property
     def one_element(self):
         if self._one_el is None:
-            self._one_el = FieldElement(self, self.one())
+            self._one_el = FieldElement(self, self._one)
         return self._one_el
 
     def element_of_rank(self, n):
         return FieldElement(self, self.payload_of_rank(n))
 
-    def elem(self, payload):
-        """Wrap a raw payload after validating its shape."""
-        self._check_payload(payload)
-        return FieldElement(self, payload)
-
-    def _check_payload(self, payload):
-        if self.parent is None:
-            if not isinstance(payload, int) or not 0 <= payload < self.p:
-                raise ValueError(f"bad payload {payload!r} for {self!r}")
-        else:
-            if not isinstance(payload, tuple) or len(payload) != self.degree:
-                raise WrongLength(
-                    f"payload for {self!r} needs {self.degree} coefficients"
-                )
-            for c in payload:
-                self.parent._check_payload(c)
+    def elem(self, coords):
+        """Element from its nested coordinate tuple (an int in range(p)
+        at the prime level), the form ``.modulus`` uses for its entries."""
+        return FieldElement(self, self._parse(coords, tuple))
 
     def element_from_json(self, obj):
-        """Parse the nested coefficient array form of an element."""
+        """Parse the nested coefficient array form of an element.  Every
+        prime-level entry must be an int in range(p); nothing is reduced."""
+        return FieldElement(self, self._parse(obj, (list, tuple)))
+
+    def _parse(self, obj, sequence_types):
         if self.parent is None:
-            return FieldElement(self, int(obj) % self.p)
-        if not isinstance(obj, (list, tuple)) or len(obj) != self.degree:
+            if type(obj) is not int or not 0 <= obj < self.p:
+                raise MalformedInput(f"{obj!r} is not an element of {self!r}")
+            return obj
+        if not isinstance(obj, sequence_types) or len(obj) != self.degree:
             raise WrongLength(f"element of {self!r} needs {self.degree} entries")
-        return FieldElement(
-            self, tuple(self.parent.element_from_json(c).val for c in obj)
-        )
+        par = self.parent
+        return self._from_coords([par._parse(c, sequence_types) for c in obj])
+
+    def _coordinate_tuple(self, payload):
+        """Nested coordinate tuple of a payload: an int at the prime
+        level, else one entry per coordinate over the parent level."""
+        if self.parent is None:
+            return payload
+        par = self.parent
+        return tuple(par._coordinate_tuple(c) for c in self._coords(payload))
 
     # -- tower relations ----------------------------------------------------
 
@@ -470,18 +712,22 @@ class FieldCtx:
             return a
         if self.parent is None or not self.is_above(from_ctx):
             raise LevelMismatch(f"{from_ctx!r} does not embed into {self!r}")
-        par = self.parent
-        lifted = par.embed_payload(a, from_ctx)
-        return (lifted,) + (par.zero(),) * (self.degree - 1)
+        if self.packed:
+            return a  # embedding keeps ranks
+        lifted = self.parent.embed_payload(a, from_ctx)
+        return (lifted,) + self._zero[1:]
 
     def project_payload(self, a, to_ctx):
         if to_ctx is self:
             return a
         if self.parent is None or not self.is_above(to_ctx):
             raise LevelMismatch(f"{self!r} does not project onto {to_ctx!r}")
+        if self.packed:
+            if a >= to_ctx.order:
+                raise NotInSubfield(f"element is not in the image of {to_ctx!r}")
+            return a
         par = self.parent
-        zero = par.zero()
-        if any(c != zero for c in a[1:]):
+        if any(c != par._zero for c in a[1:]):
             raise NotInSubfield(f"element is not in the image of {to_ctx!r}")
         return par.project_payload(a[0], to_ctx)
 
@@ -496,7 +742,7 @@ class FieldCtx:
             levels.append(
                 {
                     "degree": ctx.degree,
-                    "modulus": [below.element_to_json(c) for c in ctx.modulus],
+                    "modulus": [below.element_to_json(c) for c in ctx._mod],
                 }
             )
             ctx = below
@@ -507,7 +753,8 @@ class FieldCtx:
     def element_to_json(self, payload):
         if self.parent is None:
             return payload
-        return [self.parent.element_to_json(c) for c in payload]
+        par = self.parent
+        return [par.element_to_json(c) for c in self._coords(payload)]
 
     def __repr__(self):
         if self.dim_over_prime == 1:
@@ -563,12 +810,16 @@ def extend(ctx, m, modulus=None):
     Returns ``(new_ctx, embed)`` where `embed` maps elements of `ctx`
     (or anything below it) into the new level.  Levels are cached, so
     extending the same context by the same degree twice hands back the
-    identical object.
+    identical object.  A given modulus lists its coefficients as
+    elements of `ctx` or in their nested coordinate form.
     """
     if m < 1:
         raise InvalidDegree(f"extension degree {m} < 1")
     if modulus is not None:
-        mod = tuple(c.val if isinstance(c, FieldElement) else c for c in modulus)
+        mod = tuple(
+            c.val if isinstance(c, FieldElement) else ctx._parse(c, (tuple, list))
+            for c in modulus
+        )
         if len(mod) != m + 1 or mod[-1] != ctx.one():
             raise ValueError(f"modulus must be monic of degree {m}")
         if not _is_irreducible(ctx, list(mod)):
@@ -603,7 +854,7 @@ def field_from_descriptor(desc):
     else:
         ctx = make_field(p)
     for level in tower:
-        mod = [ctx.element_from_json(c).val for c in level["modulus"]]
+        mod = [ctx.element_from_json(c) for c in level["modulus"]]
         ctx, _ = extend(ctx, int(level["degree"]), modulus=mod)
     return ctx
 
@@ -647,10 +898,16 @@ class FieldElement:
         raise LevelMismatch(f"{self.ctx!r} and {other.ctx!r} are incomparable")
 
     def __add__(self, other):
+        ctx = self.ctx
+        if other.__class__ is FieldElement and other.ctx is ctx:
+            return FieldElement(ctx, ctx.add(self.val, other.val))
         ctx, a, b = self._pair(other)
         return FieldElement(ctx, ctx.add(a, b))
 
     def __sub__(self, other):
+        ctx = self.ctx
+        if other.__class__ is FieldElement and other.ctx is ctx:
+            return FieldElement(ctx, ctx.sub(self.val, other.val))
         ctx, a, b = self._pair(other)
         return FieldElement(ctx, ctx.sub(a, b))
 
@@ -658,12 +915,15 @@ class FieldElement:
         return FieldElement(self.ctx, self.ctx.neg(self.val))
 
     def __mul__(self, other):
+        ctx = self.ctx
+        if other.__class__ is FieldElement and other.ctx is ctx:
+            return FieldElement(ctx, ctx.mul(self.val, other.val))
         ctx, a, b = self._pair(other)
         return FieldElement(ctx, ctx.mul(a, b))
 
     def __truediv__(self, other):
         ctx, a, b = self._pair(other)
-        if b == ctx.zero():
+        if b == ctx._zero:
             raise DivisionByZero("division by zero")
         return FieldElement(ctx, ctx.div(a, b))
 
@@ -681,10 +941,10 @@ class FieldElement:
         return hash((id(self.ctx), self.val))
 
     def is_zero(self):
-        return self.val == self.ctx.zero()
+        return self.val == self.ctx._zero
 
     def is_one(self):
-        return self.val == self.ctx.one()
+        return self.val == self.ctx._one
 
     def inverse(self):
         return FieldElement(self.ctx, self.ctx.inv(self.val))
@@ -864,7 +1124,7 @@ def as_vector(x, over):
         raise LevelMismatch(f"{over!r} is not below {x.ctx!r}")
     parent = x.ctx.parent
     out = []
-    for c in x.val:
+    for c in x.ctx._coords(x.val):
         out.extend(as_vector(FieldElement(parent, c), over))
     return out
 
@@ -890,4 +1150,4 @@ def from_vector(coeffs, level):
     parts = []
     for i in range(level.degree):
         parts.append(from_vector(coeffs[i * chunk : (i + 1) * chunk], level.parent).val)
-    return FieldElement(level, tuple(parts))
+    return FieldElement(level, level._from_coords(parts))

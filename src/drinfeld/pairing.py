@@ -538,12 +538,14 @@ class PairingEvaluator:
 
     Flattens the pairing polynomial once and caches Frobenius powers
     per point, so exhaustive sweeps cost a handful of multiplications
-    per tuple.  This is the fast route; `weil_evaluate` is the direct
-    contraction, and the two are compared term-for-term in the
-    verification suites.
+    per tuple.  The inner loop runs on the level's raw payloads and
+    wraps only the result.  Points from a level below `level` are
+    embedded first; a point from any other level raises LevelMismatch.
+    This is the fast route; `weil_evaluate` is the direct contraction,
+    and the two are compared term-for-term in the verification suites.
     """
 
-    __slots__ = ("phi", "a", "level", "poly", "_powers")
+    __slots__ = ("phi", "a", "level", "poly", "_terms", "_top", "_powers")
 
     def __init__(self, phi, a, level, f_poly=None, arity=None):
         self.phi = phi
@@ -552,28 +554,35 @@ class PairingEvaluator:
         poly = weil_polynomial(phi, a, arity=arity, f_poly=f_poly)
         lifted = {k: c.embed_to(level) for k, c in poly.terms.items()}
         self.poly = QPowerPoly(level, poly.nvars, lifted)
-        self._powers = {}
+        self._terms = [(k, c.val) for k, c in self.poly.terms.items()]
+        self._top = max((max(k) for k in self.poly.terms), default=0)
+        self._powers = {}  # point -> payloads of its Frobenius powers in `level`
+
+    def _payload_row(self, beta):
+        row = self._powers.get(beta)
+        if row is None:
+            x = beta.embed_to(self.level)
+            powers = [x]
+            for _ in range(self._top):
+                powers.append(powers[-1].frobenius(1))
+            row = self._powers[beta] = [y.val for y in powers]
+        return row
 
     def powers_of(self, beta):
-        got = self._powers.get(beta)
-        if got is None:
-            top = 0
-            for key in self.poly.terms:
-                top = max(top, max(key))
-            got = [beta]
-            for _ in range(top):
-                got.append(got[-1].frobenius(1))
-            self._powers[beta] = got
-        return got
+        """beta, beta**q, ..., up to the largest Frobenius exponent of
+        the pairing polynomial, as elements of `level`."""
+        return [FieldElement(self.level, v) for v in self._payload_row(beta)]
 
     def __call__(self, betas):
         if len(betas) != self.poly.nvars:
             raise ArityMismatch(f"need {self.poly.nvars} arguments")
-        rows = [self.powers_of(b) for b in betas]
-        acc = self.level.zero_element
-        for key, c in self.poly.terms.items():
+        level = self.level
+        rows = [self._payload_row(b) for b in betas]
+        mul, add = level.mul, level.add
+        acc = level.zero()
+        for key, c in self._terms:
             term = c
             for slot, j in enumerate(key):
-                term = term * rows[slot][j]
-            acc = acc + term
-        return acc
+                term = mul(term, rows[slot][j])
+            acc = add(acc, term)
+        return FieldElement(level, acc)

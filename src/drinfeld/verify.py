@@ -35,7 +35,7 @@ from .core import (
     operator_kernel,
     torsion,
 )
-from .errors import ConfigurationTooLarge, NotInSubfield
+from .errors import ConfigurationTooLarge, MalformedInput, NotInSubfield
 from .fields import dim_between, extend, field_from_descriptor, make_field
 from .pairing import (
     PairingEvaluator,
@@ -76,6 +76,14 @@ class VerificationConfig:
     seed: int = 0
     extension_cap: int = 64
     budget: int = 10_000_000
+
+    def __post_init__(self):
+        make_field(self.p)  # raises NonPrimeCharacteristic unless p is prime
+        for name in ("trials", "budget", "extension_cap"):
+            if getattr(self, name) < 1:
+                raise MalformedInput(f"{name} must be >= 1, got {getattr(self, name)}")
+        if any(r < 1 for r in self.ranks):
+            raise MalformedInput(f"every arity in ranks must be >= 1, got {list(self.ranks)}")
 
     def base_ctx(self):
         return make_field(self.p, self.e)
@@ -156,7 +164,7 @@ class VerificationConfig:
 
 def _element(K, spec):
     if isinstance(spec, int):
-        return K.element_of_rank(spec % K.order)
+        return K.element_of_rank(spec)
     return K.element_from_json(spec)
 
 

@@ -247,3 +247,42 @@ def test_unknown_flag_rejected():
 def test_missing_config_exit2(capsys):
     code, _, err = run_cli(capsys, "torsion", "--config", "/nonexistent.json")
     assert code == 2
+
+
+def test_weil_eval_out_of_range_rank_exit2(capsys):
+    # rank 10 is no element of GF(2^3); it is never read as 10 mod 8
+    code, out, err = run_cli(
+        capsys, "weil", "--module", MODULE_I, "--a", "0,1", "--eval", "[10, 4]"
+    )
+    assert code == 2 and out == "" and "out of range" in err
+
+
+def test_weil_eval_out_of_range_coordinate_exit2(capsys):
+    code, out, err = run_cli(
+        capsys, "weil", "--module", MODULE_I, "--a", "0,1", "--eval", "[[1, 0, 3], 4]"
+    )
+    assert code == 2 and out == "" and "not an element of GF(2)" in err
+
+
+def test_module_out_of_range_theta_exit2(capsys):
+    module = json.dumps({"K": {"p": 2, "e": 1, "tower": []}, "theta": 7, "g": [1, 1]})
+    code, out, err = run_cli(capsys, "weil", "--module", module, "--a", "0,1")
+    assert code == 2 and out == "" and "not an element of GF(2)" in err
+
+
+def test_module_shape_errors_exit2(capsys):
+    k = {"p": 2, "e": 1, "tower": []}
+    bad = ([1], {"K": k, "theta": 1}, {"K": k, "theta": 1, "g": 3}, {"theta": 1, "g": [1]})
+    for module in bad:
+        code, out, err = run_cli(capsys, "weil", "--module", json.dumps(module), "--a", "0,1")
+        assert code == 2 and out == "" and "Traceback" not in err, module
+
+
+def test_verify_vacuous_config_exit2(capsys, tmp_path):
+    base = {"p": 2, "theta": 1, "g": [1, 1], "a_list": [[0, 1]], "suites": ["pairing"]}
+    path = tmp_path / "config.json"
+    for patch in ({"trials": -5}, {"budget": 0}, {"extension_cap": 0}, {"ranks": [2, 0]},
+                  {"p": 4}):
+        path.write_text(json.dumps({**base, **patch}))
+        code, out, err = run_cli(capsys, "verify", "--config", str(path))
+        assert code == 2 and out == "", patch

@@ -1,0 +1,142 @@
+"""Properties of both element forms: packed levels (order <= 2^16, the
+element is its rank) with and without their log/Zech tables, and tuple
+levels above the cap, over a prime or a packed parent."""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import ZZ
+from sympy.polys.galoistools import gf_irreducible_p
+
+from drinfeld.errors import NotInSubfield
+from drinfeld.fields import PACKED_MAX_ORDER, _is_irreducible, extend, make_field
+
+F2, F3, F5 = make_field(2), make_field(3), make_field(5)
+F4 = extend(F2, 2)[0]
+F9 = make_field(3, 2)
+F256 = extend(F2, 8)[0]
+
+LEVELS = {
+    "GF(2^15)": extend(F2, 15)[0],
+    "GF(3^8)": extend(F3, 8)[0],
+    "GF(3^2)": F9,
+    "GF(4)^3": extend(F4, 3)[0],  # packed over packed
+    "GF(9)^4": extend(F9, 4)[0],  # odd p: packed over packed, q = 9
+    "GF(2^8)^3": extend(F256, 3)[0],  # tuple level over a packed parent
+    "GF(2^17)": extend(F2, 17)[0],  # tuple level over the prime field
+    "GF(9)^6": extend(F9, 6)[0],  # odd p: tuple level over a packed parent
+    "GF(3^11)": extend(F3, 11)[0],  # odd p: tuple level over the prime field
+}
+PACKED = [name for name, ctx in LEVELS.items() if ctx.order <= PACKED_MAX_ORDER]
+
+SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
+
+
+def test_levels_have_the_intended_form():
+    assert [LEVELS[name].packed for name in LEVELS] == [True] * 5 + [False] * 4
+    assert LEVELS["GF(2^8)^3"].parent.packed and LEVELS["GF(2^17)"].parent is F2
+    assert LEVELS["GF(9)^6"].parent.packed and LEVELS["GF(3^11)"].parent is F3
+
+
+@st.composite
+def level_and_ranks(draw, names=tuple(LEVELS), count=3):
+    ctx = LEVELS[draw(st.sampled_from(names))]
+    ranks = st.one_of(st.sampled_from((0, 1, ctx.order - 1)), st.integers(0, ctx.order - 1))
+    return ctx, [ctx.element_of_rank(draw(ranks)) for _ in range(count)]
+
+
+@SETTINGS
+@given(level_and_ranks())
+def test_field_axioms(case):
+    ctx, (a, b, c) = case
+    zero, one = ctx.zero_element, ctx.one_element
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and a * zero == zero
+    assert a - b == a + (-b) and (a - a).is_zero() and -(-a) == a
+    if not a.is_zero():
+        assert a * a.inverse() == one and (b / a) * a == b
+        assert a ** -1 == a.inverse() and a ** (ctx.order - 1) == one
+
+
+@SETTINGS
+@given(level_and_ranks(PACKED, count=2), st.integers(-40, 40), st.integers(0, 20))
+def test_table_path_equals_digit_path(case, e, k):
+    ctx, (x, y) = case
+    if ctx._log is None:
+        ctx._build_tables()  # the digit path stays callable beside the tables
+    a, b = x.val, y.val
+    n = ctx.order - 1
+    assert ctx.mul(a, b) == ctx._mul_raw(a, b)
+    if ctx.p == 2:
+        assert ctx.add(a, b) == ctx.sub(a, b) == a ^ b and ctx.neg(a) == a
+    else:
+        assert ctx.add(a, b) == ctx._add_slow(a, b) and ctx.sub(a, b) == ctx._sub_slow(a, b)
+        assert ctx.neg(a) == ctx._neg_slow(a)
+    if a:
+        assert ctx.inv(a) == ctx._pow_raw(a, n - 1)
+        assert ctx.power(a, e) == ctx._pow_raw(a, e % n)
+        assert ctx.frobenius(a, k) == ctx._pow_raw(a, pow(ctx.q, k, n))
+
+
+def _rank_from_json(ctx, obj):
+    """A nested coordinate array read as base-p digits."""
+    if ctx.parent is None:
+        return obj
+    r = 0
+    for c in reversed(obj):
+        r = r * ctx.parent.order + _rank_from_json(ctx.parent, c)
+    return r
+
+
+def _as_tuples(obj):
+    return tuple(_as_tuples(c) for c in obj) if isinstance(obj, list) else obj
+
+
+@SETTINGS
+@given(level_and_ranks(count=1))
+def test_rank_elem_and_json_roundtrips(case):
+    ctx, (x,) = case
+    obj = x.to_json()
+    assert ctx.element_of_rank(x.rank()) == x
+    assert _rank_from_json(ctx, obj) == x.rank()
+    assert ctx.element_from_json(obj) == x
+    assert ctx.elem(_as_tuples(obj)) == x
+
+
+@SETTINGS
+@given(level_and_ranks(count=1), st.data())
+def test_embed_then_project_is_identity(case, data):
+    ctx, _ = case
+    below = []
+    low = ctx.parent
+    while low is not None:
+        below.append(low)
+        low = low.parent
+    low = data.draw(st.sampled_from(below))
+    x = low.element_of_rank(data.draw(st.integers(0, low.order - 1)))
+    up = x.embed_to(ctx)
+    assert up.rank() == x.rank() and up.project_to(low) == x
+    outside = ctx.element_of_rank(data.draw(st.integers(low.order, ctx.order - 1)))
+    with pytest.raises(NotInSubfield):
+        outside.project_to(low)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(level_and_ranks(count=1), st.integers(0, 6))
+def test_frobenius_is_q_power(case, k):
+    ctx, (x,) = case
+    assert x.frobenius(k) == x ** (ctx.q**k)
+
+
+def test_is_irreducible_matches_sympy():
+    for ctx in (F2, F3, F5):
+        p = ctx.p
+        for d in range(1, 5):
+            for low in itertools.product(range(p), repeat=d):
+                f = list(low) + [1]  # little-endian monic
+                expected = gf_irreducible_p(f[::-1], p, ZZ)
+                assert _is_irreducible(ctx, f) == expected, (p, f)

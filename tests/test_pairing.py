@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from drinfeld.core import DrinfeldModule, torsion
 from drinfeld.errors import (
     InseparableTorsion,
+    LevelMismatch,
     NonMonic,
     NotTorsionPoint,
 )
@@ -392,3 +393,23 @@ def test_qpower_json_roundtrip_and_order():
     keys = [tuple(t["frob_exps"]) for t in obj["terms"]]
     assert keys == sorted(keys)
     assert QPowerPoly.from_json(obj) == w
+
+
+def test_evaluator_embeds_lower_points_and_rejects_other_levels():
+    phi = rank2_f2()
+    rng = random.Random(5)
+    tm = torsion(phi, T2)  # in GF(2^3)
+    points = tm.points()
+    f4 = extend(F2, 2)[0]  # not in the tower of the torsion level
+    for m in (2, 6):  # GF(2^6) is packed, GF(2^18) holds tuples of GF(2^3) ranks
+        upper = extend(tm.level, m)[0]
+        ev = PairingEvaluator(phi, T2, upper)
+        for _ in range(8):
+            x, y = rng.choice(points), rng.choice(points)
+            expected = weil_evaluate(phi, T2, [x, y]).embed_to(upper)
+            assert ev([x, y]) == expected
+            assert ev([x.embed_to(upper), y]) == expected
+        with pytest.raises(LevelMismatch):
+            ev([f4.one_element, points[1]])
+        with pytest.raises(LevelMismatch):
+            PairingEvaluator(phi, T2, tm.level)([points[1].embed_to(upper), points[1]])
