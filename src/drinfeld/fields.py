@@ -32,16 +32,31 @@ tables are ``array('H')`` and are built on demand: until a level has
 done ``order`` operations it runs the slow digit path (coordinates over
 the parent, the tuple-level multiply, back to a rank; over GF(2), a
 carry-less multiply of the rank bits), so a level that a search
-touches a few hundred times never pays for its tables.  Payloads
-are ints or tuples, so equality and hashing are structural and every
-value is immutable.  The public wrapper is :class:`FieldElement`;
-``elem``, ``element_of_rank`` and the nested-array JSON form are the
-ways in from outside.
+touches a few hundred times never pays for its tables.
+
+A level of degree d directly over GF(p) multiplies coordinate tuples by
+Kronecker substitution whenever d*(p-1)**2 + (p-1) < 256: each tuple
+becomes an int with one byte per coefficient, one bigint product gives
+every slot below 256, and one ``bytes.translate`` reduces every slot
+mod p.  The modulus is then folded in: x**d = -tail, so the part above
+x**(d-1) times the packed -tail is added back into the low half, again
+with every slot below 256, until the high half is zero.  Each fold
+lowers the top degree, so this ends for every monic modulus; one whose
+tail has degree at most (d+1)/2, as the modulus search's picks usually
+do, needs at most two folds.  The same bound lets odd-p add and sub on
+such a tuple level be one int add and one translate, and the x**(Q**i)
+powering of the irreducibility test over GF(p) run on packed ints.
+Above the bound (large p times d, say GF(1009^2)) the schoolbook
+multiply stays.  Payloads are ints or tuples, so equality and hashing
+are structural and every value is immutable.  The public wrapper is
+:class:`FieldElement`; ``elem``, ``element_of_rank`` and the
+nested-array JSON form are the ways in from outside.
 """
 
 from __future__ import annotations
 
 from array import array
+from functools import lru_cache
 from operator import and_, xor
 
 from .errors import (
@@ -168,6 +183,64 @@ def _ppow_mod(ctx, f, exponent, mod):
     return result
 
 
+# ---------------------------------------------------------------------------
+# Kronecker substitution over GF(p): a polynomial is an int, one byte per
+# coefficient, little-endian
+# ---------------------------------------------------------------------------
+
+
+def _kron_modulus(p, mod):
+    """Reduction data ``(d, tail, mod_p, neg_p)`` for multiplying modulo
+    the monic `mod` (ints in range(p), little-endian) of degree d, or
+    None when a byte slot could overflow: a product slot sums up to d
+    terms below (p-1)**2, and a fold adds one more coefficient."""
+    d = len(mod) - 1
+    if d * (p - 1) ** 2 + (p - 1) >= 256:
+        return None
+    tail = int.from_bytes(bytes(-c % p for c in mod[:d]), "little")  # x**d = -tail
+    return (d, tail) + _byte_tables(p)
+
+
+@lru_cache(maxsize=8)  # only p <= 13 passes the byte bound
+def _byte_tables(p):
+    """Translate tables that map a byte to itself mod p and to its
+    negative mod p."""
+    return bytes(i % p for i in range(256)), bytes(-i % p for i in range(256))
+
+
+def _kron_mulmod(a, b, kron):
+    """Bytes of a * b mod f, for packed polynomials a, b of degree < d.
+
+    One bigint product, every slot reduced mod p by a translate, then
+    folds: the part above x**(d-1) times the packed -tail goes back into
+    the low half.  Each fold lowers the top degree, so the loop ends for
+    every monic f; two folds suffice when the tail has degree at most
+    (d+1)/2."""
+    d, tail, mod_p, _ = kron
+    size = 2 * d - 1
+    s = (a * b).to_bytes(size, "little").translate(mod_p)
+    high = int.from_bytes(s[d:], "little")
+    while high:
+        s = (int.from_bytes(s[:d], "little") + high * tail).to_bytes(size, "little")
+        s = s.translate(mod_p)
+        high = int.from_bytes(s[d:], "little")
+    return s[:d]
+
+
+def _kron_powmod(h, e, kron):
+    """Coefficient bytes of h**e mod f, for a coefficient list h of
+    degree < d."""
+    acc = int.from_bytes(bytes(h), "little")
+    r = 1
+    while e:
+        if e & 1:
+            r = int.from_bytes(_kron_mulmod(r, acc, kron), "little")
+        e >>= 1
+        if e:
+            acc = int.from_bytes(_kron_mulmod(acc, acc, kron), "little")
+    return r.to_bytes(kron[0], "little")
+
+
 def _is_irreducible(ctx, f):
     """Criterion: monic f of degree d is irreducible over GF(Q) iff
     gcd(x**(Q**i) - x, f) = 1 for every i up to d // 2."""
@@ -182,20 +255,37 @@ def _is_irreducible(ctx, f):
     if f[0] == zero:  # divisible by x
         return False
     order = ctx.order
+    kron = _kron_modulus(ctx.p, f) if ctx.parent is None and f[-1] == 1 else None
     h = x
     for _ in range(d // 2):
-        h = _ppow_mod(ctx, h, order, f)
+        if kron is None:
+            h = _ppow_mod(ctx, h, order, f)
+        else:
+            h = list(_kron_powmod(h, order, kron))
         if _pdeg(_pgcd(ctx, _psub(ctx, h, x), f)) > 0:
             return False
     return True
 
 
+def _no_irreducible_binomial(order, degree):
+    """True when no x**degree + c is irreducible over GF(order): some
+    prime factor of the degree does not divide order - 1, or 4 divides
+    the degree and order != 1 mod 4 (Lidl and Niederreiter, Finite
+    Fields, Thm 3.75)."""
+    return any((order - 1) % ell for ell in _prime_factors(degree)) or (
+        degree % 4 == 0 and order % 4 != 1
+    )
+
+
 def _find_irreducible(ctx, degree):
     """Deterministic search: smallest coefficient sequence wins, where
-    lower coefficients are ranked first (counting order in base |ctx|)."""
+    lower coefficients are ranked first (counting order in base |ctx|).
+    The block of binomials x**degree + c0 comes first and is skipped
+    whole when none of them can be irreducible."""
     order = ctx.order
     one = ctx.one()
-    for n in range(order**degree):
+    start = order if _no_irreducible_binomial(order, degree) else 0
+    for n in range(start, order**degree):
         coeffs = []
         k = n
         for _ in range(degree):
@@ -222,18 +312,6 @@ def _is_prime(n):
     return True
 
 
-# ---------------------------------------------------------------------------
-# contexts
-# ---------------------------------------------------------------------------
-
-# extension levels up to this order store an element as its rank
-PACKED_MAX_ORDER = 2**16
-
-
-def _same(a):
-    return a
-
-
 def _prime_factors(n):
     out = []
     d = 2
@@ -246,6 +324,18 @@ def _prime_factors(n):
     if n > 1:
         out.append(n)
     return out
+
+
+# ---------------------------------------------------------------------------
+# contexts
+# ---------------------------------------------------------------------------
+
+# extension levels up to this order store an element as its rank
+PACKED_MAX_ORDER = 2**16
+
+
+def _same(a):
+    return a
 
 
 class FieldCtx:
@@ -278,6 +368,7 @@ class FieldCtx:
         "_zero",
         "_one",
         "_mask",
+        "_kron",
         "_slow_ops",
         "_log",
         "_exp",
@@ -295,6 +386,7 @@ class FieldCtx:
         self.degree = degree
         self._mod = modulus  # parent payloads, little-endian
         self._mask = None  # modulus bits, for GF(2^d) over GF(2) only
+        self._kron = None  # Kronecker reduction data, for levels over GF(p) only
         if parent is None:
             self.order = p
             self.dim_over_prime = 1
@@ -309,8 +401,10 @@ class FieldCtx:
             self.base = parent.base
             self.packed = self.order <= PACKED_MAX_ORDER
             self.modulus = tuple(parent._coordinate_tuple(c) for c in modulus)
-            if self.packed and p == 2 and parent.parent is None:
-                self._mask = self._from_coords(modulus)
+            if parent.parent is None:
+                self._kron = _kron_modulus(p, modulus)
+                if self.packed and p == 2:
+                    self._mask = self._from_coords(modulus)
         if self.packed:
             self._zero, self._one = 0, 1
         else:
@@ -344,6 +438,22 @@ class FieldCtx:
             if p != 2:
                 self.add, self.sub, self.neg = self._add_slow, self._sub_slow, self._neg_slow
             self.mul = self._mul_slow
+        elif p != 2 and self._kron is not None:
+            # one int add of the packed coordinates, one translate reduces every slot
+            d, _, mod_p, neg_p = self._kron
+            pack = int.from_bytes
+
+            def add(a, b):
+                s = pack(bytes(a), "little") + pack(bytes(b), "little")
+                return tuple(s.to_bytes(d, "little").translate(mod_p))
+
+            def sub(a, b):
+                s = pack(bytes(a), "little") + pack(bytes(b).translate(neg_p), "little")
+                return tuple(s.to_bytes(d, "little").translate(mod_p))
+
+            self.add, self.sub = add, sub
+            self.neg = lambda a: tuple(bytes(a).translate(neg_p))
+            self.mul = self._mul_over_prime
         else:
             # look the parent's ops up per call: a packed parent may switch to tables
             self.add = self.sub = lambda a, b: tuple(map(par.add, a, b))
@@ -361,7 +471,15 @@ class FieldCtx:
         return self._one
 
     def _mul_over_prime(self, a, b):
-        # fast path: coefficients are plain ints mod p
+        # coefficients are plain ints mod p: one Kronecker product unless
+        # a byte slot could overflow
+        kron = self._kron
+        if kron is None:
+            return self._mul_schoolbook(a, b)
+        pack = int.from_bytes
+        return tuple(_kron_mulmod(pack(bytes(a), "little"), pack(bytes(b), "little"), kron))
+
+    def _mul_schoolbook(self, a, b):
         p = self.p
         d = self.degree
         prod = [0] * (2 * d - 1)
@@ -771,7 +889,9 @@ def make_field(p, e=1, modulus=None):
 
     When no modulus is supplied, the lexicographically smallest monic
     irreducible of degree e over GF(p) is found by counting-order
-    search, so repeated runs agree on the representation.
+    search, so repeated runs agree on the representation.  A given
+    modulus lists e + 1 ints in range(p), little-endian; nothing is
+    reduced mod p.
     """
     if not isinstance(p, int) or not _is_prime(p):
         raise NonPrimeCharacteristic(f"{p} is not prime")
@@ -786,7 +906,9 @@ def make_field(p, e=1, modulus=None):
             raise ValueError("a modulus only makes sense for e >= 2")
         return prime
     if modulus is not None:
-        mod = tuple(int(c) % p for c in modulus)
+        mod = tuple(modulus)
+        if any(type(c) is not int or not 0 <= c < p for c in mod):
+            raise MalformedInput(f"modulus {list(mod)} needs ints in range({p})")
         if len(mod) != e + 1 or mod[-1] != 1:
             raise ValueError(f"modulus must be monic of degree {e}")
         if not _is_irreducible(prime, list(mod)):

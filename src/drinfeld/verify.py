@@ -57,6 +57,16 @@ SUITE_NAMES = ("f", "congruence", "pairing", "compatibility", "leading", "det")
 # ---------------------------------------------------------------------------
 
 
+def _is_ranks(obj):
+    """True for the coefficients of one polynomial: a tuple of int ranks."""
+    return isinstance(obj, tuple) and all(type(r) is int for r in obj)
+
+
+def _tuples(obj):
+    """JSON arrays as tuples, at every depth; anything else unchanged."""
+    return tuple(map(_tuples, obj)) if isinstance(obj, (list, tuple)) else obj
+
+
 @dataclass(frozen=True)
 class VerificationConfig:
     """One verification setup: a base field, an optional Drinfeld
@@ -84,6 +94,12 @@ class VerificationConfig:
                 raise MalformedInput(f"{name} must be >= 1, got {getattr(self, name)}")
         if any(r < 1 for r in self.ranks):
             raise MalformedInput(f"every arity in ranks must be >= 1, got {list(self.ranks)}")
+        pairs_ok = isinstance(self.ab_pairs, tuple) and all(
+            isinstance(ab, tuple) and len(ab) == 2 and all(map(_is_ranks, ab))
+            for ab in self.ab_pairs
+        )
+        if not (isinstance(self.a_list, tuple) and all(map(_is_ranks, self.a_list)) and pairs_ok):
+            raise MalformedInput("a_list and ab_pairs polynomials must be flat lists of int ranks")
 
     def base_ctx(self):
         return make_field(self.p, self.e)
@@ -147,10 +163,8 @@ class VerificationConfig:
             g=tuple(obj.get("g", ())),
             ranks=tuple(obj.get("ranks", (1, 2, 3))),
             max_deg=int(obj.get("max_deg", 3)),
-            a_list=tuple(tuple(a) for a in obj.get("a_list", ())),
-            ab_pairs=tuple(
-                (tuple(a), tuple(b)) for a, b in obj.get("ab_pairs", ())
-            ),
+            a_list=_tuples(obj.get("a_list", ())),
+            ab_pairs=_tuples(obj.get("ab_pairs", ())),
             trials=int(obj.get("trials", 30)),
             seed=int(obj.get("seed", 0)),
             extension_cap=int(obj.get("extension_cap", 64)),

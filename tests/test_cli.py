@@ -286,3 +286,23 @@ def test_verify_vacuous_config_exit2(capsys, tmp_path):
         path.write_text(json.dumps({**base, **patch}))
         code, out, err = run_cli(capsys, "verify", "--config", str(path))
         assert code == 2 and out == "", patch
+
+
+@pytest.mark.parametrize("command", ["torsion", "galois-det", "verify"])
+def test_config_polynomials_must_be_flat_rank_lists_exit2(capsys, tmp_path, command):
+    base = {"p": 2, "e": 2, "theta": 1, "g": [1, 1], "suites": ["det"]}
+    path = tmp_path / "config.json"
+    for patch in ({"a_list": [[[1, 0], [1, 0], [1, 0]]]}, {"a_list": [3]},
+                  {"a_list": 3}, {"a_list": [[0, True]]},
+                  {"a_list": [[0, 1]], "ab_pairs": [[[0, 1]]]},
+                  {"a_list": [[0, 1]], "ab_pairs": [[[0, 1], [[0, 1]]]]}):
+        path.write_text(json.dumps({**base, **patch}))
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert code == 2 and out == "" and "flat lists of int ranks" in err, patch
+
+
+def test_module_descriptor_modulus_out_of_range_exit2(capsys):
+    k = {"p": 3, "e": 2, "tower": [{"degree": 2, "modulus": [4, 0, 1]}]}
+    module = json.dumps({"K": k, "theta": [0, 1], "g": [[1, 0]]})
+    code, out, err = run_cli(capsys, "weil", "--module", module, "--a", "0,1")
+    assert code == 2 and out == "" and "range(3)" in err
