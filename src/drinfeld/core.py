@@ -9,11 +9,14 @@ determined by the single operator image of T,
 
 and extends multiplicatively/additively to all of GF(q)[T].
 
-Torsion kernels are found by pure linear algebra: the operator phi_a
-acting on GF(q**(s*m)) is a GF(q)-linear map, and the smallest m whose
-kernel has full dimension r*deg(a) is located by increasing search.
-That sidesteps factoring the degree-q**(rn) operator polynomial
-entirely; only matrix kernels over GF(q) are ever computed.
+Torsion is found without factoring the degree-q**(rn) operator
+polynomial.  For a(theta) != 0, phi_a is separable with q**(rn) kernel
+points, n = deg(a), and right division in K{tau} decides where they
+live: for K = GF(q**s), the kernel lies in GF(q**(s*m)) exactly when
+tau**(s*m) = 1 modulo phi_a on the right (a remainder of tau-degree
+below rn vanishing on q**(rn) points is zero).  The smallest such m is
+the order of tau**s modulo phi_a; only that one level is built, and
+its kernel comes from one matrix kernel over GF(q).
 """
 
 from __future__ import annotations
@@ -322,14 +325,41 @@ def fq_span(basis, level, base):
     return out
 
 
-def torsion(phi, a, cap=64):
-    """The a-torsion of phi, realized in the smallest extension of K
-    that carries the full kernel of phi_a.
+def _tau_s_order(phi_a, s, cap):
+    """Least m <= cap with tau**(s*m) = 1 modulo phi_a on the right, or
+    None.  R_m = (tau**s * R_(m-1)) mod phi_a; tau**s fixes K, so the
+    product is a shift by s and the reduction clears s top terms."""
+    n = phi_a.degree
+    lead_inv = phi_a.coeffs[-1].inverse()
+    monic = [c * lead_inv for c in phi_a.coeffs[:-1]]
+    # tau**k * monic = sum(c**(q**k) tau**(i+k)) clears the term tau**(n+k)
+    twisted = [[c.frobenius(k) for c in monic] for k in range(s)]
+    zero = phi_a.ctx.zero_element
+    unit = [phi_a.ctx.one_element] + [zero] * (n - 1)
+    rem = unit
+    for m in range(1, cap + 1):
+        rem = [zero] * s + rem
+        for k in range(s - 1, -1, -1):
+            top = rem.pop()
+            if not top.is_zero():
+                for i, c in enumerate(twisted[k]):
+                    rem[i + k] = rem[i + k] - top * c
+        if rem == unit:
+            return m
+    return None
 
-    The search walks m = 1, 2, ... and computes the kernel of phi_a as
-    a GF(q)-linear operator on GF(q**(s*m)); it stops at kernel
-    dimension r*deg(a).
+
+def torsion(phi, a, cap=64):
+    """The a-torsion of phi, realized in the smallest extension
+    GF(q**(s*m)) of K = GF(q**s) that carries the full kernel of phi_a.
+
+    m is the order of tau**s modulo phi_a on the right (see the module
+    docstring); the level of degree m over K is built once and the
+    kernel of phi_a on it, a GF(q)-space of dimension r*deg(a), is the
+    torsion.  No m <= cap raises SearchCapExceeded.
     """
+    if type(cap) is not int or cap < 1:
+        raise MalformedInput(f"extension-degree cap {cap!r} must be an int >= 1")
     if not a.is_monic():
         raise NonMonic("torsion needs a monic operator polynomial")
     if a.degree < 1:
@@ -342,13 +372,17 @@ def torsion(phi, a, cap=64):
         )
     base = phi.base
     phi_a = phi.phi(a)
+    m = _tau_s_order(phi_a, dim_between(phi.K, base), cap)
+    if m is None:
+        raise SearchCapExceeded(f"no extension of degree <= {cap} splits phi_a")
+    level = phi.K if m == 1 else extend(phi.K, m)[0]
+    null = operator_kernel(phi_a, level, base)
     want = phi.rank * a.degree
-    for m in range(1, cap + 1):
-        level = phi.K if m == 1 else extend(phi.K, m)[0]
-        null = operator_kernel(phi_a, level, base)
-        if len(null) == want:
-            return TorsionModule(phi, a, level, m, tuple(null))
-    raise SearchCapExceeded(f"no extension of degree <= {cap} splits phi_a")
+    if len(null) != want:
+        raise AssertionError(
+            f"kernel of phi_a on {level!r} has dimension {len(null)}, not {want}"
+        )
+    return TorsionModule(phi, a, level, m, tuple(null))
 
 
 class TorsionModule:
@@ -386,10 +420,6 @@ class TorsionModule:
 
     def contains(self, beta):
         return self.phi.phi(self.a)(beta).is_zero()
-
-    def frobenius_order(self):
-        """Order of the K-Frobenius acting on the working level."""
-        return self.m
 
     def apply_galois(self, beta, sigma):
         """Image of beta under the sigma.k-th power of the K-Frobenius."""

@@ -964,21 +964,35 @@ def extend(ctx, m, modulus=None):
 
 def field_from_descriptor(desc):
     """Rebuild the context a descriptor came from (levels are cached,
-    so this returns the identical object for identical descriptors)."""
-    p = int(desc["p"])
-    e = int(desc["e"])
-    tower = list(desc.get("tower", ()))
+    so this returns the identical object for identical descriptors).
+    "p", "e" and every "degree" must be ints; nothing is coerced."""
+    if not isinstance(desc, dict):
+        raise MalformedInput("a field descriptor is an object")
+    p, e = _descriptor_int(desc, "p"), _descriptor_int(desc, "e")
+    tower = desc.get("tower", [])
+    if not isinstance(tower, (list, tuple)) or not all(
+        isinstance(t, dict) and isinstance(t.get("modulus"), (list, tuple)) for t in tower
+    ):
+        raise MalformedInput('descriptor "tower" must list objects with a "modulus" list')
+    degrees = [_descriptor_int(level, "degree") for level in tower]
     if e > 1:
-        if not tower or int(tower[0]["degree"]) != e:
+        if not tower or degrees[0] != e:
             raise ValueError("descriptor base degree disagrees with its tower")
         ctx = make_field(p, e, modulus=tower[0]["modulus"])
-        tower = tower[1:]
+        tower, degrees = tower[1:], degrees[1:]
     else:
-        ctx = make_field(p)
-    for level in tower:
+        ctx = make_field(p, e)
+    for level, degree in zip(tower, degrees):
         mod = [ctx.element_from_json(c) for c in level["modulus"]]
-        ctx, _ = extend(ctx, int(level["degree"]), modulus=mod)
+        ctx, _ = extend(ctx, degree, modulus=mod)
     return ctx
+
+
+def _descriptor_int(obj, key):
+    value = obj[key]
+    if type(value) is not int:
+        raise MalformedInput(f"descriptor {key!r} must be an int, not {value!r}")
+    return value
 
 
 def dim_between(upper, lower):

@@ -306,3 +306,47 @@ def test_module_descriptor_modulus_out_of_range_exit2(capsys):
     module = json.dumps({"K": k, "theta": [0, 1], "g": [[1, 0]]})
     code, out, err = run_cli(capsys, "weil", "--module", module, "--a", "0,1")
     assert code == 2 and out == "" and "range(3)" in err
+
+
+@pytest.mark.parametrize(
+    "k, theta, g",
+    [
+        ({"p": 2.7, "e": 1, "tower": []}, 1, [1, 1]),
+        ({"p": "2", "e": 1, "tower": []}, 1, [1, 1]),
+        ({"p": True, "e": 1, "tower": []}, 1, [1, 1]),
+        ({"p": 2, "e": 1.0, "tower": []}, 1, [1, 1]),
+        ({"p": 2, "e": 0, "tower": []}, 1, [1, 1]),
+        ({"p": 3, "e": 2, "tower": [{"degree": "2", "modulus": [1, 0, 1]}]}, [1, 0], [[1, 0]]),
+        ({"p": 3, "e": 2, "tower": [{"degree": 2.0, "modulus": [1, 0, 1]}]}, [1, 0], [[1, 0]]),
+        ({"p": 2, "e": 1, "tower": [{"degree": True, "modulus": [1, 1]}]}, [1], [[1]]),
+        ({"p": 2, "e": 1, "tower": [{"degree": 2, "modulus": 7}]}, [1, 0], [[1, 0]]),
+        ({"p": 2, "e": 1, "tower": {}}, 1, [1, 1]),
+        ([2, 1], 1, [1, 1]),
+    ],
+)
+def test_module_descriptor_numbers_are_never_coerced_exit2(capsys, k, theta, g):
+    # {"p": 2.7, ...} used to be read as GF(2) and print a pairing with exit 0
+    module = json.dumps({"K": k, "theta": theta, "g": g})
+    code, out, err = run_cli(capsys, "weil", "--module", module, "--a", "0,1")
+    assert code == 2 and out == "" and "Traceback" not in err, k
+    assert "descriptor" in err or "degree 0" in err, err
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_weil_cap_below_one_exit2(capsys, cap):
+    code, out, err = run_cli(
+        capsys, "weil", "--module", MODULE_I, "--a", "0,1", "--eval", "[2, 4]", "--cap", cap
+    )
+    assert code == 2 and out == "" and "cap" in err
+
+
+def test_weil_cap_too_small_exit4(capsys):
+    # T-torsion of MODULE_I lies in GF(2^3): cap 2 is valid but too small
+    code, out, err = run_cli(
+        capsys, "weil", "--module", MODULE_I, "--a", "0,1", "--eval", "[2, 4]", "--cap", "2"
+    )
+    assert code == 4 and out == "" and "degree <= 2" in err
+    code, out, _ = run_cli(
+        capsys, "weil", "--module", MODULE_I, "--a", "0,1", "--eval", "[2, 4]", "--cap", "3"
+    )
+    assert code == 0 and out.splitlines()[0] == "1"

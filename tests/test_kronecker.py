@@ -189,3 +189,19 @@ def test_descriptor_modulus_is_never_reduced(modulus):
     with pytest.raises(MalformedInput):
         field_from_descriptor(desc)
     assert field_from_descriptor(make_field(3, 2).descriptor()) is make_field(3, 2)
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        {"p": 2.7, "e": 1, "tower": []},
+        {"p": "3", "e": 1, "tower": []},
+        {"p": 3, "e": False, "tower": []},
+        {"p": 3.9, "e": 2.5, "tower": [{"degree": "2", "modulus": [1, 0, 1]}]},
+        {"p": 3, "e": 2, "tower": [{"degree": 2.0, "modulus": [1, 0, 1]}]},
+        {"p": 3, "e": 1, "tower": [{"degree": "2", "modulus": [1, 0, 1]}]},
+    ],
+)
+def test_descriptor_numbers_are_never_coerced(desc):
+    with pytest.raises(MalformedInput):
+        field_from_descriptor(desc)
