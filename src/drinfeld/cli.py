@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
-from .core import DrinfeldModule, GaloisElement, ResidueRing, galois_action_matrix, torsion
+from .core import DrinfeldModule, galois_det_table, torsion
 from .errors import (
     ConfigurationTooLarge,
     DrinfeldError,
@@ -41,6 +40,7 @@ from .verify import (
     BundleEntry,
     VerificationConfig,
     default_bundle,
+    parse_element,
     run_suites,
 )
 
@@ -101,12 +101,6 @@ def cmd_fa(args):
     return 0
 
 
-def _parse_point(level, spec):
-    if isinstance(spec, int):
-        return level.element_of_rank(spec)
-    return level.element_from_json(spec)
-
-
 def cmd_weil(args):
     module = DrinfeldModule.from_json(_load_json_arg(args.module))
     a = UniPoly.from_ranks(module.base, _parse_ranks(args.a))
@@ -119,7 +113,7 @@ def cmd_weil(args):
         return 0
     tm = torsion(module, a, cap=args.cap)
     specs = _load_json_arg(args.eval)
-    points = [_parse_point(tm.level, s) for s in specs]
+    points = [parse_element(tm.level, s) for s in specs]
     value = weil_evaluate(module, a, points)
     in_torsion = module.det_module().phi(a)(value).is_zero()
     if args.json:
@@ -170,7 +164,6 @@ def _config_from_file(path, seed=None, budget=None):
 
 def cmd_torsion(args):
     entries = _config_from_file(args.config, seed=args.seed)
-    code = 0
     for label, cfg, _ in entries:
         module = cfg.module()
         if module is None:
@@ -188,7 +181,7 @@ def cmd_torsion(args):
                 print(f"  point count: {tm.count()}")
                 for b in tm.fq_basis:
                     print(f"  basis: {json.dumps(b.to_json())}")
-    return code
+    return 0
 
 
 def cmd_galois_det(args):
@@ -199,25 +192,16 @@ def cmd_galois_det(args):
             return _fail(2, f"config {label!r} declares no Drinfeld module")
         psi = module.det_module()
         for a in cfg.a_polys():
-            tm = torsion(module, a, cap=cfg.extension_cap)
-            tpsi = torsion(psi, a, cap=cfg.extension_cap)
-            basis = tm.a_basis(seed=cfg.seed)
-            gen = tpsi.a_basis(seed=cfg.seed)[0]
-            ring = ResidueRing(a)
-            rows = []
-            order = math.lcm(tm.m, tpsi.m)
-            for k in range(order):
-                sigma = GaloisElement(k)
-                det = ring.det(galois_action_matrix(tm, sigma, basis))
-                scalar = tpsi.coordinates(tpsi.apply_galois(gen, sigma))[0]
-                rows.append(
-                    {
-                        "k": k,
-                        "det_rho_phi": det.render(),
-                        "rho_psi": scalar.render(),
-                        "equal": det == scalar,
-                    }
-                )
+            table = galois_det_table(module, psi, a, cfg.extension_cap, cfg.seed)
+            rows = [
+                {
+                    "k": k,
+                    "det_rho_phi": det.render(),
+                    "rho_psi": scalar.render(),
+                    "equal": det == scalar,
+                }
+                for k, det, scalar in table
+            ]
             if args.json:
                 _emit({"label": label, "a": [c.rank() for c in a.coeffs], "powers": rows})
             else:

@@ -21,7 +21,7 @@ its kernel comes from one matrix kernel over GF(q).
 
 from __future__ import annotations
 
-import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -39,6 +39,7 @@ from .errors import (
 from .fields import (
     FieldElement,
     as_vector,
+    common_level,
     dim_between,
     extend,
     field_from_descriptor,
@@ -46,7 +47,7 @@ from .fields import (
     kernel,
     solve,
 )
-from .polynomials import UniPoly, poly_gcd, poly_xgcd
+from .polynomials import UniPoly, poly_gcd, poly_xgcd, rank_vectors
 
 
 class SkewPoly:
@@ -90,13 +91,8 @@ class SkewPoly:
     def _common(self, other):
         if not isinstance(other, SkewPoly):
             raise TypeError(f"cannot combine SkewPoly with {type(other).__name__}")
-        if self.ctx is other.ctx:
-            return self.ctx, self, other
-        if self.ctx.is_above(other.ctx):
-            return self.ctx, self, SkewPoly(self.ctx, other.coeffs)
-        if other.ctx.is_above(self.ctx):
-            return other.ctx, SkewPoly(other.ctx, self.coeffs), other
-        raise LevelMismatch("twisted polynomials over incomparable levels")
+        ctx = common_level(self.ctx, other.ctx)
+        return ctx, *(f if f.ctx is ctx else SkewPoly(ctx, f.coeffs) for f in (self, other))
 
     def __add__(self, other):
         ctx, f, g = self._common(other)
@@ -316,7 +312,7 @@ def fq_span(basis, level, base):
     coefficient order."""
     scalars = [c.embed_to(level) for c in base.elements()]
     out = []
-    for combo in itertools.product(range(base.order), repeat=len(basis)):
+    for combo in rank_vectors(base.order, len(basis)):
         acc = level.zero_element
         for c, b in zip(combo, basis):
             if c:
@@ -429,10 +425,10 @@ class TorsionModule:
     def residues(self):
         """All classes of A/aA as reduced polynomials, in rank order."""
         base = self.phi.base
-        out = []
-        for combo in itertools.product(range(base.order), repeat=self.a.degree):
-            out.append(UniPoly(base, [base.element_of_rank(r) for r in combo]))
-        return out
+        return [
+            UniPoly(base, [base.element_of_rank(r) for r in ranks])
+            for ranks in rank_vectors(base.order, self.a.degree)
+        ]
 
     def a_basis(self, seed=0, attempts=200):
         """Points beta_1 .. beta_r through which (A/aA)**r sweeps out the
@@ -454,7 +450,7 @@ class TorsionModule:
             candidate = tuple(rng.choice(nonzero) for _ in range(r))
             table = {}
             ok = True
-            for combo in itertools.product(range(len(residues)), repeat=r):
+            for combo in rank_vectors(len(residues), r):
                 acc = self.level.zero_element
                 for slot, idx in enumerate(combo):
                     acc = acc + images[idx](candidate[slot])
@@ -512,13 +508,27 @@ def galois_action_matrix(tm, sigma, basis=None):
     the coordinates of sigma(beta_j)."""
     if basis is None:
         basis = tm.a_basis()
-    ring = ResidueRing(tm.a)
-    r = len(basis)
-    cols = []
-    for beta in basis:
-        image = tm.apply_galois(beta, sigma)
-        cols.append(tm.coordinates(image))
-    return [[ring.reduce(cols[j][i]) for j in range(r)] for i in range(r)]
+    cols = [tm.coordinates(tm.apply_galois(beta, sigma)) for beta in basis]
+    return [[col[i] % tm.a for col in cols] for i in range(len(basis))]
+
+
+def galois_det_table(phi, psi, a, cap=64, seed=0):
+    """(k, det, scalar) for every power sigma**k over one period of the
+    Frobenius action on both torsion modules: det is the determinant
+    over A/aA of sigma**k acting on phi[a], scalar the residue by which
+    sigma**k acts on psi[a].  psi is the determinant module of phi, or a
+    deliberately wrong one when the comparison is tested for teeth."""
+    tm = torsion(phi, a, cap=cap)
+    tpsi = torsion(psi, a, cap=cap)
+    basis = tm.a_basis(seed=seed)
+    gen = tpsi.a_basis(seed=seed)[0]
+    ring = ResidueRing(a)
+    rows = []
+    for k in range(math.lcm(tm.m, tpsi.m)):
+        sigma = GaloisElement(k)
+        det = ring.det(galois_action_matrix(tm, sigma, basis))
+        rows.append((k, det, tpsi.coordinates(tpsi.apply_galois(gen, sigma))[0]))
+    return rows
 
 
 class ResidueRing:
@@ -559,13 +569,10 @@ class ResidueRing:
             raise ZeroDivisionError(f"{u.render()} is not a unit mod {self.a.render()}")
         return self.reduce(s)
 
-    def elements(self):
-        base = self.ctx
-        for combo in itertools.product(range(base.order), repeat=self.a.degree):
-            yield UniPoly(base, [base.element_of_rank(r) for r in combo])
-
     def det(self, matrix):
-        """Determinant by cofactor expansion; matrices here are tiny."""
+        """Determinant by cofactor expansion; matrices here are tiny.
+        A/aA has zero divisors when a is reducible, so the field
+        elimination of ``fields.determinant`` does not apply here."""
         n = len(matrix)
         if n == 1:
             return self.reduce(matrix[0][0])

@@ -51,6 +51,15 @@ multiply stays.  Payloads are ints or tuples, so equality and hashing
 are structural and every value is immutable.  The public wrapper is
 :class:`FieldElement`; ``elem``, ``element_of_rank`` and the
 nested-array JSON form are the ways in from outside.
+
+Two algorithms live here once, on payloads, for the whole package.  The
+``_p*`` helpers on little-endian payload lists (``_pcombine``, ``_pmul``,
+``_pdivmod``, ``_pgcd``, ``_pxgcd``, ``_ppow_mod``) are its univariate
+polynomial arithmetic; ``polynomials.UniPoly`` wraps them.  The
+Gauss-Jordan ``_row_reduce`` is its only elimination; ``kernel``,
+``solve`` and ``determinant`` are edges over it.  ``common_level`` is
+the one rule for mixed levels: lift to the higher of two comparable
+levels, else LevelMismatch.
 """
 
 from __future__ import annotations
@@ -71,7 +80,7 @@ from .errors import (
 )
 
 # ---------------------------------------------------------------------------
-# polynomial helpers on raw payload lists (coefficients live in `ctx`)
+# univariate arithmetic on raw payload lists (coefficients live in `ctx`)
 # ---------------------------------------------------------------------------
 
 
@@ -83,33 +92,30 @@ def _pstrip(ctx, coeffs):
     return coeffs
 
 
-def _pdeg(coeffs):
-    return len(coeffs) - 1
-
-
-def _psub(ctx, f, g):
-    n = max(len(f), len(g))
+def _pcombine(ctx, op, f, g):
+    """f op g coefficientwise for op = ctx.add or ctx.sub; the shorter
+    list counts as padded with zeros."""
     zero = ctx.zero()
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else zero
-        b = g[i] if i < len(g) else zero
-        out.append(ctx.sub(a, b))
-    return _pstrip(ctx, out)
+    n, m = len(f), len(g)
+    if n < m:
+        f = list(f) + [zero] * (m - n)
+    elif m < n:
+        g = list(g) + [zero] * (n - m)
+    return _pstrip(ctx, list(map(op, f, g)))
 
 
 def _pmul(ctx, f, g):
     if not f or not g:
         return []
     zero = ctx.zero()
+    add, mul = ctx.add, ctx.mul
     out = [zero] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a == zero:
             continue
         for j, b in enumerate(g):
-            if b == zero:
-                continue
-            out[i + j] = ctx.add(out[i + j], ctx.mul(a, b))
+            if b != zero:
+                out[i + j] = add(out[i + j], mul(a, b))
     return _pstrip(ctx, out)
 
 
@@ -118,19 +124,21 @@ def _pdivmod(ctx, num, den):
     if not den:
         raise DivisionByZero("polynomial division by zero")
     num = list(num)
-    dd = _pdeg(den)
+    dd = len(den) - 1
     zero = ctx.zero()
+    sub, mul = ctx.sub, ctx.mul
     inv_lead = ctx.inv(den[-1])
     quo = [zero] * max(0, len(num) - dd)
     for k in range(len(num) - 1, dd - 1, -1):
         c = num[k]
         if c == zero:
             continue
-        factor = ctx.mul(c, inv_lead)
+        factor = mul(c, inv_lead)
         quo[k - dd] = factor
-        for j in range(dd + 1):
-            num[k - dd + j] = ctx.sub(num[k - dd + j], ctx.mul(factor, den[j]))
-    return _pstrip(ctx, quo), _pstrip(ctx, num[:dd] if dd > 0 else [])
+        off = k - dd
+        for j, d in enumerate(den):
+            num[off + j] = sub(num[off + j], mul(factor, d))
+    return _pstrip(ctx, quo), _pstrip(ctx, num[:dd])
 
 
 def _pmod(ctx, num, den):
@@ -161,8 +169,8 @@ def _pxgcd(ctx, f, g):
     while r1:
         q, r = _pdivmod(ctx, r0, r1)
         r0, r1 = r1, r
-        u0, u1 = u1, _psub(ctx, u0, _pmul(ctx, q, u1))
-        v0, v1 = v1, _psub(ctx, v0, _pmul(ctx, q, v1))
+        u0, u1 = u1, _pcombine(ctx, ctx.sub, u0, _pmul(ctx, q, u1))
+        v0, v1 = v1, _pcombine(ctx, ctx.sub, v0, _pmul(ctx, q, v1))
     if r0:
         inv = ctx.inv(r0[-1])
         scale = [inv]
@@ -245,7 +253,7 @@ def _is_irreducible(ctx, f):
     """Criterion: monic f of degree d is irreducible over GF(Q) iff
     gcd(x**(Q**i) - x, f) = 1 for every i up to d // 2."""
     f = _pstrip(ctx, f)
-    d = _pdeg(f)
+    d = len(f) - 1
     if d < 1:
         return False
     if d == 1:
@@ -262,7 +270,7 @@ def _is_irreducible(ctx, f):
             h = _ppow_mod(ctx, h, order, f)
         else:
             h = list(_kron_powmod(h, order, kron))
-        if _pdeg(_pgcd(ctx, _psub(ctx, h, x), f)) > 0:
+        if len(_pgcd(ctx, _pcombine(ctx, ctx.sub, h, x), f)) > 1:
             return False
     return True
 
@@ -686,7 +694,7 @@ class FieldCtx:
             par = self.parent
             mod = list(self._mod)
             d, u, _ = _pxgcd(par, list(self._coords(a)), mod)
-            if _pdeg(d) != 0:  # pragma: no cover - modulus is irreducible
+            if len(d) != 1:  # pragma: no cover - modulus is irreducible
                 raise DivisionByZero("element not invertible")
             u = _pmod(par, u, mod)
             result = self._from_coords(u + [par._zero] * (self.degree - len(u)))
@@ -995,6 +1003,16 @@ def _descriptor_int(obj, key):
     return value
 
 
+def common_level(a, b):
+    """The higher of two levels when one lies above the other, the level
+    that mixed operands are lifted to; LevelMismatch otherwise."""
+    if a.is_above(b):
+        return a
+    if b.is_above(a):
+        return b
+    raise LevelMismatch(f"{a!r} and {b!r} are incomparable")
+
+
 def dim_between(upper, lower):
     """Dimension of `upper` as a vector space over `lower`."""
     dim = 1
@@ -1025,13 +1043,8 @@ class FieldElement:
     def _pair(self, other):
         if not isinstance(other, FieldElement):
             raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-        if self.ctx is other.ctx:
-            return self.ctx, self.val, other.val
-        if self.ctx.is_above(other.ctx):
-            return self.ctx, self.val, self.ctx.embed_payload(other.val, other.ctx)
-        if other.ctx.is_above(self.ctx):
-            return other.ctx, other.ctx.embed_payload(self.val, self.ctx), other.val
-        raise LevelMismatch(f"{self.ctx!r} and {other.ctx!r} are incomparable")
+        ctx = common_level(self.ctx, other.ctx)
+        return ctx, ctx.embed_payload(self.val, self.ctx), ctx.embed_payload(other.val, other.ctx)
 
     def __add__(self, other):
         ctx = self.ctx
@@ -1128,18 +1141,54 @@ class MatrixFq:
         rows = [list(r) for r in rows]
         if not rows or not rows[0]:
             raise ValueError("matrix dimensions must be positive")
-        ctx = rows[0][0].ctx
-        ncols = len(rows[0])
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged matrix")
-            for x in r:
-                if x.ctx is not ctx:
-                    raise LevelMismatch("matrix entries live in different levels")
-        self.ctx = ctx
-        self.nrows = len(rows)
-        self.ncols = ncols
-        self.rows = rows
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise ValueError("ragged matrix")
+        self.ctx = _payload_rows(rows)[0]
+        self.nrows, self.ncols, self.rows = len(rows), len(rows[0]), rows
+
+
+def _row_reduce(ctx, rows, ncols):
+    """Gauss-Jordan elimination, in place, of payload rows over `ctx` on
+    their first `ncols` columns; later columns follow the row operations.
+
+    Afterwards rows[:rank] are the reduced pivot rows.  Returns the
+    pivot columns and the product of the pivots, negated once per row
+    swap: the determinant when the matrix is square of full rank."""
+    zero = ctx.zero()
+    mul, sub, inv = ctx.mul, ctx.sub, ctx.inv
+    pivots = []
+    det = ctx.one()
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != zero), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            det = ctx.neg(det)
+        lead = rows[rank][col]
+        det = mul(det, lead)
+        scale = inv(lead)
+        top = rows[rank] = [mul(x, scale) for x in rows[rank]]
+        for r, row in enumerate(rows):
+            c = row[col]
+            if r != rank and c != zero:
+                rows[r] = [sub(x, mul(c, y)) for x, y in zip(row, top)]
+        pivots.append(col)
+        rank += 1
+    return pivots, det
+
+
+def _payload_rows(rows):
+    """The one level of a matrix of FieldElements and its rows as
+    payload lists; entries on different levels raise LevelMismatch."""
+    ctx = rows[0][0].ctx
+    out = []
+    for row in rows:
+        if any(x.ctx is not ctx for x in row):
+            raise LevelMismatch("matrix entries live in different levels")
+        out.append([x.val for x in row])
+    return ctx, out
 
 
 def kernel(matrix):
@@ -1148,108 +1197,38 @@ def kernel(matrix):
     The returned vectors are independent, each is annihilated by the
     matrix, and their count is ``ncols - rank``.
     """
-    if isinstance(matrix, MatrixFq):
-        ctx, rows, nrows, ncols = (
-            matrix.ctx,
-            [list(r) for r in matrix.rows],
-            matrix.nrows,
-            matrix.ncols,
-        )
-    else:
-        rows = [list(r) for r in matrix]
-        nrows, ncols = len(rows), len(rows[0])
-        ctx = rows[0][0].ctx
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, nrows):
-            if not rows[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(nrows):
-            if r != rank and not rows[r][col].is_zero():
-                c = rows[r][col]
-                rows[r] = [x - c * y for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    pivot_set = set(pivots)
-    zero, one = ctx.zero_element, ctx.one_element
+    ctx, rows = _payload_rows(matrix.rows if isinstance(matrix, MatrixFq) else matrix)
+    ncols = len(rows[0])
+    pivots, _ = _row_reduce(ctx, rows, ncols)
+    zero, one = ctx.zero(), ctx.one()
     basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
+    for free in sorted(set(range(ncols)) - set(pivots)):
         vec = [zero] * ncols
         vec[free] = one
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rows[i][free]
-        basis.append(tuple(vec))
+        for row, pc in zip(rows, pivots):
+            vec[pc] = ctx.neg(row[free])
+        basis.append(tuple(FieldElement(ctx, v) for v in vec))
     return basis
 
 
 def solve(rows, rhs):
     """One solution of rows * x = rhs, or None when inconsistent."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     ncols = len(rows[0])
-    ctx = rhs[0].ctx
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(aug)):
-            if not aug[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = aug[rank][col].inverse()
-        aug[rank] = [x * inv for x in aug[rank]]
-        for r in range(len(aug)):
-            if r != rank and not aug[r][col].is_zero():
-                c = aug[r][col]
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, len(aug)):
-        if not aug[r][-1].is_zero():
-            return None
-    sol = [ctx.zero_element] * ncols
-    for i, pc in enumerate(pivots):
-        sol[pc] = aug[i][-1]
-    return sol
+    ctx, aug = _payload_rows([list(r) + [b] for r, b in zip(rows, rhs)])
+    pivots, _ = _row_reduce(ctx, aug, ncols)
+    if any(row[-1] != ctx.zero() for row in aug[len(pivots):]):
+        return None
+    sol = [ctx.zero()] * ncols
+    for row, pc in zip(aug, pivots):
+        sol[pc] = row[-1]
+    return [FieldElement(ctx, v) for v in sol]
 
 
 def determinant(rows):
     """Determinant by Gaussian elimination over the entries' field."""
-    n = len(rows)
-    mat = [list(r) for r in rows]
-    ctx = mat[0][0].ctx
-    det = ctx.one_element
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not mat[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            return ctx.zero_element
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det = det * mat[col][col]
-        inv = mat[col][col].inverse()
-        mat[col] = [x * inv for x in mat[col]]
-        for r in range(col + 1, n):
-            if not mat[r][col].is_zero():
-                c = mat[r][col]
-                mat[r] = [x - c * y for x, y in zip(mat[r], mat[col])]
-    return det
+    ctx, mat = _payload_rows(rows)
+    pivots, det = _row_reduce(ctx, mat, len(mat))
+    return FieldElement(ctx, det if len(pivots) == len(mat) else ctx.zero())
 
 
 def as_vector(x, over):

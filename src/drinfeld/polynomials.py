@@ -2,7 +2,10 @@
 
 UniPoly is the workhorse for the operator ring GF(q)[T]: dense
 little-endian coefficients, Euclidean division, gcds, root scans and
-splitting-field degrees.  MultiPoly is a sparse exponent-tuple ->
+splitting-field degrees.  It wraps the payload arithmetic of
+``fields``: each operation unwraps its operands to payload lists, calls
+the core once and wraps the result, so ``coeffs`` stays a tuple of
+FieldElements.  MultiPoly is a sparse exponent-tuple ->
 coefficient map used for the symmetric coefficient polynomials of the
 pairing, together with normal-form reduction modulo the ideal
 generated by a(T_1), ..., a(T_r).
@@ -17,8 +20,21 @@ from __future__ import annotations
 import itertools
 import math
 
-from .errors import ArityMismatch, DivisionByZero, LevelMismatch
-from .fields import FieldElement, extend
+from .errors import ArityMismatch
+from .fields import (
+    FieldElement,
+    _pcombine,
+    _pdivmod,
+    _pgcd,
+    _pmod,
+    _pmonic,
+    _pmul,
+    _ppow_mod,
+    _pstrip,
+    _pxgcd,
+    common_level,
+    extend,
+)
 
 
 class UniPoly:
@@ -96,61 +112,49 @@ class UniPoly:
 
     # -- arithmetic ----------------------------------------------------------
 
+    @classmethod
+    def _wrap(cls, ctx, payloads):
+        """Polynomial from stripped payloads of `ctx`, built by the core;
+        nothing is revalidated."""
+        poly = object.__new__(cls)
+        poly.ctx = ctx
+        poly.coeffs = tuple(FieldElement(ctx, v) for v in payloads)
+        return poly
+
+    def _payloads(self, ctx):
+        if ctx is self.ctx:
+            return [c.val for c in self.coeffs]
+        return [ctx.embed_payload(c.val, self.ctx) for c in self.coeffs]
+
     def _common(self, other):
+        """The joined level and both operands' payload lists on it."""
         if not isinstance(other, UniPoly):
             raise TypeError(f"cannot combine UniPoly with {type(other).__name__}")
-        if self.ctx is other.ctx:
-            return self.ctx, self, other
-        if self.ctx.is_above(other.ctx):
-            return self.ctx, self, other.embed_to(self.ctx)
-        if other.ctx.is_above(self.ctx):
-            return other.ctx, self.embed_to(other.ctx), other
-        raise LevelMismatch("polynomials over incomparable levels")
+        ctx = common_level(self.ctx, other.ctx)
+        return ctx, self._payloads(ctx), other._payloads(ctx)
 
     def __add__(self, other):
         ctx, f, g = self._common(other)
-        n = max(len(f.coeffs), len(g.coeffs))
-        return UniPoly(ctx, (f[i] + g[i] for i in range(n)))
+        return UniPoly._wrap(ctx, _pcombine(ctx, ctx.add, f, g))
 
     def __sub__(self, other):
         ctx, f, g = self._common(other)
-        n = max(len(f.coeffs), len(g.coeffs))
-        return UniPoly(ctx, (f[i] - g[i] for i in range(n)))
+        return UniPoly._wrap(ctx, _pcombine(ctx, ctx.sub, f, g))
 
     def __neg__(self):
-        return UniPoly(self.ctx, (-c for c in self.coeffs))
+        neg = self.ctx.neg
+        return UniPoly._wrap(self.ctx, [neg(c.val) for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
             other = UniPoly.constant(other)
         ctx, f, g = self._common(other)
-        if f.is_zero() or g.is_zero():
-            return UniPoly.zero(ctx)
-        out = [ctx.zero_element] * (f.degree + g.degree + 1)
-        for i, a in enumerate(f.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(g.coeffs):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return UniPoly(ctx, out)
+        return UniPoly._wrap(ctx, _pmul(ctx, f, g))
 
     def __divmod__(self, other):
         ctx, f, g = self._common(other)
-        if g.is_zero():
-            raise DivisionByZero("polynomial division by zero")
-        rem = list(f.coeffs)
-        dd = g.degree
-        inv_lead = g.leading().inverse()
-        quo = [ctx.zero_element] * max(0, len(rem) - dd)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            if rem[k].is_zero():
-                continue
-            factor = rem[k] * inv_lead
-            quo[k - dd] = factor
-            for j in range(dd + 1):
-                rem[k - dd + j] = rem[k - dd + j] - factor * g[j]
-        return UniPoly(ctx, quo), UniPoly(ctx, rem[:dd])
+        quo, rem = _pdivmod(ctx, f, g)
+        return UniPoly._wrap(ctx, quo), UniPoly._wrap(ctx, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -173,38 +177,33 @@ class UniPoly:
         coefficient level and the point's level."""
         if not isinstance(x, FieldElement):
             raise TypeError("evaluation point must be a FieldElement")
-        if self.ctx.is_above(x.ctx):
-            target = self.ctx
-            x = x.embed_to(target)
-        elif x.ctx.is_above(self.ctx):
-            target = x.ctx
-        else:
-            raise LevelMismatch("point and coefficients over incomparable levels")
-        acc = target.zero_element
-        for c in reversed(self.coeffs):
-            acc = acc * x + c.embed_to(target)
-        return acc
+        target = common_level(self.ctx, x.ctx)
+        add, mul = target.add, target.mul
+        point = target.embed_payload(x.val, x.ctx)
+        acc = target.zero()
+        for c in reversed(self._payloads(target)):
+            acc = add(mul(acc, point), c)
+        return FieldElement(target, acc)
 
     def derivative(self):
+        """Formal derivative: coefficient i times i, as i additions mod p."""
         ctx = self.ctx
+        add = ctx.add
         out = []
-        for i in range(1, len(self.coeffs)):
-            term = ctx.zero_element
+        for i, c in enumerate(self._payloads(ctx)[1:], 1):
+            term = ctx.zero()
             for _ in range(i % ctx.p):
-                term = term + self.coeffs[i]
+                term = add(term, c)
             out.append(term)
-        return UniPoly(ctx, out)
+        return UniPoly._wrap(ctx, _pstrip(ctx, out))
 
     def monic(self):
-        if self.is_zero():
-            return self
-        inv = self.leading().inverse()
-        return UniPoly(self.ctx, (c * inv for c in self.coeffs))
+        return UniPoly._wrap(self.ctx, _pmonic(self.ctx, self._payloads(self.ctx)))
 
     def embed_to(self, level):
         if level is self.ctx:
             return self
-        return UniPoly(level, (c.embed_to(level) for c in self.coeffs))
+        return UniPoly._wrap(level, self._payloads(level))
 
     # -- serialization -------------------------------------------------------
 
@@ -242,39 +241,20 @@ class UniPoly:
 
 def poly_gcd(f, g):
     """Monic gcd by the Euclidean algorithm."""
-    while not g.is_zero():
-        f, g = g, f % g
-    return f.monic()
+    ctx, f, g = f._common(g)
+    return UniPoly._wrap(ctx, _pgcd(ctx, f, g))
 
 
 def poly_xgcd(f, g):
     """(d, u, v) with u*f + v*g = d and d monic."""
-    ctx = f.ctx
-    r0, r1 = f, g
-    u0, u1 = UniPoly.one(ctx), UniPoly.zero(ctx)
-    v0, v1 = UniPoly.zero(ctx), UniPoly.one(ctx)
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if not r0.is_zero():
-        inv = r0.leading().inverse()
-        scale = UniPoly.constant(inv)
-        r0, u0, v0 = r0 * scale, u0 * scale, v0 * scale
-    return r0, u0, v0
+    ctx, f, g = f._common(g)
+    return tuple(UniPoly._wrap(ctx, h) for h in _pxgcd(ctx, f, g))
 
 
 def pow_mod(f, exponent, mod):
     """f**exponent reduced modulo `mod`, by repeated squaring."""
-    result = UniPoly.one(mod.ctx)
-    acc = f % mod
-    while exponent > 0:
-        if exponent & 1:
-            result = (result * acc) % mod
-        acc = (acc * acc) % mod
-        exponent >>= 1
-    return result
+    ctx, f, mod = f._common(mod)
+    return UniPoly._wrap(ctx, _ppow_mod(ctx, f, exponent, mod))
 
 
 def roots_in_field(f, level):
@@ -421,13 +401,8 @@ class MultiPoly:
             raise TypeError(f"cannot combine MultiPoly with {type(other).__name__}")
         if self.nvars != other.nvars:
             raise ArityMismatch(f"{self.nvars} variables vs {other.nvars}")
-        if self.ctx is other.ctx:
-            return self.ctx, self, other
-        if self.ctx.is_above(other.ctx):
-            return self.ctx, self, other.embed_to(self.ctx)
-        if other.ctx.is_above(self.ctx):
-            return other.ctx, self.embed_to(other.ctx), other
-        raise LevelMismatch("polynomials over incomparable levels")
+        ctx = common_level(self.ctx, other.ctx)
+        return ctx, self.embed_to(ctx), other.embed_to(ctx)
 
     def __add__(self, other):
         ctx, f, g = self._common(other)
@@ -587,44 +562,45 @@ def normal_form(p, ideal):
     every variable, the map is linear and idempotent, and p minus the
     result lies in the ideal."""
     ctx = p.ctx
-    a = ideal.a if ideal.a.ctx is ctx else ideal.a.embed_to(ctx)
     if p.nvars != ideal.nvars:
         raise ArityMismatch(f"{p.nvars} variables vs ideal arity {ideal.nvars}")
-    n = a.degree
-    max_exp = 0
-    for exps in p.terms:
-        max_exp = max(max_exp, max(exps))
-    # residues of T**k mod a, as dense coefficient tuples
-    residues = []
-    acc = UniPoly.one(ctx)
-    t_poly = UniPoly.gen(ctx)
-    for _ in range(max_exp + 1):
-        residues.append(acc)
-        acc = (acc * t_poly) % a
+    max_exp = max((max(exps) for exps in p.terms), default=0)
+    # residues of T**k mod a, as payload lists
+    a_vals = ideal.a._payloads(ctx)
+    zero = ctx.zero()
+    add, mul = ctx.add, ctx.mul
+    residues = [[ctx.one()]]
+    for _ in range(max_exp):
+        residues.append(_pmod(ctx, [zero] + residues[-1], a_vals))
     out = {}
-    zero = ctx.zero_element
     for exps, coeff in p.terms.items():
-        partial = {(): coeff}
+        partial = {(): coeff.val}
         for j in range(p.nvars):
             res = residues[exps[j]]
             nxt = {}
             for prefix, c in partial.items():
-                for k in range(res.degree + 1):
-                    rc = res[k]
-                    if rc.is_zero():
-                        continue
-                    key = prefix + (k,)
-                    nxt[key] = nxt.get(key, zero) + c * rc
+                for k, rc in enumerate(res):
+                    if rc != zero:
+                        key = prefix + (k,)
+                        nxt[key] = add(nxt.get(key, zero), mul(c, rc))
             partial = nxt
         for key, c in partial.items():
-            out[key] = out.get(key, zero) + c
-    return MultiPoly(ctx, p.nvars, out)
+            out[key] = add(out.get(key, zero), c)
+    return MultiPoly(ctx, p.nvars, {key: FieldElement(ctx, c) for key, c in out.items()})
+
+
+def rank_vectors(order, length):
+    """Every tuple of `length` ranks below `order`, in the package's
+    enumeration order: lexicographic, the first entry varying slowest.
+    Monic polynomials, residue classes mod a, torsion points and module
+    coordinates are all listed this way."""
+    return itertools.product(range(order), repeat=length)
 
 
 def all_monic(ctx, degree):
     """Every monic polynomial of exactly this degree, in rank order."""
-    out = []
-    for combo in itertools.product(range(ctx.order), repeat=degree):
-        coeffs = [ctx.element_of_rank(r) for r in combo] + [ctx.one_element]
-        out.append(UniPoly(ctx, coeffs))
-    return out
+    one = ctx.one_element
+    return [
+        UniPoly(ctx, [ctx.element_of_rank(r) for r in ranks] + [one])
+        for ranks in rank_vectors(ctx.order, degree)
+    ]

@@ -21,17 +21,15 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .core import (
     DrinfeldModule,
-    GaloisElement,
     ResidueRing,
     fq_span,
-    galois_action_matrix,
+    galois_det_table,
     operator_kernel,
     torsion,
 )
@@ -47,7 +45,7 @@ from .pairing import (
     weil_evaluate,
     weil_polynomial,
 )
-from .polynomials import IdealI, MultiPoly, UniPoly, all_monic, normal_form
+from .polynomials import IdealI, MultiPoly, UniPoly, all_monic, normal_form, rank_vectors
 
 SUITE_NAMES = ("f", "congruence", "pairing", "compatibility", "leading", "det")
 
@@ -65,6 +63,14 @@ def _is_ranks(obj):
 def _tuples(obj):
     """JSON arrays as tuples, at every depth; anything else unchanged."""
     return tuple(map(_tuples, obj)) if isinstance(obj, (list, tuple)) else obj
+
+
+_INT_FIELDS = ("p", "e", "max_deg", "trials", "seed", "extension_cap", "budget")
+
+
+def _require_int(value, name):
+    if type(value) is not int:
+        raise MalformedInput(f"{name} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -88,6 +94,14 @@ class VerificationConfig:
     budget: int = 10_000_000
 
     def __post_init__(self):
+        for name in _INT_FIELDS:
+            _require_int(getattr(self, name), name)
+        for name in ("ranks", "k_extensions"):
+            value = getattr(self, name)
+            if not isinstance(value, tuple):
+                raise MalformedInput(f"{name} must be a list of ints, got {value!r}")
+            for entry in value:
+                _require_int(entry, f"every entry of {name}")
         make_field(self.p)  # raises NonPrimeCharacteristic unless p is prime
         for name in ("trials", "budget", "extension_cap"):
             if getattr(self, name) < 1:
@@ -107,7 +121,7 @@ class VerificationConfig:
     def K_ctx(self):
         ctx = self.base_ctx()
         for d in self.k_extensions:
-            ctx = extend(ctx, int(d))[0]
+            ctx = extend(ctx, d)[0]
         return ctx
 
     def module(self):
@@ -115,7 +129,7 @@ class VerificationConfig:
             return None
         K = self.K_ctx()
         return DrinfeldModule(
-            K, _element(K, self.theta), tuple(_element(K, c) for c in self.g)
+            K, parse_element(K, self.theta), tuple(parse_element(K, c) for c in self.g)
         )
 
     def a_polys(self):
@@ -155,31 +169,26 @@ class VerificationConfig:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(
-            p=int(obj["p"]),
-            e=int(obj.get("e", 1)),
-            k_extensions=tuple(obj.get("k_extensions", ())),
-            theta=obj.get("theta"),
-            g=tuple(obj.get("g", ())),
-            ranks=tuple(obj.get("ranks", (1, 2, 3))),
-            max_deg=int(obj.get("max_deg", 3)),
-            a_list=_tuples(obj.get("a_list", ())),
-            ab_pairs=_tuples(obj.get("ab_pairs", ())),
-            trials=int(obj.get("trials", 30)),
-            seed=int(obj.get("seed", 0)),
-            extension_cap=int(obj.get("extension_cap", 64)),
-            budget=int(obj.get("budget", 10_000_000)),
-        )
+        """Config from its JSON object: arrays become tuples and absent
+        keys take their defaults; numbers must be ints (not bools),
+        nothing is coerced."""
+        kwargs = {f.name: _tuples(obj[f.name]) for f in fields(cls) if f.name in obj}
+        kwargs["p"] = obj["p"]  # the one required key
+        # element specs keep their JSON form: theta as given, g one level deep
+        kwargs.update(theta=obj.get("theta"), g=tuple(obj.get("g", ())))
+        return cls(**kwargs)
 
     def digest(self):
         blob = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _element(K, spec):
-    if isinstance(spec, int):
-        return K.element_of_rank(spec)
-    return K.element_from_json(spec)
+def parse_element(level, spec):
+    """Element of `level` from an int rank or its nested coefficient
+    array; a bool is neither."""
+    if type(spec) is int:
+        return level.element_of_rank(spec)
+    return level.element_from_json(spec)
 
 
 @dataclass
@@ -319,6 +328,34 @@ def _closed_form_r2(base, a):
     return MultiPoly(base, 2, terms)
 
 
+def _flip_lowest_term(poly):
+    """The fault ``flip_fa_coefficient``: one added to the coefficient of
+    the lowest term (least total degree, then exponents)."""
+    key = min(poly.terms, key=lambda e: (sum(e), e))
+    terms = dict(poly.terms)
+    terms[key] = terms[key] + poly.ctx.one_element
+    return MultiPoly(poly.ctx, poly.nvars, terms)
+
+
+def _constructions_agree(identity, cfg, a, r, fault, lhs, rhs):
+    """Check that two f_a constructions, built when the check runs,
+    give the same polynomial."""
+
+    def check():
+        left, right = lhs(), rhs()
+        if left == right:
+            return True
+        return False, {
+            "identity": identity,
+            "inputs": {"p": cfg.p, "e": cfg.e, "a": [c.rank() for c in a.coeffs],
+                       "r": r, "fault": fault},
+            "lhs": left.to_json(),
+            "rhs": right.to_json(),
+        }
+
+    return check
+
+
 def verify_f_identities(cfg, fault=None):
     """Dual construction, root-free product against the chain sum,
     symmetry, root-order invariance, rationality, degree bounds, and
@@ -331,50 +368,14 @@ def verify_f_identities(cfg, fault=None):
         for r in cfg.ranks:
             tag = f"[q={base.order},r={r},a={a.render()}]"
             chain = f_chain_sum(a, r)
-            poly = chain.poly
-            if fault == "flip_fa_coefficient":
-                key = min(poly.terms, key=lambda e: (sum(e), e))
-                terms = dict(poly.terms)
-                terms[key] = terms[key] + base.one_element
-                poly = MultiPoly(base, r, terms)
+            poly = _flip_lowest_term(chain.poly) if fault == "flip_fa_coefficient" else chain.poly
 
-            def chain_eq_recursive(poly=poly, a=a, r=r):
-                rec = f_recursive(a, r).poly
-                if poly == rec:
-                    return True
-                return False, {
-                    "identity": "f_chain_eq_recursive",
-                    "inputs": {
-                        "p": cfg.p,
-                        "e": cfg.e,
-                        "a": [c.rank() for c in a.coeffs],
-                        "r": r,
-                        "fault": fault,
-                    },
-                    "lhs": poly.to_json(),
-                    "rhs": rec.to_json(),
-                }
-
-            suite.run(f"f.chain_eq_recursive{tag}", chain_eq_recursive)
-
-            def rootfree_eq_chain(poly=poly, a=a, r=r):
-                rootfree = f_rootfree(a, r).poly
-                if rootfree == poly:
-                    return True
-                return False, {
-                    "identity": "f_rootfree_eq_chain",
-                    "inputs": {
-                        "p": cfg.p,
-                        "e": cfg.e,
-                        "a": [c.rank() for c in a.coeffs],
-                        "r": r,
-                        "fault": fault,
-                    },
-                    "lhs": rootfree.to_json(),
-                    "rhs": poly.to_json(),
-                }
-
-            suite.run(f"f.rootfree_eq_chain{tag}", rootfree_eq_chain)
+            suite.run(f"f.chain_eq_recursive{tag}", _constructions_agree(
+                "f_chain_eq_recursive", cfg, a, r, fault,
+                lambda poly=poly: poly, lambda a=a, r=r: f_recursive(a, r).poly))
+            suite.run(f"f.rootfree_eq_chain{tag}", _constructions_agree(
+                "f_rootfree_eq_chain", cfg, a, r, fault,
+                lambda a=a, r=r: f_rootfree(a, r).poly, lambda poly=poly: poly))
 
             def symmetry(poly=poly, r=r, a=a):
                 for sigma in itertools.permutations(range(r)):
@@ -886,20 +887,10 @@ def verify_det_representation(cfg, fault=None):
     psi = _det_module_for(phi, fault)
     for a in cfg.a_polys():
         tag = f"[a={a.render()}]"
-        tm = torsion(phi, a, cap=cfg.extension_cap)
-        tpsi = torsion(psi, a, cap=cfg.extension_cap)
-        basis = tm.a_basis(seed=cfg.seed)
-        w_gen = tpsi.a_basis(seed=cfg.seed)[0]
-        ring = ResidueRing(a)
-        period = math.lcm(tm.m, tpsi.m)
 
-        def det_match():
-            for k in range(period):
-                sigma = GaloisElement(k)
-                mat = galois_action_matrix(tm, sigma, basis)
-                det = ring.det(mat)
-                image = tpsi.apply_galois(w_gen, sigma)
-                scalar = tpsi.coordinates(image)[0]
+        def det_match(a=a):
+            ring = ResidueRing(a)
+            for k, det, scalar in galois_det_table(phi, psi, a, cfg.extension_cap, cfg.seed):
                 if det != scalar or not ring.is_unit(det):
                     return False, {
                         "identity": "det_representation",
@@ -930,17 +921,12 @@ _SUITE_FUNCS = {
 
 def run_suites(cfg, suites, fault=None):
     """Run the named suites on one config; returns one merged report."""
-    reports = []
+    merged = VerificationReport(cfg.digest())
     for name in suites:
         fn = _SUITE_FUNCS.get(name)
         if fn is None:
             raise ValueError(f"unknown suite {name!r}; pick from {SUITE_NAMES}")
-        reports.append(fn(cfg, fault=fault))
-    if len(reports) == 1:
-        return reports[0]
-    merged = VerificationReport(cfg.digest())
-    for r in reports:
-        merged.checks.extend(r.checks)
+        merged.checks.extend(fn(cfg, fault=fault).checks)
     return merged
 
 
@@ -952,11 +938,9 @@ class BundleEntry:
 
 
 def _all_monic_ranks(q, max_deg):
-    out = []
-    for d in range(1, max_deg + 1):
-        for combo in itertools.product(range(q), repeat=d):
-            out.append(tuple(combo) + (1,))
-    return tuple(out)
+    return tuple(
+        ranks + (1,) for d in range(1, max_deg + 1) for ranks in rank_vectors(q, d)
+    )
 
 
 def default_bundle(seed=0, budget=10_000_000, cap=64):
@@ -1049,10 +1033,7 @@ def reevaluate(counterexample):
         r = int(inputs["r"])
         poly = f_chain_sum(a, r).poly
         if inputs.get("fault") == "flip_fa_coefficient":
-            key = min(poly.terms, key=lambda e: (sum(e), e))
-            terms = dict(poly.terms)
-            terms[key] = terms[key] + base.one_element
-            poly = MultiPoly(base, r, terms)
+            poly = _flip_lowest_term(poly)
         if identity == "f_rootfree_eq_chain":
             return poly != f_rootfree(a, r).poly
         return poly != f_recursive(a, r).poly

@@ -350,3 +350,34 @@ def test_weil_cap_too_small_exit4(capsys):
         capsys, "weil", "--module", MODULE_I, "--a", "0,1", "--eval", "[2, 4]", "--cap", "3"
     )
     assert code == 0 and out.splitlines()[0] == "1"
+
+
+@pytest.mark.parametrize("command", ["torsion", "galois-det", "verify"])
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"p": 2.9},
+        {"p": "3"},
+        {"p": True},
+        {"e": 1.0},
+        {"max_deg": 2.0},
+        {"trials": 3.7},
+        {"seed": 1.5},
+        {"extension_cap": 64.0},
+        {"budget": 1e7},
+        {"ranks": [2.5]},
+        {"ranks": [True]},
+        {"ranks": 2},
+        {"k_extensions": [2.5]},
+        {"k_extensions": ["2"]},
+        {"theta": True},
+    ],
+)
+def test_config_numbers_are_never_coerced_exit2(capsys, tmp_path, command, patch):
+    # {"p": 2.9} used to run over GF(2) and exit 0; {"ranks": [2.5]} died
+    # with a TypeError
+    base = {"p": 2, "theta": 1, "g": [1, 1], "a_list": [[0, 1]], "suites": ["det"]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**base, **patch}))
+    code, out, err = run_cli(capsys, command, "--config", str(path))
+    assert code == 2 and out == "" and "Traceback" not in err, err
