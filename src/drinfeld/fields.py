@@ -10,9 +10,10 @@ m on top of any context.
 
 Every context ranks its elements 0 .. order-1 by flattening an
 element's coordinates, little-endian in the residue generator, to
-base-p digits; modulus searches, root scans and exhaustive sweeps all
-enumerate elements in rank order, which is what makes runs
-reproducible across machines.  Embedding a lower level keeps ranks.
+base-p digits; modulus searches and exhaustive sweeps enumerate
+elements in rank order, and root searches sort by rank, which is what
+makes runs reproducible across machines.  Embedding a lower level
+keeps ranks.
 
 A raw payload takes one of two forms, known only to this module:
 
@@ -756,6 +757,8 @@ class FieldCtx:
         return r
 
     def payload_of_rank(self, n):
+        if type(n) is not int:
+            raise MalformedInput(f"rank must be an int, got {n!r}")
         if not 0 <= n < self.order:
             raise ValueError(f"rank {n} out of range for {self!r}")
         if self.packed:

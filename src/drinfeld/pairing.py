@@ -25,7 +25,14 @@ ones included.
 The chain sum above (`f_chain_sum`, `f_root_order_variant`) and a
 peel-one-root recursion (`f_recursive`) are kept as its independent
 oracles; only the verification suites, the tests and the CLI's
-`--route chain|recursive|both` use them.
+`--route chain|recursive|both` use them.  The oracles find the roots
+of a once per (field, a): `roots_in_field` splits gcd(a, x^Q - x) by
+equal-degree splitting, with no element scan, and the splitting level
+and the rank-ordered roots go into a memo.  That memo and the one of
+finished oracle results (`_F_CACHE`) each keep at most `_MEMO_SIZE`
+entries and drop the oldest first.  `chain_sum_over_roots` builds each
+chain term as an outer product of r univariate factors, taken from one
+pass of prefix and suffix products over the root list.
 
 The pairing itself contracts f_a against Moore determinants of
 operator images,
@@ -51,7 +58,7 @@ from .errors import (
     NotTorsionPoint,
     RationalityFailure,
 )
-from .fields import FieldElement, determinant, field_from_descriptor
+from .fields import FieldElement, _pmul, determinant, field_from_descriptor
 from .polynomials import (
     IdealI,
     MultiPoly,
@@ -92,12 +99,33 @@ class FaPoly:
         return f"FaPoly({self.render()!r}, route={self.route!r})"
 
 
+# entries each root-oracle memo keeps; past this the oldest entry goes
+_MEMO_SIZE = 512
+
+
+def _remember(memo, key, value):
+    """Store value under key in a memo of at most _MEMO_SIZE entries,
+    dropping the oldest entry first; returns value."""
+    if len(memo) >= _MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
+
+
+# (field, a) -> (splitting level, roots of a in rank order), for the oracles
+_ROOTS_CACHE = {}
+
+
 def _sorted_roots(a):
+    key = (a.ctx, a.coeffs)
+    got = _ROOTS_CACHE.get(key)
+    if got is not None:
+        return got
     level = splitting_level(a)
-    roots = roots_in_field(a, level)
+    roots = tuple(roots_in_field(a, level))
     if len(roots) != a.degree:  # pragma: no cover - splitting level is exact
         raise AssertionError("splitting level did not yield all roots")
-    return level, sorted(roots, key=lambda x: x.rank())
+    return _remember(_ROOTS_CACHE, key, (level, roots))
 
 
 def _linear_product(level, nvars, slot, roots_subset):
@@ -112,24 +140,47 @@ def _linear_product(level, nvars, slot, roots_subset):
 def chain_sum_over_roots(level, roots, r):
     """The chain-sum construction from an explicit root list (with
     multiplicity), over whatever level the roots live in.  An empty
-    root list gives the zero polynomial, matching the empty chain sum."""
+    root list gives the zero polynomial, matching the empty chain sum.
+
+    The factor of T_j in a chain term omits the roots inside
+    [i_(j-1), i_j], so it is prefix[i_(j-1) - 1] * suffix[i_j], the
+    products of (x - alpha) over the roots before and after that
+    segment.  One pass builds every prefix and suffix product; each
+    chain term is then the outer product of its r univariate factors,
+    added coefficient by coefficient into one payload dict.
+    """
     n = len(roots)
     if n == 0:
         return MultiPoly.zero(level, r)
-    acc = MultiPoly.zero(level, r)
+    zero, one = level.zero(), level.one()
+    add, mul, neg = level.add, level.mul, level.neg
+    linear = [[neg(alpha.embed_to(level).val), one] for alpha in roots]
+    prefix = [[one]]
+    for factor in linear:
+        prefix.append(_pmul(level, prefix[-1], factor))
+    suffix = [[one]]
+    for factor in reversed(linear):
+        suffix.append(_pmul(level, suffix[-1], factor))
+    suffix.reverse()  # suffix[k]: the product over roots[k:]
+    segments = {}
+    for lo in range(1, n + 1):
+        for hi in range(lo, n + 1):
+            poly = _pmul(level, prefix[lo - 1], suffix[hi])
+            segments[lo, hi] = [(k, c) for k, c in enumerate(poly) if c != zero]
+    acc = {}
     count = 0
     for mid in itertools.combinations_with_replacement(range(1, n + 1), r - 1):
         chain = (1,) + mid + (n,)
         count += 1
-        term = MultiPoly.one(level, r)
+        term = {(): one}
         for j in range(1, r + 1):
-            lo, hi = chain[j - 1], chain[j]
-            omitted = [roots[i - 1] for i in range(1, n + 1) if not lo <= i <= hi]
-            term = term * _linear_product(level, r, j - 1, omitted)
-        acc = acc + term
+            factor = segments[chain[j - 1], chain[j]]
+            term = {e + (k,): mul(c, ck) for e, c in term.items() for k, ck in factor}
+        for e, c in term.items():
+            acc[e] = add(acc.get(e, zero), c)
     if count != comb(n + r - 2, r - 1):  # pragma: no cover - enumeration is exact
         raise AssertionError("chain enumeration miscounted")
-    return acc
+    return MultiPoly(level, r, {e: FieldElement(level, c) for e, c in acc.items()})
 
 
 def _coerce_to_base(poly, base):
@@ -187,7 +238,7 @@ def f_rootfree(a, r):
     return FaPoly(poly, a, r, "rootfree", ())
 
 
-# memo for the root-based oracles only
+# (construction, field, a, r) -> FaPoly, for the root-based oracles only
 _F_CACHE = {}
 
 
@@ -205,8 +256,7 @@ def f_chain_sum(a, r):
     level, roots = _sorted_roots(a)
     poly = chain_sum_over_roots(level, roots, r)
     result = FaPoly(_coerce_to_base(poly, a.ctx), a, r, "chain", roots)
-    _F_CACHE[key] = result
-    return result
+    return _remember(_F_CACHE, key, result)
 
 
 def f_recursive(a, r):
@@ -251,10 +301,9 @@ def f_recursive(a, r):
         memo[key] = result
         return result
 
-    poly = build(tuple(roots), r)
+    poly = build(roots, r)
     result = FaPoly(_coerce_to_base(poly, a.ctx), a, r, "recursive", roots)
-    _F_CACHE[key] = result
-    return result
+    return _remember(_F_CACHE, key, result)
 
 
 def f_root_order_variant(a, r, order):
@@ -453,26 +502,29 @@ def weil_polynomial(phi, a, arity=None, f_poly=None):
     if f_poly is None:
         f_poly = f_rootfree(a, r).poly
     K = phi.K
-    n = a.degree
-    tpow_coeffs = [phi.phi_tpow(i).coeffs for i in range(n)]
+    zero = K.zero()
+    # twisted[i][s]: the nonzero (k, c**(q**s)) over the coefficients c_k
+    # of phi_{T^i}, as payloads of K
+    twisted = []
+    for i in range(a.degree):
+        coeffs = [(k, c.embed_to(K).val) for k, c in enumerate(phi.phi_tpow(i).coeffs)
+                  if not c.is_zero()]
+        twisted.append([[(k, K.frobenius(v, s)) for k, v in coeffs] for s in range(r)])
+    mul, add, neg = K.mul, K.add, K.neg
+    signed = _signed_permutations(r)
     terms = {}
-    zero = K.zero_element
     for exps, c in f_poly.terms.items():
-        c_k = c.embed_to(K)
-        slot_terms = []
-        for slot in range(r):
-            coeffs = tpow_coeffs[exps[slot]]
-            slot_terms.append(
-                [(k, coeff) for k, coeff in enumerate(coeffs) if not coeff.is_zero()]
-            )
-        for perm, sign in _signed_permutations(r):
-            base_val = c_k if sign == 1 else -c_k
+        c_k = c.embed_to(K).val
+        for perm, sign in signed:
+            base_val = c_k if sign == 1 else neg(c_k)
+            slot_terms = [twisted[exps[slot]][perm[slot]] for slot in range(r)]
             for combo in itertools.product(*slot_terms):
                 key = tuple(k + perm[slot] for slot, (k, _) in enumerate(combo))
                 val = base_val
-                for slot, (_, coeff) in enumerate(combo):
-                    val = val * coeff.frobenius(perm[slot])
-                terms[key] = terms.get(key, zero) + val
+                for _, coeff in combo:
+                    val = mul(val, coeff)
+                terms[key] = add(terms.get(key, zero), val)
+    terms = {key: FieldElement(K, v) for key, v in terms.items()}
     return QPowerPoly(K, r, terms)
 
 

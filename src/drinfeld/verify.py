@@ -1028,9 +1028,11 @@ def reevaluate(counterexample):
     identity = counterexample.get("identity")
     inputs = counterexample.get("inputs", {})
     if identity in ("f_chain_eq_recursive", "f_rootfree_eq_chain"):
-        base = make_field(int(inputs["p"]), int(inputs.get("e", 1)))
+        p, e, r = inputs["p"], inputs.get("e", 1), inputs["r"]
+        for name, value in (("p", p), ("e", e), ("r", r)):
+            _require_int(value, f"inputs.{name}")
+        base = make_field(p, e)
         a = UniPoly.from_ranks(base, inputs["a"])
-        r = int(inputs["r"])
         poly = f_chain_sum(a, r).poly
         if inputs.get("fault") == "flip_fa_coefficient":
             poly = _flip_lowest_term(poly)
@@ -1046,7 +1048,8 @@ def reevaluate(counterexample):
         b = UniPoly.from_ranks(base, inputs["b"])
         psi = _det_module_for(phi, inputs.get("fault"))
         if identity == "multilinear":
-            slot = int(inputs["slot"])
+            slot = inputs["slot"]
+            _require_int(slot, "inputs.slot")
             scaled = list(points)
             scaled[slot] = phi.phi(b)(points[slot])
             lhs = weil_evaluate(phi, a, scaled)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sympy import ZZ
 from sympy.polys.galoistools import gf_irreducible_p
 
-from drinfeld.errors import NotInSubfield
+from drinfeld.errors import MalformedInput, NotInSubfield
 from drinfeld.fields import PACKED_MAX_ORDER, _is_irreducible, extend, make_field
 
 F2, F3, F5 = make_field(2), make_field(3), make_field(5)
@@ -140,3 +140,11 @@ def test_is_irreducible_matches_sympy():
                 f = list(low) + [1]  # little-endian monic
                 expected = gf_irreducible_p(f[::-1], p, ZZ)
                 assert _is_irreducible(ctx, f) == expected, (p, f)
+
+
+@pytest.mark.parametrize("rank", [1.5, 1.0, True, "1"])
+def test_rank_must_be_an_int(rank):
+    for ctx in (make_field(2, 2), F3, LEVELS["GF(2^17)"]):
+        with pytest.raises(MalformedInput):
+            ctx.element_of_rank(rank)
+    assert make_field(2, 2).element_of_rank(1).rank() == 1

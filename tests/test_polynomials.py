@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from drinfeld.errors import ArityMismatch, DivisionByZero
+from drinfeld.errors import ArityMismatch, DivisionByZero, MalformedInput
 from drinfeld.fields import extend, make_field
 from drinfeld.polynomials import (
     IdealI,
@@ -266,3 +266,10 @@ def test_render():
     )
     assert p.render() == "T1 + T2 + 1"
     assert UniPoly.from_ranks(F3, [1, 0, 2]).render() == "2*T^2 + 1"
+
+
+@pytest.mark.parametrize("ranks", [[1.7, True], [1, True], [1.0, 1], ["1", 1]])
+def test_from_ranks_never_coerces(ranks):
+    with pytest.raises(MalformedInput):
+        UniPoly.from_ranks(F2, ranks)
+    assert UniPoly.from_ranks(F2, [1, 1]) == UniPoly.gen(F2) + UniPoly.one(F2)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from drinfeld.errors import ConfigurationTooLarge
+from drinfeld.errors import ConfigurationTooLarge, MalformedInput
 from drinfeld.verify import (
     VerificationConfig,
     VerificationReport,
@@ -187,6 +187,22 @@ def test_run_suites_rejects_unknown():
 def test_reevaluate_fallback_compares_sides():
     assert reevaluate({"identity": "anything", "lhs": [1], "rhs": [2]})
     assert not reevaluate({"identity": "anything", "lhs": [1], "rhs": [1]})
+
+
+@pytest.mark.parametrize(
+    "inputs",
+    [
+        {"p": 2.9, "e": 1, "a": [1, 1], "r": 2},
+        {"p": 2, "e": True, "a": [1, 1], "r": 2},
+        {"p": 2, "e": 1, "a": [1, 1], "r": 2.0},
+        {"p": 2, "a": [1.5, 1], "r": 2},
+        {"p": 2, "a": [1, True], "r": 2},
+    ],
+)
+def test_reevaluate_never_coerces_inputs(inputs):
+    counterexample = {"identity": "f_chain_eq_recursive", "inputs": inputs}
+    with pytest.raises(MalformedInput):
+        reevaluate(counterexample)
 
 
 def test_default_bundle_shape():
