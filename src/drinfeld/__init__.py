@@ -36,7 +36,6 @@ from .fields import (
     dim_between,
     extend,
     field_from_descriptor,
-    frobenius_pow,
     from_vector,
     kernel,
     make_field,
@@ -64,7 +63,6 @@ from .core import (
     galois_action_matrix,
     operator_kernel,
     torsion,
-    torsion_a_basis,
 )
 from .pairing import (
     FaPoly,
@@ -89,7 +87,6 @@ from .verify import (
     default_bundle,
     merge_reports,
     reevaluate,
-    run_bundle,
     run_suites,
     verify_compatibility,
     verify_congruences,

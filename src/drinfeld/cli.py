@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .core import DrinfeldModule, galois_det_table, torsion
@@ -26,6 +27,7 @@ from .errors import (
     ConfigurationTooLarge,
     DrinfeldError,
     InseparableTorsion,
+    MalformedInput,
     NonMonic,
     NotSquarefree,
     NotTorsionPoint,
@@ -48,11 +50,15 @@ _BUDGET_ERRORS = (ConfigurationTooLarge, SearchCapExceeded, SearchBudget)
 _DOMAIN_ERRORS = (NonMonic, NotTorsionPoint, InseparableTorsion, NotSquarefree)
 
 
+# one rank of --a: int() alone would also take "1_0" and non-ASCII digits
+_RANK_TOKEN = re.compile(r" *[+-]?[0-9]+ *")
+
+
 def _parse_ranks(text):
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise SystemExit(_fail(2, f"cannot parse coefficient list {text!r}"))
+    tokens = text.split(",")
+    if not all(_RANK_TOKEN.fullmatch(tok) for tok in tokens):
+        raise MalformedInput(f"cannot parse coefficient list {text!r}")
+    return tuple(int(tok) for tok in tokens)
 
 
 def _load_json_arg(text):
@@ -111,8 +117,10 @@ def cmd_weil(args):
         else:
             print(poly.render())
         return 0
-    tm = torsion(module, a, cap=args.cap)
     specs = _load_json_arg(args.eval)
+    if not isinstance(specs, list):
+        raise MalformedInput(f"--eval must be a JSON list of points, got {specs!r}")
+    tm = torsion(module, a, cap=args.cap)
     points = [parse_element(tm.level, s) for s in specs]
     value = weil_evaluate(module, a, points)
     in_torsion = module.det_module().phi(a)(value).is_zero()
@@ -131,18 +139,29 @@ def cmd_weil(args):
     return 0
 
 
+def _config_entry(obj, default_label):
+    """(label, config, suites) from one config object."""
+    if not isinstance(obj, dict):
+        raise MalformedInput(f"a config must be a JSON object, got {obj!r}")
+    obj = dict(obj)
+    suites = obj.pop("suites", [])
+    if not (isinstance(suites, list) and all(s in SUITE_NAMES for s in suites)):
+        raise MalformedInput(f"suites must be a list of names from {SUITE_NAMES}, got {suites!r}")
+    label = obj.pop("label", default_label)
+    if not isinstance(label, str):
+        raise MalformedInput(f"label must be a string, got {label!r}")
+    return label, VerificationConfig.from_json(obj), tuple(suites)
+
+
 def _config_from_file(path, seed=None, budget=None):
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    cfgs = []
-    if "configs" in obj:
-        for entry in obj["configs"]:
-            suites = tuple(entry.pop("suites", ()))
-            label = entry.pop("label", f"config-{len(cfgs)}")
-            cfgs.append((label, VerificationConfig.from_json(entry), suites))
+    if isinstance(obj, dict) and "configs" in obj:
+        if not isinstance(obj["configs"], list):
+            raise MalformedInput(f"configs must be a list of objects, got {obj['configs']!r}")
+        cfgs = [_config_entry(entry, f"config-{i}") for i, entry in enumerate(obj["configs"])]
     else:
-        suites = tuple(obj.pop("suites", ()))
-        cfgs.append((obj.pop("label", "config-0"), VerificationConfig.from_json(obj), suites))
+        cfgs = [_config_entry(obj, "config-0")]
     out = []
     for label, cfg, suites in cfgs:
         if seed is not None or budget is not None:
@@ -241,6 +260,8 @@ def cmd_verify(args):
     for entry in entries:
         report = run_suites(entry.config, entry.suites)
         results.append((entry.label, report))
+    if not any(report.checks for _, report in results):
+        return _fail(2, "the selected configs and suites produce no check")
     ok = all(report.ok() for _, report in results)
     if args.json:
         _emit(

@@ -251,9 +251,6 @@ class DrinfeldModule:
             lead = -lead
         return DrinfeldModule(self.K, self.theta, (lead,))
 
-    def torsion(self, a, cap=64):
-        return torsion(self, a, cap=cap)
-
     def __eq__(self, other):
         return (
             isinstance(other, DrinfeldModule)
@@ -381,6 +378,10 @@ def torsion(phi, a, cap=64):
     return TorsionModule(phi, a, level, m, tuple(null))
 
 
+# random candidates TorsionModule.a_basis tries before raising SearchBudget
+_A_BASIS_ATTEMPTS = 200
+
+
 class TorsionModule:
     """The kernel of phi_a inside an explicit extension level.
 
@@ -430,7 +431,7 @@ class TorsionModule:
             for ranks in rank_vectors(base.order, self.a.degree)
         ]
 
-    def a_basis(self, seed=0, attempts=200):
+    def a_basis(self, seed=0):
         """Points beta_1 .. beta_r through which (A/aA)**r sweeps out the
         whole torsion module, found by seeded random search with an
         exhaustive bijectivity count."""
@@ -446,7 +447,7 @@ class TorsionModule:
         rng = random.Random(seed)
         r = self.rank
         total = self.count()
-        for _ in range(attempts):
+        for _ in range(_A_BASIS_ATTEMPTS):
             candidate = tuple(rng.choice(nonzero) for _ in range(r))
             table = {}
             ok = True
@@ -462,7 +463,7 @@ class TorsionModule:
                 self._abasis = candidate
                 self._coords = table
                 return candidate
-        raise SearchBudget(f"no module basis found in {attempts} attempts")
+        raise SearchBudget(f"no module basis found in {_A_BASIS_ATTEMPTS} attempts")
 
     def coordinates(self, beta):
         """A/aA-coordinates of beta over the module basis."""
@@ -497,10 +498,6 @@ class GaloisElement:
     """The k-th power of the arithmetic Frobenius x -> x**|K| of K."""
 
     k: int
-
-
-def torsion_a_basis(tm, seed=0, attempts=200):
-    return tm.a_basis(seed=seed, attempts=attempts)
 
 
 def galois_action_matrix(tm, sigma, basis=None):

@@ -1125,11 +1125,6 @@ class FieldElement:
         return f"FieldElement({self.ctx!r}, {self.to_json()!r})"
 
 
-def frobenius_pow(x, k):
-    """x ** (q**k); the identity when x already sits in the base level."""
-    return x.frobenius(k)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra over one level
 # ---------------------------------------------------------------------------

@@ -489,7 +489,7 @@ def moore_eval(betas):
 # ---------------------------------------------------------------------------
 
 
-def weil_polynomial(phi, a, arity=None, f_poly=None):
+def weil_polynomial(phi, a, arity=None):
     """The pairing as an explicit q-power-exponent polynomial over K.
 
     `arity` defaults to the rank of phi; passing arity r-1 gives the
@@ -499,8 +499,7 @@ def weil_polynomial(phi, a, arity=None, f_poly=None):
     if not a.is_monic() or a.degree < 1:
         raise NonMonic(f"{a.render()} must be monic of degree >= 1")
     r = phi.rank if arity is None else arity
-    if f_poly is None:
-        f_poly = f_rootfree(a, r).poly
+    f_poly = f_rootfree(a, r).poly
     K = phi.K
     zero = K.zero()
     # twisted[i][s]: the nonzero (k, c**(q**s)) over the coefficients c_k
@@ -549,7 +548,7 @@ def _torsion_guard(phi, a, betas):
     return level
 
 
-def weil_evaluate(phi, a, betas, f_poly=None):
+def weil_evaluate(phi, a, betas):
     """Pairing value on a torsion tuple, by the direct contraction
     sum_i a_i * MooreDet(phi_{T^{i_1}}(beta_1), ..., phi_{T^{i_r}}(beta_r)).
 
@@ -558,8 +557,7 @@ def weil_evaluate(phi, a, betas, f_poly=None):
     """
     level = _torsion_guard(phi, a, betas)
     r = phi.rank
-    if f_poly is None:
-        f_poly = f_rootfree(a, r).poly
+    f_poly = f_rootfree(a, r).poly
     applied = []
     for b in betas:
         applied.append([phi.phi_tpow(i)(b) for i in range(a.degree)])
@@ -599,11 +597,11 @@ class PairingEvaluator:
 
     __slots__ = ("phi", "a", "level", "poly", "_terms", "_top", "_powers")
 
-    def __init__(self, phi, a, level, f_poly=None, arity=None):
+    def __init__(self, phi, a, level):
         self.phi = phi
         self.a = a
         self.level = level
-        poly = weil_polynomial(phi, a, arity=arity, f_poly=f_poly)
+        poly = weil_polynomial(phi, a)
         lifted = {k: c.embed_to(level) for k, c in poly.terms.items()}
         self.poly = QPowerPoly(level, poly.nvars, lifted)
         self._terms = [(k, c.val) for k, c in self.poly.terms.items()]

@@ -10,10 +10,11 @@ All randomness flows from the config seed, the exhaustive/sampled
 switch is an explicit evaluation budget, and reports are reproducible
 byte-for-byte apart from their timing fields.
 
-The suites also accept deliberate fault injections (a dropped
-determinant-module sign, a wrong coefficient family for a product
-operator, a flipped coefficient).  These exist so the test bed can
-prove the checks have teeth; production callers leave `fault=None`.
+The mutation tests in tests/test_verify.py prove the checks have teeth
+by patching a broken construction in from outside: `_det_module` (the
+one place the verifier takes the determinant module from),
+`f_chain_sum` as this module sees it, and `pairing.f_rootfree` (the
+f_a behind `PairingEvaluator`).
 """
 
 from __future__ import annotations
@@ -172,6 +173,10 @@ class VerificationConfig:
         """Config from its JSON object: arrays become tuples and absent
         keys take their defaults; numbers must be ints (not bools),
         nothing is coerced."""
+        if not isinstance(obj, dict):
+            raise MalformedInput(f"a config must be a JSON object, got {obj!r}")
+        if not isinstance(obj.get("g", []), (list, tuple)):
+            raise MalformedInput(f"g must be a list of elements, got {obj['g']!r}")
         kwargs = {f.name: _tuples(obj[f.name]) for f in fields(cls) if f.name in obj}
         kwargs["p"] = obj["p"]  # the one required key
         # element specs keep their JSON form: theta as given, g one level deep
@@ -242,6 +247,18 @@ def merge_reports(reports):
         merged.checks.extend(r.checks)
     merged.checks.sort(key=lambda c: c.name)
     return merged
+
+
+def _mismatch(identity, inputs, lhs, rhs):
+    """A failed check: (False, counterexample), with each side that has
+    a JSON form stored as it."""
+    counterexample = {
+        "identity": identity,
+        "inputs": inputs,
+        "lhs": lhs.to_json() if hasattr(lhs, "to_json") else lhs,
+        "rhs": rhs.to_json() if hasattr(rhs, "to_json") else rhs,
+    }
+    return False, counterexample
 
 
 class _Suite:
@@ -328,16 +345,7 @@ def _closed_form_r2(base, a):
     return MultiPoly(base, 2, terms)
 
 
-def _flip_lowest_term(poly):
-    """The fault ``flip_fa_coefficient``: one added to the coefficient of
-    the lowest term (least total degree, then exponents)."""
-    key = min(poly.terms, key=lambda e: (sum(e), e))
-    terms = dict(poly.terms)
-    terms[key] = terms[key] + poly.ctx.one_element
-    return MultiPoly(poly.ctx, poly.nvars, terms)
-
-
-def _constructions_agree(identity, cfg, a, r, fault, lhs, rhs):
+def _constructions_agree(identity, cfg, a_ranks, r, lhs, rhs):
     """Check that two f_a constructions, built when the check runs,
     give the same polynomial."""
 
@@ -345,18 +353,13 @@ def _constructions_agree(identity, cfg, a, r, fault, lhs, rhs):
         left, right = lhs(), rhs()
         if left == right:
             return True
-        return False, {
-            "identity": identity,
-            "inputs": {"p": cfg.p, "e": cfg.e, "a": [c.rank() for c in a.coeffs],
-                       "r": r, "fault": fault},
-            "lhs": left.to_json(),
-            "rhs": right.to_json(),
-        }
+        return _mismatch(identity, {"p": cfg.p, "e": cfg.e, "a": a_ranks, "r": r},
+                         left, right)
 
     return check
 
 
-def verify_f_identities(cfg, fault=None):
+def verify_f_identities(cfg):
     """Dual construction, root-free product against the chain sum,
     symmetry, root-order invariance, rationality, degree bounds, and
     every applicable closed form, over the grid."""
@@ -365,60 +368,48 @@ def verify_f_identities(cfg, fault=None):
     rng = random.Random(cfg.seed)
     for a in cfg.grid_polys():
         n = a.degree
+        a_ranks = [c.rank() for c in a.coeffs]
         for r in cfg.ranks:
             tag = f"[q={base.order},r={r},a={a.render()}]"
-            chain = f_chain_sum(a, r)
-            poly = _flip_lowest_term(chain.poly) if fault == "flip_fa_coefficient" else chain.poly
+            poly = f_chain_sum(a, r).poly
 
             suite.run(f"f.chain_eq_recursive{tag}", _constructions_agree(
-                "f_chain_eq_recursive", cfg, a, r, fault,
+                "f_chain_eq_recursive", cfg, a_ranks, r,
                 lambda poly=poly: poly, lambda a=a, r=r: f_recursive(a, r).poly))
             suite.run(f"f.rootfree_eq_chain{tag}", _constructions_agree(
-                "f_rootfree_eq_chain", cfg, a, r, fault,
+                "f_rootfree_eq_chain", cfg, a_ranks, r,
                 lambda a=a, r=r: f_rootfree(a, r).poly, lambda poly=poly: poly))
 
-            def symmetry(poly=poly, r=r, a=a):
+            def symmetry(poly=poly, r=r, a_ranks=a_ranks):
                 for sigma in itertools.permutations(range(r)):
                     if poly.permute(sigma) != poly:
-                        return False, {
-                            "identity": "f_symmetry",
-                            "inputs": {"a": [c.rank() for c in a.coeffs], "r": r,
-                                       "sigma": list(sigma)},
-                            "lhs": poly.permute(sigma).to_json(),
-                            "rhs": poly.to_json(),
-                        }
+                        return _mismatch("f_symmetry",
+                                         {"a": a_ranks, "r": r, "sigma": list(sigma)},
+                                         poly.permute(sigma), poly)
                 return True
 
             suite.run(f"f.symmetry{tag}", symmetry)
 
-            def root_order(a=a, r=r, chain=chain, n=n):
+            def root_order(a=a, r=r, poly=poly, n=n, a_ranks=a_ranks):
                 count = max(10, cfg.trials // 3)
                 for _ in range(count):
                     order = list(range(n))
                     rng.shuffle(order)
                     variant = f_root_order_variant(a, r, order)
-                    if variant.poly != chain.poly:
-                        return False, {
-                            "identity": "f_root_order",
-                            "inputs": {"a": [c.rank() for c in a.coeffs], "r": r,
-                                       "order": order},
-                            "lhs": variant.poly.to_json(),
-                            "rhs": chain.poly.to_json(),
-                        }
+                    if variant.poly != poly:
+                        return _mismatch("f_root_order",
+                                         {"a": a_ranks, "r": r, "order": order},
+                                         variant.poly, poly)
                 return True
 
             suite.run(f"f.root_order{tag}", root_order)
 
-            def degree_bound(poly=poly, r=r, n=n, a=a):
+            def degree_bound(poly=poly, r=r, n=n, a_ranks=a_ranks):
                 for j in range(r):
                     if poly.degree_in(j) > n - 1:
-                        return False, {
-                            "identity": "f_degree_bound",
-                            "inputs": {"a": [c.rank() for c in a.coeffs], "r": r,
-                                       "var": j + 1},
-                            "lhs": poly.degree_in(j),
-                            "rhs": n - 1,
-                        }
+                        return _mismatch("f_degree_bound",
+                                         {"a": a_ranks, "r": r, "var": j + 1},
+                                         poly.degree_in(j), n - 1)
                 return True
 
             suite.run(f"f.degree_bound{tag}", degree_bound)
@@ -439,15 +430,12 @@ def verify_f_identities(cfg, fault=None):
                 closed.append(("r2", _closed_form_r2(base, a)))
             for label, expected in closed:
 
-                def closed_check(poly=poly, expected=expected, label=label, a=a, r=r):
+                def closed_check(poly=poly, expected=expected, label=label,
+                                 a_ranks=a_ranks, r=r):
                     if poly == expected:
                         return True
-                    return False, {
-                        "identity": f"f_closed_{label}",
-                        "inputs": {"a": [c.rank() for c in a.coeffs], "r": r},
-                        "lhs": poly.to_json(),
-                        "rhs": expected.to_json(),
-                    }
+                    return _mismatch(f"f_closed_{label}", {"a": a_ranks, "r": r},
+                                     poly, expected)
 
                 suite.run(f"f.closed_form.{label}{tag}", closed_check)
     return suite.report
@@ -458,21 +446,19 @@ def verify_f_identities(cfg, fault=None):
 # ---------------------------------------------------------------------------
 
 
-def verify_congruences(cfg, fault=None):
+def verify_congruences(cfg):
     """Exchange congruence T_l f_a = T_h f_a and the root-peel
     congruence over the splitting level, reduced to normal form."""
     suite = _Suite(cfg)
     base = cfg.base_ctx()
     for a in cfg.grid_polys():
+        a_ranks = [c.rank() for c in a.coeffs]
         for r in cfg.ranks:
             tag = f"[q={base.order},r={r},a={a.render()}]"
             fa = f_chain_sum(a, r)
-            poly = fa.poly
-            if fault == "fa_plus_T1":
-                poly = poly + MultiPoly.variable(base, r, 0)
             ideal = IdealI(a, r)
 
-            def exchange(poly=poly, r=r, ideal=ideal, a=a):
+            def exchange(poly=fa.poly, r=r, ideal=ideal, a_ranks=a_ranks):
                 for l in range(r):
                     for h in range(l + 1, r):
                         diff = (
@@ -481,19 +467,14 @@ def verify_congruences(cfg, fault=None):
                         ) * poly
                         nf = normal_form(diff, ideal)
                         if not nf.is_zero():
-                            return False, {
-                                "identity": "congruence_exchange",
-                                "inputs": {"a": [c.rank() for c in a.coeffs],
-                                           "r": r, "l": l + 1, "h": h + 1,
-                                           "fault": fault},
-                                "lhs": nf.to_json(),
-                                "rhs": MultiPoly.zero(base, r).to_json(),
-                            }
+                            return _mismatch("congruence_exchange",
+                                             {"a": a_ranks, "r": r, "l": l + 1, "h": h + 1},
+                                             nf, MultiPoly.zero(base, r))
                 return True
 
             suite.run(f"congruence.exchange{tag}", exchange)
 
-            def root_peel(fa=fa, r=r, ideal=ideal, a=a):
+            def root_peel(fa=fa, r=r, ideal=ideal, a_ranks=a_ranks):
                 level = fa.roots[0].ctx if fa.roots else base
                 lifted = fa.poly.embed_to(level)
                 seen = set()
@@ -517,14 +498,10 @@ def verify_congruences(cfg, fault=None):
                         ) * lifted
                         nf = normal_form(lhs - rhs, ideal)
                         if not nf.is_zero():
-                            return False, {
-                                "identity": "congruence_root_peel",
-                                "inputs": {"a": [c.rank() for c in a.coeffs],
-                                           "r": r, "l": l + 1,
-                                           "alpha": alpha.to_json()},
-                                "lhs": nf.to_json(),
-                                "rhs": MultiPoly.zero(level, r).to_json(),
-                            }
+                            return _mismatch("congruence_root_peel",
+                                             {"a": a_ranks, "r": r, "l": l + 1,
+                                              "alpha": alpha.to_json()},
+                                             nf, MultiPoly.zero(level, r))
                 return True
 
             suite.run(f"congruence.root_peel{tag}", root_peel)
@@ -536,10 +513,9 @@ def verify_congruences(cfg, fault=None):
 # ---------------------------------------------------------------------------
 
 
-def _det_module_for(phi, fault):
-    if fault == "psi_sign":
-        # deliberately wrong: drops the (-1)**(r-1) factor
-        return DrinfeldModule(phi.K, phi.theta, (phi.g[-1],))
+def _det_module(phi):
+    """psi, the rank-1 module the pairing of phi lands in; every suite
+    and `reevaluate` take it from here."""
     return phi.det_module()
 
 
@@ -547,13 +523,13 @@ def _point_list_json(points):
     return [p.to_json() for p in points]
 
 
-def verify_pairing_properties(cfg, fault=None):
+def verify_pairing_properties(cfg):
     """Multilinearity, alternation, surjectivity, nondegeneracy and
     Galois invariance, exhaustively within the configured budget."""
     suite = _Suite(cfg)
     phi = cfg.module()
     base = phi.base
-    psi = _det_module_for(phi, fault)
+    psi = _det_module(phi)
     rng = random.Random(cfg.seed)
     r = phi.rank
     s = dim_between(phi.K, base)
@@ -594,20 +570,14 @@ def verify_pairing_properties(cfg, fault=None):
                 lhs = ev(scaled)
                 rhs = psi_b(ev(tup))
                 if lhs != rhs:
-                    return False, {
-                        "identity": "multilinear",
-                        "inputs": {
-                            "module": module_json,
-                            "a": a_ranks,
-                            "b": [c.rank() for c in b.coeffs],
-                            "slot": slot,
-                            "points": _point_list_json(tup),
-                            "level": level.descriptor(),
-                            "fault": fault,
-                        },
-                        "lhs": lhs.to_json(),
-                        "rhs": rhs.to_json(),
-                    }
+                    return _mismatch("multilinear", {
+                        "module": module_json,
+                        "a": a_ranks,
+                        "b": [c.rank() for c in b.coeffs],
+                        "slot": slot,
+                        "points": _point_list_json(tup),
+                        "level": level.descriptor(),
+                    }, lhs, rhs)
                 other = rng.choice(pts)
                 summed = list(tup)
                 summed[slot] = tup[slot] + other
@@ -616,18 +586,13 @@ def verify_pairing_properties(cfg, fault=None):
                 lhs2 = ev(summed)
                 rhs2 = ev(tup) + ev(split)
                 if lhs2 != rhs2:
-                    return False, {
-                        "identity": "additive",
-                        "inputs": {
-                            "a": a_ranks,
-                            "slot": slot,
-                            "points": _point_list_json(tup),
-                            "other": other.to_json(),
-                            "level": level.descriptor(),
-                        },
-                        "lhs": lhs2.to_json(),
-                        "rhs": rhs2.to_json(),
-                    }
+                    return _mismatch("additive", {
+                        "a": a_ranks,
+                        "slot": slot,
+                        "points": _point_list_json(tup),
+                        "other": other.to_json(),
+                        "level": level.descriptor(),
+                    }, lhs2, rhs2)
             return True
 
         suite.run(f"pairing.multilinear{tag}", multilinear)
@@ -638,12 +603,9 @@ def verify_pairing_properties(cfg, fault=None):
                     continue
                 val = ev(tup)
                 if not val.is_zero():
-                    return False, {
-                        "identity": "alternating",
-                        "inputs": {"a": a_ranks, "points": _point_list_json(tup)},
-                        "lhs": val.to_json(),
-                        "rhs": level.zero_element.to_json(),
-                    }
+                    return _mismatch("alternating",
+                                     {"a": a_ranks, "points": _point_list_json(tup)},
+                                     val, level.zero_element)
             return True
 
         suite.run(f"pairing.alternating{tag}", alternating)
@@ -657,12 +619,9 @@ def verify_pairing_properties(cfg, fault=None):
                 image.add(ev(tup))
             expected_size = base.order**a.degree
             if len(psi_points) != expected_size or image != psi_points:
-                return False, {
-                    "identity": "surjective",
-                    "inputs": {"a": a_ranks, "fault": fault},
-                    "lhs": sorted(v.rank() for v in image),
-                    "rhs": sorted(v.rank() for v in psi_points),
-                }
+                return _mismatch("surjective", {"a": a_ranks},
+                                 sorted(v.rank() for v in image),
+                                 sorted(v.rank() for v in psi_points))
             return True
 
         suite.run(f"pairing.surjective{tag}", codomain_and_surjective)
@@ -679,13 +638,9 @@ def verify_pairing_properties(cfg, fault=None):
                             hit = True
                             break
                     if not hit:
-                        return False, {
-                            "identity": "nondegenerate",
-                            "inputs": {"a": a_ranks, "slot": slot,
-                                       "beta": beta.to_json()},
-                            "lhs": beta.to_json(),
-                            "rhs": level.zero_element.to_json(),
-                        }
+                        return _mismatch("nondegenerate",
+                                         {"a": a_ranks, "slot": slot, "beta": beta.to_json()},
+                                         beta, level.zero_element)
             return True
 
         suite.run(f"pairing.nondegenerate{tag}", nondegenerate)
@@ -696,13 +651,9 @@ def verify_pairing_properties(cfg, fault=None):
                     lhs = ev(tup).frobenius(k * s)
                     rhs = ev([b.frobenius(k * s) for b in tup])
                     if lhs != rhs:
-                        return False, {
-                            "identity": "galois",
-                            "inputs": {"a": a_ranks, "k": k,
-                                       "points": _point_list_json(tup)},
-                            "lhs": lhs.to_json(),
-                            "rhs": rhs.to_json(),
-                        }
+                        return _mismatch("galois",
+                                         {"a": a_ranks, "k": k, "points": _point_list_json(tup)},
+                                         lhs, rhs)
             return True
 
         suite.run(f"pairing.galois{tag}", galois)
@@ -711,12 +662,9 @@ def verify_pairing_properties(cfg, fault=None):
             for tup in itertools.product(pts, repeat=r):
                 direct = weil_evaluate(phi, a, list(tup))
                 if direct != ev(tup):
-                    return False, {
-                        "identity": "poly_agreement",
-                        "inputs": {"a": a_ranks, "points": _point_list_json(tup)},
-                        "lhs": direct.to_json(),
-                        "rhs": ev(tup).to_json(),
-                    }
+                    return _mismatch("poly_agreement",
+                                     {"a": a_ranks, "points": _point_list_json(tup)},
+                                     direct, ev(tup))
             return True
 
         suite.run(f"pairing.poly_agreement{tag}", agreement)
@@ -728,12 +676,12 @@ def verify_pairing_properties(cfg, fault=None):
 # ---------------------------------------------------------------------------
 
 
-def verify_compatibility(cfg, fault=None):
+def verify_compatibility(cfg):
     """psi_b(W_{ab}(t)) = W_a(phi_b applied slotwise), on every torsion
     tuple of phi[ab] when that fits the budget, else on sampled tuples."""
     suite = _Suite(cfg)
     phi = cfg.module()
-    psi = phi.det_module()
+    psi = _det_module(phi)
     rng = random.Random(cfg.seed)
     r = phi.rank
     module_json = phi.to_json()
@@ -743,12 +691,7 @@ def verify_compatibility(cfg, fault=None):
         tm = torsion(phi, ab, cap=cfg.extension_cap)
         pts = tm.points()
         level = tm.level
-        f_override = None
-        if fault == "fab_product":
-            f_override = (f_chain_sum(a, r).poly * f_chain_sum(b, r).poly,)
-        ev_ab = PairingEvaluator(
-            phi, ab, level, f_poly=f_override[0] if f_override else None
-        )
+        ev_ab = PairingEvaluator(phi, ab, level)
         ev_a = PairingEvaluator(phi, a, level)
         psi_b = psi.phi(b)
         phi_b = phi.phi(b)
@@ -765,19 +708,13 @@ def verify_compatibility(cfg, fault=None):
                 lhs = psi_b(ev_ab(tup))
                 rhs = ev_a([phi_b(x) for x in tup])
                 if lhs != rhs:
-                    return False, {
-                        "identity": "compatibility",
-                        "inputs": {
-                            "module": module_json,
-                            "a": [c.rank() for c in a.coeffs],
-                            "b": [c.rank() for c in b.coeffs],
-                            "points": _point_list_json(tup),
-                            "level": level.descriptor(),
-                            "fault": fault,
-                        },
-                        "lhs": lhs.to_json(),
-                        "rhs": rhs.to_json(),
-                    }
+                    return _mismatch("compatibility", {
+                        "module": module_json,
+                        "a": [c.rank() for c in a.coeffs],
+                        "b": [c.rank() for c in b.coeffs],
+                        "points": _point_list_json(tup),
+                        "level": level.descriptor(),
+                    }, lhs, rhs)
             return True
 
         suite.run(f"compatibility.identity{tag}", compat)
@@ -789,7 +726,7 @@ def verify_compatibility(cfg, fault=None):
 # ---------------------------------------------------------------------------
 
 
-def verify_leading_term(cfg, fault=None):
+def verify_leading_term(cfg):
     """Degree bound q**(rn-1) in every slot, and the factorization of
     the top coefficient in the last slot through the lower-arity
     pairing polynomial."""
@@ -800,17 +737,14 @@ def verify_leading_term(cfg, fault=None):
     for a in cfg.a_polys():
         tag = f"[a={a.render()}]"
         n = a.degree
+        a_ranks = [c.rank() for c in a.coeffs]
         w = weil_polynomial(phi, a)
 
-        def degree_bound(w=w, n=n, a=a):
+        def degree_bound(w=w, n=n, a_ranks=a_ranks):
             for j in range(r):
                 if w.max_frob_exp(j) > r * n - 1:
-                    return False, {
-                        "identity": "w_degree_bound",
-                        "inputs": {"a": [c.rank() for c in a.coeffs], "var": j + 1},
-                        "lhs": w.max_frob_exp(j),
-                        "rhs": r * n - 1,
-                    }
+                    return _mismatch("w_degree_bound", {"a": a_ranks, "var": j + 1},
+                                     w.max_frob_exp(j), r * n - 1)
             return True
 
         suite.run(f"leading.degree_bound{tag}", degree_bound)
@@ -819,7 +753,7 @@ def verify_leading_term(cfg, fault=None):
             suite.skip(f"leading.split{tag}", {"reason": "no lower arity in rank 1"})
             continue
 
-        def split(w=w, n=n, a=a):
+        def split(w=w, n=n, a=a, a_ranks=a_ranks):
             top = w.top_slice(r - 1, r * n - 1)
             lower = weil_polynomial(phi, a, arity=r - 1)
             g_r = phi.g[-1]
@@ -832,43 +766,22 @@ def verify_leading_term(cfg, fault=None):
                 expected = lower.scale(g_r ** (n - 1))
                 if top == expected:
                     return True, None, {"c": (g_r ** (n - 1)).to_json()}
-                return False, {
-                    "identity": "leading_split",
-                    "inputs": {"a": [c.rank() for c in a.coeffs]},
-                    "lhs": top.to_json(),
-                    "rhs": expected.to_json(),
-                }
+                return _mismatch("leading_split", {"a": a_ranks}, top, expected)
             # top twist coefficient outside the base field: record the
             # observed scalar instead of asserting the closed form
-            if lower.is_zero() or not top.terms:
-                return False, {
-                    "identity": "leading_split",
-                    "inputs": {"a": [c.rank() for c in a.coeffs]},
-                    "lhs": top.to_json(),
-                    "rhs": lower.to_json(),
-                }
-            key = next(iter(sorted(lower.terms)))
+            key = min(lower.terms, default=None)
             c_obs = top.terms.get(key)
             if c_obs is None:
-                return False, {
-                    "identity": "leading_split",
-                    "inputs": {"a": [c.rank() for c in a.coeffs]},
-                    "lhs": top.to_json(),
-                    "rhs": lower.to_json(),
-                }
+                return _mismatch("leading_split", {"a": a_ranks}, top, lower)
             c_obs = c_obs / lower.terms[key]
-            if top == lower.scale(c_obs):
+            expected = lower.scale(c_obs)
+            if top == expected:
                 return True, None, {
                     "observed_c": c_obs.to_json(),
                     "g_r^(n-1)": (g_r ** (n - 1)).to_json(),
                     "asserted": False,
                 }
-            return False, {
-                "identity": "leading_split",
-                "inputs": {"a": [c.rank() for c in a.coeffs]},
-                "lhs": top.to_json(),
-                "rhs": lower.scale(c_obs).to_json(),
-            }
+            return _mismatch("leading_split", {"a": a_ranks}, top, expected)
 
         suite.run(f"leading.split{tag}", split)
     return suite.report
@@ -879,12 +792,12 @@ def verify_leading_term(cfg, fault=None):
 # ---------------------------------------------------------------------------
 
 
-def verify_det_representation(cfg, fault=None):
+def verify_det_representation(cfg):
     """det of the torsion action matrix against the scalar by which the
     same Frobenius power acts on the determinant module's torsion."""
     suite = _Suite(cfg)
     phi = cfg.module()
-    psi = _det_module_for(phi, fault)
+    psi = _det_module(phi)
     for a in cfg.a_polys():
         tag = f"[a={a.render()}]"
 
@@ -892,13 +805,8 @@ def verify_det_representation(cfg, fault=None):
             ring = ResidueRing(a)
             for k, det, scalar in galois_det_table(phi, psi, a, cfg.extension_cap, cfg.seed):
                 if det != scalar or not ring.is_unit(det):
-                    return False, {
-                        "identity": "det_representation",
-                        "inputs": {"a": [c.rank() for c in a.coeffs], "k": k,
-                                   "fault": fault},
-                        "lhs": det.to_json(),
-                        "rhs": scalar.to_json(),
-                    }
+                    return _mismatch("det_representation",
+                                     {"a": [c.rank() for c in a.coeffs], "k": k}, det, scalar)
             return True
 
         suite.run(f"det.scalar_match{tag}", det_match)
@@ -919,14 +827,14 @@ _SUITE_FUNCS = {
 }
 
 
-def run_suites(cfg, suites, fault=None):
+def run_suites(cfg, suites):
     """Run the named suites on one config; returns one merged report."""
     merged = VerificationReport(cfg.digest())
     for name in suites:
         fn = _SUITE_FUNCS.get(name)
         if fn is None:
             raise ValueError(f"unknown suite {name!r}; pick from {SUITE_NAMES}")
-        merged.checks.extend(fn(cfg, fault=fault).checks)
+        merged.checks.extend(fn(cfg).checks)
     return merged
 
 
@@ -943,77 +851,41 @@ def _all_monic_ranks(q, max_deg):
     )
 
 
-def default_bundle(seed=0, budget=10_000_000, cap=64):
+def default_bundle(seed=0, budget=10_000_000):
     """The stock verification set: the full small-field grid for the
     coefficient-family suites, and the exhaustive pairing
     configurations used by the acceptance tests."""
     t = (0, 1)
     t2t1 = (1, 1, 1)
+
+    def config(**kwargs):
+        return VerificationConfig(seed=seed, budget=budget, **kwargs)
+
     return [
-        BundleEntry(
-            "f-grid-q2",
-            VerificationConfig(p=2, seed=seed, budget=budget, extension_cap=cap),
-            ("f", "congruence"),
-        ),
-        BundleEntry(
-            "f-grid-q3",
-            VerificationConfig(p=3, seed=seed, budget=budget, extension_cap=cap),
-            ("f", "congruence"),
-        ),
+        BundleEntry("f-grid-q2", config(p=2), ("f", "congruence")),
+        BundleEntry("f-grid-q3", config(p=3), ("f", "congruence")),
         BundleEntry(
             "pairing-q2-r2",
-            VerificationConfig(
-                p=2, theta=1, g=(1, 1), a_list=(t, t2t1),
-                ab_pairs=((t, t), (t, t2t1)),
-                seed=seed, budget=budget, extension_cap=cap,
-            ),
+            config(p=2, theta=1, g=(1, 1), a_list=(t, t2t1), ab_pairs=((t, t), (t, t2t1))),
             ("pairing", "compatibility", "det"),
         ),
         BundleEntry(
             "pairing-q2-K4-r2",
-            VerificationConfig(
-                p=2, k_extensions=(2,), theta=[0, 1], g=(1, [0, 1]),
-                a_list=(t,), seed=seed, budget=budget, extension_cap=cap,
-            ),
+            config(p=2, k_extensions=(2,), theta=[0, 1], g=(1, [0, 1]), a_list=(t,)),
             ("pairing", "leading"),
         ),
-        BundleEntry(
-            "pairing-q2-r3",
-            VerificationConfig(
-                p=2, theta=1, g=(1, 0, 1), a_list=(t,),
-                seed=seed, budget=budget, extension_cap=cap,
-            ),
-            ("pairing",),
-        ),
-        BundleEntry(
-            "det-q3-r2",
-            VerificationConfig(
-                p=3, theta=2, g=(1, 1), a_list=(t,),
-                seed=seed, budget=budget, extension_cap=cap,
-            ),
-            ("pairing", "det"),
-        ),
+        BundleEntry("pairing-q2-r3", config(p=2, theta=1, g=(1, 0, 1), a_list=(t,)),
+                    ("pairing",)),
+        BundleEntry("det-q3-r2", config(p=3, theta=2, g=(1, 1), a_list=(t,)),
+                    ("pairing", "det")),
     ] + [
         BundleEntry(
             f"leading-q{q}-r{r}",
-            VerificationConfig(
-                p=q, theta=1, g=(1,) * r, a_list=_all_monic_ranks(q, 3),
-                seed=seed, budget=budget, extension_cap=cap,
-            ),
+            config(p=q, theta=1, g=(1,) * r, a_list=_all_monic_ranks(q, 3)),
             ("leading",),
         )
         for q in (2, 3)
         for r in (1, 2, 3)
-    ]
-
-
-def run_bundle(bundle=None, fault=None):
-    """Run every bundle entry; returns [(label, report)]."""
-    if bundle is None:
-        bundle = default_bundle()
-    return [
-        (entry.label, run_suites(entry.config, entry.suites, fault=fault))
-        for entry in bundle
     ]
 
 
@@ -1031,14 +903,9 @@ def reevaluate(counterexample):
         p, e, r = inputs["p"], inputs.get("e", 1), inputs["r"]
         for name, value in (("p", p), ("e", e), ("r", r)):
             _require_int(value, f"inputs.{name}")
-        base = make_field(p, e)
-        a = UniPoly.from_ranks(base, inputs["a"])
-        poly = f_chain_sum(a, r).poly
-        if inputs.get("fault") == "flip_fa_coefficient":
-            poly = _flip_lowest_term(poly)
-        if identity == "f_rootfree_eq_chain":
-            return poly != f_rootfree(a, r).poly
-        return poly != f_recursive(a, r).poly
+        a = UniPoly.from_ranks(make_field(p, e), inputs["a"])
+        other = f_rootfree if identity == "f_rootfree_eq_chain" else f_recursive
+        return f_chain_sum(a, r).poly != other(a, r).poly
     if identity in ("multilinear", "compatibility"):
         phi = DrinfeldModule.from_json(inputs["module"])
         base = phi.base
@@ -1046,7 +913,7 @@ def reevaluate(counterexample):
         points = [level.element_from_json(p) for p in inputs["points"]]
         a = UniPoly.from_ranks(base, inputs["a"])
         b = UniPoly.from_ranks(base, inputs["b"])
-        psi = _det_module_for(phi, inputs.get("fault"))
+        psi = _det_module(phi)
         if identity == "multilinear":
             slot = inputs["slot"]
             _require_int(slot, "inputs.slot")
@@ -1055,14 +922,7 @@ def reevaluate(counterexample):
             lhs = weil_evaluate(phi, a, scaled)
             rhs = psi.phi(b)(weil_evaluate(phi, a, points))
             return lhs != rhs
-        ab = a * b
-        f_poly = None
-        if inputs.get("fault") == "fab_product":
-            r = phi.rank
-            f_poly = f_chain_sum(a, r).poly * f_chain_sum(b, r).poly
-        lhs = phi.det_module().phi(b)(
-            PairingEvaluator(phi, ab, level, f_poly=f_poly)(points)
-        )
+        lhs = psi.phi(b)(PairingEvaluator(phi, a * b, level)(points))
         phi_b = phi.phi(b)
         rhs = weil_evaluate(phi, a, [phi_b(x) for x in points])
         return lhs != rhs

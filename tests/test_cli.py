@@ -281,11 +281,59 @@ def test_module_shape_errors_exit2(capsys):
 def test_verify_vacuous_config_exit2(capsys, tmp_path):
     base = {"p": 2, "theta": 1, "g": [1, 1], "a_list": [[0, 1]], "suites": ["pairing"]}
     path = tmp_path / "config.json"
-    for patch in ({"trials": -5}, {"budget": 0}, {"extension_cap": 0}, {"ranks": [2, 0]},
-                  {"p": 4}):
-        path.write_text(json.dumps({**base, **patch}))
+    patched = [{**base, **patch} for patch in (
+        {"trials": -5}, {"budget": 0}, {"extension_cap": 0}, {"ranks": [2, 0]}, {"p": 4})]
+    # configs that run no check at all used to print ALL SUITES PASS and exit 0
+    checkless = [{"p": 2, "max_deg": 0}, {"p": 2, "ranks": []}, {"configs": []},
+                 {"p": 2, "theta": 1, "g": [1, 1]}]
+    for config in patched + checkless:
+        path.write_text(json.dumps(config))
         code, out, err = run_cli(capsys, "verify", "--config", str(path))
-        assert code == 2 and out == "", patch
+        assert code == 2 and out == "", config
+    code, out, err = run_cli(capsys, "verify", "--config", str(path), "--suite", "f")
+    assert code == 2 and out == "" and "no check" in err
+
+
+@pytest.mark.parametrize("command", ["torsion", "galois-det", "verify"])
+@pytest.mark.parametrize(
+    "config",
+    [
+        [{"p": 2, "theta": 1, "g": [1, 1], "a_list": [[0, 1]]}],
+        {"configs": 5},
+        {"configs": [5]},
+        {"configs": [{"p": 2, "theta": 1, "g": [1, 1], "a_list": [[0, 1]], "label": 7}]},
+        {"p": 2, "theta": 1, "g": 5, "a_list": [[0, 1]]},
+        {"p": 2, "theta": 1, "g": [1, 1], "a_list": [[0, 1]], "suites": "det"},
+        {"p": 2, "theta": 1, "g": [1, 1], "a_list": [[0, 1]], "suites": ["dets"]},
+        {"p": 2, "theta": 1, "g": [1, 1], "a_list": [[0, 1]], "label": ["x"]},
+    ],
+)
+def test_config_shape_errors_exit2(capsys, tmp_path, command, config):
+    # each used to end in a TypeError/AttributeError traceback (exit 1),
+    # or to run: "suites": "det" was read letter by letter
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, command, "--config", str(path))
+    assert code == 2 and out == "" and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("points", ["5", "null", '{"a": 1}', '"24"'])
+def test_weil_eval_must_be_a_json_list_exit2(capsys, points):
+    code, out, err = run_cli(
+        capsys, "weil", "--module", MODULE_I, "--a", "0,1", "--eval", points
+    )
+    assert code == 2 and out == "" and "JSON list" in err
+
+
+def test_fa_ranks_are_plain_decimals(capsys):
+    # int() read "1_0" as 10 and printed f_a for T + 10
+    for text in ("1_0,1", "1,٣", "0x1,1", "1.0,1", "1,,1", "", "1 1,1", "--1,1"):
+        code, out, err = run_cli(capsys, "fa", "--q", "13", f"--a={text}", "--r", "2")
+        assert code == 2 and out == "" and "cannot parse" in err, text
+    for text in (" 1, 0 ,1 ", "+1,+0,1"):
+        code, out, _ = run_cli(capsys, "fa", "--q", "13", f"--a={text}", "--r", "2")
+        assert code == 0 and out == run_cli(capsys, "fa", "--q", "13", "--a", "1,0,1",
+                                            "--r", "2")[1], text
 
 
 @pytest.mark.parametrize("command", ["torsion", "galois-det", "verify"])

@@ -1,9 +1,14 @@
 import copy
+import hashlib
 import json
 
 import pytest
 
+from drinfeld import pairing, verify
+from drinfeld.core import DrinfeldModule
 from drinfeld.errors import ConfigurationTooLarge, MalformedInput
+from drinfeld.pairing import FaPoly
+from drinfeld.polynomials import MultiPoly, UniPoly
 from drinfeld.verify import (
     VerificationConfig,
     VerificationReport,
@@ -94,8 +99,37 @@ def test_budget_guard():
         verify_pairing_properties(tiny)
 
 
-def test_mutation_flip_coefficient_detected():
-    report = verify_f_identities(SMALL_F, fault="flip_fa_coefficient")
+def _break_chain_sum(monkeypatch, alter):
+    """The verifier's chain-sum f_a becomes alter(f_a).  Each call returns
+    a fresh FaPoly, so the oracle memo keeps the true f_a."""
+    real = verify.f_chain_sum
+
+    def broken(a, r):
+        fa = real(a, r)
+        return FaPoly(alter(fa.poly), fa.a, fa.r, fa.route, fa.roots)
+
+    monkeypatch.setattr(verify, "f_chain_sum", broken)
+
+
+def _flip_lowest_term(poly):
+    """One added to the coefficient of the lowest term (least total
+    degree, then exponents)."""
+    key = min(poly.terms, key=lambda e: (sum(e), e))
+    terms = dict(poly.terms)
+    terms[key] = terms[key] + poly.ctx.one_element
+    return MultiPoly(poly.ctx, poly.nvars, terms)
+
+
+def _drop_psi_sign(monkeypatch):
+    """The verifier's determinant module loses its (-1)**(r-1) factor."""
+    monkeypatch.setattr(
+        verify, "_det_module", lambda phi: DrinfeldModule(phi.K, phi.theta, (phi.g[-1],))
+    )
+
+
+def test_mutation_flip_coefficient_detected(monkeypatch):
+    _break_chain_sum(monkeypatch, _flip_lowest_term)
+    report = verify_f_identities(SMALL_F)
     fails = report.failures()
     assert fails
     for entry in fails:
@@ -106,15 +140,17 @@ def test_mutation_flip_coefficient_detected():
         assert reevaluate(sample.counterexample)
 
 
-def test_mutation_fa_plus_t1_detected():
-    report = verify_congruences(SMALL_F, fault="fa_plus_T1")
+def test_mutation_fa_plus_t1_detected(monkeypatch):
+    _break_chain_sum(monkeypatch, lambda f: f + MultiPoly.variable(f.ctx, f.nvars, 0))
+    report = verify_congruences(SMALL_F)
     fails = report.failures()
     assert fails and all(c.counterexample for c in fails)
     assert any("exchange" in c.name for c in fails)
 
 
-def test_mutation_psi_sign_detected_in_odd_characteristic():
-    report = verify_pairing_properties(DET_Q3, fault="psi_sign")
+def test_mutation_psi_sign_detected_in_odd_characteristic(monkeypatch):
+    _drop_psi_sign(monkeypatch)
+    report = verify_pairing_properties(DET_Q3)
     fails = report.failures()
     assert fails and all(c.counterexample for c in fails)
     multi = [c for c in fails if "multilinear" in c.name]
@@ -122,15 +158,28 @@ def test_mutation_psi_sign_detected_in_odd_characteristic():
     assert reevaluate(multi[0].counterexample)
 
 
-def test_mutation_psi_sign_invisible_in_char2():
-    # (-1)**(r-1) = 1 in characteristic 2, so the faulty module is the
+def test_mutation_psi_sign_invisible_in_char2(monkeypatch):
+    # (-1)**(r-1) = 1 in characteristic 2, so the broken module is the
     # correct one and nothing can fail
-    report = verify_pairing_properties(PAIR_I, fault="psi_sign")
+    _drop_psi_sign(monkeypatch)
+    report = verify_pairing_properties(PAIR_I)
     assert report.ok()
 
 
-def test_mutation_fab_product_detected():
-    report = verify_compatibility(PAIR_I, fault="fab_product")
+def test_mutation_fab_product_detected(monkeypatch):
+    # the pairing for ab is built from f_a * f_b instead of f_ab
+    base = PAIR_I.base_ctx()
+    ((a_ranks, b_ranks),) = PAIR_I.ab_pairs
+    a, b = UniPoly.from_ranks(base, a_ranks), UniPoly.from_ranks(base, b_ranks)
+    real = pairing.f_rootfree
+
+    def broken(c, r):
+        if c != a * b:
+            return real(c, r)
+        return FaPoly(real(a, r).poly * real(b, r).poly, c, r, "rootfree", ())
+
+    monkeypatch.setattr(pairing, "f_rootfree", broken)
+    report = verify_compatibility(PAIR_I)
     fails = report.failures()
     assert fails and fails[0].counterexample["identity"] == "compatibility"
     assert reevaluate(fails[0].counterexample)
@@ -213,3 +262,17 @@ def test_default_bundle_shape():
     assert len(labels) == len(set(labels))
     for entry in bundle:
         assert entry.suites
+
+
+def test_default_bundle_report_is_golden(bundle, bundle_reports):
+    # the object `drinfeld verify --json` prints for the stock bundle,
+    # timing fields dropped, must not change by a byte
+    reports = [{"label": label, **bundle_reports[label].to_json()} for label in bundle]
+    for report in reports:
+        for check in report["checks"]:
+            del check["millis"]
+    obj = {"ok": all(r.ok() for r in bundle_reports.values()), "reports": reports}
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "73a692be8c343ac11e1eee1d713850c263f683a499ee37860ef37cb4077b4728"
+    )
