@@ -181,12 +181,20 @@ def _config_from_file(path, seed=None, budget=None):
     return out
 
 
-def cmd_torsion(args):
-    entries = _config_from_file(args.config, seed=args.seed)
-    for label, cfg, _ in entries:
+def _config_modules(args):
+    """(label, config, module) per config entry; every entry is checked
+    for a module before the caller prints anything."""
+    out = []
+    for label, cfg, _ in _config_from_file(args.config, seed=args.seed):
         module = cfg.module()
         if module is None:
-            return _fail(2, f"config {label!r} declares no Drinfeld module")
+            raise MalformedInput(f"config {label!r} declares no Drinfeld module")
+        out.append((label, cfg, module))
+    return out
+
+
+def cmd_torsion(args):
+    for label, cfg, module in _config_modules(args):
         for a in cfg.a_polys():
             tm = torsion(module, a, cap=cfg.extension_cap)
             if args.json:
@@ -204,11 +212,7 @@ def cmd_torsion(args):
 
 
 def cmd_galois_det(args):
-    entries = _config_from_file(args.config, seed=args.seed)
-    for label, cfg, _ in entries:
-        module = cfg.module()
-        if module is None:
-            return _fail(2, f"config {label!r} declares no Drinfeld module")
+    for label, cfg, module in _config_modules(args):
         psi = module.det_module()
         for a in cfg.a_polys():
             table = galois_det_table(module, psi, a, cfg.extension_cap, cfg.seed)

@@ -41,11 +41,19 @@ operator images,
 
 which is a polynomial with q-power exponents: GF(q)-linear in every
 slot, alternating, and valued in the torsion of the rank-1 determinant
-module.
+module.  `weil_polynomial` expands it term by term, extending partial
+products one slot at a time so that every (f_a term, permutation)
+product shares its prefix with the others that agree on it.
+`PairingEvaluator` evaluates it on many tuples: it groups the terms
+into a trie over their Frobenius exponents, contracts one slot at a
+time, and memoizes the last slot's contraction per point, in a memo of
+at most `_MEMO_SIZE` points.  `weil_evaluate` contracts f_a against
+Moore determinants directly and serves as the independent oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import comb
 
@@ -58,7 +66,7 @@ from .errors import (
     NotTorsionPoint,
     RationalityFailure,
 )
-from .fields import FieldElement, _pmul, determinant, field_from_descriptor
+from .fields import FieldElement, _pmul, common_level, determinant, field_from_descriptor
 from .polynomials import (
     IdealI,
     MultiPoly,
@@ -99,7 +107,8 @@ class FaPoly:
         return f"FaPoly({self.render()!r}, route={self.route!r})"
 
 
-# entries each root-oracle memo keeps; past this the oldest entry goes
+# entries each memo keeps (the root-oracle memos, and the point memo of
+# each PairingEvaluator); past this the oldest entry goes
 _MEMO_SIZE = 512
 
 
@@ -324,10 +333,72 @@ def f_root_order_variant(a, r, order):
 # ---------------------------------------------------------------------------
 
 
+def _trie(terms, nvars):
+    """Group {(j_1, ..., j_r): payload} into a trie over the exponents.
+
+    Returns (leaves, inner): leaves[i] lists the (j_r, coefficient)
+    pairs under the i-th node at depth r-1, and inner[d] lists, for
+    slot r-2-d, each node's (j, child index) pairs; the last level of
+    inner holds the root alone.
+    """
+    nodes = {}
+    for key, c in terms.items():
+        nodes.setdefault(key[:-1], []).append((key[-1], c))
+    leaves = list(nodes.values())
+    inner = []
+    for _ in range(nvars - 1):
+        parents = {}
+        for i, prefix in enumerate(nodes):
+            parents.setdefault(prefix[:-1], []).append((prefix[-1], i))
+        inner.append(list(parents.values()))
+        nodes = parents
+    return leaves, inner
+
+
+def _frobenius_row(x, level, top):
+    """Payloads of x, x**q, ..., x**(q**top) in `level`."""
+    powers = [x.embed_to(level)]
+    for _ in range(top):
+        powers.append(powers[-1].frobenius(1))
+    return [y.val for y in powers]
+
+
+def _contract_last(level, leaves, row):
+    """The last slot contracted against its Frobenius row: one payload
+    per depth r-1 node of the trie."""
+    mul, add = level.mul, level.add
+    out = []
+    for leaf in leaves:
+        j, c = leaf[0]
+        acc = mul(c, row[j])
+        for j, c in leaf[1:]:
+            acc = add(acc, mul(c, row[j]))
+        out.append(acc)
+    return out
+
+
+def _contract_inner(level, inner, rows, vals):
+    """Slots r-2 .. 0 contracted in turn, Horner style, starting from
+    the last slot's values; returns the payload at the root."""
+    mul, add, zero = level.mul, level.add, level.zero()
+    for row, nodes in zip(reversed(rows[:-1]), inner):
+        contracted = []
+        for children in nodes:
+            acc = zero
+            for j, i in children:
+                v = vals[i]
+                if v != zero:
+                    acc = add(acc, mul(row[j], v))
+            contracted.append(acc)
+        vals = contracted
+    return vals[0] if vals else zero
+
+
 class QPowerPoly:
     """Sparse polynomial whose monomials are x_1**(q**j_1) ... x_r**(q**j_r),
     keyed by the Frobenius-exponent tuple (j_1 .. j_r).  Evaluation is
-    GF(q)-linear in every argument."""
+    GF(q)-linear in every argument, and contracts one slot at a time
+    over a trie of the exponents, as `PairingEvaluator` does."""
 
     __slots__ = ("ctx", "nvars", "terms")
 
@@ -395,22 +466,13 @@ class QPowerPoly:
     def __call__(self, points):
         if len(points) != self.nvars:
             raise ArityMismatch(f"need {self.nvars} arguments")
-        level = points[0].ctx
-        acc = level.zero_element
-        cache = [{0: x} for x in points]
-        for key, c in self.terms.items():
-            term = c.embed_to(level)
-            for slot, j in enumerate(key):
-                powers = cache[slot]
-                if j not in powers:
-                    top = max(powers)
-                    y = powers[top]
-                    for step in range(top + 1, j + 1):
-                        y = y.frobenius(1)
-                        powers[step] = y
-                term = term * powers[j]
-            acc = acc + term
-        return acc
+        level = functools.reduce(common_level, (x.ctx for x in points), self.ctx)
+        terms = {key: c.embed_to(level).val for key, c in self.terms.items()}
+        leaves, inner = _trie(terms, self.nvars)
+        rows = [_frobenius_row(x, level, self.max_frob_exp(slot))
+                for slot, x in enumerate(points)]
+        vals = _contract_last(level, leaves, rows[-1])
+        return FieldElement(level, _contract_inner(level, inner, rows, vals))
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: item[0])
@@ -495,6 +557,13 @@ def weil_polynomial(phi, a, arity=None):
     `arity` defaults to the rank of phi; passing arity r-1 gives the
     lower formula that Moore cofactor expansion recovers from the top
     coefficient in the last variable.
+
+    Each f_a term c*T^e contributes, for every permutation sigma and
+    every choice of a nonzero coefficient of phi_{T^(e_s)} in each slot
+    s, the product of c, the sign of sigma and those coefficients
+    raised to q**sigma(s).  The products are built slot by slot, so one
+    multiplication extends a partial product shared by every choice
+    that agrees on the slots before.
     """
     if not a.is_monic() or a.degree < 1:
         raise NonMonic(f"{a.render()} must be monic of degree >= 1")
@@ -510,19 +579,22 @@ def weil_polynomial(phi, a, arity=None):
                   if not c.is_zero()]
         twisted.append([[(k, K.frobenius(v, s)) for k, v in coeffs] for s in range(r)])
     mul, add, neg = K.mul, K.add, K.neg
-    signed = _signed_permutations(r)
     terms = {}
     for exps, c in f_poly.terms.items():
-        c_k = c.embed_to(K).val
-        for perm, sign in signed:
-            base_val = c_k if sign == 1 else neg(c_k)
-            slot_terms = [twisted[exps[slot]][perm[slot]] for slot in range(r)]
-            for combo in itertools.product(*slot_terms):
-                key = tuple(k + perm[slot] for slot, (k, _) in enumerate(combo))
-                val = base_val
-                for _, coeff in combo:
-                    val = mul(val, coeff)
-                terms[key] = add(terms.get(key, zero), val)
+        # (key, Moore rows used as a bit mask, odd sign, partial product);
+        # row s counts one inversion per used row above it
+        partial = [((), 0, False, c.embed_to(K).val)]
+        for slot in range(r):
+            coeffs = twisted[exps[slot]]
+            partial = [
+                (key + (k + s,), used | 1 << s,
+                 odd ^ (bin(used >> s).count("1") & 1), mul(val, coeff))
+                for key, used, odd, val in partial
+                for s in range(r) if not used >> s & 1
+                for k, coeff in coeffs[s]
+            ]
+        for key, _, odd, val in partial:
+            terms[key] = add(terms.get(key, zero), neg(val) if odd else val)
     terms = {key: FieldElement(K, v) for key, v in terms.items()}
     return QPowerPoly(K, r, terms)
 
@@ -586,16 +658,28 @@ def weil_nonmonic(phi, ca, betas):
 class PairingEvaluator:
     """Evaluates one pairing on many tuples from a fixed level.
 
-    Flattens the pairing polynomial once and caches Frobenius powers
-    per point, so exhaustive sweeps cost a handful of multiplications
-    per tuple.  The inner loop runs on the level's raw payloads and
-    wraps only the result.  Points from a level below `level` are
-    embedded first; a point from any other level raises LevelMismatch.
-    This is the fast route; `weil_evaluate` is the direct contraction,
-    and the two are compared term-for-term in the verification suites.
+    The pairing polynomial's terms are grouped once into a trie over
+    their Frobenius exponents (j_1, ..., j_r), and a tuple is evaluated
+    by contracting one slot at a time, Horner style, from the last slot
+    up: a node's value is the sum over its children j of x_s**(q**j)
+    times the child's value.  Each trie edge costs one multiplication,
+    and a child whose value is zero is skipped.
+
+    The last slot's contraction, a vector over the trie nodes at depth
+    r-1, depends only on that slot's point.  A per-point memo holds the
+    point's Frobenius row, beta, beta**q, ... as payloads of `level`,
+    and next to it that vector, filled on the point's first use in the
+    last slot (`powers_of` fills only the row).  The memo keeps at most
+    `_MEMO_SIZE` points and drops the oldest first; a point evicted and
+    seen again costs about one uncached contraction.
+
+    The loop runs on the level's raw payloads and wraps only the result.
+    Points from a level below `level` are embedded first; a point from
+    any other level raises LevelMismatch.  `weil_evaluate` is the direct
+    contraction, and the verification suites compare the two.
     """
 
-    __slots__ = ("phi", "a", "level", "poly", "_terms", "_top", "_powers")
+    __slots__ = ("phi", "a", "level", "poly", "_top", "_leaves", "_inner", "_memo")
 
     def __init__(self, phi, a, level):
         self.phi = phi
@@ -604,35 +688,30 @@ class PairingEvaluator:
         poly = weil_polynomial(phi, a)
         lifted = {k: c.embed_to(level) for k, c in poly.terms.items()}
         self.poly = QPowerPoly(level, poly.nvars, lifted)
-        self._terms = [(k, c.val) for k, c in self.poly.terms.items()]
         self._top = max((max(k) for k in self.poly.terms), default=0)
-        self._powers = {}  # point -> payloads of its Frobenius powers in `level`
+        terms = {k: c.val for k, c in self.poly.terms.items()}
+        self._leaves, self._inner = _trie(terms, poly.nvars)
+        self._memo = {}  # point -> [Frobenius row, last-slot values or None]
 
-    def _payload_row(self, beta):
-        row = self._powers.get(beta)
-        if row is None:
-            x = beta.embed_to(self.level)
-            powers = [x]
-            for _ in range(self._top):
-                powers.append(powers[-1].frobenius(1))
-            row = self._powers[beta] = [y.val for y in powers]
-        return row
+    def _entry(self, beta):
+        entry = self._memo.get(beta)
+        if entry is None:
+            row = _frobenius_row(beta, self.level, self._top)
+            entry = _remember(self._memo, beta, [row, None])
+        return entry
 
     def powers_of(self, beta):
         """beta, beta**q, ..., up to the largest Frobenius exponent of
         the pairing polynomial, as elements of `level`."""
-        return [FieldElement(self.level, v) for v in self._payload_row(beta)]
+        return [FieldElement(self.level, v) for v in self._entry(beta)[0]]
 
     def __call__(self, betas):
         if len(betas) != self.poly.nvars:
             raise ArityMismatch(f"need {self.poly.nvars} arguments")
         level = self.level
-        rows = [self._payload_row(b) for b in betas]
-        mul, add = level.mul, level.add
-        acc = level.zero()
-        for key, c in self._terms:
-            term = c
-            for slot, j in enumerate(key):
-                term = mul(term, rows[slot][j])
-            acc = add(acc, term)
-        return FieldElement(level, acc)
+        entries = [self._entry(b) for b in betas]
+        last = entries[-1]
+        if last[1] is None:
+            last[1] = _contract_last(level, self._leaves, last[0])
+        rows = [row for row, _ in entries]
+        return FieldElement(level, _contract_inner(level, self._inner, rows, last[1]))

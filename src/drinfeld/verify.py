@@ -678,7 +678,8 @@ def verify_pairing_properties(cfg):
 
 def verify_compatibility(cfg):
     """psi_b(W_{ab}(t)) = W_a(phi_b applied slotwise), on every torsion
-    tuple of phi[ab] when that fits the budget, else on sampled tuples."""
+    tuple of phi[ab] when that fits the budget, else on min(budget,
+    10,000) sampled tuples."""
     suite = _Suite(cfg)
     phi = cfg.module()
     psi = _det_module(phi)
@@ -702,7 +703,8 @@ def verify_compatibility(cfg):
                 tuples = itertools.product(pts, repeat=r)
             else:
                 tuples = (
-                    tuple(rng.choice(pts) for _ in range(r)) for _ in range(10_000)
+                    tuple(rng.choice(pts) for _ in range(r))
+                    for _ in range(min(cfg.budget, 10_000))
                 )
             for tup in tuples:
                 lhs = psi_b(ev_ab(tup))

@@ -217,6 +217,17 @@ def test_verify_budget_exit4(capsys, tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("command", ["torsion", "galois-det"])
+def test_config_without_module_exit2_before_output(capsys, tmp_path, command):
+    # the first entry's output used to be printed before the exit 2
+    module = {k: v for k, v in CFG_I.items() if k != "suites"}
+    path = _config_file(tmp_path, {"configs": [module, {"p": 2}]})
+    code, out, err = run_cli(capsys, command, "--config", path)
+    assert code == 2 and out == "" and "declares no Drinfeld module" in err
+    code, out, _ = run_cli(capsys, command, "--config", _config_file(tmp_path, module))
+    assert code == 0 and out
+
+
 def test_verify_suite_filter(capsys, tmp_path):
     path = _config_file(tmp_path, CFG_I)
     code, out, _ = run_cli(capsys, "verify", "--config", path, "--suite", "det")

@@ -99,6 +99,24 @@ def test_budget_guard():
         verify_pairing_properties(tiny)
 
 
+@pytest.mark.parametrize("budget, tuples", [(1, 1), (100, 100), (256, 256)])
+def test_compatibility_sampling_respects_budget(monkeypatch, budget, tuples):
+    # phi[T^2] has 16 points, so 256 tuples; past the budget the suite
+    # used to sample 10,000 tuples whatever the budget
+    calls = []
+    real_call = pairing.PairingEvaluator.__call__
+
+    def counted(self, betas):
+        calls.append(len(betas))
+        return real_call(self, betas)
+
+    monkeypatch.setattr(pairing.PairingEvaluator, "__call__", counted)
+    cfg = VerificationConfig(p=2, theta=1, g=(1, 1), ab_pairs=(((0, 1), (0, 1)),),
+                             budget=budget)
+    assert verify_compatibility(cfg).ok()
+    assert len(calls) == 2 * tuples  # W_ab and W_a once per tuple
+
+
 def _break_chain_sum(monkeypatch, alter):
     """The verifier's chain-sum f_a becomes alter(f_a).  Each call returns
     a fresh FaPoly, so the oracle memo keeps the true f_a."""
