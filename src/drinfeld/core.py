@@ -38,8 +38,8 @@ from .errors import (
 )
 from .fields import (
     FieldElement,
+    _pstrip,
     as_vector,
-    common_level,
     dim_between,
     extend,
     field_from_descriptor,
@@ -47,92 +47,42 @@ from .fields import (
     kernel,
     solve,
 )
-from .polynomials import UniPoly, poly_gcd, poly_xgcd, rank_vectors
+from .polynomials import DensePoly, UniPoly, poly_gcd, poly_xgcd, rank_vectors
 
 
-class SkewPoly:
-    """Twisted polynomial sum(c_i tau**i); little-endian coefficients."""
+class SkewPoly(DensePoly):
+    """Twisted polynomial sum(c_i tau**i); little-endian coefficients,
+    rendered from tau**0 up.
 
-    __slots__ = ("ctx", "coeffs")
+    A dense polynomial (``polynomials.DensePoly``): the constructor
+    validates coefficients from outside, and every internal result (sum,
+    difference, negation, composition) is computed on the level's
+    payloads and wrapped once, unvalidated, by ``_wrap``.  Only
+    SkewPolys combine with each other; a UniPoly with the same
+    coefficients is never equal to one.
+    """
 
-    def __init__(self, ctx, coeffs=()):
-        cleaned = []
-        for c in coeffs:
-            cleaned.append(c if c.ctx is ctx else c.embed_to(ctx))
-        while cleaned and cleaned[-1].is_zero():
-            cleaned.pop()
-        self.ctx = ctx
-        self.coeffs = tuple(cleaned)
+    __slots__ = ()
 
-    @classmethod
-    def zero(cls, ctx):
-        return cls(ctx, ())
-
-    @classmethod
-    def one(cls, ctx):
-        return cls(ctx, (ctx.one_element,))
-
-    @classmethod
-    def constant(cls, value):
-        return cls(value.ctx, (value,))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __getitem__(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.ctx.zero_element
-
-    def _common(self, other):
-        if not isinstance(other, SkewPoly):
-            raise TypeError(f"cannot combine SkewPoly with {type(other).__name__}")
-        ctx = common_level(self.ctx, other.ctx)
-        return ctx, *(f if f.ctx is ctx else SkewPoly(ctx, f.coeffs) for f in (self, other))
-
-    def __add__(self, other):
-        ctx, f, g = self._common(other)
-        n = max(len(f.coeffs), len(g.coeffs))
-        return SkewPoly(ctx, (f[i] + g[i] for i in range(n)))
-
-    def __sub__(self, other):
-        ctx, f, g = self._common(other)
-        n = max(len(f.coeffs), len(g.coeffs))
-        return SkewPoly(ctx, (f[i] - g[i] for i in range(n)))
-
-    def __neg__(self):
-        return SkewPoly(self.ctx, (-c for c in self.coeffs))
+    _var = "tau"
+    _descending = False
 
     def __mul__(self, other):
         """Composition product under tau * c = c**q * tau."""
         ctx, f, g = self._common(other)
-        if f.is_zero() or g.is_zero():
-            return SkewPoly.zero(ctx)
-        out = [ctx.zero_element] * (f.degree + g.degree + 1)
-        twisted = list(g.coeffs)
-        for i, a in enumerate(f.coeffs):
+        zero = ctx.zero()
+        add, mul, frobenius = ctx.add, ctx.mul, ctx.frobenius
+        out = [zero] * (len(f) + len(g) - 1)
+        twisted = g
+        for i, a in enumerate(f):
             if i > 0:
-                twisted = [c.frobenius(1) for c in twisted]
-            if a.is_zero():
+                twisted = [frobenius(b) for b in twisted]
+            if a == zero:
                 continue
             for j, b in enumerate(twisted):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return SkewPoly(ctx, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SkewPoly)
-            and self.ctx is other.ctx
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((id(self.ctx), self.coeffs))
+                if b != zero:
+                    out[i + j] = add(out[i + j], mul(a, b))
+        return SkewPoly._wrap(ctx, _pstrip(ctx, out))
 
     def __call__(self, beta):
         """Apply as an operator: sum(c_i * beta**(q**i))."""
@@ -141,31 +91,15 @@ class SkewPoly:
         if not beta.ctx.is_above(self.ctx):
             raise LevelMismatch("argument lives below the coefficient level")
         target = beta.ctx
-        acc = target.zero_element
-        y = beta
-        for i, c in enumerate(self.coeffs):
+        acc = zero = target.zero()
+        add, mul, frobenius = target.add, target.mul, target.frobenius
+        y = beta.val
+        for i, c in enumerate(self._payloads(target)):
             if i > 0:
-                y = y.frobenius(1)
-            if not c.is_zero():
-                acc = acc + c.embed_to(target) * y
-        return acc
-
-    def render(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            if i == 0:
-                parts.append(str(c.rank()))
-            else:
-                head = "" if c.is_one() else f"{c.rank()}*"
-                parts.append(f"{head}tau" + (f"^{i}" if i > 1 else ""))
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"SkewPoly({self.render()!r} over {self.ctx!r})"
+                y = frobenius(y)
+            if c != zero:
+                acc = add(acc, mul(c, y))
+        return FieldElement(target, acc)
 
 
 class DrinfeldModule:
@@ -305,17 +239,18 @@ def operator_kernel(op, level, base):
 
 
 def fq_span(basis, level, base):
-    """All base-field combinations of the given points, in deterministic
-    coefficient order."""
-    scalars = [c.embed_to(level) for c in base.elements()]
-    out = []
-    for combo in rank_vectors(base.order, len(basis)):
-        acc = level.zero_element
-        for c, b in zip(combo, basis):
-            if c:
-                acc = acc + scalars[c] * b
-        out.append(acc)
-    return out
+    """All base-field combinations of the given points, in `rank_vectors`
+    order of their coefficients (the first varying slowest).  Built one
+    basis point at a time: each of its q scalar multiples is added to
+    every combination of the points before it."""
+    scalars = [level.embed_payload(s, base) for s in base.iter_payloads()]
+    add, mul = level.add, level.mul
+    points = [level.zero()]
+    for b in basis:
+        b = level.embed_payload(b.val, b.ctx)
+        multiples = [mul(s, b) for s in scalars]
+        points = [add(p, m) for p in points for m in multiples]
+    return [FieldElement(level, v) for v in points]
 
 
 def _tau_s_order(phi_a, s, cap):

@@ -66,10 +66,11 @@ from .errors import (
     NotTorsionPoint,
     RationalityFailure,
 )
-from .fields import FieldElement, _pmul, common_level, determinant, field_from_descriptor
+from .fields import FieldElement, _pmul, common_level, determinant
 from .polynomials import (
     IdealI,
     MultiPoly,
+    SparsePoly,
     UniPoly,
     normal_form,
     roots_in_field,
@@ -189,7 +190,7 @@ def chain_sum_over_roots(level, roots, r):
             acc[e] = add(acc.get(e, zero), c)
     if count != comb(n + r - 2, r - 1):  # pragma: no cover - enumeration is exact
         raise AssertionError("chain enumeration miscounted")
-    return MultiPoly(level, r, {e: FieldElement(level, c) for e, c in acc.items()})
+    return MultiPoly._wrap(level, r, acc)
 
 
 def _coerce_to_base(poly, base):
@@ -200,12 +201,12 @@ def _coerce_to_base(poly, base):
     terms = {}
     for exps, c in poly.terms.items():
         try:
-            terms[exps] = c.project_to(base)
+            terms[exps] = poly.ctx.project_payload(c.val, base)
         except NotInSubfield:
             raise RationalityFailure(
                 f"coefficient {c.to_json()} of {list(exps)} is not rational"
             ) from None
-    return MultiPoly(base, poly.nvars, terms)
+    return MultiPoly._wrap(base, poly.nvars, terms)
 
 
 def _check_inputs(a, r):
@@ -220,16 +221,13 @@ def _check_inputs(a, r):
 def _difference_quotient(a, nvars, j):
     """Delta_a(T_{j+1}, T_{j+2}) = sum_i a_i sum_{k<i} T_{j+1}^k T_{j+2}^(i-1-k)."""
     terms = {}
-    for i in range(1, a.degree + 1):
-        c = a[i]
-        if c.is_zero():
-            continue
+    for i, c in enumerate(a._payloads(a.ctx)[1:], 1):
         for k in range(i):
             exps = [0] * nvars
             exps[j] = k
             exps[j + 1] = i - 1 - k
             terms[tuple(exps)] = c
-    return MultiPoly(a.ctx, nvars, terms)
+    return MultiPoly._wrap(a.ctx, nvars, terms)
 
 
 def f_rootfree(a, r):
@@ -301,10 +299,8 @@ def f_recursive(a, r):
                 )
             peeled = keep * build(roots_left[1:], arity)
             lowered = build(roots_left, arity - 1)
-            lifted = MultiPoly(
-                level,
-                arity,
-                {exps + (0,): c for exps, c in lowered.terms.items()},
+            lifted = MultiPoly._wrap(
+                level, arity, {exps + (0,): c.val for exps, c in lowered.terms.items()}
             )
             result = peeled + head * lifted
         memo[key] = result
@@ -394,60 +390,24 @@ def _contract_inner(level, inner, rows, vals):
     return vals[0] if vals else zero
 
 
-class QPowerPoly:
+class QPowerPoly(SparsePoly):
     """Sparse polynomial whose monomials are x_1**(q**j_1) ... x_r**(q**j_r),
     keyed by the Frobenius-exponent tuple (j_1 .. j_r).  Evaluation is
     GF(q)-linear in every argument, and contracts one slot at a time
-    over a trie of the exponents, as `PairingEvaluator` does."""
+    over a trie of the exponents, as `PairingEvaluator` does.
 
-    __slots__ = ("ctx", "nvars", "terms")
+    A sparse polynomial (``polynomials.SparsePoly``): the constructor
+    validates terms from outside (user code, JSON), and every internal
+    result (`weil_polynomial`, `moore_poly`, `top_slice`, `scale`, the
+    evaluator's lift) is built as a payload dict and wrapped once,
+    unvalidated, by ``_wrap``.
+    """
 
-    def __init__(self, ctx, nvars, terms=None):
-        cleaned = {}
-        for key, c in (terms or {}).items():
-            if len(key) != nvars:
-                raise ArityMismatch(f"exponent tuple {key} is not length {nvars}")
-            if not c.is_zero():
-                cleaned[tuple(int(j) for j in key)] = (
-                    c if c.ctx is ctx else c.embed_to(ctx)
-                )
-        self.ctx = ctx
-        self.nvars = nvars
-        self.terms = cleaned
+    __slots__ = ()
 
-    def is_zero(self):
-        return not self.terms
+    _json_key = "frob_exps"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, QPowerPoly)
-            and self.ctx is other.ctx
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((id(self.ctx), self.nvars, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        if self.ctx is not other.ctx or self.nvars != other.nvars:
-            raise ArityMismatch("incompatible q-power polynomials")
-        terms = dict(self.terms)
-        zero = self.ctx.zero_element
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, zero) + c
-        return QPowerPoly(self.ctx, self.nvars, terms)
-
-    def scale(self, value):
-        value = value if value.ctx is self.ctx else value.embed_to(self.ctx)
-        return QPowerPoly(
-            self.ctx, self.nvars, {k: c * value for k, c in self.terms.items()}
-        )
-
-    def max_frob_exp(self, j):
-        """Largest Frobenius exponent of variable slot j; -1 when absent."""
-        present = [key[j] for key in self.terms]
-        return max(present) if present else -1
+    max_frob_exp = SparsePoly._top_exponent
 
     def degree_in(self, j):
         """Actual degree in slot j, i.e. q**max_frob_exp."""
@@ -460,15 +420,14 @@ class QPowerPoly:
         terms = {}
         for key, c in self.terms.items():
             if key[j] == frob_exp:
-                terms[key[:j] + key[j + 1 :]] = c
-        return QPowerPoly(self.ctx, self.nvars - 1, terms)
+                terms[key[:j] + key[j + 1 :]] = c.val
+        return QPowerPoly._wrap(self.ctx, self.nvars - 1, terms)
 
     def __call__(self, points):
         if len(points) != self.nvars:
             raise ArityMismatch(f"need {self.nvars} arguments")
         level = functools.reduce(common_level, (x.ctx for x in points), self.ctx)
-        terms = {key: c.embed_to(level).val for key, c in self.terms.items()}
-        leaves, inner = _trie(terms, self.nvars)
+        leaves, inner = _trie(self._payloads(level), self.nvars)
         rows = [_frobenius_row(x, level, self.max_frob_exp(slot))
                 for slot, x in enumerate(points)]
         vals = _contract_last(level, leaves, rows[-1])
@@ -476,24 +435,6 @@ class QPowerPoly:
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: item[0])
-
-    def to_json(self):
-        return {
-            "vars": self.nvars,
-            "level": self.ctx.descriptor(),
-            "terms": [
-                {"frob_exps": list(k), "coeff": c.to_json()}
-                for k, c in self.sorted_terms()
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, obj, ctx=None):
-        level = ctx if ctx is not None else field_from_descriptor(obj["level"])
-        terms = {}
-        for t in obj["terms"]:
-            terms[tuple(t["frob_exps"])] = level.element_from_json(t["coeff"])
-        return cls(level, int(obj["vars"]), terms)
 
     def render(self, var="x"):
         if not self.terms:
@@ -509,9 +450,6 @@ class QPowerPoly:
             parts.append(body if c.is_one() else f"{c.rank()}*{body}")
         return " + ".join(parts)
 
-    def __repr__(self):
-        return f"QPowerPoly({self.render()!r} over {self.ctx!r})"
-
 
 def _signed_permutations(r):
     out = []
@@ -526,11 +464,9 @@ def _signed_permutations(r):
 def moore_poly(r, ctx):
     """The Moore determinant det(x_i**(q**(j-1))) as a QPowerPoly with
     +-1 coefficients and r! terms."""
-    one = ctx.one_element
-    terms = {}
-    for perm, sign in _signed_permutations(r):
-        terms[perm] = one if sign == 1 else -one
-    return QPowerPoly(ctx, r, terms)
+    one = ctx.one()
+    terms = {perm: one if sign == 1 else ctx.neg(one) for perm, sign in _signed_permutations(r)}
+    return QPowerPoly._wrap(ctx, r, terms)
 
 
 def moore_eval(betas):
@@ -595,8 +531,7 @@ def weil_polynomial(phi, a, arity=None):
             ]
         for key, _, odd, val in partial:
             terms[key] = add(terms.get(key, zero), neg(val) if odd else val)
-    terms = {key: FieldElement(K, v) for key, v in terms.items()}
-    return QPowerPoly(K, r, terms)
+    return QPowerPoly._wrap(K, r, terms)
 
 
 def _torsion_guard(phi, a, betas):
@@ -686,10 +621,9 @@ class PairingEvaluator:
         self.a = a
         self.level = level
         poly = weil_polynomial(phi, a)
-        lifted = {k: c.embed_to(level) for k, c in poly.terms.items()}
-        self.poly = QPowerPoly(level, poly.nvars, lifted)
-        self._top = max((max(k) for k in self.poly.terms), default=0)
-        terms = {k: c.val for k, c in self.poly.terms.items()}
+        terms = poly._payloads(level)
+        self.poly = QPowerPoly._wrap(level, poly.nvars, terms)
+        self._top = max((max(k) for k in terms), default=0)
         self._leaves, self._inner = _trie(terms, poly.nvars)
         self._memo = {}  # point -> [Frobenius row, last-slot values or None]
 

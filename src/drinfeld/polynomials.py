@@ -1,14 +1,20 @@
-"""Univariate and sparse multivariate polynomials over a tower level.
+"""Dense and sparse polynomials over a tower level: one base class per shape.
 
-UniPoly is the workhorse for the operator ring GF(q)[T]: dense
-little-endian coefficients, Euclidean division, gcds, root searches and
-splitting-field degrees.  It wraps the payload arithmetic of
-``fields``: each operation unwraps its operands to payload lists, calls
-the core once and wraps the result, so ``coeffs`` stays a tuple of
-FieldElements.  MultiPoly is a sparse exponent-tuple ->
-coefficient map used for the symmetric coefficient polynomials of the
-pairing, together with normal-form reduction modulo the ideal
-generated by a(T_1), ..., a(T_r).
+- ``DensePoly``, little-endian coefficients without trailing zeros:
+  ``UniPoly`` (the operator ring GF(q)[T], with Euclidean division,
+  gcds, root searches and splitting-field degrees) and
+  ``core.SkewPoly`` (the twisted ring K{tau}).
+- ``SparsePoly``, an exponent tuple -> coefficient map over a fixed
+  number of slots: ``MultiPoly`` (the symmetric coefficient
+  polynomials, reduced modulo the ideal of a(T_1), ..., a(T_r) by
+  ``normal_form``) and ``pairing.QPowerPoly`` (Frobenius exponents).
+
+Each shape has one validating constructor, ``__init__``, for terms
+from outside (user code, JSON, the closed forms).  Every internal
+result is computed on raw payloads and wrapped once by ``_wrap``, which
+checks nothing: it takes a stripped payload list (dense) or a payload
+dict, whose zero entries it drops (sparse).  ``coeffs`` and ``terms``
+hold FieldElements of ``ctx``, with no trailing or zero term.
 
 The ideal's generators are univariate in distinct variables, so they
 form a Groebner basis for any monomial order and the normal form is
@@ -21,7 +27,7 @@ import itertools
 import math
 import random
 
-from .errors import ArityMismatch
+from .errors import ArityMismatch, MalformedInput
 from .fields import (
     FieldElement,
     _pcombine,
@@ -35,26 +41,30 @@ from .fields import (
     _pxgcd,
     common_level,
     extend,
+    field_from_descriptor,
 )
 
 
-class UniPoly:
-    """Dense univariate polynomial; little-endian, no trailing zeros."""
+class DensePoly:
+    """Dense polynomial: little-endian FieldElement coefficients of
+    `ctx`, no trailing zeros.  Subclasses set the rendered variable
+    name and whether terms render from the top degree down."""
 
     __slots__ = ("ctx", "coeffs")
+
+    _var = "T"
+    _descending = True
 
     def __init__(self, ctx, coeffs=()):
         cleaned = []
         for c in coeffs:
             if not isinstance(c, FieldElement):
-                raise TypeError("UniPoly coefficients must be FieldElements")
+                raise TypeError(f"{type(self).__name__} coefficients must be FieldElements")
             cleaned.append(c if c.ctx is ctx else c.embed_to(ctx))
         while cleaned and cleaned[-1].is_zero():
             cleaned.pop()
         self.ctx = ctx
         self.coeffs = tuple(cleaned)
-
-    # -- constructors --------------------------------------------------------
 
     @classmethod
     def zero(cls, ctx):
@@ -65,54 +75,8 @@ class UniPoly:
         return cls(ctx, (ctx.one_element,))
 
     @classmethod
-    def gen(cls, ctx):
-        """The polynomial T."""
-        return cls(ctx, (ctx.zero_element, ctx.one_element))
-
-    @classmethod
     def constant(cls, value):
         return cls(value.ctx, (value,))
-
-    @classmethod
-    def from_ranks(cls, ctx, ranks):
-        """Coefficients given as element ranks, each an int (not a bool)
-        in [0, order); anything else raises ValueError (MalformedInput
-        for a rank that is not an int)."""
-        return cls(ctx, tuple(ctx.element_of_rank(r) for r in ranks))
-
-    # -- structure -----------------------------------------------------------
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1].is_one()
-
-    def leading(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __getitem__(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.ctx.zero_element
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UniPoly)
-            and self.ctx is other.ctx
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((id(self.ctx), self.coeffs))
-
-    # -- arithmetic ----------------------------------------------------------
 
     @classmethod
     def _wrap(cls, ctx, payloads):
@@ -123,29 +87,104 @@ class UniPoly:
         poly.coeffs = tuple(FieldElement(ctx, v) for v in payloads)
         return poly
 
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __getitem__(self, i):
+        if 0 <= i < len(self.coeffs):
+            return self.coeffs[i]
+        return self.ctx.zero_element
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.ctx is other.ctx
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash((id(self.ctx), self.coeffs))
+
     def _payloads(self, ctx):
         if ctx is self.ctx:
             return [c.val for c in self.coeffs]
         return [ctx.embed_payload(c.val, self.ctx) for c in self.coeffs]
 
     def _common(self, other):
-        """The joined level and both operands' payload lists on it."""
-        if not isinstance(other, UniPoly):
-            raise TypeError(f"cannot combine UniPoly with {type(other).__name__}")
+        """The joined level and both operands' payload lists on it; only
+        polynomials of the same class combine."""
+        if type(other) is not type(self):
+            raise TypeError(
+                f"cannot combine {type(self).__name__} with {type(other).__name__}"
+            )
         ctx = common_level(self.ctx, other.ctx)
         return ctx, self._payloads(ctx), other._payloads(ctx)
 
     def __add__(self, other):
         ctx, f, g = self._common(other)
-        return UniPoly._wrap(ctx, _pcombine(ctx, ctx.add, f, g))
+        return self._wrap(ctx, _pcombine(ctx, ctx.add, f, g))
 
     def __sub__(self, other):
         ctx, f, g = self._common(other)
-        return UniPoly._wrap(ctx, _pcombine(ctx, ctx.sub, f, g))
+        return self._wrap(ctx, _pcombine(ctx, ctx.sub, f, g))
 
     def __neg__(self):
         neg = self.ctx.neg
-        return UniPoly._wrap(self.ctx, [neg(c.val) for c in self.coeffs])
+        return self._wrap(self.ctx, [neg(c.val) for c in self.coeffs])
+
+    def render(self, var=None):
+        if self.is_zero():
+            return "0"
+        var = self._var if var is None else var
+        order = range(self.degree, -1, -1) if self._descending else range(self.degree + 1)
+        parts = []
+        for i in order:
+            c = self.coeffs[i]
+            if c.is_zero():
+                continue
+            if i == 0:
+                parts.append(str(c.rank()))
+            else:
+                head = "" if c.is_one() else f"{c.rank()}*"
+                parts.append(f"{head}{var}" + (f"^{i}" if i > 1 else ""))
+        return " + ".join(parts)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.render()!r} over {self.ctx!r})"
+
+
+class UniPoly(DensePoly):
+    """Univariate polynomial in T, rendered from the top degree down."""
+
+    __slots__ = ()
+
+    # the perfbench tracer wraps these from this class's own __dict__
+    __add__ = DensePoly.__add__
+    __sub__ = DensePoly.__sub__
+
+    @classmethod
+    def gen(cls, ctx):
+        """The polynomial T."""
+        return cls(ctx, (ctx.zero_element, ctx.one_element))
+
+    @classmethod
+    def from_ranks(cls, ctx, ranks):
+        """Coefficients given as element ranks, each an int (not a bool)
+        in [0, order); anything else raises ValueError (MalformedInput
+        for a rank that is not an int)."""
+        return cls(ctx, tuple(ctx.element_of_rank(r) for r in ranks))
+
+    def is_monic(self):
+        return bool(self.coeffs) and self.coeffs[-1].is_one()
+
+    def leading(self):
+        if not self.coeffs:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
@@ -207,8 +246,6 @@ class UniPoly:
             return self
         return UniPoly._wrap(level, self._payloads(level))
 
-    # -- serialization -------------------------------------------------------
-
     def to_json(self):
         return {
             "level": self.ctx.descriptor(),
@@ -217,28 +254,8 @@ class UniPoly:
 
     @classmethod
     def from_json(cls, obj, ctx=None):
-        from .fields import field_from_descriptor
-
         level = ctx if ctx is not None else field_from_descriptor(obj["level"])
         return cls(level, (level.element_from_json(c) for c in obj["coeffs"]))
-
-    def render(self, var="T"):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self[i]
-            if c.is_zero():
-                continue
-            if i == 0:
-                parts.append(str(c.rank()))
-            else:
-                head = "" if c.is_one() else f"{c.rank()}*"
-                parts.append(f"{head}{var}" + (f"^{i}" if i > 1 else ""))
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"UniPoly({self.render()!r} over {self.ctx!r})"
 
 
 def poly_gcd(f, g):
@@ -340,13 +357,10 @@ def _equal_degree_split(ctx, h, rng):
 def _pth_root_poly(f):
     # f with zero derivative is a polynomial in T**p; take p-th roots of
     # the surviving coefficients (c -> c**(order/p) inverts x -> x**p).
+    # The top degree is a multiple of p, so the result is stripped.
     ctx = f.ctx
-    p = ctx.p
-    root_exp = ctx.order // p
-    out = []
-    for i in range(0, f.degree + 1, p):
-        out.append(f[i] ** root_exp)
-    return UniPoly(ctx, out)
+    root_exp = ctx.order // ctx.p
+    return UniPoly._wrap(ctx, [ctx.power(c, root_exp) for c in f._payloads(ctx)[:: ctx.p]])
 
 
 def _distinct_degree_degrees(f):
@@ -407,8 +421,105 @@ def splitting_level(f):
 
 
 # ---------------------------------------------------------------------------
-# sparse multivariate polynomials
+# sparse polynomials
 # ---------------------------------------------------------------------------
+
+
+def _check_exponent(value, what):
+    if type(value) is not int or value < 0:
+        raise MalformedInput(f"{what} must be an int >= 0, got {value!r}")
+
+
+class SparsePoly:
+    """Sparse polynomial in `nvars` slots: exponent tuple -> nonzero
+    FieldElement of `ctx`.  Subclasses set the JSON key of a term's
+    exponent tuple."""
+
+    __slots__ = ("ctx", "nvars", "terms")
+
+    _json_key = "exps"
+
+    def __init__(self, ctx, nvars, terms=None):
+        """nvars and every exponent must be an int (not a bool) >= 0,
+        else MalformedInput; a tuple of another length is ArityMismatch."""
+        _check_exponent(nvars, "the number of variables")
+        cleaned = {}
+        for exps, c in (terms or {}).items():
+            exps = tuple(exps)
+            if len(exps) != nvars:
+                raise ArityMismatch(f"exponent tuple {exps} is not length {nvars}")
+            for e in exps:
+                _check_exponent(e, f"every exponent of {exps}")
+            if not isinstance(c, FieldElement):
+                raise TypeError(f"{type(self).__name__} coefficients must be FieldElements")
+            if not c.is_zero():
+                cleaned[exps] = c if c.ctx is ctx else c.embed_to(ctx)
+        self.ctx = ctx
+        self.nvars = nvars
+        self.terms = cleaned
+
+    @classmethod
+    def _wrap(cls, ctx, nvars, terms):
+        """Polynomial from {exponent tuple: payload of ctx}; zero
+        payloads are dropped and nothing else is revalidated."""
+        zero = ctx.zero()
+        poly = object.__new__(cls)
+        poly.ctx = ctx
+        poly.nvars = nvars
+        poly.terms = {e: FieldElement(ctx, v) for e, v in terms.items() if v != zero}
+        return poly
+
+    def _payloads(self, ctx):
+        """A fresh {exponent tuple: payload} dict on `ctx`."""
+        if ctx is self.ctx:
+            return {e: c.val for e, c in self.terms.items()}
+        return {e: ctx.embed_payload(c.val, self.ctx) for e, c in self.terms.items()}
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.ctx is other.ctx
+            and self.nvars == other.nvars
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((id(self.ctx), self.nvars, frozenset(self.terms.items())))
+
+    def _top_exponent(self, j):
+        """Largest exponent in slot j (0-indexed); -1 for the zero polynomial."""
+        return max((e[j] for e in self.terms), default=-1)
+
+    def scale(self, value):
+        value = value if value.ctx is self.ctx else value.embed_to(self.ctx)
+        mul, v = self.ctx.mul, value.val
+        return self._wrap(
+            self.ctx, self.nvars, {e: mul(c.val, v) for e, c in self.terms.items()}
+        )
+
+    def to_json(self):
+        key = self._json_key
+        return {
+            "vars": self.nvars,
+            "level": self.ctx.descriptor(),
+            "terms": [
+                {key: list(e), "coeff": c.to_json()} for e, c in self.sorted_terms()
+            ],
+        }
+
+    @classmethod
+    def from_json(cls, obj, ctx=None):
+        level = ctx if ctx is not None else field_from_descriptor(obj["level"])
+        terms = {}
+        for t in obj["terms"]:
+            terms[tuple(t[cls._json_key])] = level.element_from_json(t["coeff"])
+        return cls(level, obj["vars"], terms)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.render()!r} over {self.ctx!r})"
 
 
 def _grlex_key(exps):
@@ -416,23 +527,14 @@ def _grlex_key(exps):
     return (-sum(exps),) + tuple(-e for e in exps)
 
 
-class MultiPoly:
+class MultiPoly(SparsePoly):
     """Sparse polynomial in T_1 .. T_r: exponent tuple -> coefficient."""
 
-    __slots__ = ("ctx", "nvars", "terms")
+    __slots__ = ()
 
-    def __init__(self, ctx, nvars, terms=None):
-        self.ctx = ctx
-        self.nvars = nvars
-        cleaned = {}
-        for exps, c in (terms or {}).items():
-            if len(exps) != nvars:
-                raise ArityMismatch(f"exponent tuple {exps} is not length {nvars}")
-            if not c.is_zero():
-                cleaned[tuple(int(e) for e in exps)] = (
-                    c if c.ctx is ctx else c.embed_to(ctx)
-                )
-        self.terms = cleaned
+    degree_in = SparsePoly._top_exponent
+    # the perfbench tracer wraps scale from this class's own __dict__
+    scale = SparsePoly.scale
 
     @classmethod
     def zero(cls, ctx, nvars):
@@ -453,70 +555,46 @@ class MultiPoly:
         exps[j] = 1
         return cls(ctx, nvars, {tuple(exps): ctx.one_element})
 
-    def is_zero(self):
-        return not self.terms
-
     def _common(self, other):
+        """The joined level and both operands' payload dicts on it."""
         if not isinstance(other, MultiPoly):
             raise TypeError(f"cannot combine MultiPoly with {type(other).__name__}")
         if self.nvars != other.nvars:
             raise ArityMismatch(f"{self.nvars} variables vs {other.nvars}")
         ctx = common_level(self.ctx, other.ctx)
-        return ctx, self.embed_to(ctx), other.embed_to(ctx)
+        return ctx, self._payloads(ctx), other._payloads(ctx)
+
+    def _combine(self, other, name):
+        ctx, f, g = self._common(other)
+        op, zero = getattr(ctx, name), ctx.zero()
+        for e, v in g.items():
+            f[e] = op(f.get(e, zero), v)
+        return MultiPoly._wrap(ctx, self.nvars, f)
 
     def __add__(self, other):
-        ctx, f, g = self._common(other)
-        terms = dict(f.terms)
-        zero = ctx.zero_element
-        for exps, c in g.terms.items():
-            terms[exps] = terms.get(exps, zero) + c
-        return MultiPoly(ctx, f.nvars, terms)
+        return self._combine(other, "add")
 
     def __sub__(self, other):
-        ctx, f, g = self._common(other)
-        terms = dict(f.terms)
-        zero = ctx.zero_element
-        for exps, c in g.terms.items():
-            terms[exps] = terms.get(exps, zero) - c
-        return MultiPoly(ctx, f.nvars, terms)
+        return self._combine(other, "sub")
 
     def __neg__(self):
-        return MultiPoly(self.ctx, self.nvars, {e: -c for e, c in self.terms.items()})
+        neg = self.ctx.neg
+        return MultiPoly._wrap(
+            self.ctx, self.nvars, {e: neg(c.val) for e, c in self.terms.items()}
+        )
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
             return self.scale(other)
         ctx, f, g = self._common(other)
+        zero = ctx.zero()
+        add, mul = ctx.add, ctx.mul
         terms = {}
-        zero = ctx.zero_element
-        for e1, c1 in f.terms.items():
-            for e2, c2 in g.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                terms[key] = terms.get(key, zero) + c1 * c2
-        return MultiPoly(ctx, f.nvars, terms)
-
-    def scale(self, value):
-        value = value if value.ctx is self.ctx else value.embed_to(self.ctx)
-        return MultiPoly(
-            self.ctx, self.nvars, {e: c * value for e, c in self.terms.items()}
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultiPoly)
-            and self.ctx is other.ctx
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((id(self.ctx), self.nvars, frozenset(self.terms.items())))
-
-    def degree_in(self, j):
-        """Degree in variable slot j (0-indexed); -1 for the zero poly."""
-        if not self.terms:
-            return -1
-        return max(e[j] for e in self.terms)
+        for e1, c1 in f.items():
+            for e2, c2 in g.items():
+                key = tuple(map(int.__add__, e1, e2))
+                terms[key] = add(terms.get(key, zero), mul(c1, c2))
+        return MultiPoly._wrap(ctx, self.nvars, terms)
 
     def permute(self, sigma):
         """Substitute T_j -> T_{sigma(j)}; sigma is a 0-indexed bijection.
@@ -531,15 +609,13 @@ class MultiPoly:
             new = [0] * self.nvars
             for j, e in enumerate(exps):
                 new[sigma[j]] = e
-            terms[tuple(new)] = c
-        return MultiPoly(self.ctx, self.nvars, terms)
+            terms[tuple(new)] = c.val
+        return MultiPoly._wrap(self.ctx, self.nvars, terms)
 
     def embed_to(self, level):
         if level is self.ctx:
             return self
-        return MultiPoly(
-            level, self.nvars, {e: c.embed_to(level) for e, c in self.terms.items()}
-        )
+        return MultiPoly._wrap(level, self.nvars, self._payloads(level))
 
     def __call__(self, points):
         """Evaluate at a tuple of FieldElements (above the coefficient level)."""
@@ -560,25 +636,6 @@ class MultiPoly:
         largest monomial first."""
         return sorted(self.terms.items(), key=lambda item: _grlex_key(item[0]))
 
-    def to_json(self):
-        return {
-            "vars": self.nvars,
-            "level": self.ctx.descriptor(),
-            "terms": [
-                {"exps": list(e), "coeff": c.to_json()} for e, c in self.sorted_terms()
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, obj, ctx=None):
-        from .fields import field_from_descriptor
-
-        level = ctx if ctx is not None else field_from_descriptor(obj["level"])
-        terms = {}
-        for t in obj["terms"]:
-            terms[tuple(t["exps"])] = level.element_from_json(t["coeff"])
-        return cls(level, int(obj["vars"]), terms)
-
     def render(self, var="T"):
         if not self.terms:
             return "0"
@@ -597,9 +654,6 @@ class MultiPoly:
             else:
                 parts.append(f"{c.rank()}*" + "*".join(factors))
         return " + ".join(parts)
-
-    def __repr__(self):
-        return f"MultiPoly({self.render()!r} over {self.ctx!r})"
 
 
 class IdealI:
@@ -646,7 +700,7 @@ def normal_form(p, ideal):
             partial = nxt
         for key, c in partial.items():
             out[key] = add(out.get(key, zero), c)
-    return MultiPoly(ctx, p.nvars, {key: FieldElement(ctx, c) for key, c in out.items()})
+    return MultiPoly._wrap(ctx, p.nvars, out)
 
 
 def rank_vectors(order, length):

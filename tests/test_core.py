@@ -285,3 +285,49 @@ def test_torsion_json_shape():
     assert obj["extension_degree_over_K"] == 3
     assert len(obj["fq_basis"]) == 2
     assert len(obj["a_basis"]) == 2
+
+
+def combination_span(basis, level, base):
+    """Every base-field combination built on its own, one multiply-add
+    per nonzero coefficient, in `rank_vectors` order."""
+    from drinfeld.polynomials import rank_vectors
+
+    scalars = [c.embed_to(level) for c in base.elements()]
+    out = []
+    for combo in rank_vectors(base.order, len(basis)):
+        acc = level.zero_element
+        for c, b in zip(combo, basis):
+            if c:
+                acc = acc + scalars[c] * b
+        out.append(acc)
+    return out
+
+
+GF4 = make_field(2, 2)
+GF8 = extend(F2, 3)[0]
+
+
+@pytest.mark.parametrize(
+    "base, source, level",
+    [(F2, None, extend(F2, 5)[0]), (F3, None, extend(F3, 3)[0]),
+     (GF4, None, extend(GF4, 3)[0]), (F3, F3, F9), (GF4, GF4, extend(GF4, 2)[0]),
+     (F2, GF8, extend(GF8, 6)[0])],  # GF(2^18) stores tuples over GF(8)
+)
+def test_fq_span_matches_combination_oracle(base, source, level):
+    from drinfeld.core import fq_span
+
+    source = source or level
+    rng = random.Random(level.order)
+    for size in range(4):
+        basis = [source.element_of_rank(rng.randrange(source.order)) for _ in range(size)]
+        got = fq_span(basis, level, base)
+        assert got == combination_span(basis, level, base)
+        assert all(x.ctx is level for x in got)
+
+
+def test_torsion_points_match_combination_oracle():
+    tm = torsion(rank2_module(), UniPoly.from_ranks(F2, [1, 1, 1]))
+    assert list(tm.points()) == combination_span(tm.fq_basis, tm.level, F2)
+    phi = DrinfeldModule(F9, F9.element_of_rank(4), (F9.one_element, F9.element_of_rank(2)))
+    tm = torsion(phi, T3)
+    assert list(tm.points()) == combination_span(tm.fq_basis, tm.level, F3)

@@ -273,3 +273,35 @@ def test_from_ranks_never_coerces(ranks):
     with pytest.raises(MalformedInput):
         UniPoly.from_ranks(F2, ranks)
     assert UniPoly.from_ranks(F2, [1, 1]) == UniPoly.gen(F2) + UniPoly.one(F2)
+
+
+@pytest.mark.parametrize(
+    "exps", [(1.5, True), (True, 1), (-1, 0), (0, -2), ("1", 0), (1.0, 0)]
+)
+def test_sparse_exponents_are_never_coerced(exps):
+    from drinfeld.pairing import QPowerPoly
+
+    one = F2.one_element
+    for cls in (MultiPoly, QPowerPoly):
+        with pytest.raises(MalformedInput):
+            cls(F2, 2, {exps: one})
+    with pytest.raises(MalformedInput):
+        MultiPoly.from_json({"vars": 2, "level": F2.descriptor(),
+                             "terms": [{"exps": list(exps), "coeff": 1}]})
+    with pytest.raises(MalformedInput):
+        QPowerPoly.from_json({"vars": 2, "level": F2.descriptor(),
+                              "terms": [{"frob_exps": list(exps), "coeff": 1}]})
+
+
+@pytest.mark.parametrize("nvars", [2.9, True, -1, "2"])
+def test_sparse_arity_is_never_coerced(nvars):
+    from drinfeld.pairing import QPowerPoly
+
+    for cls in (MultiPoly, QPowerPoly):
+        with pytest.raises(MalformedInput):
+            cls(F2, nvars, {})
+        with pytest.raises(MalformedInput):
+            cls.from_json({"vars": nvars, "level": F2.descriptor(), "terms": []})
+    with pytest.raises(MalformedInput):
+        MultiPoly.from_json({"vars": nvars, "level": F2.descriptor(),
+                             "terms": [{"exps": [1, 0], "coeff": 1}]})
