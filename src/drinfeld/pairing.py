@@ -47,8 +47,8 @@ product shares its prefix with the others that agree on it.
 `PairingEvaluator` evaluates it on many tuples: it groups the terms
 into a trie over their Frobenius exponents, contracts one slot at a
 time, and memoizes the last slot's contraction per point, in a memo of
-at most `_MEMO_SIZE` points.  `weil_evaluate` contracts f_a against
-Moore determinants directly and serves as the independent oracle.
+at most `_MEMO_SIZE` points.  `weil_values` contracts f_a against Moore
+determinants directly, the independent oracle; `weil_evaluate` on one tuple.
 """
 
 from __future__ import annotations
@@ -138,13 +138,19 @@ def _sorted_roots(a):
     return _remember(_ROOTS_CACHE, key, (level, roots))
 
 
-def _linear_product(level, nvars, slot, roots_subset):
-    """prod (T_{slot+1} - alpha) over the given roots, as a MultiPoly."""
-    var = MultiPoly.variable(level, nvars, slot)
-    acc = MultiPoly.one(level, nvars)
-    for alpha in roots_subset:
-        acc = acc * (var - MultiPoly.constant(level, nvars, alpha))
-    return acc
+def linear_factors(level, nvars, factors):
+    """prod (T_{j+1} - alpha) over the (j, alpha) pairs (none: 1), multiplied
+    out on one payload dict over `level` and wrapped once as a MultiPoly."""
+    zero, add, mul = level.zero(), level.add, level.mul
+    acc = {(0,) * nvars: level.one()}
+    for j, alpha in factors:
+        minus, out = level.neg(alpha.embed_to(level).val), {}
+        for e, c in acc.items():
+            up = e[:j] + (e[j] + 1,) + e[j + 1 :]
+            out[up] = add(out.get(up, zero), c)
+            out[e] = add(out.get(e, zero), mul(c, minus))
+        acc = out
+    return MultiPoly._wrap(level, nvars, acc)
 
 
 def chain_sum_over_roots(level, roots, r):
@@ -290,13 +296,8 @@ def f_recursive(a, r):
             result = MultiPoly.one(level, arity)
         else:
             alpha = roots_left[0]
-            head = _linear_product(level, arity, arity - 1, roots_left[1:])
-            keep = MultiPoly.one(level, arity)
-            for j in range(arity - 1):
-                keep = keep * (
-                    MultiPoly.variable(level, arity, j)
-                    - MultiPoly.constant(level, arity, alpha)
-                )
+            head = linear_factors(level, arity, [(arity - 1, b) for b in roots_left[1:]])
+            keep = linear_factors(level, arity, [(j, alpha) for j in range(arity - 1)])
             peeled = keep * build(roots_left[1:], arity)
             lowered = build(roots_left, arity - 1)
             lifted = MultiPoly._wrap(
@@ -535,6 +536,7 @@ def weil_polynomial(phi, a, arity=None):
 
 
 def _torsion_guard(phi, a, betas):
+    """The one level of betas, all a-torsion for a monic a separable for phi."""
     if not a.is_monic() or a.degree < 1:
         raise NonMonic(f"{a.render()} must be monic of degree >= 1")
     if phi.gamma(a).is_zero():
@@ -542,8 +544,6 @@ def _torsion_guard(phi, a, betas):
             f"a is divisible by the A-characteristic generated by "
             f"{phi.char_poly().render()}"
         )
-    if len(betas) != phi.rank:
-        raise ArityMismatch(f"need {phi.rank} torsion points")
     level = betas[0].ctx
     for b in betas:
         if b.ctx is not level:
@@ -555,27 +555,45 @@ def _torsion_guard(phi, a, betas):
     return level
 
 
+def moore_contraction(f_poly, images, level):
+    """sum over the terms c*T^e of f_poly of c * MooreDet(images[0][e_1], ...,
+    images[r-1][e_r]) in `level`, where images[s][i] is phi_{T^i}(beta_s)."""
+    acc = level.zero_element
+    for exps, c in f_poly.terms.items():
+        det = moore_eval([images[slot][e] for slot, e in enumerate(exps)])
+        acc = acc + c.embed_to(level) * det
+    return acc
+
+
+def weil_values(phi, a, points, tuples):
+    """`weil_evaluate` on each of `tuples` (rank-tuples of `points`), yielded
+    in order: the guard and the images phi_{T^i}(beta) run once per point,
+    and the value's torsion check once per distinct value."""
+    level = _torsion_guard(phi, a, points)
+    f_poly = f_rootfree(a, phi.rank).poly
+    ops = [phi.phi_tpow(i) for i in range(a.degree)]
+    images = {b: [op(b) for op in ops] for b in points}
+    psi_a, landed = phi.det_module().phi(a), set()
+    for tup in tuples:
+        acc = moore_contraction(f_poly, [images[b] for b in tup], level)
+        if acc not in landed:
+            if not psi_a(acc).is_zero():  # pragma: no cover - tripwire
+                raise AssertionError("pairing value escaped the determinant torsion")
+            landed.add(acc)
+        yield acc
+
+
 def weil_evaluate(phi, a, betas):
     """Pairing value on a torsion tuple, by the direct contraction
     sum_i a_i * MooreDet(phi_{T^{i_1}}(beta_1), ..., phi_{T^{i_r}}(beta_r)).
 
-    Membership of each argument in the a-torsion is checked, and the
-    value is verified to land in the determinant module's a-torsion.
+    Each argument must be a-torsion, the oracle core `moore_contraction`
+    does the sum, and the value must land in the determinant module's torsion.
     """
-    level = _torsion_guard(phi, a, betas)
-    r = phi.rank
-    f_poly = f_rootfree(a, r).poly
-    applied = []
-    for b in betas:
-        applied.append([phi.phi_tpow(i)(b) for i in range(a.degree)])
-    acc = level.zero_element
-    for exps, c in f_poly.terms.items():
-        det = moore_eval([applied[slot][exps[slot]] for slot in range(r)])
-        acc = acc + c.embed_to(level) * det
-    psi_a = phi.det_module().phi(a)
-    if not psi_a(acc).is_zero():  # pragma: no cover - theorem-backed tripwire
-        raise AssertionError("pairing value escaped the determinant torsion")
-    return acc
+    if len(betas) != phi.rank:
+        raise ArityMismatch(f"need {phi.rank} torsion points")
+    (value,) = weil_values(phi, a, betas, [betas])
+    return value
 
 
 def weil_nonmonic(phi, ca, betas):

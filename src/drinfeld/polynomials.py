@@ -512,10 +512,17 @@ class SparsePoly:
 
     @classmethod
     def from_json(cls, obj, ctx=None):
+        """The polynomial `to_json` wrote; "terms" and each term's exponents
+        must be lists and no exponent tuple may repeat, else MalformedInput."""
         level = ctx if ctx is not None else field_from_descriptor(obj["level"])
-        terms = {}
-        for t in obj["terms"]:
-            terms[tuple(t[cls._json_key])] = level.element_from_json(t["coeff"])
+        key, terms = cls._json_key, {}
+        for t in obj["terms"] if isinstance(obj["terms"], list) else [None]:
+            exps = t.get(key) if isinstance(t, dict) else None
+            if not isinstance(exps, list) or not all(type(e) is int for e in exps):
+                raise MalformedInput(f'"terms" must list terms, each with a list of int "{key}"')
+            if tuple(exps) in terms:
+                raise MalformedInput(f"exponent tuple {exps} repeats")
+            terms[tuple(exps)] = level.element_from_json(t["coeff"])
         return cls(level, obj["vars"], terms)
 
     def __repr__(self):
@@ -546,14 +553,14 @@ class MultiPoly(SparsePoly):
 
     @classmethod
     def one(cls, ctx, nvars):
-        return cls.constant(ctx, nvars, ctx.one_element)
+        return cls._wrap(ctx, nvars, {(0,) * nvars: ctx.one()})
 
     @classmethod
     def variable(cls, ctx, nvars, j):
         """The polynomial T_{j+1} (0-indexed slot j)."""
         exps = [0] * nvars
         exps[j] = 1
-        return cls(ctx, nvars, {tuple(exps): ctx.one_element})
+        return cls._wrap(ctx, nvars, {tuple(exps): ctx.one()})
 
     def _common(self, other):
         """The joined level and both operands' payload dicts on it."""

@@ -10,6 +10,11 @@ All randomness flows from the config seed, the exhaustive/sampled
 switch is an explicit evaluation budget, and reports are reproducible
 byte-for-byte apart from their timing fields.
 
+Each exhaustive sweep evaluates a tuple once per operator.  The Galois
+check walks each orbit of tuples under the Frobenius of K from its least
+member and compares each member's value, under the k-th Frobenius, with
+the value k steps on; operators are applied once per point or value.
+
 The mutation tests in tests/test_verify.py prove the checks have teeth
 by patching a broken construction in from outside: `_det_module` (the
 one place the verifier takes the determinant module from),
@@ -43,8 +48,10 @@ from .pairing import (
     f_recursive,
     f_root_order_variant,
     f_rootfree,
+    linear_factors,
     weil_evaluate,
     weil_polynomial,
+    weil_values,
 )
 from .polynomials import IdealI, MultiPoly, UniPoly, all_monic, normal_form, rank_vectors
 
@@ -484,18 +491,10 @@ def verify_congruences(cfg):
                     seen.add(alpha)
                     rest = fa.roots[:idx] + fa.roots[idx + 1 :]
                     f_rem = chain_sum_over_roots(level, rest, r)
-                    shared = MultiPoly.one(level, r)
-                    for j in range(r):
-                        shared = shared * (
-                            MultiPoly.variable(level, r, j)
-                            - MultiPoly.constant(level, r, alpha)
-                        )
+                    shared = linear_factors(level, r, [(j, alpha) for j in range(r)])
                     rhs = shared * f_rem
                     for l in range(r):
-                        lhs = (
-                            MultiPoly.variable(level, r, l)
-                            - MultiPoly.constant(level, r, alpha)
-                        ) * lifted
+                        lhs = linear_factors(level, r, [(l, alpha)]) * lifted
                         nf = normal_form(lhs - rhs, ideal)
                         if not nf.is_zero():
                             return _mismatch("congruence_root_peel",
@@ -523,9 +522,17 @@ def _point_list_json(points):
     return [p.to_json() for p in points]
 
 
+def _applied(memo, op, x):
+    """op(x), computed on x's first use and then read from `memo`."""
+    if x not in memo:
+        memo[x] = op(x)
+    return memo[x]
+
+
 def verify_pairing_properties(cfg):
-    """Multilinearity, alternation, surjectivity, nondegeneracy and
-    Galois invariance, exhaustively within the configured budget."""
+    """Multilinearity, alternation, surjectivity, nondegeneracy,
+    Galois invariance and agreement with `weil_values`, exhaustively
+    within the configured budget; each sweep evaluates a tuple once."""
     suite = _Suite(cfg)
     phi = cfg.module()
     base = phi.base
@@ -560,15 +567,13 @@ def verify_pairing_properties(cfg):
                     tup = tuple(rng.choice(pts) for _ in range(r))
                     trials.append((b, tup, slot))
             for b, tup, slot in trials:
-                key = tuple(c.rank() for c in b.coeffs)
-                if key not in psi_cache:
-                    psi_cache[key] = psi.phi(b)
-                psi_b = psi_cache[key]
+                psi_b = _applied(psi_cache, psi.phi, b)
                 phi_b = phi.phi(b)
                 scaled = list(tup)
                 scaled[slot] = phi_b(tup[slot])
+                value = ev(tup)
                 lhs = ev(scaled)
-                rhs = psi_b(ev(tup))
+                rhs = psi_b(value)
                 if lhs != rhs:
                     return _mismatch("multilinear", {
                         "module": module_json,
@@ -584,7 +589,7 @@ def verify_pairing_properties(cfg):
                 split = list(tup)
                 split[slot] = other
                 lhs2 = ev(summed)
-                rhs2 = ev(tup) + ev(split)
+                rhs2 = value + ev(split)
                 if lhs2 != rhs2:
                     return _mismatch("additive", {
                         "a": a_ranks,
@@ -614,9 +619,7 @@ def verify_pairing_properties(cfg):
         psi_points = set(fq_span(operator_kernel(psi_a, level, base), level, base))
 
         def codomain_and_surjective():
-            image = set()
-            for tup in itertools.product(pts, repeat=r):
-                image.add(ev(tup))
+            image = {ev(tup) for tup in itertools.product(pts, repeat=r)}
             expected_size = base.order**a.degree
             if len(psi_points) != expected_size or image != psi_points:
                 return _mismatch("surjective", {"a": a_ranks},
@@ -631,13 +634,8 @@ def verify_pairing_properties(cfg):
                 for beta in pts:
                     if beta.is_zero():
                         continue
-                    hit = False
-                    for rest in itertools.product(pts, repeat=r - 1):
-                        tup = rest[:slot] + (beta,) + rest[slot:]
-                        if not ev(tup).is_zero():
-                            hit = True
-                            break
-                    if not hit:
+                    rests = itertools.product(pts, repeat=r - 1)
+                    if all(ev(rest[:slot] + (beta,) + rest[slot:]).is_zero() for rest in rests):
                         return _mismatch("nondegenerate",
                                          {"a": a_ranks, "slot": slot, "beta": beta.to_json()},
                                          beta, level.zero_element)
@@ -646,21 +644,35 @@ def verify_pairing_properties(cfg):
         suite.run(f"pairing.nondegenerate{tag}", nondegenerate)
 
         def galois():
-            for k in range(1, tm.m + 1):
-                for tup in itertools.product(pts, repeat=r):
-                    lhs = ev(tup).frobenius(k * s)
-                    rhs = ev([b.frobenius(k * s) for b in tup])
+            # step[i] indexes pts[i]'s Frobenius image; each orbit of index
+            # tuples is walked once, from its least member
+            index = {pt: i for i, pt in enumerate(pts)}
+            step = [index.get(pt.frobenius(s)) for pt in pts]
+            if None in step:
+                pt = pts[step.index(None)]
+                return _mismatch("galois", {"a": a_ranks, "point": pt.to_json()},
+                                 pt.frobenius(s), None)
+            for first in itertools.product(range(len(pts)), repeat=r):
+                orbit = [first]
+                while (nxt := tuple(step[i] for i in orbit[-1])) > first:
+                    orbit.append(nxt)
+                if nxt != first:
+                    continue  # a smaller member walks this orbit
+                tuples = [[pts[i] for i in idx] for idx in orbit]
+                vals = [ev(tup) for tup in tuples]
+                for j, k in itertools.product(range(len(vals)), range(1, tm.m + 1)):
+                    lhs, rhs = vals[j].frobenius(k * s), vals[(j + k) % len(vals)]
                     if lhs != rhs:
-                        return _mismatch("galois",
-                                         {"a": a_ranks, "k": k, "points": _point_list_json(tup)},
+                        return _mismatch("galois", {"a": a_ranks, "k": k,
+                                                    "points": _point_list_json(tuples[j])},
                                          lhs, rhs)
             return True
 
         suite.run(f"pairing.galois{tag}", galois)
 
         def agreement():
-            for tup in itertools.product(pts, repeat=r):
-                direct = weil_evaluate(phi, a, list(tup))
+            direct_values = weil_values(phi, a, pts, itertools.product(pts, repeat=r))
+            for tup, direct in zip(itertools.product(pts, repeat=r), direct_values):
                 if direct != ev(tup):
                     return _mismatch("poly_agreement",
                                      {"a": a_ranks, "points": _point_list_json(tup)},
@@ -679,7 +691,8 @@ def verify_pairing_properties(cfg):
 def verify_compatibility(cfg):
     """psi_b(W_{ab}(t)) = W_a(phi_b applied slotwise), on every torsion
     tuple of phi[ab] when that fits the budget, else on min(budget,
-    10,000) sampled tuples."""
+    10,000) sampled tuples; phi_b and psi_b are applied once per point
+    and once per value."""
     suite = _Suite(cfg)
     phi = cfg.module()
     psi = _det_module(phi)
@@ -698,6 +711,7 @@ def verify_compatibility(cfg):
         phi_b = phi.phi(b)
 
         def compat():
+            phi_images, psi_images = {}, {}  # filled on first use
             total = len(pts) ** r
             if total <= cfg.budget:
                 tuples = itertools.product(pts, repeat=r)
@@ -707,8 +721,8 @@ def verify_compatibility(cfg):
                     for _ in range(min(cfg.budget, 10_000))
                 )
             for tup in tuples:
-                lhs = psi_b(ev_ab(tup))
-                rhs = ev_a([phi_b(x) for x in tup])
+                lhs = _applied(psi_images, psi_b, ev_ab(tup))
+                rhs = ev_a([_applied(phi_images, phi_b, x) for x in tup])
                 if lhs != rhs:
                     return _mismatch("compatibility", {
                         "module": module_json,
@@ -740,9 +754,10 @@ def verify_leading_term(cfg):
         tag = f"[a={a.render()}]"
         n = a.degree
         a_ranks = [c.rank() for c in a.coeffs]
-        w = weil_polynomial(phi, a)
+        built = [None]  # W_a, built inside the timed degree_bound, reused by split
 
-        def degree_bound(w=w, n=n, a_ranks=a_ranks):
+        def degree_bound(a=a, n=n, a_ranks=a_ranks, built=built):
+            w = built[0] = weil_polynomial(phi, a)
             for j in range(r):
                 if w.max_frob_exp(j) > r * n - 1:
                     return _mismatch("w_degree_bound", {"a": a_ranks, "var": j + 1},
@@ -755,8 +770,8 @@ def verify_leading_term(cfg):
             suite.skip(f"leading.split{tag}", {"reason": "no lower arity in rank 1"})
             continue
 
-        def split(w=w, n=n, a=a, a_ranks=a_ranks):
-            top = w.top_slice(r - 1, r * n - 1)
+        def split(built=built, n=n, a=a, a_ranks=a_ranks):
+            top = built[0].top_slice(r - 1, r * n - 1)
             lower = weil_polynomial(phi, a, arity=r - 1)
             g_r = phi.g[-1]
             try:

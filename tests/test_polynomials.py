@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -305,3 +306,24 @@ def test_sparse_arity_is_never_coerced(nvars):
     with pytest.raises(MalformedInput):
         MultiPoly.from_json({"vars": nvars, "level": F2.descriptor(),
                              "terms": [{"exps": [1, 0], "coeff": 1}]})
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [{"E": [1], "coeff": 1}, {"E": [1], "coeff": 1}],  # the sum would be 0
+        5,
+        [{"E": 5, "coeff": 1}],
+        [5],
+        [{"coeff": 1}],
+        [{"E": [[1]], "coeff": 1}],
+    ],
+)
+def test_sparse_from_json_rejects_repeats_and_non_lists(terms):
+    from drinfeld.pairing import QPowerPoly
+
+    for cls in (MultiPoly, QPowerPoly):
+        # "E" stands for the class's exponent key
+        blob = json.dumps({"vars": 1, "terms": terms}).replace('"E"', f'"{cls._json_key}"')
+        with pytest.raises(MalformedInput):
+            cls.from_json(json.loads(blob), F2)
