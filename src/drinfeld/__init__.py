@@ -17,7 +17,6 @@ from .errors import (
     NonMonic,
     NonPrimeCharacteristic,
     NotInSubfield,
-    NotSquarefree,
     NotTorsionPoint,
     PointNotInModule,
     RationalityFailure,

@@ -18,6 +18,7 @@ evaluation budget was exceeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -29,7 +30,6 @@ from .errors import (
     InseparableTorsion,
     MalformedInput,
     NonMonic,
-    NotSquarefree,
     NotTorsionPoint,
     SearchBudget,
     SearchCapExceeded,
@@ -47,7 +47,7 @@ from .verify import (
 )
 
 _BUDGET_ERRORS = (ConfigurationTooLarge, SearchCapExceeded, SearchBudget)
-_DOMAIN_ERRORS = (NonMonic, NotTorsionPoint, InseparableTorsion, NotSquarefree)
+_DOMAIN_ERRORS = (NonMonic, NotTorsionPoint, InseparableTorsion)
 
 
 # one rank of --a: int() alone would also take "1_0" and non-ASCII digits
@@ -162,15 +162,10 @@ def _config_from_file(path, seed=None, budget=None):
         cfgs = [_config_entry(entry, f"config-{i}") for i, entry in enumerate(obj["configs"])]
     else:
         cfgs = [_config_entry(obj, "config-0")]
+    overrides = {k: v for k, v in (("seed", seed), ("budget", budget)) if v is not None}
     out = []
     for label, cfg, suites in cfgs:
-        if seed is not None or budget is not None:
-            patch = cfg.to_json()
-            if seed is not None:
-                patch["seed"] = seed
-            if budget is not None:
-                patch["budget"] = budget
-            cfg = VerificationConfig.from_json(patch)
+        cfg = dataclasses.replace(cfg, **overrides)
         if not suites:
             suites = (
                 ("pairing", "compatibility", "leading", "det")

@@ -30,7 +30,6 @@ from .errors import (
     LevelMismatch,
     MalformedInput,
     NonMonic,
-    NotSquarefree,
     PointNotInModule,
     SearchBudget,
     SearchCapExceeded,
@@ -47,7 +46,7 @@ from .fields import (
     kernel,
     solve,
 )
-from .polynomials import DensePoly, UniPoly, poly_gcd, poly_xgcd, rank_vectors
+from .polynomials import DensePoly, UniPoly, poly_gcd, poly_xgcd
 
 
 class SkewPoly(DensePoly):
@@ -321,8 +320,8 @@ class TorsionModule:
     """The kernel of phi_a inside an explicit extension level.
 
     Carries a GF(q)-basis always, and on request a module basis over
-    the residue ring A/aA together with the coordinate table that
-    exhibits the torsion as a free module of rank r.
+    the residue ring A/aA, which exhibits the torsion as free of rank r.
+    No table of points is kept: `coordinates` solves one linear system.
     """
 
     __slots__ = ("phi", "a", "level", "m", "fq_basis", "_points", "_abasis", "_coords")
@@ -350,6 +349,14 @@ class TorsionModule:
             self._points = tuple(fq_span(self.fq_basis, self.level, self.phi.base))
         return self._points
 
+    def _point(self, index):
+        """points()[index], from the index's base-q digits, first slowest."""
+        base, point = self.phi.base, self.level.zero_element
+        for b in reversed(self.fq_basis):
+            index, digit = divmod(index, base.order)
+            point = point + base.element_of_rank(digit).embed_to(self.level) * b
+        return point
+
     def contains(self, beta):
         return self.phi.phi(self.a)(beta).is_zero()
 
@@ -358,67 +365,47 @@ class TorsionModule:
         s = dim_between(self.phi.K, self.phi.base)
         return beta.frobenius(sigma.k * s)
 
-    def residues(self):
-        """All classes of A/aA as reduced polynomials, in rank order."""
-        base = self.phi.base
-        return [
-            UniPoly(base, [base.element_of_rank(r) for r in ranks])
-            for ranks in rank_vectors(base.order, self.a.degree)
-        ]
-
     def a_basis(self, seed=0):
         """Points beta_1 .. beta_r through which (A/aA)**r sweeps out the
-        whole torsion module, found by seeded random search with an
-        exhaustive bijectivity count."""
+        whole torsion module, found by seeded random search.  A candidate
+        (r nonzero points, drawn by index into `points()`) is accepted
+        when the n*r points phi_(T**i)(beta_j), i < n = deg(a), are
+        GF(q)-independent.  They are the images of a GF(q)-basis under
+        the GF(q)-linear map (A/aA)**r -> phi[a] between spaces of
+        dimension n*r, so independence is exactly bijectivity."""
         if self._abasis is not None:
             return self._abasis
-        d = poly_gcd(self.a, self.a.derivative())
-        if d.degree != 0:
-            raise NotSquarefree(f"a = {self.a.render()} is not squarefree")
-        residues = self.residues()
-        images = [self.phi.phi(b) for b in residues]
-        pts = self.points()
-        nonzero = [p for p in pts if not p.is_zero()]
+        base, total = self.phi.base, self.count()
+        ops = [self.phi.phi_tpow(i) for i in range(self.a.degree)]
         rng = random.Random(seed)
-        r = self.rank
-        total = self.count()
         for _ in range(_A_BASIS_ATTEMPTS):
-            candidate = tuple(rng.choice(nonzero) for _ in range(r))
-            table = {}
-            ok = True
-            for combo in rank_vectors(len(residues), r):
-                acc = self.level.zero_element
-                for slot, idx in enumerate(combo):
-                    acc = acc + images[idx](candidate[slot])
-                if acc in table:
-                    ok = False
-                    break
-                table[acc] = tuple(residues[idx] for idx in combo)
-            if ok and len(table) == total:
-                self._abasis = candidate
-                self._coords = table
+            candidate = tuple(self._point(rng.randrange(1, total)) for _ in range(self.rank))
+            columns = [as_vector(op(beta), base) for beta in candidate for op in ops]
+            rows = [list(row) for row in zip(*columns)]
+            if not kernel(rows):
+                self._abasis, self._coords = candidate, rows
                 return candidate
         raise SearchBudget(f"no module basis found in {_A_BASIS_ATTEMPTS} attempts")
 
     def coordinates(self, beta):
-        """A/aA-coordinates of beta over the module basis."""
+        """A/aA-coordinates of beta over the module basis, by one solve
+        against the columns `a_basis` stored: the entry for
+        phi_(T**i)(beta_j) is the T**i coefficient of coordinate j."""
         if self._coords is None:
             self.a_basis()
-        try:
-            return self._coords[beta]
-        except KeyError:
-            raise PointNotInModule(f"{beta!r} is outside the torsion module") from None
+        on_level = getattr(beta, "ctx", None) is self.level
+        sol = on_level and solve(self._coords, as_vector(beta, self.phi.base))
+        if not sol:
+            raise PointNotInModule(f"{beta!r} is outside the torsion module")
+        n = self.a.degree
+        return tuple(UniPoly(self.phi.base, sol[j * n : (j + 1) * n]) for j in range(self.rank))
 
     def to_json(self):
         return {
             "a": self.a.to_json(),
             "extension_degree_over_K": self.m,
             "fq_basis": [b.to_json() for b in self.fq_basis],
-            "a_basis": (
-                [b.to_json() for b in self._abasis]
-                if self._abasis is not None
-                else None
-            ),
+            "a_basis": None if self._abasis is None else [b.to_json() for b in self._abasis],
         }
 
     def __repr__(self):
@@ -435,13 +422,11 @@ class GaloisElement:
     k: int
 
 
-def galois_action_matrix(tm, sigma, basis=None):
+def galois_action_matrix(tm, sigma):
     """Matrix of sigma on the torsion module over A/aA: column j holds
-    the coordinates of sigma(beta_j)."""
-    if basis is None:
-        basis = tm.a_basis()
-    cols = [tm.coordinates(tm.apply_galois(beta, sigma)) for beta in basis]
-    return [[col[i] % tm.a for col in cols] for i in range(len(basis))]
+    the coordinates of sigma(beta_j) over the module basis `tm.a_basis()`."""
+    cols = [tm.coordinates(tm.apply_galois(beta, sigma)) for beta in tm.a_basis()]
+    return [list(row) for row in zip(*cols)]
 
 
 def galois_det_table(phi, psi, a, cap=64, seed=0):
@@ -452,13 +437,13 @@ def galois_det_table(phi, psi, a, cap=64, seed=0):
     deliberately wrong one when the comparison is tested for teeth."""
     tm = torsion(phi, a, cap=cap)
     tpsi = torsion(psi, a, cap=cap)
-    basis = tm.a_basis(seed=seed)
+    tm.a_basis(seed=seed)
     gen = tpsi.a_basis(seed=seed)[0]
     ring = ResidueRing(a)
     rows = []
     for k in range(math.lcm(tm.m, tpsi.m)):
         sigma = GaloisElement(k)
-        det = ring.det(galois_action_matrix(tm, sigma, basis))
+        det = ring.det(galois_action_matrix(tm, sigma))
         rows.append((k, det, tpsi.coordinates(tpsi.apply_galois(gen, sigma))[0]))
     return rows
 

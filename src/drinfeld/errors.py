@@ -64,16 +64,12 @@ class SearchCapExceeded(DrinfeldError):
     """No extension within the configured degree cap splits the torsion."""
 
 
-class NotSquarefree(DrinfeldError):
-    """A squarefree operator polynomial was required."""
-
-
 class SearchBudget(DrinfeldError):
     """A randomized search exhausted its attempt budget."""
 
 
 class PointNotInModule(DrinfeldError):
-    """A point failed to decompose over a module basis; upstream bug."""
+    """A point outside the torsion module has no module coordinates."""
 
 
 class NotTorsionPoint(DrinfeldError):

@@ -1000,7 +1000,7 @@ def field_from_descriptor(desc):
 
 
 def _descriptor_int(obj, key):
-    value = obj[key]
+    value = obj.get(key)
     if type(value) is not int:
         raise MalformedInput(f"descriptor {key!r} must be an int, not {value!r}")
     return value

@@ -254,8 +254,18 @@ class UniPoly(DensePoly):
 
     @classmethod
     def from_json(cls, obj, ctx=None):
-        level = ctx if ctx is not None else field_from_descriptor(obj["level"])
+        level = _json_level(obj, ctx, "coeffs")
         return cls(level, (level.element_from_json(c) for c in obj["coeffs"]))
+
+
+def _json_level(obj, ctx, list_key, *keys):
+    """`ctx`, else the level obj["level"] describes.  MalformedInput unless
+    obj is an object with a list `list_key`, every key, and "level" if no ctx."""
+    keys += () if ctx is not None else ("level",)
+    if not (isinstance(obj, dict) and isinstance(obj.get(list_key), list)
+            and all(k in obj for k in keys)):
+        raise MalformedInput(f'a polynomial is an object with a list "{list_key}" and {keys}')
+    return ctx if ctx is not None else field_from_descriptor(obj["level"])
 
 
 def poly_gcd(f, g):
@@ -513,13 +523,14 @@ class SparsePoly:
     @classmethod
     def from_json(cls, obj, ctx=None):
         """The polynomial `to_json` wrote; "terms" and each term's exponents
-        must be lists and no exponent tuple may repeat, else MalformedInput."""
-        level = ctx if ctx is not None else field_from_descriptor(obj["level"])
+        must be lists, each term needs a "coeff" and no exponent tuple may
+        repeat, else MalformedInput."""
+        level = _json_level(obj, ctx, "terms", "vars")
         key, terms = cls._json_key, {}
-        for t in obj["terms"] if isinstance(obj["terms"], list) else [None]:
-            exps = t.get(key) if isinstance(t, dict) else None
+        for t in obj["terms"]:
+            exps = t.get(key) if isinstance(t, dict) and "coeff" in t else None
             if not isinstance(exps, list) or not all(type(e) is int for e in exps):
-                raise MalformedInput(f'"terms" must list terms, each with a list of int "{key}"')
+                raise MalformedInput(f'each of "terms" needs a "coeff" and a list of int "{key}"')
             if tuple(exps) in terms:
                 raise MalformedInput(f"exponent tuple {exps} repeats")
             terms[tuple(exps)] = level.element_from_json(t["coeff"])

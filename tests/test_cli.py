@@ -183,6 +183,15 @@ def test_galois_det_command(capsys, tmp_path):
     assert "sigma^0" in out and "==" in out and "!=" not in out
 
 
+def test_galois_det_non_squarefree_a(capsys, tmp_path):
+    # a = T^2 is not squarefree; its torsion is still free over A/aA
+    path = _config_file(tmp_path, dict(CFG_I, a_list=[[0, 0, 1]]))
+    code, out, _ = run_cli(capsys, "galois-det", "--config", path, "--json")
+    assert code == 0
+    rows = json.loads(out)["powers"]
+    assert len(rows) > 1 and all(row["equal"] for row in rows)
+
+
 def test_verify_config_run(capsys, tmp_path):
     path = _config_file(tmp_path, CFG_I)
     code, out, _ = run_cli(capsys, "verify", "--config", path)
@@ -214,6 +223,14 @@ def test_verify_json_deterministic_modulo_timing(capsys, tmp_path):
 def test_verify_budget_exit4(capsys, tmp_path):
     path = _config_file(tmp_path, dict(CFG_I, budget=10))
     code, _, err = run_cli(capsys, "verify", "--config", path)
+    assert code == 4
+
+
+def test_config_overrides_are_validated_and_applied(capsys, tmp_path):
+    path = _config_file(tmp_path, CFG_I)
+    code, out, err = run_cli(capsys, "verify", "--config", path, "--budget", "0")
+    assert code == 2 and out == "" and "budget" in err
+    code, _, _ = run_cli(capsys, "verify", "--config", path, "--seed", "3", "--budget", "10")
     assert code == 4
 
 

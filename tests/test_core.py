@@ -13,12 +13,12 @@ from drinfeld.core import (
 from drinfeld.errors import (
     InseparableTorsion,
     NonMonic,
-    NotSquarefree,
+    PointNotInModule,
     SearchCapExceeded,
     ZeroLeadingCoefficient,
 )
 from drinfeld.fields import extend, make_field
-from drinfeld.polynomials import UniPoly
+from drinfeld.polynomials import UniPoly, poly_gcd, rank_vectors
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -197,9 +197,10 @@ def test_a_basis_generates_everything():
         tm = torsion(phi2, a)
         basis = tm.a_basis()
         assert len(basis) == 2
+        residues = [UniPoly.from_ranks(F2, list(c)) for c in rank_vectors(2, a.degree)]
         generated = set()
-        for b1 in tm.residues():
-            for b2 in tm.residues():
+        for b1 in residues:
+            for b2 in residues:
                 generated.add(phi2.phi(b1)(basis[0]) + phi2.phi(b2)(basis[1]))
         assert generated == set(tm.points())
 
@@ -211,19 +212,133 @@ def test_a_basis_rank1_any_nonzero():
     assert not gen.is_zero()
 
 
-def test_a_basis_rejects_non_squarefree():
+def enumeration_a_basis(tm, seed=0):
+    """The module basis by exhaustive search, as `a_basis` once found it:
+    draw r nonzero points from `points()` and accept them when the
+    q**(n*r) combinations sum(phi_(c_j)(beta_j)) are all distinct.
+    Returns the basis and the table point -> coordinates."""
+    base = tm.phi.base
+    residues = [
+        UniPoly(base, [base.element_of_rank(x) for x in ranks])
+        for ranks in rank_vectors(base.order, tm.a.degree)
+    ]
+    images = [tm.phi.phi(b) for b in residues]
+    nonzero = [p for p in tm.points() if not p.is_zero()]
+    rng = random.Random(seed)
+    for _ in range(200):
+        candidate = tuple(rng.choice(nonzero) for _ in range(tm.rank))
+        table = {}
+        for combo in rank_vectors(len(residues), tm.rank):
+            acc = tm.level.zero_element
+            for slot, idx in enumerate(combo):
+                acc = acc + images[idx](candidate[slot])
+            if acc in table:
+                break
+            table[acc] = tuple(residues[idx] for idx in combo)
+        if len(table) == tm.count():
+            return candidate, table
+    raise AssertionError("no module basis in 200 draws")
+
+
+def assert_matches_enumeration(tm, seed=0):
+    basis, table = enumeration_a_basis(tm, seed)
+    assert tm.a_basis(seed) == basis
+    assert {p: tm.coordinates(p) for p in tm.points()} == table
+
+
+def _stock_and_golden_modules():
+    from drinfeld.verify import VerificationConfig, default_bundle
+
+    from test_cli_golden import CONFIGS
+
+    configs = [e.config for e in default_bundle() if "det" in e.suites]
+    configs += [
+        VerificationConfig.from_json({k: v for k, v in c.items() if k != "label"})
+        for c in CONFIGS
+    ]
+    for cfg in configs:
+        phi = cfg.module()
+        for a in cfg.a_polys():
+            for module in (phi, phi.det_module()):
+                yield module, a, cfg.seed
+
+
+def test_a_basis_matches_enumeration_on_stock_and_golden_configs():
+    cases = list(_stock_and_golden_modules())
+    assert len(cases) == 18
+    for module, a, seed in cases:
+        assert_matches_enumeration(torsion(module, a), seed)
+
+
+@pytest.mark.parametrize("base", [F2, F3, make_field(2, 2)], ids=["q2", "q3", "q4"])
+def test_a_basis_matches_enumeration_on_random_squarefree(base):
+    rng = random.Random(base.order)
+    checked = 0
+    while checked < 12:
+        r, n = rng.randint(1, 3), rng.randint(1, 2)
+        if base.order ** (r * n) > 729:
+            continue
+        nonzero = [base.element_of_rank(x) for x in range(1, base.order)]
+        g = [base.element_of_rank(rng.randrange(base.order)) for _ in range(r - 1)]
+        phi = DrinfeldModule(base, rng.choice(nonzero), tuple(g) + (rng.choice(nonzero),))
+        a = UniPoly.from_ranks(base, [rng.randrange(base.order) for _ in range(n)] + [1])
+        if poly_gcd(a, a.derivative()).degree != 0 or phi.gamma(a).is_zero():
+            continue
+        try:
+            tm = torsion(phi, a, cap=24)
+        except SearchCapExceeded:
+            continue
+        assert_matches_enumeration(tm, seed=rng.randrange(100))
+        checked += 1
+
+
+def test_a_basis_non_squarefree_matches_enumeration():
     phi2 = rank2_module()
-    tm = torsion(phi2, T2 * T2)
-    with pytest.raises(NotSquarefree):
-        tm.a_basis()
+    for a in (T2**2, T2**3):
+        tm = torsion(phi2, a)
+        assert_matches_enumeration(tm)
+        assert tm.count() == 2 ** (2 * a.degree)
+
+
+def test_a_basis_and_coordinates_never_enumerate(monkeypatch):
+    import drinfeld.core as core
+
+    def no_span(*args):
+        raise AssertionError("fq_span enumerates the torsion")
+
+    monkeypatch.setattr(core, "fq_span", no_span)
+    one, zero = F2.one_element, F2.zero_element
+    phi = DrinfeldModule(F2, one, (zero,) * 5 + (one,))
+    a = UniPoly.from_ranks(F2, [0, 1, 1, 1])
+    tm = torsion(phi, a)
+    assert tm.count() == 2**18
+    basis = tm.a_basis()
+    assert tm.coordinates(basis[2]) == tuple(
+        UniPoly.one(F2) if j == 2 else UniPoly.zero(F2) for j in range(6)
+    )
+    beta = tm.fq_basis[-1]
+    rebuilt = tm.level.zero_element
+    for c, b in zip(tm.coordinates(beta), basis):
+        rebuilt = rebuilt + phi.phi(c)(b)
+    assert rebuilt == beta
+
+
+def test_coordinates_reject_points_outside_the_torsion():
+    tm = torsion(rank2_module(), T2)
+    assert tm.level is not F2
+    for x in F2.elements():  # points of K, one level down
+        with pytest.raises(PointNotInModule):
+            tm.coordinates(x)
+    outside = next(x for x in tm.level.elements() if not tm.contains(x))
+    with pytest.raises(PointNotInModule):
+        tm.coordinates(outside)
 
 
 def test_galois_matrix_identity_and_homomorphism():
     phi2 = rank2_module()
     tm = torsion(phi2, T2)
-    basis = tm.a_basis()
     ring = ResidueRing(T2)
-    eye = galois_action_matrix(tm, GaloisElement(0), basis)
+    eye = galois_action_matrix(tm, GaloisElement(0))
     assert eye[0][0] == ring.one() and eye[1][1] == ring.one()
     assert eye[0][1].is_zero() and eye[1][0].is_zero()
 
@@ -238,13 +353,13 @@ def test_galois_matrix_identity_and_homomorphism():
             for i in range(n)
         ]
 
-    m1 = galois_action_matrix(tm, GaloisElement(1), basis)
+    m1 = galois_action_matrix(tm, GaloisElement(1))
     for k in range(2, tm.m + 1):
-        mk = galois_action_matrix(tm, GaloisElement(k), basis)
-        prev = galois_action_matrix(tm, GaloisElement(k - 1), basis)
+        mk = galois_action_matrix(tm, GaloisElement(k))
+        prev = galois_action_matrix(tm, GaloisElement(k - 1))
         assert mk == matmul(m1, prev)
     # order of Frobenius on the splitting level
-    assert galois_action_matrix(tm, GaloisElement(tm.m), basis) == eye
+    assert galois_action_matrix(tm, GaloisElement(tm.m)) == eye
 
 
 def test_galois_det_hand_example():
@@ -253,9 +368,8 @@ def test_galois_det_hand_example():
     # the determinant module's T-torsion, which sits inside GF(2)
     phi2 = rank2_module()
     tm = torsion(phi2, T2)
-    basis = tm.a_basis()
     ring = ResidueRing(T2)
-    det = ring.det(galois_action_matrix(tm, GaloisElement(1), basis))
+    det = ring.det(galois_action_matrix(tm, GaloisElement(1)))
     assert det == ring.one()
     psi = phi2.det_module()
     tpsi = torsion(psi, T2)

@@ -327,3 +327,40 @@ def test_sparse_from_json_rejects_repeats_and_non_lists(terms):
         blob = json.dumps({"vars": 1, "terms": terms}).replace('"E"', f'"{cls._json_key}"')
         with pytest.raises(MalformedInput):
             cls.from_json(json.loads(blob), F2)
+
+
+@pytest.mark.parametrize(
+    "obj, ctx",
+    [
+        ({"level": F2.descriptor()}, None),  # no "coeffs"
+        ({"coeffs": [1]}, None),  # no "level" and no ctx
+        ({"coeffs": 1}, F2),
+        ({"coeffs": [1], "level": {"e": 1, "tower": []}}, None),  # no "p"
+        ([1, 1], F2),
+        (None, F2),
+    ],
+)
+def test_unipoly_from_json_is_strict(obj, ctx):
+    with pytest.raises(MalformedInput):
+        UniPoly.from_json(obj, ctx)
+
+
+@pytest.mark.parametrize(
+    "obj, ctx",
+    [
+        ({"level": F2.descriptor(), "terms": []}, None),  # no "vars"
+        ({"vars": 1, "level": F2.descriptor()}, None),  # no "terms"
+        ({"vars": 1, "terms": [{"E": [1]}]}, F2),  # a term without "coeff"
+        ({"vars": 1, "terms": []}, None),  # no "level" and no ctx
+        ([{"E": [1], "coeff": 1}], F2),
+        ("T1", F2),
+    ],
+)
+def test_sparse_from_json_is_strict(obj, ctx):
+    from drinfeld.pairing import QPowerPoly
+
+    for cls in (MultiPoly, QPowerPoly):
+        # "E" stands for the class's exponent key
+        blob = json.dumps(obj).replace('"E"', f'"{cls._json_key}"')
+        with pytest.raises(MalformedInput):
+            cls.from_json(json.loads(blob), ctx)
