@@ -34,7 +34,7 @@ class MalformedInput(DrinfeldError, ValueError):
     or a value out of range; nothing is silently reduced or coerced."""
 
 
-class WrongLength(DrinfeldError):
+class WrongLength(MalformedInput):
     """A coordinate vector has the wrong number of entries."""
 
 

@@ -46,7 +46,8 @@ lowers the top degree, so this ends for every monic modulus; one whose
 tail has degree at most (d+1)/2, as the modulus search's picks usually
 do, needs at most two folds.  The same bound lets odd-p add and sub on
 such a tuple level be one int add and one translate, and the x**(Q**i)
-powering of the irreducibility test over GF(p) run on packed ints.
+powering of the irreducibility test over GF(p) run on packed ints,
+and a sum of products (``FieldCtx.dot_ops``) reduce once per sum.
 Above the bound (large p times d, say GF(1009^2)) the schoolbook
 multiply stays.  Payloads are ints or tuples, so equality and hashing
 are structural and every value is immutable.  The public wrapper is
@@ -66,7 +67,7 @@ levels, else LevelMismatch.
 from __future__ import annotations
 
 from array import array
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import and_, xor
 
 from .errors import (
@@ -217,23 +218,74 @@ def _byte_tables(p):
     return bytes(i % p for i in range(256)), bytes(-i % p for i in range(256))
 
 
-def _kron_mulmod(a, b, kron):
-    """Bytes of a * b mod f, for packed polynomials a, b of degree < d.
+def _kron_fold(s, kron):
+    """Bytes of s mod f, for the 2d-1 bytes s of a polynomial whose
+    every slot is already reduced mod p.
 
-    One bigint product, every slot reduced mod p by a translate, then
-    folds: the part above x**(d-1) times the packed -tail goes back into
-    the low half.  Each fold lowers the top degree, so the loop ends for
-    every monic f; two folds suffice when the tail has degree at most
-    (d+1)/2."""
+    The part above x**(d-1) times the packed -tail goes back into the
+    low half, and every slot is reduced again.  Each fold lowers the top
+    degree, so the loop ends for every monic f; two folds suffice when
+    the tail has degree at most (d+1)/2."""
     d, tail, mod_p, _ = kron
-    size = 2 * d - 1
-    s = (a * b).to_bytes(size, "little").translate(mod_p)
+    size = len(s)
     high = int.from_bytes(s[d:], "little")
     while high:
         s = (int.from_bytes(s[:d], "little") + high * tail).to_bytes(size, "little")
         s = s.translate(mod_p)
         high = int.from_bytes(s[d:], "little")
     return s[:d]
+
+
+def _kron_mulmod(a, b, kron):
+    """Bytes of a * b mod f, for packed polynomials a, b of degree < d:
+    one bigint product, every slot reduced mod p by a translate, then
+    the fold."""
+    d, _, mod_p, _ = kron
+    return _kron_fold((a * b).to_bytes(2 * d - 1, "little").translate(mod_p), kron)
+
+
+def _kron_dot_ops(p, kron, terms):
+    """``FieldCtx.dot_ops`` of a level of degree d directly over GF(p).
+
+    An operand packs a payload with w-byte slots, w the least width with
+    terms * d * (p-1)**2 < 256**w, so a sum of `terms` bigint products
+    carries no slot into the next.  ``dot`` reduces each sum once: byte
+    i of every slot, translated by b -> b * 256**i mod p (zero for
+    p = 2, i > 0), summed over i and translated mod p, then the fold."""
+    d, _, mod_p, _ = kron
+    bound = terms * d * (p - 1) ** 2
+    w = 1
+    while 256**w <= bound:
+        w += 1
+    size = (2 * d - 1) * w
+    high = [(i, bytes(b * pow(256, i, p) % p for b in range(256)))
+            for i in range(1, w) if pow(256, i, p)]
+    pack = int.from_bytes
+
+    def spread(a):
+        buf = bytearray(d * w)
+        buf[::w] = bytes(a)
+        return pack(buf, "little")
+
+    def dot(row, vals, nodes):
+        out = []
+        for node in nodes:
+            s = sum([row[j] * vals[i] for j, i in node]).to_bytes(size, "little")
+            slots = s[::w].translate(mod_p)
+            if high:
+                acc = pack(slots, "little")
+                for i, table in high:
+                    acc += pack(s[i::w].translate(table), "little")
+                slots = acc.to_bytes(2 * d - 1, "little").translate(mod_p)
+            buf = bytearray(d * w)
+            buf[::w] = _kron_fold(slots, kron)
+            out.append(pack(buf, "little"))
+        return out
+
+    def payload(x):
+        return tuple(x.to_bytes(d * w, "little")[::w])
+
+    return spread, dot, payload
 
 
 def _kron_powmod(h, e, kron):
@@ -356,7 +408,12 @@ class FieldCtx:
 
     ``add``, ``sub``, ``neg`` and ``mul`` are per-level callables on
     payloads; a packed level swaps them for table lookups once it has
-    built its tables.
+    built its tables.  ``dot_ops(terms)``, the trie contraction's op,
+    gives ``(spread, dot, payload)``: payload to operand form, the
+    operand sums of row[j] * vals[i] over each node's (j, i) pairs (at
+    most `terms` of them), and back.  A tuple level directly over GF(p)
+    with Kronecker data reduces once per node (`_kron_dot_ops`); on any
+    other level operands are payloads and dot is the mul/add loop.
     """
 
     __slots__ = (
@@ -373,6 +430,7 @@ class FieldCtx:
         "sub",
         "neg",
         "mul",
+        "dot_ops",
         "_mod",
         "_zero",
         "_one",
@@ -430,6 +488,9 @@ class FieldCtx:
 
     def _install_ops(self):
         p, par = self.p, self.parent
+        self.dot_ops = self._plain_dot_ops
+        if self._kron is not None and not self.packed:
+            self.dot_ops = partial(_kron_dot_ops, p, self._kron)
         if p == 2:
             # characteristic 2: -a = a at every level, and on ranks a + b is a ^ b
             self.neg = _same
@@ -478,6 +539,24 @@ class FieldCtx:
 
     def one(self):
         return self._one
+
+    def _plain_dot_ops(self, terms):
+        zero = self._zero
+
+        def dot(row, vals, nodes):
+            # look the ops up per call: a packed level may switch to tables
+            mul, add = self.mul, self.add
+            out = []
+            for node in nodes:
+                acc = zero
+                for j, i in node:
+                    v = vals[i]
+                    if v != zero:
+                        acc = add(acc, mul(row[j], v))
+                out.append(acc)
+            return out
+
+        return _same, dot, _same
 
     def _mul_over_prime(self, a, b):
         # coefficients are plain ints mod p: one Kronecker product unless

@@ -47,8 +47,10 @@ product shares its prefix with the others that agree on it.
 `PairingEvaluator` evaluates it on many tuples: it groups the terms
 into a trie over their Frobenius exponents, contracts one slot at a
 time, and memoizes the last slot's contraction per point, in a memo of
-at most `_MEMO_SIZE` points.  `weil_values` contracts f_a against Moore
-determinants directly, the independent oracle; `weil_evaluate` on one tuple.
+at most `_MEMO_SIZE` points; each trie node is one sum of the level's
+dot op, shared with `QPowerPoly.__call__`.  `weil_values` contracts
+f_a against Moore determinants directly, the independent oracle;
+`weil_evaluate` on one tuple.
 """
 
 from __future__ import annotations
@@ -330,26 +332,30 @@ def f_root_order_variant(a, r, order):
 # ---------------------------------------------------------------------------
 
 
-def _trie(terms, nvars):
-    """Group {(j_1, ..., j_r): payload} into a trie over the exponents.
+def _trie(level, terms, nvars):
+    """Group {(j_1, ..., j_r): payload} into a trie over the exponents,
+    for contraction with `level`'s dot op.
 
-    Returns (leaves, inner): leaves[i] lists the (j_r, coefficient)
-    pairs under the i-th node at depth r-1, and inner[d] lists, for
-    slot r-2-d, each node's (j, child index) pairs; the last level of
-    inner holds the root alone.
+    Returns (leaves, inner, ops).  leaves is (cs, nodes): the
+    coefficients in operand form, and for each node at depth r-1 its
+    (j_r, index into cs) pairs.  inner[d] lists, for slot r-2-d, each
+    node's (j, child index) pairs; the last level of inner holds the
+    root alone.  ops is ``level.dot_ops`` for the node with the most
+    children.
     """
-    nodes = {}
+    nodes, cs = {}, []
     for key, c in terms.items():
-        nodes.setdefault(key[:-1], []).append((key[-1], c))
-    leaves = list(nodes.values())
-    inner = []
+        nodes.setdefault(key[:-1], []).append((key[-1], len(cs)))
+        cs.append(c)
+    levels = [list(nodes.values())]
     for _ in range(nvars - 1):
         parents = {}
         for i, prefix in enumerate(nodes):
             parents.setdefault(prefix[:-1], []).append((prefix[-1], i))
-        inner.append(list(parents.values()))
+        levels.append(list(parents.values()))
         nodes = parents
-    return leaves, inner
+    spread, _, _ = ops = level.dot_ops(max(map(len, itertools.chain(*levels)), default=1))
+    return (list(map(spread, cs)), levels[0]), levels[1:], ops
 
 
 def _frobenius_row(x, level, top):
@@ -360,35 +366,19 @@ def _frobenius_row(x, level, top):
     return [y.val for y in powers]
 
 
-def _contract_last(level, leaves, row):
-    """The last slot contracted against its Frobenius row: one payload
-    per depth r-1 node of the trie."""
-    mul, add = level.mul, level.add
-    out = []
-    for leaf in leaves:
-        j, c = leaf[0]
-        acc = mul(c, row[j])
-        for j, c in leaf[1:]:
-            acc = add(acc, mul(c, row[j]))
-        out.append(acc)
-    return out
+def _contract_last(dot, leaves, row):
+    """The last slot contracted against its Frobenius row (operand
+    form): one operand per depth r-1 node of the trie."""
+    cs, nodes = leaves
+    return dot(row, cs, nodes)
 
 
-def _contract_inner(level, inner, rows, vals):
+def _contract_inner(dot, inner, rows, vals):
     """Slots r-2 .. 0 contracted in turn, Horner style, starting from
-    the last slot's values; returns the payload at the root."""
-    mul, add, zero = level.mul, level.add, level.zero()
+    the last slot's values; returns the operand at the root."""
     for row, nodes in zip(reversed(rows[:-1]), inner):
-        contracted = []
-        for children in nodes:
-            acc = zero
-            for j, i in children:
-                v = vals[i]
-                if v != zero:
-                    acc = add(acc, mul(row[j], v))
-            contracted.append(acc)
-        vals = contracted
-    return vals[0] if vals else zero
+        vals = dot(row, vals, nodes)
+    return vals[0] if vals else dot((), (), [()])[0]  # no terms: an empty sum
 
 
 class QPowerPoly(SparsePoly):
@@ -428,11 +418,11 @@ class QPowerPoly(SparsePoly):
         if len(points) != self.nvars:
             raise ArityMismatch(f"need {self.nvars} arguments")
         level = functools.reduce(common_level, (x.ctx for x in points), self.ctx)
-        leaves, inner = _trie(self._payloads(level), self.nvars)
-        rows = [_frobenius_row(x, level, self.max_frob_exp(slot))
+        leaves, inner, (spread, dot, payload) = _trie(level, self._payloads(level), self.nvars)
+        rows = [list(map(spread, _frobenius_row(x, level, self.max_frob_exp(slot))))
                 for slot, x in enumerate(points)]
-        vals = _contract_last(level, leaves, rows[-1])
-        return FieldElement(level, _contract_inner(level, inner, rows, vals))
+        vals = _contract_last(dot, leaves, rows[-1])
+        return FieldElement(level, payload(_contract_inner(dot, inner, rows, vals)))
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: item[0])
@@ -615,14 +605,20 @@ class PairingEvaluator:
     their Frobenius exponents (j_1, ..., j_r), and a tuple is evaluated
     by contracting one slot at a time, Horner style, from the last slot
     up: a node's value is the sum over its children j of x_s**(q**j)
-    times the child's value.  Each trie edge costs one multiplication,
-    and a child whose value is zero is skipped.
+    times the child's value, one sum of the level's dot op
+    (``FieldCtx.dot_ops``).  On a tuple level directly over GF(p) with
+    Kronecker data (GF(2^31), GF(3^40), ...) a node adds its bigint
+    products unreduced and reduces once; every other level (packed
+    tables, towers, levels too wide for Kronecker data) runs the mul/add
+    loop, skipping zeros.  The trie's coefficients take operand form
+    once, at build.
 
     The last slot's contraction, a vector over the trie nodes at depth
     r-1, depends only on that slot's point.  A per-point memo holds the
     point's Frobenius row, beta, beta**q, ... as payloads of `level`,
-    and next to it that vector, filled on the point's first use in the
-    last slot (`powers_of` fills only the row).  The memo keeps at most
+    the row's operand form, made on the point's first use in a call,
+    and that vector, filled on the point's first use in the last slot
+    (`powers_of` fills only the row).  The memo keeps at most
     `_MEMO_SIZE` points and drops the oldest first; a point evicted and
     seen again costs about one uncached contraction.
 
@@ -632,7 +628,7 @@ class PairingEvaluator:
     contraction, and the verification suites compare the two.
     """
 
-    __slots__ = ("phi", "a", "level", "poly", "_top", "_leaves", "_inner", "_memo")
+    __slots__ = ("phi", "a", "level", "poly", "_top", "_trie", "_memo")
 
     def __init__(self, phi, a, level):
         self.phi = phi
@@ -642,28 +638,33 @@ class PairingEvaluator:
         terms = poly._payloads(level)
         self.poly = QPowerPoly._wrap(level, poly.nvars, terms)
         self._top = max((max(k) for k in terms), default=0)
-        self._leaves, self._inner = _trie(terms, poly.nvars)
-        self._memo = {}  # point -> [Frobenius row, last-slot values or None]
+        self._trie = _trie(level, terms, poly.nvars)
+        # point -> [[Frobenius row, its operand form or None], last-slot values or None]
+        self._memo = {}
 
     def _entry(self, beta):
         entry = self._memo.get(beta)
         if entry is None:
             row = _frobenius_row(beta, self.level, self._top)
-            entry = _remember(self._memo, beta, [row, None])
+            entry = _remember(self._memo, beta, [[row, None], None])
         return entry
 
     def powers_of(self, beta):
         """beta, beta**q, ..., up to the largest Frobenius exponent of
         the pairing polynomial, as elements of `level`."""
-        return [FieldElement(self.level, v) for v in self._entry(beta)[0]]
+        return [FieldElement(self.level, v) for v in self._entry(beta)[0][0]]
 
     def __call__(self, betas):
         if len(betas) != self.poly.nvars:
             raise ArityMismatch(f"need {self.poly.nvars} arguments")
-        level = self.level
-        entries = [self._entry(b) for b in betas]
-        last = entries[-1]
-        if last[1] is None:
-            last[1] = _contract_last(level, self._leaves, last[0])
-        rows = [row for row, _ in entries]
-        return FieldElement(level, _contract_inner(level, self._inner, rows, last[1]))
+        leaves, inner, (spread, dot, payload) = self._trie
+        rows = []
+        for beta in betas:
+            entry = self._entry(beta)
+            row = entry[0]
+            if row[1] is None:
+                row[1] = list(map(spread, row[0]))
+            rows.append(row[1])
+        if entry[1] is None:
+            entry[1] = _contract_last(dot, leaves, rows[-1])
+        return FieldElement(self.level, payload(_contract_inner(dot, inner, rows, entry[1])))

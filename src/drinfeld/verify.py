@@ -692,7 +692,8 @@ def verify_compatibility(cfg):
     """psi_b(W_{ab}(t)) = W_a(phi_b applied slotwise), on every torsion
     tuple of phi[ab] when that fits the budget, else on min(budget,
     10,000) sampled tuples; phi_b and psi_b are applied once per point
-    and once per value."""
+    and once per value, and W_a once per image tuple (phi_b maps many
+    tuples to one)."""
     suite = _Suite(cfg)
     phi = cfg.module()
     psi = _det_module(phi)
@@ -711,7 +712,7 @@ def verify_compatibility(cfg):
         phi_b = phi.phi(b)
 
         def compat():
-            phi_images, psi_images = {}, {}  # filled on first use
+            phi_images, psi_images, rhs_values = {}, {}, {}  # filled on first use
             total = len(pts) ** r
             if total <= cfg.budget:
                 tuples = itertools.product(pts, repeat=r)
@@ -722,7 +723,8 @@ def verify_compatibility(cfg):
                 )
             for tup in tuples:
                 lhs = _applied(psi_images, psi_b, ev_ab(tup))
-                rhs = ev_a([_applied(phi_images, phi_b, x) for x in tup])
+                rhs = _applied(rhs_values, ev_a,
+                               tuple(_applied(phi_images, phi_b, x) for x in tup))
                 if lhs != rhs:
                     return _mismatch("compatibility", {
                         "module": module_json,

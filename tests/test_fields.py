@@ -7,11 +7,13 @@ from drinfeld.errors import (
     DivisionByZero,
     InvalidDegree,
     LevelMismatch,
+    MalformedInput,
     NonPrimeCharacteristic,
     NotInSubfield,
     ReducibleModulus,
     WrongLength,
 )
+from drinfeld.core import DrinfeldModule
 from drinfeld.fields import (
     MatrixFq,
     as_vector,
@@ -24,6 +26,7 @@ from drinfeld.fields import (
     make_field,
     solve,
 )
+from drinfeld.polynomials import UniPoly
 
 
 F2 = make_field(2)
@@ -220,6 +223,16 @@ def test_from_vector_wrong_length():
     F8, _ = extend(F2, 3)
     with pytest.raises(WrongLength):
         from_vector([F2.one_element] * 2, F8)
+
+
+def test_wrong_shape_json_entry_is_malformed_input():
+    # a bare int where GF(4) needs a coordinate pair
+    F4 = make_field(2, 2)
+    with pytest.raises(MalformedInput):
+        UniPoly.from_json({"coeffs": [5]}, F4)
+    module = DrinfeldModule(F4, F4.one_element, (F4.one_element,)).to_json()
+    with pytest.raises(MalformedInput):
+        DrinfeldModule.from_json({**module, "theta": 1})
 
 
 def test_kernel_identity_and_zero():

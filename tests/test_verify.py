@@ -103,18 +103,25 @@ def test_budget_guard():
 def test_compatibility_sampling_respects_budget(monkeypatch, budget, tuples):
     # phi[T^2] has 16 points, so 256 tuples; past the budget the suite
     # used to sample 10,000 tuples whatever the budget
-    calls = []
+    calls = {}  # degree of the evaluator's a -> the tuples it was called on
     real_call = pairing.PairingEvaluator.__call__
 
     def counted(self, betas):
-        calls.append(len(betas))
+        calls.setdefault(self.a.degree, []).append(tuple(betas))
         return real_call(self, betas)
 
     monkeypatch.setattr(pairing.PairingEvaluator, "__call__", counted)
     cfg = VerificationConfig(p=2, theta=1, g=(1, 1), ab_pairs=(((0, 1), (0, 1)),),
                              budget=budget)
     assert verify_compatibility(cfg).ok()
-    assert len(calls) == 2 * tuples  # W_ab and W_a once per tuple
+    # W_ab (a*b = T^2) once per tuple; W_a (a = T) once per distinct
+    # phi_b image tuple, with the images recomputed here
+    ab_tuples, a_tuples = calls[2], calls[1]
+    assert len(ab_tuples) == tuples
+    phi_b = cfg.module().phi(UniPoly.from_ranks(cfg.K_ctx(), [0, 1]))
+    images = {tuple(phi_b(x) for x in tup) for tup in ab_tuples}
+    assert len(a_tuples) == len(set(a_tuples)) == len(images)
+    assert set(a_tuples) == images
 
 
 def _break_chain_sum(monkeypatch, alter):
