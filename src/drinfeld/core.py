@@ -324,7 +324,7 @@ class TorsionModule:
     No table of points is kept: `coordinates` solves one linear system.
     """
 
-    __slots__ = ("phi", "a", "level", "m", "fq_basis", "_points", "_abasis", "_coords")
+    __slots__ = ("phi", "a", "level", "m", "fq_basis", "_points", "_abasis", "_coords", "_seed")
 
     def __init__(self, phi, a, level, m, fq_basis):
         self.phi = phi
@@ -333,8 +333,7 @@ class TorsionModule:
         self.m = m
         self.fq_basis = tuple(fq_basis)
         self._points = None
-        self._abasis = None
-        self._coords = None
+        self._abasis = self._coords = self._seed = None
 
     @property
     def rank(self):
@@ -372,8 +371,9 @@ class TorsionModule:
         when the n*r points phi_(T**i)(beta_j), i < n = deg(a), are
         GF(q)-independent.  They are the images of a GF(q)-basis under
         the GF(q)-linear map (A/aA)**r -> phi[a] between spaces of
-        dimension n*r, so independence is exactly bijectivity."""
-        if self._abasis is not None:
+        dimension n*r, so independence is exactly bijectivity.  The
+        last seed's basis is cached, and `coordinates` refers to it."""
+        if self._abasis is not None and self._seed == seed:
             return self._abasis
         base, total = self.phi.base, self.count()
         ops = [self.phi.phi_tpow(i) for i in range(self.a.degree)]
@@ -383,13 +383,14 @@ class TorsionModule:
             columns = [as_vector(op(beta), base) for beta in candidate for op in ops]
             rows = [list(row) for row in zip(*columns)]
             if not kernel(rows):
-                self._abasis, self._coords = candidate, rows
+                self._abasis, self._coords, self._seed = candidate, rows, seed
                 return candidate
         raise SearchBudget(f"no module basis found in {_A_BASIS_ATTEMPTS} attempts")
 
     def coordinates(self, beta):
-        """A/aA-coordinates of beta over the module basis, by one solve
-        against the columns `a_basis` stored: the entry for
+        """A/aA-coordinates of beta over the module basis of the last
+        `a_basis` call (seed 0 if none), by one solve against the
+        columns `a_basis` stored: the entry for
         phi_(T**i)(beta_j) is the T**i coefficient of coordinate j."""
         if self._coords is None:
             self.a_basis()
@@ -422,10 +423,10 @@ class GaloisElement:
     k: int
 
 
-def galois_action_matrix(tm, sigma):
+def galois_action_matrix(tm, sigma, seed=0):
     """Matrix of sigma on the torsion module over A/aA: column j holds
-    the coordinates of sigma(beta_j) over the module basis `tm.a_basis()`."""
-    cols = [tm.coordinates(tm.apply_galois(beta, sigma)) for beta in tm.a_basis()]
+    the coordinates of sigma(beta_j) over the module basis `tm.a_basis(seed)`."""
+    cols = [tm.coordinates(tm.apply_galois(beta, sigma)) for beta in tm.a_basis(seed)]
     return [list(row) for row in zip(*cols)]
 
 
@@ -437,13 +438,12 @@ def galois_det_table(phi, psi, a, cap=64, seed=0):
     deliberately wrong one when the comparison is tested for teeth."""
     tm = torsion(phi, a, cap=cap)
     tpsi = torsion(psi, a, cap=cap)
-    tm.a_basis(seed=seed)
     gen = tpsi.a_basis(seed=seed)[0]
     ring = ResidueRing(a)
     rows = []
     for k in range(math.lcm(tm.m, tpsi.m)):
         sigma = GaloisElement(k)
-        det = ring.det(galois_action_matrix(tm, sigma))
+        det = ring.det(galois_action_matrix(tm, sigma, seed))
         rows.append((k, det, tpsi.coordinates(tpsi.apply_galois(gen, sigma))[0]))
     return rows
 

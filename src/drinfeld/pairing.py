@@ -41,9 +41,11 @@ operator images,
 
 which is a polynomial with q-power exponents: GF(q)-linear in every
 slot, alternating, and valued in the torsion of the rank-1 determinant
-module.  `weil_polynomial` expands it term by term, extending partial
-products one slot at a time so that every (f_a term, permutation)
-product shares its prefix with the others that agree on it.
+module.  `weil_polynomial` builds it by Horner contraction over the trie
+of f_a's exponents, from the last slot up: a node keeps one polynomial
+per set of Moore rows taken by the slots of its prefix, so a node at
+depth d has at most C(r, d) states, where expanding the determinant
+would take r! products per f_a term.
 `PairingEvaluator` evaluates it on many tuples: it groups the terms
 into a trie over their Frobenius exponents, contracts one slot at a
 time, and memoizes the last slot's contraction per point, in a memo of
@@ -481,48 +483,51 @@ def moore_eval(betas):
 def weil_polynomial(phi, a, arity=None):
     """The pairing as an explicit q-power-exponent polynomial over K.
 
-    `arity` defaults to the rank of phi; passing arity r-1 gives the
-    lower formula that Moore cofactor expansion recovers from the top
-    coefficient in the last variable.
+    `arity` (an int in 1..rank) defaults to the rank of phi; arity r-1
+    gives the lower formula that Moore cofactor expansion recovers from
+    the top coefficient in the last variable.
 
-    Each f_a term c*T^e contributes, for every permutation sigma and
-    every choice of a nonzero coefficient of phi_{T^(e_s)} in each slot
-    s, the product of c, the sign of sigma and those coefficients
-    raised to q**sigma(s).  The products are built slot by slot, so one
-    multiplication extends a partial product shared by every choice
-    that agrees on the slots before.
+    Built by Horner contraction over the trie of f_a's exponents, from
+    the last slot up.  A node at depth d holds one polynomial in
+    x_{d+1..r} per set `used` of Moore rows taken by slots 1..d; a
+    parent's entry sums, over children e and rows t not in used,
+    +-(phi_{T^e} twisted by q**t) times the child's entry for used+{t},
+    the sign the parity of used rows above t.  The leaves hold f_a's
+    coefficients under the full set, the root W_a under the empty one.
     """
     if not a.is_monic() or a.degree < 1:
         raise NonMonic(f"{a.render()} must be monic of degree >= 1")
     r = phi.rank if arity is None else arity
-    f_poly = f_rootfree(a, r).poly
+    if type(r) is not int or not 1 <= r <= phi.rank:
+        raise ArityMismatch(f"arity must be an int in 1..{phi.rank}, got {arity!r}")
     K = phi.K
-    zero = K.zero()
-    # twisted[i][s]: the nonzero (k, c**(q**s)) over the coefficients c_k
-    # of phi_{T^i}, as payloads of K
+    mul, add, neg, zero = K.mul, K.add, K.neg, K.zero()
+    # twisted[i][t][odd]: (k + t, +-c_k**(q**t)) over the nonzero
+    # coefficients c_k of phi_{T^i}, as payloads of K
     twisted = []
     for i in range(a.degree):
         coeffs = [(k, c.embed_to(K).val) for k, c in enumerate(phi.phi_tpow(i).coeffs)
                   if not c.is_zero()]
-        twisted.append([[(k, K.frobenius(v, s)) for k, v in coeffs] for s in range(r)])
-    mul, add, neg = K.mul, K.add, K.neg
-    terms = {}
-    for exps, c in f_poly.terms.items():
-        # (key, Moore rows used as a bit mask, odd sign, partial product);
-        # row s counts one inversion per used row above it
-        partial = [((), 0, False, c.embed_to(K).val)]
-        for slot in range(r):
-            coeffs = twisted[exps[slot]]
-            partial = [
-                (key + (k + s,), used | 1 << s,
-                 odd ^ (bin(used >> s).count("1") & 1), mul(val, coeff))
-                for key, used, odd, val in partial
-                for s in range(r) if not used >> s & 1
-                for k, coeff in coeffs[s]
-            ]
-        for key, _, odd, val in partial:
-            terms[key] = add(terms.get(key, zero), neg(val) if odd else val)
-    return QPowerPoly._wrap(K, r, terms)
+        plus = [[(k + t, K.frobenius(v, t)) for k, v in coeffs] for t in range(r)]
+        twisted.append([(row, [(j, neg(v)) for j, v in row]) for row in plus])
+    # node prefix -> {used rows as a bit mask: {exponent key: payload}}
+    nodes = {e: {(1 << r) - 1: {(): c.embed_to(K).val}}
+             for e, c in f_rootfree(a, r).poly.terms.items()}
+    for _ in range(r):
+        parents = {}
+        for prefix, states in nodes.items():
+            rows, parent = twisted[prefix[-1]], parents.setdefault(prefix[:-1], {})
+            # the child's entry for `used` feeds the parent's for used - {t}
+            for used, poly in states.items():
+                for t in range(r):
+                    if used >> t & 1:
+                        acc = parent.setdefault(used ^ 1 << t, {})
+                        for j, c in rows[t][(used >> t + 1).bit_count() & 1]:
+                            for key, v in poly.items():
+                                key = (j,) + key
+                                acc[key] = add(acc.get(key, zero), mul(c, v))
+        nodes = parents
+    return QPowerPoly._wrap(K, r, nodes.get((), {}).get(0, {}))
 
 
 def _torsion_guard(phi, a, betas):

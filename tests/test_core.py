@@ -445,3 +445,20 @@ def test_torsion_points_match_combination_oracle():
     phi = DrinfeldModule(F9, F9.element_of_rank(4), (F9.one_element, F9.element_of_rank(2)))
     tm = torsion(phi, T3)
     assert list(tm.points()) == combination_span(tm.fq_basis, tm.level, F3)
+
+
+def test_a_basis_follows_the_seed_after_another_seed():
+    phi2 = rank2_module()
+    a = UniPoly.from_ranks(F2, [1, 1, 1])
+    tm = torsion(phi2, a)
+    first = tm.a_basis(0)
+    fresh = torsion(phi2, a)
+    assert fresh.a_basis(5) != first
+    assert tm.a_basis(5) == fresh.a_basis(5)
+    assert {p: tm.coordinates(p) for p in tm.points()} == {
+        p: fresh.coordinates(p) for p in fresh.points()
+    }
+    sigma = GaloisElement(1)
+    assert galois_action_matrix(tm, sigma, 5) == galois_action_matrix(fresh, sigma, 5)
+    assert tm.a_basis(0) == first == torsion(phi2, a).a_basis(0)
+    assert galois_action_matrix(tm, sigma) == galois_action_matrix(torsion(phi2, a), sigma)

@@ -1,19 +1,22 @@
-"""The trie evaluator and the shared-prefix `weil_polynomial` against
-the flat constructions they replaced, kept here as oracles: every term
-of the pairing polynomial multiplied out slot by slot, and every
-(f-term, permutation, twisted-coefficient) product multiplied out in
-full.  Random small modules over GF(2), GF(3) and GF(4) with rank 1-4."""
+"""The trie evaluator and the trie-built `weil_polynomial` against the
+flat constructions they replaced, kept here as oracles: every term of
+the pairing polynomial multiplied out slot by slot, and every (f-term,
+permutation, twisted-coefficient) product multiplied out in full.
+Random small modules over GF(2), GF(3), GF(4) (and, for the
+polynomial, GF(5) and GF(4) over GF(2)) with rank 1-4, and one fixed
+module of rank 5."""
 
 import functools
 import itertools
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from drinfeld import pairing
 from drinfeld.core import DrinfeldModule, torsion
-from drinfeld.errors import SearchCapExceeded
-from drinfeld.fields import make_field
+from drinfeld.errors import ArityMismatch, SearchCapExceeded
+from drinfeld.fields import extend, make_field
 from drinfeld.pairing import (
     PairingEvaluator,
     QPowerPoly,
@@ -24,6 +27,8 @@ from drinfeld.pairing import (
 from drinfeld.polynomials import UniPoly
 
 FIELDS = (make_field(2), make_field(3), make_field(2, 2))
+# adds GF(5), and GF(4) over GF(2), where the Frobenius twist is not the identity
+WIDE_FIELDS = FIELDS + (make_field(5), extend(make_field(2), 2)[0])
 CAP = 24
 
 SETTINGS = settings(max_examples=80, derandomize=True, deadline=None)
@@ -71,12 +76,13 @@ def flat_weil_polynomial(phi, a, arity=None):
 
 
 @st.composite
-def modules(draw):
-    """A module of rank 1 to 4 and a monic a of degree 1-2 with
+def modules(draw, fields=FIELDS, max_degree=2):
+    """A module of rank 1 to 4 and a monic a of degree 1 to max_degree
+    (at most 2 at rank 4, where the flat oracle grows too slow) with
     a(theta) != 0."""
-    K = draw(st.sampled_from(FIELDS))
+    K = draw(st.sampled_from(fields))
     r = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 2))
+    n = draw(st.integers(1, max_degree if r <= 3 else 2))
     theta = K.element_of_rank(draw(st.integers(0, K.order - 1)))
     g = [K.element_of_rank(draw(st.integers(0, K.order - 1))) for _ in range(r - 1)]
     g.append(K.element_of_rank(draw(st.integers(1, K.order - 1))))
@@ -138,8 +144,8 @@ def test_trie_matches_flat_oracle_and_weil_evaluate(case):
         assert ev(swapped) == flat_evaluate(ev.poly, swapped)
 
 
-@settings(max_examples=30, derandomize=True, deadline=None)
-@given(modules())
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(modules(WIDE_FIELDS, max_degree=3))
 def test_weil_polynomial_matches_flat_construction(case):
     phi, a = case
     assert weil_polynomial(phi, a) == flat_weil_polynomial(phi, a)
@@ -198,3 +204,26 @@ def test_powers_of_fills_no_last_slot_vector(monkeypatch):
     filled = {x for x, (_, vector) in ev._memo.items() if vector is not None}
     assert filled == set(points[:4])
 
+
+def test_weil_polynomial_rank5_matches_flat_construction_and_weil_evaluate():
+    """GF(2), theta = 1, phi_T = 1 + tau^5, a = T^2+T+1: 2,520 terms."""
+    K = make_field(2)
+    one, zero = K.one_element, K.zero_element
+    phi = DrinfeldModule(K, one, (zero,) * 4 + (one,))
+    a = UniPoly.from_ranks(K, [1, 1, 1])
+    poly = weil_polynomial(phi, a)
+    assert len(poly.terms) == 2520 and poly == flat_weil_polynomial(phi, a)
+    assert weil_polynomial(phi, a, arity=4) == flat_weil_polynomial(phi, a, arity=4)
+    tm = torsion(phi, a)
+    points = tm.fq_basis + (tm.fq_basis[0] + tm.fq_basis[-1],)
+    for start in range(3):
+        betas = points[start : start + 5]
+        assert poly(betas) == weil_evaluate(phi, a, betas)
+
+
+@pytest.mark.parametrize("arity", [True, False, 2.0, "2", 0, -1, 3])
+def test_weil_polynomial_arity_is_an_int_up_to_the_rank(arity):
+    K = make_field(2)
+    phi = DrinfeldModule(K, K.one_element, (K.one_element, K.one_element))
+    with pytest.raises(ArityMismatch):
+        weil_polynomial(phi, UniPoly.from_ranks(K, [1, 1]), arity=arity)
