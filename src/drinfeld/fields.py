@@ -45,23 +45,25 @@ with every slot below 256, until the high half is zero.  Each fold
 lowers the top degree, so this ends for every monic modulus; one whose
 tail has degree at most (d+1)/2, as the modulus search's picks usually
 do, needs at most two folds.  The same bound lets odd-p add and sub on
-such a tuple level be one int add and one translate, and the x**(Q**i)
-powering of the irreducibility test over GF(p) run on packed ints,
-and a sum of products (``FieldCtx.dot_ops``) reduce once per sum.
+such a tuple level be one int add and one translate, the Frobenius map
+h -> h**p mod f over GF(p) run on packed ints, and a sum of products
+(``FieldCtx.dot_ops``) reduce once per sum.
 Above the bound (large p times d, say GF(1009^2)) the schoolbook
 multiply stays.  Payloads are ints or tuples, so equality and hashing
 are structural and every value is immutable.  The public wrapper is
 :class:`FieldElement`; ``elem``, ``element_of_rank`` and the
 nested-array JSON form are the ways in from outside.
 
-Two algorithms live here once, on payloads, for the whole package.  The
-``_p*`` helpers on little-endian payload lists (``_pcombine``, ``_pmul``,
-``_pdivmod``, ``_pgcd``, ``_pxgcd``, ``_ppow_mod``) are its univariate
-polynomial arithmetic; ``polynomials.UniPoly`` wraps them.  The
-Gauss-Jordan ``_row_reduce`` is its only elimination; ``kernel``,
-``solve`` and ``determinant`` are edges over it.  ``common_level`` is
-the one rule for mixed levels: lift to the higher of two comparable
-levels, else LevelMismatch.
+These algorithms live here once, on payloads, for the whole package.
+``_power`` is the one square-and-multiply.  The ``_p*`` helpers on
+little-endian payload lists (``_pcombine``, ``_pmul``, ``_pdivmod``,
+``_pgcd``, ``_pxgcd``, ``_ppow_mod``) are its univariate polynomial
+arithmetic; ``polynomials.UniPoly`` wraps them.  ``_frobenius_map`` is
+the one h -> h**Q mod f, and the lazy ``_pdistinct_degree`` the one
+distinct-degree loop over it.  The Gauss-Jordan ``_row_reduce`` is its
+only elimination; ``kernel``, ``solve`` and ``determinant`` are edges
+over it.  ``common_level`` is the one rule for mixed levels: lift to
+the higher of two comparable levels, else LevelMismatch.
 """
 
 from __future__ import annotations
@@ -182,15 +184,24 @@ def _pxgcd(ctx, f, g):
     return r0, u0, v0
 
 
+def _power(mul, x, e, one):
+    """x**e under the product `mul`, for an int e >= 0, by left-to-right
+    square-and-multiply: floor(log2 e) squares and popcount(e) - 1
+    products by x, so nothing is multiplied by `one` (the value at e = 0)
+    and nothing is squared past the top bit."""
+    acc = x if e else one
+    for bit in bin(e)[3:]:
+        acc = mul(acc, acc)
+        if bit == "1":
+            acc = mul(acc, x)
+    return acc
+
+
 def _ppow_mod(ctx, f, exponent, mod):
-    result = [ctx.one()]
-    acc = _pmod(ctx, f, mod)
-    while exponent > 0:
-        if exponent & 1:
-            result = _pmod(ctx, _pmul(ctx, result, acc), mod)
-        acc = _pmod(ctx, _pmul(ctx, acc, acc), mod)
-        exponent >>= 1
-    return result
+    def mulmod(a, b):
+        return _pmod(ctx, _pmul(ctx, a, b), mod)
+
+    return _power(mulmod, _pmod(ctx, f, mod), exponent, [ctx.one()])
 
 
 # ---------------------------------------------------------------------------
@@ -288,44 +299,56 @@ def _kron_dot_ops(p, kron, terms):
     return spread, dot, payload
 
 
-def _kron_powmod(h, e, kron):
-    """Coefficient bytes of h**e mod f, for a coefficient list h of
-    degree < d."""
-    acc = int.from_bytes(bytes(h), "little")
-    r = 1
-    while e:
-        if e & 1:
-            r = int.from_bytes(_kron_mulmod(r, acc, kron), "little")
-        e >>= 1
-        if e:
-            acc = int.from_bytes(_kron_mulmod(acc, acc, kron), "little")
-    return r.to_bytes(kron[0], "little")
+def _frobenius_map(ctx, f):
+    """h -> h**|ctx| mod the monic f on payload lists: by Kronecker
+    products when ctx is GF(p) and f has Kronecker data, else by
+    ``_ppow_mod``.  Build it once per modulus."""
+    order = ctx.order
+    kron = _kron_modulus(ctx.p, f) if ctx.parent is None else None
+    if kron is None:
+        return lambda h: _ppow_mod(ctx, h, order, f)
+    pack = int.from_bytes
+
+    def mulmod(a, b):
+        return pack(_kron_mulmod(a, b, kron), "little")
+
+    def frob(h):
+        # one byte slot per coefficient: h must have degree below f's
+        h = pack(bytes(_pmod(ctx, h, f) if len(h) >= len(f) else h), "little")
+        return _pstrip(ctx, _power(mulmod, h, order, 1).to_bytes(kron[0], "little"))
+
+    return frob
+
+
+def _pdistinct_degree(ctx, f):
+    """Distinct-degree loop on a monic f over GF(Q), Q = |ctx|, lazily:
+    yields (i, gcd(x**(Q**i) - x, f)) whenever that gcd is not 1 and
+    divides it out; once 2i > deg f, what is left is yielded whole.  For
+    a squarefree f the i-th yield is the product of its factors of
+    degree i; for any f the first yield has degree deg f iff f is
+    irreducible."""
+    x = [ctx.zero(), ctx.one()]
+    h, i, frob = x, 0, _frobenius_map(ctx, f)
+    while 2 * (i + 1) < len(f):
+        i += 1
+        h = frob(h)
+        g = _pgcd(ctx, _pcombine(ctx, ctx.sub, h, x), f)
+        if len(g) > 1:
+            yield i, g
+            f = _pdivmod(ctx, f, g)[0]
+            frob = _frobenius_map(ctx, f)
+    if len(f) > 1:
+        yield len(f) - 1, f
 
 
 def _is_irreducible(ctx, f):
     """Criterion: monic f of degree d is irreducible over GF(Q) iff
-    gcd(x**(Q**i) - x, f) = 1 for every i up to d // 2."""
-    f = _pstrip(ctx, f)
+    gcd(x**(Q**i) - x, f) = 1 for every i up to d // 2, that is iff the
+    distinct-degree loop's first yield has degree d."""
     d = len(f) - 1
-    if d < 1:
+    if d > 1 and f[0] == ctx.zero():  # divisible by x
         return False
-    if d == 1:
-        return True
-    zero, one = ctx.zero(), ctx.one()
-    x = [zero, one]
-    if f[0] == zero:  # divisible by x
-        return False
-    order = ctx.order
-    kron = _kron_modulus(ctx.p, f) if ctx.parent is None and f[-1] == 1 else None
-    h = x
-    for _ in range(d // 2):
-        if kron is None:
-            h = _ppow_mod(ctx, h, order, f)
-        else:
-            h = list(_kron_powmod(h, order, kron))
-        if len(_pgcd(ctx, _pcombine(ctx, ctx.sub, h, x), f)) > 1:
-            return False
-    return True
+    return d > 0 and next(_pdistinct_degree(ctx, f))[0] == d
 
 
 def _no_irreducible_binomial(order, degree):
@@ -339,10 +362,14 @@ def _no_irreducible_binomial(order, degree):
 
 
 def _find_irreducible(ctx, degree):
-    """Deterministic search: smallest coefficient sequence wins, where
-    lower coefficients are ranked first (counting order in base |ctx|).
-    The block of binomials x**degree + c0 comes first and is skipped
-    whole when none of them can be irreducible."""
+    """Deterministic search, run once per level and degree: smallest
+    coefficient sequence wins, where lower coefficients are ranked first
+    (counting order in base |ctx|).  The block of binomials
+    x**degree + c0 comes first and is skipped whole when none of them
+    can be irreducible."""
+    found = ctx._ext_cache.get(("found", degree))
+    if found is not None:
+        return found
     order = ctx.order
     one = ctx.one()
     start = order if _no_irreducible_binomial(order, degree) else 0
@@ -354,7 +381,8 @@ def _find_irreducible(ctx, degree):
             k //= order
         candidate = coeffs + [one]
         if _is_irreducible(ctx, candidate):
-            return tuple(candidate)
+            found = ctx._ext_cache[("found", degree)] = tuple(candidate)
+            return found
     raise ReducibleModulus(f"no irreducible of degree {degree}")  # pragma: no cover
 
 
@@ -681,13 +709,7 @@ class FieldCtx:
         return self._coordwise(self.parent.neg, a)
 
     def _pow_raw(self, a, e):
-        result, acc = 1, a
-        while e > 0:
-            if e & 1:
-                result = self._mul_raw(result, acc)
-            acc = self._mul_raw(acc, acc)
-            e >>= 1
-        return result
+        return _power(self._mul_raw, a, e, 1)
 
     def _build_tables(self):
         """Log/exp tables (and Zech logarithms for odd p) of a packed
@@ -796,19 +818,14 @@ class FieldCtx:
             return self.power(self.inv(a), -e)
         if self.parent is None:
             return pow(a, e, self.p)
-        result = self._one
-        acc = a
-        while e > 0:
-            if e & 1:
-                result = self.mul(result, acc)
-            acc = self.mul(acc, acc)
-            e >>= 1
-        return result
+        return _power(self.mul, a, e, self._one)
 
     def frobenius(self, a, k=1):
-        """Payload of a**(q**k) for q the tower's base cardinality."""
-        if k == 0 or self.order <= self.q:
-            return a  # fixed by x -> x**q at or below the base level
+        """Payload of a**(q**k) for q the tower's base cardinality; k is
+        taken modulo m, the level's degree over GF(q), so it may be negative."""
+        k %= self.dim_over_prime // self.base.dim_over_prime
+        if not k:
+            return a  # a**(q**m) = a; m = 1 at or below the base level
         log = self._log
         if log is not None:
             if not a:
@@ -1037,10 +1054,7 @@ def extend(ctx, m, modulus=None):
         if not _is_irreducible(ctx, list(mod)):
             raise ReducibleModulus(f"modulus factors over {ctx!r}")
     else:
-        mod = ctx._ext_cache.get(("found", m))
-        if mod is None:
-            mod = _find_irreducible(ctx, m)
-            ctx._ext_cache[("found", m)] = mod
+        mod = _find_irreducible(ctx, m)
     new = ctx._ext_cache.get((m, mod))
     if new is None:
         new = FieldCtx(ctx.p, parent=ctx, degree=m, modulus=mod)

@@ -25,17 +25,21 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 
 from .errors import ArityMismatch, MalformedInput
 from .fields import (
     FieldElement,
+    _frobenius_map,
     _pcombine,
+    _pdistinct_degree,
     _pdivmod,
     _pgcd,
     _pmod,
     _pmonic,
     _pmul,
+    _power,
     _ppow_mod,
     _pstrip,
     _pxgcd,
@@ -204,14 +208,9 @@ class UniPoly(DensePoly):
         return divmod(self, other)[1]
 
     def __pow__(self, e):
-        result = UniPoly.one(self.ctx)
-        acc = self
-        while e > 0:
-            if e & 1:
-                result = result * acc
-            acc = acc * acc
-            e >>= 1
-        return result
+        if e < 0:
+            raise ValueError(f"negative exponent {e} of a polynomial")
+        return _power(operator.mul, self, e, UniPoly.one(self.ctx))
 
     def __call__(self, x):
         """Evaluate by Horner at whichever level is the higher of the
@@ -294,7 +293,9 @@ def roots_in_field(f, level):
     """All roots of f in `level`, with multiplicity, in rank order.
 
     No element is tried.  With Q = |level|, g = gcd(f, x**Q - x) is the
-    product of the distinct linear factors of f over the level.
+    product of the distinct linear factors of f over the level; x**Q mod
+    f is one step of ``fields._frobenius_map``, by Kronecker products
+    when the level is GF(p) and f fits its byte slots.
     Equal-degree splitting (von zur Gathen and Gerhard, *Modern
     Computer Algebra*, ch. 14) takes g apart: for odd p,
     gcd((x + delta)**((Q-1)/2) - 1, h) keeps the roots alpha with
@@ -319,7 +320,7 @@ def roots_in_field(f, level):
     if len(g) < 2:
         return []
     x = [level.zero(), level.one()]
-    frob_x = _ppow_mod(level, x, level.order, g)
+    frob_x = _frobenius_map(level, g)(x)
     pending = [_pgcd(level, g, _pcombine(level, level.sub, frob_x, x))]
     rng = random.Random(_SPLIT_SEED)
     distinct = []
@@ -373,37 +374,14 @@ def _pth_root_poly(f):
     return UniPoly._wrap(ctx, [ctx.power(c, root_exp) for c in f._payloads(ctx)[:: ctx.p]])
 
 
-def _distinct_degree_degrees(f):
-    """Degrees (with repetition allowed) of the irreducible factors of a
-    squarefree f, by gcds with x**(Q**i) - x."""
-    ctx = f.ctx
-    order = ctx.order
-    degrees = []
-    x_poly = UniPoly.gen(ctx)
-    h = x_poly % f
-    i = 0
-    while f.degree > 0:
-        i += 1
-        if i > f.degree:  # pragma: no cover - loop always terminates earlier
-            break
-        if 2 * i > f.degree:
-            degrees.append(f.degree)
-            break
-        h = pow_mod(h, order, f)
-        g = poly_gcd(h - x_poly, f)
-        if g.degree > 0:
-            degrees.extend([i] * (g.degree // i))
-            f = f // g
-            h = h % f
-    return degrees
-
-
 def splitting_level(f):
     """Smallest tower level containing every root of f.
 
     Returns GF(Q**d) over f's level, where d is the lcm of the degrees
-    of f's irreducible factors (found by distinct-degree gcds, never a
-    full factorization).
+    of f's irreducible factors (found by distinct-degree gcds,
+    ``fields._pdistinct_degree``, never a full factorization; its
+    x**(Q**i) steps run on Kronecker products when f's level is GF(p)
+    and f fits their byte slots).
     """
     if f.degree < 1:
         raise ValueError("splitting level of a constant polynomial")
@@ -416,7 +394,7 @@ def splitting_level(f):
             g = _pth_root_poly(g)
             continue
         w = g // poly_gcd(g, d)  # product of the factors with exponent prime to p
-        degrees.extend(_distinct_degree_degrees(w))
+        degrees.extend(i for i, _ in _pdistinct_degree(ctx, w._payloads(ctx)))
         rest = g
         while True:
             c = poly_gcd(rest, w)

@@ -13,6 +13,7 @@ from drinfeld.errors import (
     ReducibleModulus,
     WrongLength,
 )
+from drinfeld import fields
 from drinfeld.core import DrinfeldModule
 from drinfeld.fields import (
     MatrixFq,
@@ -162,6 +163,18 @@ def test_extend_is_cached():
     a, _ = extend(F2, 3)
     b, _ = extend(F2, 3)
     assert a is b
+
+
+def test_make_field_searches_for_its_modulus_once(monkeypatch):
+    first = make_field(7, 3)
+
+    def no_search(ctx, f):
+        raise AssertionError(f"tested candidate {f} over {ctx!r} again")
+
+    monkeypatch.setattr(fields, "_is_irreducible", no_search)
+    assert make_field(7, 3) is first
+    # extend shares the search over the prime field
+    assert extend(make_field(7), 3)[0].modulus == first.modulus
 
 
 def test_embedding_is_ring_homomorphism():

@@ -11,7 +11,7 @@ from sympy import ZZ
 from sympy.polys.galoistools import gf_irreducible_p
 
 from drinfeld.errors import MalformedInput, NotInSubfield
-from drinfeld.fields import PACKED_MAX_ORDER, _is_irreducible, extend, make_field
+from drinfeld.fields import PACKED_MAX_ORDER, FieldCtx, _is_irreducible, extend, make_field
 
 F2, F3, F5 = make_field(2), make_field(3), make_field(5)
 F4 = extend(F2, 2)[0]
@@ -130,6 +130,28 @@ def test_embed_then_project_is_identity(case, data):
 def test_frobenius_is_q_power(case, k):
     ctx, (x,) = case
     assert x.frobenius(k) == x ** (ctx.q**k)
+
+
+def _frobenius_wraps(ctx, m):
+    """Checks that k counts modulo m = the degree over GF(q); returns
+    the elements' x.frobenius(-1)."""
+    xs = [ctx.element_of_rank(r) for r in range(2, 12)]
+    back = [x.frobenius(-1) for x in xs]
+    for x, y in zip(xs, back):
+        assert y == x.frobenius(m - 1) and y.frobenius() == x, (ctx, x)
+        assert x.frobenius(m) == x and x.frobenius(-m - 1) == y, (ctx, x)
+    return back
+
+
+def test_frobenius_takes_k_modulo_the_degree_over_gf_q():
+    # a fresh packed GF(2^10) over GF(2), before and after its tables exist
+    ctx = FieldCtx(2, parent=F2, degree=10, modulus=extend(F2, 10)[0]._mod)
+    before = _frobenius_wraps(ctx, 10)
+    assert ctx._log is None
+    ctx._build_tables()
+    assert _frobenius_wraps(ctx, 10) == before
+    for name, m in (("GF(2^17)", 17), ("GF(9)^4", 4), ("GF(9)^6", 6)):
+        _frobenius_wraps(LEVELS[name], m)
 
 
 def test_is_irreducible_matches_sympy():

@@ -2,18 +2,45 @@
 against sympy's galoistools over prime fields and against a
 wrapped-element schoolbook over GF(4), GF(9) and tuple levels; the one
 row reduction behind determinant, kernel and solve against sympy, the
-permutation expansion and brute force."""
+permutation expansion and brute force; the one square-and-multiply by
+its product count, the Frobenius map and the distinct-degree loop
+against galoistools, and the irreducibility test over GF(4) and GF(9)
+against trial division."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ, Matrix
-from sympy.polys.galoistools import gf_add, gf_div, gf_gcdex, gf_mul, gf_pow_mod, gf_sub
+from sympy.polys.galoistools import (
+    gf_add,
+    gf_ddf_zassenhaus,
+    gf_div,
+    gf_gcdex,
+    gf_mul,
+    gf_pow_mod,
+    gf_sqf_part,
+    gf_sub,
+)
 
 from drinfeld.errors import DivisionByZero, LevelMismatch
-from drinfeld.fields import determinant, extend, kernel, make_field, solve
+from drinfeld.fields import (
+    _frobenius_map,
+    _is_irreducible,
+    _kron_modulus,
+    _pdistinct_degree,
+    _pdivmod,
+    _power,
+    _ppow_mod,
+    _pstrip,
+    determinant,
+    extend,
+    kernel,
+    make_field,
+    solve,
+)
 from drinfeld.polynomials import UniPoly, poly_gcd, poly_xgcd, pow_mod
 
 PRIMES = {p: make_field(p) for p in (2, 3, 5, 7)}
@@ -288,3 +315,96 @@ def test_mixed_levels_raise():
         determinant(mixed)
     with pytest.raises(LevelMismatch):
         solve([[one9, one9]], [one3])
+
+
+# -- one power, one Frobenius map, one distinct-degree loop --------------------
+
+
+def _counting(mul):
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    return counted, calls
+
+
+def test_power_makes_log2_plus_popcount_minus_one_products():
+    mul, calls = _counting(lambda a, b: a * b % 1_000_003)
+    for e in range(300):
+        calls.clear()
+        assert _power(mul, 7, e, 1) == pow(7, e, 1_000_003), e
+        assert len(calls) == (e.bit_length() - 1 + e.bit_count() - 1 if e else 0), e
+
+
+@pytest.mark.parametrize("p, m, products", [(2, 31, 1), (3, 40, 2)])
+def test_frobenius_step_on_a_tuple_level_is_one_or_two_products(monkeypatch, p, m, products):
+    # the GF(2^31) and GF(3^40) levels of the pairing-sweep benchmark
+    ctx = extend(make_field(p), m)[0]
+    x = ctx.payload_of_rank(p)  # the residue generator
+    expected = x
+    for _ in range(p - 1):
+        expected = ctx._mul_schoolbook(expected, x)
+    counted, calls = _counting(ctx.mul)
+    monkeypatch.setattr(ctx, "mul", counted)
+    assert ctx.q == p and ctx.power(x, ctx.q) == expected
+    assert len(calls) == products
+
+
+def test_unipoly_negative_power_raises():
+    x = UniPoly.gen(PRIMES[2])
+    with pytest.raises(ValueError):
+        x**-1
+    assert x**0 == UniPoly.one(PRIMES[2]) and x**3 == x * x * x
+
+
+def _gf_rem_pow(h, p, f):
+    """h**p mod f by sympy, little-endian."""
+    return gf_pow_mod(h[::-1], p, f[::-1], p, ZZ)[::-1]
+
+
+@SETTINGS
+@given(st.sampled_from((2, 3, 5, 7)), st.data())
+def test_kronecker_frobenius_map_matches_generic_powering(p, data):
+    # h of any degree, moduli from degree 1 up: h is reduced before it is packed
+    F = PRIMES[p]
+    f = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=6)) + [1]
+    h = _pstrip(F, data.draw(st.lists(st.integers(0, p - 1), max_size=12)))
+    assert _kron_modulus(p, f) is not None
+    assert _frobenius_map(F, f)(h) == _ppow_mod(F, h, p, f) == _gf_rem_pow(h, p, f)
+
+
+@SETTINGS
+@given(st.sampled_from((2, 3, 5, 17)), st.data())
+def test_distinct_degree_loop_matches_galoistools(p, data):
+    # sympy's distinct-degree factorization of a monic squarefree f
+    F = PRIMES.get(p) or make_field(p)
+    f = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=8)) + [1]
+    f = gf_sqf_part(f[::-1], p, ZZ)[::-1]
+    assume(len(f) > 1)
+    expected = [(i, g[::-1]) for g, i in gf_ddf_zassenhaus(f[::-1], p, ZZ)]
+    assert list(_pdistinct_degree(F, f)) == expected
+
+
+def _divisible_by_a_low_monic(ctx, f):
+    """True when some monic polynomial of degree 1 .. deg f // 2 divides
+    f: trial division, which never uses the Frobenius map."""
+    one = ctx.one()
+    for k in range(1, (len(f) - 1) // 2 + 1):
+        for low in itertools.product(list(ctx.iter_payloads()), repeat=k):
+            if not _pdivmod(ctx, f, list(low) + [one])[1]:
+                return True
+    return False
+
+
+@pytest.mark.parametrize("name", ["GF(4)", "GF(9)"])
+def test_is_irreducible_over_extension_fields_matches_trial_division(name):
+    # the non-Kronecker branch: coefficients in a level above GF(p)
+    ctx = WIDE[name]
+    elems, one = list(ctx.iter_payloads()), ctx.one()
+    cases = [list(low) + [one] for d in (2, 3) for low in itertools.product(elems, repeat=d)]
+    rng = random.Random(2010)
+    cases += [[rng.choice(elems) for _ in range(4)] + [one] for _ in range(40)]
+    for f in cases:
+        assert _is_irreducible(ctx, f) == (not _divisible_by_a_low_monic(ctx, f)), (name, f)
