@@ -2,10 +2,10 @@
 evaluation, torsion inspection, and verification runs.
 
 `drinfeld fa --route` picks the f_a construction: `rootfree` (the
-default, the root-free normal-form product used everywhere else in the
-package), `chain` (chain sum over the roots), `recursive` (peel-one-root
-recursion) or `both` (chain and recursive side by side, exit 1 when
-they differ).  `fa --json` reports the route taken in
+default, the root-free expansion of f_a's site matrices used everywhere
+else in the package), `chain` (chain sum over the roots), `recursive`
+(peel-one-root recursion) or `both` (chain and recursive side by side,
+exit 1 when they differ).  `fa --json` reports the route taken in
 `provenance.route` as "rootfree", "chain" or "recursive"; `both` emits
 one object per oracle under "chain" and "recursive" plus "match".
 
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import re
 import sys
@@ -279,7 +280,9 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process, lazily on first call."""
     parser = argparse.ArgumentParser(
         prog="drinfeld",
         description="Exact Drinfeld-module pairing computations over finite fields",
@@ -296,7 +299,7 @@ def build_parser():
     p_fa.add_argument("--r", type=int, required=True, help="number of variables")
     p_fa.add_argument("--route", choices=("rootfree", "chain", "recursive", "both"),
                       default="rootfree",
-                      help="rootfree (default): normal-form product, no root scan; "
+                      help="rootfree (default): site-matrix expansion, no root scan; "
                       "chain / recursive: the root-based oracles; both: compare "
                       "the two oracles.  --json reports the route in "
                       "provenance.route")
@@ -341,8 +344,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _BUDGET_ERRORS as exc:

@@ -13,14 +13,22 @@ coefficients always land back in GF(q).
 The production construction (`f_rootfree`) never finds a root.  With
 Delta_a(x, y) = (a(x) - a(y)) / (x - y) and I = (a(T_1), ..., a(T_r)),
 
-    f_a = NF_I( prod_{j=1}^{r-1} Delta_a(T_j, T_{j+1}) ),
+    f_a = NF_I( prod_{j=1}^{r-1} Delta_a(T_j, T_{j+1}) ).
 
-reducing modulo I after each factor.  It holds because, for squarefree
-a, the quotient ring is the ring of functions on roots^r: the exchange
-congruence makes f_a vanish off the diagonal, and on the diagonal both
-sides equal a'(alpha)^(r-1).  Both sides are polynomials in a's
-coefficients, so the identity extends to every monic a, inseparable
-ones included.
+It holds because, for squarefree a, the quotient ring is the ring of
+functions on roots^r: the exchange congruence makes f_a vanish off the
+diagonal, and on the diagonal both sides equal a'(alpha)^(r-1).  Both
+sides are polynomials in a's coefficients, so the identity extends to
+every monic a, inseparable ones included.
+
+`f_rootfree` expands it from site matrices over GF(q), indices below
+n = deg a: D[k][l] = a_{k+l+1} (Delta_a = sum D[k][l] x^k y^l), R[e] =
+T^e mod a (e <= 2n-2) and A[l'][m][l] = sum_k R[l'+k][m] D[k][l].  The
+a(T_j) lie in distinct variables, so NF_I reduces each variable on its
+own; slot j's exponent l' + k is final once its left bond l' and its
+right pair (k, l) are chosen, so A reduces it there and the expansion
+is NF_I of the product.  Slot 1 opens with bond 0 (A[0] = D); the last
+slot's exponent is the bond l' < n it closes.
 
 The chain sum above (`f_chain_sum`, `f_root_order_variant`) and a
 peel-one-root recursion (`f_recursive`) are kept as its independent
@@ -72,11 +80,9 @@ from .errors import (
 )
 from .fields import FieldElement, _pmul, common_level, determinant
 from .polynomials import (
-    IdealI,
     MultiPoly,
     SparsePoly,
     UniPoly,
-    normal_form,
     roots_in_field,
     splitting_level,
 )
@@ -228,31 +234,33 @@ def _check_inputs(a, r):
         raise ArityMismatch("need r >= 1")
 
 
-def _difference_quotient(a, nvars, j):
-    """Delta_a(T_{j+1}, T_{j+2}) = sum_i a_i sum_{k<i} T_{j+1}^k T_{j+2}^(i-1-k)."""
-    terms = {}
-    for i, c in enumerate(a._payloads(a.ctx)[1:], 1):
-        for k in range(i):
-            exps = [0] * nvars
-            exps[j] = k
-            exps[j + 1] = i - 1 - k
-            terms[tuple(exps)] = c
-    return MultiPoly._wrap(a.ctx, nvars, terms)
-
-
 def f_rootfree(a, r):
-    """f_a as the normal form of the product of the r-1 difference
-    quotients of neighbouring variables; no roots are computed.
-
-    This is the construction every production path uses.  Each call
-    rebuilds the product, which is cheap, so nothing is memoized.
-    """
+    """f_a expanded from its site matrices (module docstring) over
+    (exponent prefix, open bond) states, dropping zero states; no roots.
+    Every production path uses it; it is cheap, so nothing is memoized."""
     _check_inputs(a, r)
-    ideal = IdealI(a, r)
-    poly = MultiPoly.one(a.ctx, r)
-    for j in range(r - 1):
-        poly = normal_form(poly * _difference_quotient(a, r, j), ideal)
-    return FaPoly(poly, a, r, "rootfree", ())
+    ctx, n = a.ctx, a.degree
+    zero, add, mul = ctx.zero(), ctx.add, ctx.mul
+    coeffs = a._payloads(ctx)
+    D = [[coeffs[k + l + 1] if k + l < n else zero for l in range(n)] for k in range(n)]
+    t, R = UniPoly.gen(ctx), [UniPoly.one(ctx)]
+    for _ in range(2 * n - 2):
+        R.append(t * R[-1] % a)
+    A = [[] for _ in range(n)]  # A[l']: the (m, l, A[l'][m][l]) with a nonzero entry
+    for lb, m, l in itertools.product(range(n), repeat=3):
+        entry = functools.reduce(add, [mul(R[lb + k][m].val, D[k][l]) for k in range(n)])
+        if entry != zero:
+            A[lb].append((m, l, entry))
+    states = {((), 0): ctx.one()}
+    for _ in range(r - 1):
+        nxt = {}
+        for (prefix, lb), c in states.items():
+            for m, l, entry in A[lb]:
+                key = (prefix + (m,), l)
+                nxt[key] = add(nxt.get(key, zero), mul(c, entry))
+        states = {key: c for key, c in nxt.items() if c != zero}
+    terms = {prefix + (lb,): c for (prefix, lb), c in states.items()}
+    return FaPoly(MultiPoly._wrap(ctx, r, terms), a, r, "rootfree", ())
 
 
 # (construction, field, a, r) -> FaPoly, for the root-based oracles only

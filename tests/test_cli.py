@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from drinfeld.cli import main
+from drinfeld.cli import build_parser, main
 
 MODULE_I = json.dumps({"K": {"p": 2, "e": 1, "tower": []}, "theta": 1, "g": [1, 1]})
 
@@ -45,6 +45,19 @@ def test_fa_json_roundtrip(capsys):
     )
     assert code == 0
     assert json.loads(out)["provenance"]["route"] == "chain"
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert build_parser() is build_parser()
+    fa = ("fa", "--q", "3", "--a", "1,2,1", "--r", "3", "--json")
+    code, out, _ = run_cli(capsys, *fa, "--route", "chain")
+    assert code == 0 and json.loads(out)["provenance"]["route"] == "chain"
+    code, first, _ = run_cli(capsys, *fa)
+    assert code == 0 and json.loads(first)["provenance"]["route"] == "rootfree"
+    with pytest.raises(SystemExit) as exc:
+        main(["fa", "--q", "3", "--r", "3", "--route", "nope"])
+    assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
+    assert run_cli(capsys, *fa) == (0, first, "")
 
 
 def test_fa_out_of_range_rank_exit2(capsys):

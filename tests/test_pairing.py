@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drinfeld.core import DrinfeldModule, torsion
@@ -26,7 +26,7 @@ from drinfeld.pairing import (
     weil_nonmonic,
     weil_polynomial,
 )
-from drinfeld.polynomials import MultiPoly, UniPoly, all_monic
+from drinfeld.polynomials import IdealI, MultiPoly, UniPoly, all_monic, normal_form
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -144,22 +144,23 @@ FIELDS = {2: F2, 3: F3, 4: make_field(2, 2), 5: make_field(5), 7: make_field(7),
 
 
 @st.composite
-def monic_operators(draw):
-    """Monic a of degree <= 3 over GF(q): random coefficients, T**n, or a
-    product of linear factors with a repeated root."""
-    q = draw(st.sampled_from(sorted(FIELDS)))
+def monic_operators(draw, qs=tuple(sorted(FIELDS)), max_degree=3):
+    """Monic a of degree <= max_degree over GF(q), q in qs: random
+    coefficients, T**n, or a product of linear factors with a repeated
+    root (inseparable a included)."""
+    q = draw(st.sampled_from(qs))
     base = FIELDS[q]
     rank = st.integers(0, q - 1)
     kind = draw(st.sampled_from(("random", "power", "repeated")))
     if kind == "random":
-        n = draw(st.integers(1, 3))
+        n = draw(st.integers(1, max_degree))
         return UniPoly.from_ranks(base, [draw(rank) for _ in range(n)] + [1])
     if kind == "power":
-        return UniPoly.gen(base) ** draw(st.integers(1, 3))
+        return UniPoly.gen(base) ** draw(st.integers(1, max_degree))
     t = UniPoly.gen(base)
     root = UniPoly.constant(base.element_of_rank(draw(rank)))
-    a = (t - root) ** draw(st.integers(2, 3))
-    if a.degree < 3 and draw(st.booleans()):
+    a = (t - root) ** draw(st.integers(2, max_degree))
+    if a.degree < max_degree and draw(st.booleans()):
         a = a * (t - UniPoly.constant(base.element_of_rank(draw(rank))))
     return a
 
@@ -170,6 +171,39 @@ def test_f_rootfree_matches_both_oracles(a, r):
     rootfree = f_rootfree(a, r)
     assert rootfree.route == "rootfree" and rootfree.roots == ()
     assert rootfree.poly == f_chain_sum(a, r).poly == f_recursive(a, r).poly
+
+
+def normal_form_product(a, r):
+    """Oracle of the site expansion: NF_I of the product of the r-1
+    difference quotients Delta_a(T_j, T_{j+1}), built from MultiPoly and
+    normal_form and reduced modulo I after each factor."""
+    ideal = IdealI(a, r)
+    poly = MultiPoly.one(a.ctx, r)
+    for j in range(r - 1):
+        quotient = {}
+        for i in range(1, a.degree + 1):
+            for k in range(i):
+                exps = [0] * r
+                exps[j], exps[j + 1] = k, i - 1 - k
+                quotient[tuple(exps)] = a[i]
+        poly = normal_form(poly * MultiPoly(a.ctx, r, quotient), ideal)
+    return poly
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(a=monic_operators(qs=(2, 3, 4, 5), max_degree=4), r=st.integers(1, 6))
+@example(a=T2 * T2, r=6)
+@example(a=(T3 - UniPoly.one(F3)) ** 3, r=5)
+def test_f_rootfree_site_expansion_matches_oracles(a, r):
+    """The site expansion equals the chain sum and the normal-form
+    product, inseparable a (T^2 over GF(2), (T-1)^3 over GF(3)) included."""
+    poly = f_rootfree(a, r).poly
+    assert poly == normal_form_product(a, r) == f_chain_sum(a, r).poly
+
+
+def test_f_rootfree_term_count_pinned():
+    a = UniPoly.from_ranks(F2, [1, 1, 1])
+    assert len(f_rootfree(a, 12).poly.terms) == 2730
 
 
 def test_f_recursion_peel_example():
