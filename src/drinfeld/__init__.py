@@ -29,7 +29,6 @@ from .errors import (
 from .fields import (
     FieldCtx,
     FieldElement,
-    MatrixFq,
     as_vector,
     determinant,
     dim_between,
@@ -41,7 +40,6 @@ from .fields import (
     solve,
 )
 from .polynomials import (
-    IdealI,
     MultiPoly,
     UniPoly,
     all_monic,

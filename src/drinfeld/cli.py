@@ -154,7 +154,13 @@ def _config_entry(obj, default_label):
     return label, VerificationConfig.from_json(obj), tuple(suites)
 
 
-def _config_from_file(path, seed=None, budget=None):
+def _overrides(args):
+    """The --seed and --budget a subcommand was given, by config field name."""
+    return {k: v for k in ("seed", "budget") if (v := getattr(args, k, None)) is not None}
+
+
+def _config_from_file(path, overrides):
+    """One BundleEntry per config in the file, with `overrides` applied."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     if isinstance(obj, dict) and "configs" in obj:
@@ -163,7 +169,6 @@ def _config_from_file(path, seed=None, budget=None):
         cfgs = [_config_entry(entry, f"config-{i}") for i, entry in enumerate(obj["configs"])]
     else:
         cfgs = [_config_entry(obj, "config-0")]
-    overrides = {k: v for k, v in (("seed", seed), ("budget", budget)) if v is not None}
     out = []
     for label, cfg, suites in cfgs:
         cfg = dataclasses.replace(cfg, **overrides)
@@ -173,7 +178,7 @@ def _config_from_file(path, seed=None, budget=None):
                 if cfg.theta is not None
                 else ("f", "congruence")
             )
-        out.append((label, cfg, suites))
+        out.append(BundleEntry(label, cfg, suites))
     return out
 
 
@@ -181,11 +186,11 @@ def _config_modules(args):
     """(label, config, module) per config entry; every entry is checked
     for a module before the caller prints anything."""
     out = []
-    for label, cfg, _ in _config_from_file(args.config, seed=args.seed):
-        module = cfg.module()
+    for entry in _config_from_file(args.config, _overrides(args)):
+        module = entry.config.module()
         if module is None:
-            raise MalformedInput(f"config {label!r} declares no Drinfeld module")
-        out.append((label, cfg, module))
+            raise MalformedInput(f"config {entry.label!r} declares no Drinfeld module")
+        out.append((entry.label, entry.config, module))
     return out
 
 
@@ -238,21 +243,13 @@ def cmd_galois_det(args):
 
 def cmd_verify(args):
     if args.config:
-        entries = [
-            BundleEntry(label, cfg, suites)
-            for label, cfg, suites in _config_from_file(
-                args.config, seed=args.seed, budget=args.budget
-            )
-        ]
+        entries = _config_from_file(args.config, _overrides(args))
     else:
-        entries = default_bundle(
-            seed=args.seed if args.seed is not None else 0,
-            budget=args.budget if args.budget is not None else 10_000_000,
-        )
+        entries = default_bundle(**_overrides(args))
     if args.suite:
         wanted = set(args.suite)
         entries = [
-            BundleEntry(e.label, e.config, tuple(s for s in e.suites if s in wanted))
+            dataclasses.replace(e, suites=tuple(s for s in e.suites if s in wanted))
             for e in entries
         ]
         entries = [e for e in entries if e.suites]

@@ -17,6 +17,10 @@ tau**(s*m) = 1 modulo phi_a on the right (a remainder of tau-degree
 below rn vanishing on q**(rn) points is zero).  The smallest such m is
 the order of tau**s modulo phi_a; only that one level is built, and
 its kernel comes from one matrix kernel over GF(q).
+
+An operator polynomial is checked once per property, by helpers that
+``pairing`` shares: ``polynomials.require_monic``, and
+``DrinfeldModule._require_over_base`` and ``_require_separable``.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .errors import (
     InseparableTorsion,
     LevelMismatch,
     MalformedInput,
-    NonMonic,
     PointNotInModule,
     SearchBudget,
     SearchCapExceeded,
@@ -44,9 +47,10 @@ from .fields import (
     field_from_descriptor,
     from_vector,
     kernel,
+    require_int,
     solve,
 )
-from .polynomials import DensePoly, UniPoly, poly_gcd, poly_xgcd
+from .polynomials import DensePoly, UniPoly, poly_gcd, poly_xgcd, require_monic
 
 
 class SkewPoly(DensePoly):
@@ -144,12 +148,24 @@ class DrinfeldModule:
             self._tpows.append(self._tpows[-1] * self._phi_t)
         return self._tpows[i]
 
-    def phi(self, a):
-        """Image of a in K{tau}; a ring homomorphism on GF(q)[T]."""
+    def _require_over_base(self, a):
+        """TypeError unless a is a UniPoly, LevelMismatch unless over GF(q)."""
         if not isinstance(a, UniPoly):
             raise TypeError("operator polynomial must be a UniPoly")
         if a.ctx is not self.base:
             raise LevelMismatch("operator coefficients must live in the base field")
+
+    def _require_separable(self, a):
+        """InseparableTorsion when a(theta) = 0, naming the A-characteristic."""
+        if self.gamma(a).is_zero():
+            raise InseparableTorsion(
+                f"a({self.theta.to_json()}) = 0: a is divisible by the "
+                f"A-characteristic generated by {self.char_poly().render()}"
+            )
+
+    def phi(self, a):
+        """Image of a in K{tau}; a ring homomorphism on GF(q)[T]."""
+        self._require_over_base(a)
         acc = SkewPoly.zero(self.K)
         for i, c in enumerate(a.coeffs):
             if not c.is_zero():
@@ -285,18 +301,10 @@ def torsion(phi, a, cap=64):
     kernel of phi_a on it, a GF(q)-space of dimension r*deg(a), is the
     torsion.  No m <= cap raises SearchCapExceeded.
     """
-    if type(cap) is not int or cap < 1:
-        raise MalformedInput(f"extension-degree cap {cap!r} must be an int >= 1")
-    if not a.is_monic():
-        raise NonMonic("torsion needs a monic operator polynomial")
-    if a.degree < 1:
-        raise NonMonic("torsion needs deg(a) >= 1")
-    if phi.gamma(a).is_zero():
-        frak_p = phi.char_poly()
-        raise InseparableTorsion(
-            f"a({phi.theta.to_json()}) = 0: a is divisible by the "
-            f"A-characteristic generated by {frak_p.render()}"
-        )
+    require_int(cap, "extension-degree cap", low=1)
+    phi._require_over_base(a)
+    require_monic(a)
+    phi._require_separable(a)
     base = phi.base
     phi_a = phi.phi(a)
     m = _tau_s_order(phi_a, dim_between(phi.K, base), cap)
@@ -454,8 +462,7 @@ class ResidueRing:
     __slots__ = ("a", "ctx")
 
     def __init__(self, a):
-        if not a.is_monic() or a.degree < 1:
-            raise NonMonic("residue ring needs a monic modulus of degree >= 1")
+        require_monic(a)
         self.a = a
         self.ctx = a.ctx
 

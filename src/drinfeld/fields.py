@@ -64,6 +64,12 @@ distinct-degree loop over it.  The Gauss-Jordan ``_row_reduce`` is its
 only elimination; ``kernel``, ``solve`` and ``determinant`` are edges
 over it.  ``common_level`` is the one rule for mixed levels: lift to
 the higher of two comparable levels, else LevelMismatch.
+
+Their matrix contract, checked once by ``_payload_rows``: a matrix is
+at least one row, all rows of one nonzero length (else ValueError), of
+FieldElements of one level (else LevelMismatch); ``solve`` also needs
+one right-hand side per row and ``determinant`` a square matrix.
+``require_int`` is the one check of an integer from outside.
 """
 
 from __future__ import annotations
@@ -853,9 +859,7 @@ class FieldCtx:
         return r
 
     def payload_of_rank(self, n):
-        if type(n) is not int:
-            raise MalformedInput(f"rank must be an int, got {n!r}")
-        if not 0 <= n < self.order:
+        if not 0 <= require_int(n, "rank") < self.order:
             raise ValueError(f"rank {n} out of range for {self!r}")
         if self.packed:
             return n
@@ -1002,7 +1006,7 @@ def make_field(p, e=1, modulus=None):
     """
     if not isinstance(p, int) or not _is_prime(p):
         raise NonPrimeCharacteristic(f"{p} is not prime")
-    if e < 1:
+    if require_int(e, "extension degree") < 1:
         raise InvalidDegree(f"extension degree {e} < 1")
     prime = _PRIME_FIELDS.get(p)
     if prime is None:
@@ -1042,7 +1046,7 @@ def extend(ctx, m, modulus=None):
     identical object.  A given modulus lists its coefficients as
     elements of `ctx` or in their nested coordinate form.
     """
-    if m < 1:
+    if require_int(m, "extension degree") < 1:
         raise InvalidDegree(f"extension degree {m} < 1")
     if modulus is not None:
         mod = tuple(
@@ -1072,13 +1076,13 @@ def field_from_descriptor(desc):
     "p", "e" and every "degree" must be ints; nothing is coerced."""
     if not isinstance(desc, dict):
         raise MalformedInput("a field descriptor is an object")
-    p, e = _descriptor_int(desc, "p"), _descriptor_int(desc, "e")
+    p, e = (require_int(desc.get(key), f"descriptor {key!r}") for key in ("p", "e"))
     tower = desc.get("tower", [])
     if not isinstance(tower, (list, tuple)) or not all(
         isinstance(t, dict) and isinstance(t.get("modulus"), (list, tuple)) for t in tower
     ):
         raise MalformedInput('descriptor "tower" must list objects with a "modulus" list')
-    degrees = [_descriptor_int(level, "degree") for level in tower]
+    degrees = [require_int(level.get("degree"), "descriptor 'degree'") for level in tower]
     if e > 1:
         if not tower or degrees[0] != e:
             raise ValueError("descriptor base degree disagrees with its tower")
@@ -1092,10 +1096,12 @@ def field_from_descriptor(desc):
     return ctx
 
 
-def _descriptor_int(obj, key):
-    value = obj.get(key)
-    if type(value) is not int:
-        raise MalformedInput(f"descriptor {key!r} must be an int, not {value!r}")
+def require_int(value, what, low=None):
+    """`value` if it is an int, not a bool, and at least `low` (when
+    given), else MalformedInput naming `what`."""
+    if type(value) is not int or low is not None and value < low:
+        bound = "an int" if low is None else f"an int >= {low}"
+        raise MalformedInput(f"{what} must be {bound}, got {value!r}")
     return value
 
 
@@ -1223,21 +1229,6 @@ class FieldElement:
 # ---------------------------------------------------------------------------
 
 
-class MatrixFq:
-    """Dense matrix of FieldElements sharing one level."""
-
-    __slots__ = ("ctx", "nrows", "ncols", "rows")
-
-    def __init__(self, rows):
-        rows = [list(r) for r in rows]
-        if not rows or not rows[0]:
-            raise ValueError("matrix dimensions must be positive")
-        if any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged matrix")
-        self.ctx = _payload_rows(rows)[0]
-        self.nrows, self.ncols, self.rows = len(rows), len(rows[0]), rows
-
-
 def _row_reduce(ctx, rows, ncols):
     """Gauss-Jordan elimination, in place, of payload rows over `ctx` on
     their first `ncols` columns; later columns follow the row operations.
@@ -1272,7 +1263,9 @@ def _row_reduce(ctx, rows, ncols):
 
 def _payload_rows(rows):
     """The one level of a matrix of FieldElements and its rows as
-    payload lists; entries on different levels raise LevelMismatch."""
+    payload lists, after the one check of the matrix contract."""
+    if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("a matrix needs at least one row, all of one nonzero length")
     ctx = rows[0][0].ctx
     out = []
     for row in rows:
@@ -1288,7 +1281,7 @@ def kernel(matrix):
     The returned vectors are independent, each is annihilated by the
     matrix, and their count is ``ncols - rank``.
     """
-    ctx, rows = _payload_rows(matrix.rows if isinstance(matrix, MatrixFq) else matrix)
+    ctx, rows = _payload_rows(matrix)
     ncols = len(rows[0])
     pivots, _ = _row_reduce(ctx, rows, ncols)
     zero, one = ctx.zero(), ctx.one()
@@ -1303,9 +1296,12 @@ def kernel(matrix):
 
 
 def solve(rows, rhs):
-    """One solution of rows * x = rhs, or None when inconsistent."""
-    ncols = len(rows[0])
+    """One solution of rows * x = rhs, or None when inconsistent; rhs
+    has one entry per row, else ValueError."""
+    if len(rhs) != len(rows):
+        raise ValueError(f"{len(rhs)} right-hand sides for {len(rows)} rows")
     ctx, aug = _payload_rows([list(r) + [b] for r, b in zip(rows, rhs)])
+    ncols = len(aug[0]) - 1
     pivots, _ = _row_reduce(ctx, aug, ncols)
     if any(row[-1] != ctx.zero() for row in aug[len(pivots):]):
         return None
@@ -1316,8 +1312,11 @@ def solve(rows, rhs):
 
 
 def determinant(rows):
-    """Determinant by Gaussian elimination over the entries' field."""
+    """Determinant by Gaussian elimination over the entries' field; a
+    matrix that is not square raises ValueError."""
     ctx, mat = _payload_rows(rows)
+    if len(mat) != len(mat[0]):
+        raise ValueError(f"determinant of a {len(mat)}x{len(mat[0])} matrix")
     pivots, det = _row_reduce(ctx, mat, len(mat))
     return FieldElement(ctx, det if len(pivots) == len(mat) else ctx.zero())
 

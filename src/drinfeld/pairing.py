@@ -61,6 +61,11 @@ at most `_MEMO_SIZE` points; each trie node is one sum of the level's
 dot op, shared with `QPowerPoly.__call__`.  `weil_values` contracts
 f_a against Moore determinants directly, the independent oracle;
 `weil_evaluate` on one tuple.
+
+Inputs go through shared checks: `_check_inputs` for a and the arity
+on every f_a route and in `weil_polynomial`, and in the torsion guard
+`require_monic` and the module's `_require_over_base` and
+`_require_separable`, as in `core.torsion`.
 """
 
 from __future__ import annotations
@@ -71,7 +76,6 @@ from math import comb
 
 from .errors import (
     ArityMismatch,
-    InseparableTorsion,
     LevelMismatch,
     NonMonic,
     NotInSubfield,
@@ -83,6 +87,7 @@ from .polynomials import (
     MultiPoly,
     SparsePoly,
     UniPoly,
+    require_monic,
     roots_in_field,
     splitting_level,
 )
@@ -225,13 +230,13 @@ def _coerce_to_base(poly, base):
     return MultiPoly._wrap(base, poly.nvars, terms)
 
 
-def _check_inputs(a, r):
-    if not a.is_monic():
-        raise NonMonic(f"{a.render()} is not monic")
-    if a.degree < 1:
-        raise NonMonic("need deg(a) >= 1")
-    if r < 1:
-        raise ArityMismatch("need r >= 1")
+def _check_inputs(a, r, top=None):
+    """NonMonic unless a is monic of degree >= 1, ArityMismatch unless r
+    is an int, not a bool, in 1..top (no top: any r >= 1)."""
+    require_monic(a)
+    if type(r) is not int or r < 1 or top is not None and r > top:
+        span = "an int >= 1" if top is None else f"an int in 1..{top}"
+        raise ArityMismatch(f"arity must be {span}, got {r!r}")
 
 
 def f_rootfree(a, r):
@@ -503,11 +508,8 @@ def weil_polynomial(phi, a, arity=None):
     the sign the parity of used rows above t.  The leaves hold f_a's
     coefficients under the full set, the root W_a under the empty one.
     """
-    if not a.is_monic() or a.degree < 1:
-        raise NonMonic(f"{a.render()} must be monic of degree >= 1")
     r = phi.rank if arity is None else arity
-    if type(r) is not int or not 1 <= r <= phi.rank:
-        raise ArityMismatch(f"arity must be an int in 1..{phi.rank}, got {arity!r}")
+    _check_inputs(a, r, phi.rank)
     K = phi.K
     mul, add, neg, zero = K.mul, K.add, K.neg, K.zero()
     # twisted[i][t][odd]: (k + t, +-c_k**(q**t)) over the nonzero
@@ -539,14 +541,11 @@ def weil_polynomial(phi, a, arity=None):
 
 
 def _torsion_guard(phi, a, betas):
-    """The one level of betas, all a-torsion for a monic a separable for phi."""
-    if not a.is_monic() or a.degree < 1:
-        raise NonMonic(f"{a.render()} must be monic of degree >= 1")
-    if phi.gamma(a).is_zero():
-        raise InseparableTorsion(
-            f"a is divisible by the A-characteristic generated by "
-            f"{phi.char_poly().render()}"
-        )
+    """The one level of betas, all a-torsion for a monic a over GF(q)
+    separable for phi."""
+    phi._require_over_base(a)
+    require_monic(a)
+    phi._require_separable(a)
     level = betas[0].ctx
     for b in betas:
         if b.ctx is not level:

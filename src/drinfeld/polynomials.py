@@ -7,7 +7,7 @@
 - ``SparsePoly``, an exponent tuple -> coefficient map over a fixed
   number of slots: ``MultiPoly`` (the symmetric coefficient
   polynomials, reduced modulo the ideal of a(T_1), ..., a(T_r) by
-  ``normal_form``) and ``pairing.QPowerPoly`` (Frobenius exponents).
+  ``normal_form(p, a)``) and ``pairing.QPowerPoly`` (Frobenius exponents).
 
 Each shape has one validating constructor, ``__init__``, for terms
 from outside (user code, JSON, the closed forms).  Every internal
@@ -28,7 +28,7 @@ import math
 import operator
 import random
 
-from .errors import ArityMismatch, MalformedInput
+from .errors import ArityMismatch, MalformedInput, NonMonic
 from .fields import (
     FieldElement,
     _frobenius_map,
@@ -46,6 +46,7 @@ from .fields import (
     common_level,
     extend,
     field_from_descriptor,
+    require_int,
 )
 
 
@@ -267,6 +268,15 @@ def _json_level(obj, ctx, list_key, *keys):
     return ctx if ctx is not None else field_from_descriptor(obj["level"])
 
 
+def require_monic(a):
+    """NonMonic unless a is monic of degree >= 1: the one check of the
+    operator polynomial that f_a, the pairing, torsion and A/aA take."""
+    if not a.is_monic():
+        raise NonMonic(f"{a.render()} is not monic")
+    if a.degree < 1:
+        raise NonMonic("need deg(a) >= 1")
+
+
 def poly_gcd(f, g):
     """Monic gcd by the Euclidean algorithm."""
     ctx, f, g = f._common(g)
@@ -413,11 +423,6 @@ def splitting_level(f):
 # ---------------------------------------------------------------------------
 
 
-def _check_exponent(value, what):
-    if type(value) is not int or value < 0:
-        raise MalformedInput(f"{what} must be an int >= 0, got {value!r}")
-
-
 class SparsePoly:
     """Sparse polynomial in `nvars` slots: exponent tuple -> nonzero
     FieldElement of `ctx`.  Subclasses set the JSON key of a term's
@@ -430,14 +435,14 @@ class SparsePoly:
     def __init__(self, ctx, nvars, terms=None):
         """nvars and every exponent must be an int (not a bool) >= 0,
         else MalformedInput; a tuple of another length is ArityMismatch."""
-        _check_exponent(nvars, "the number of variables")
+        require_int(nvars, "the number of variables", low=0)
         cleaned = {}
         for exps, c in (terms or {}).items():
             exps = tuple(exps)
             if len(exps) != nvars:
                 raise ArityMismatch(f"exponent tuple {exps} is not length {nvars}")
             for e in exps:
-                _check_exponent(e, f"every exponent of {exps}")
+                require_int(e, f"every exponent of {exps}", low=0)
             if not isinstance(c, FieldElement):
                 raise TypeError(f"{type(self).__name__} coefficients must be FieldElements")
             if not c.is_zero():
@@ -652,31 +657,17 @@ class MultiPoly(SparsePoly):
         return " + ".join(parts)
 
 
-class IdealI:
-    """The ideal generated by a(T_1), ..., a(T_r)."""
-
-    __slots__ = ("a", "nvars")
-
-    def __init__(self, a, nvars):
-        if a.degree < 1:
-            raise ValueError("ideal generator must have degree >= 1")
-        self.a = a
-        self.nvars = nvars
-
-    def __repr__(self):
-        return f"IdealI(a={self.a.render()!r}, r={self.nvars})"
-
-
-def normal_form(p, ideal):
-    """Reduce p modulo the ideal; the result has degree < deg(a) in
-    every variable, the map is linear and idempotent, and p minus the
-    result lies in the ideal."""
+def normal_form(p, a):
+    """Reduce p modulo the ideal (a(T_1), ..., a(T_r)), r = p.nvars, for a
+    UniPoly a of degree >= 1 (else ValueError); the result has degree
+    < deg(a) in every variable, the map is linear and idempotent, and p
+    minus the result lies in the ideal."""
+    if a.degree < 1:
+        raise ValueError("ideal generator must have degree >= 1")
     ctx = p.ctx
-    if p.nvars != ideal.nvars:
-        raise ArityMismatch(f"{p.nvars} variables vs ideal arity {ideal.nvars}")
     max_exp = max((max(exps) for exps in p.terms), default=0)
     # residues of T**k mod a, as payload lists
-    a_vals = ideal.a._payloads(ctx)
+    a_vals = a._payloads(ctx)
     zero = ctx.zero()
     add, mul = ctx.add, ctx.mul
     residues = [[ctx.one()]]

@@ -40,7 +40,7 @@ from .core import (
     torsion,
 )
 from .errors import ConfigurationTooLarge, MalformedInput, NotInSubfield
-from .fields import dim_between, extend, field_from_descriptor, make_field
+from .fields import dim_between, extend, field_from_descriptor, make_field, require_int
 from .pairing import (
     PairingEvaluator,
     chain_sum_over_roots,
@@ -53,7 +53,7 @@ from .pairing import (
     weil_polynomial,
     weil_values,
 )
-from .polynomials import IdealI, MultiPoly, UniPoly, all_monic, normal_form, rank_vectors
+from .polynomials import MultiPoly, UniPoly, all_monic, normal_form, rank_vectors
 
 SUITE_NAMES = ("f", "congruence", "pairing", "compatibility", "leading", "det")
 
@@ -73,12 +73,9 @@ def _tuples(obj):
     return tuple(map(_tuples, obj)) if isinstance(obj, (list, tuple)) else obj
 
 
-_INT_FIELDS = ("p", "e", "max_deg", "trials", "seed", "extension_cap", "budget")
-
-
-def _require_int(value, name):
-    if type(value) is not int:
-        raise MalformedInput(f"{name} must be an int, got {value!r}")
+# the int fields of a config, each with its lower bound (None: any int)
+_INT_FIELDS = {"p": None, "e": None, "max_deg": None, "trials": 1, "seed": None,
+               "extension_cap": 1, "budget": 1}
 
 
 @dataclass(frozen=True)
@@ -102,20 +99,15 @@ class VerificationConfig:
     budget: int = 10_000_000
 
     def __post_init__(self):
-        for name in _INT_FIELDS:
-            _require_int(getattr(self, name), name)
-        for name in ("ranks", "k_extensions"):
+        for name, low in _INT_FIELDS.items():
+            require_int(getattr(self, name), name, low)
+        for name, low in (("ranks", 1), ("k_extensions", None)):
             value = getattr(self, name)
             if not isinstance(value, tuple):
                 raise MalformedInput(f"{name} must be a list of ints, got {value!r}")
             for entry in value:
-                _require_int(entry, f"every entry of {name}")
+                require_int(entry, f"every entry of {name}", low)
         make_field(self.p)  # raises NonPrimeCharacteristic unless p is prime
-        for name in ("trials", "budget", "extension_cap"):
-            if getattr(self, name) < 1:
-                raise MalformedInput(f"{name} must be >= 1, got {getattr(self, name)}")
-        if any(r < 1 for r in self.ranks):
-            raise MalformedInput(f"every arity in ranks must be >= 1, got {list(self.ranks)}")
         pairs_ok = isinstance(self.ab_pairs, tuple) and all(
             isinstance(ab, tuple) and len(ab) == 2 and all(map(_is_ranks, ab))
             for ab in self.ab_pairs
@@ -398,10 +390,14 @@ def verify_f_identities(cfg):
             suite.run(f"f.symmetry{tag}", symmetry)
 
             def root_order(a=a, r=r, poly=poly, n=n, a_ranks=a_ranks):
-                count = max(10, cfg.trials // 3)
-                for _ in range(count):
+                # every order is drawn, but each distinct one is computed once
+                seen = set()
+                for _ in range(max(10, cfg.trials // 3)):
                     order = list(range(n))
                     rng.shuffle(order)
+                    if tuple(order) in seen:
+                        continue
+                    seen.add(tuple(order))
                     variant = f_root_order_variant(a, r, order)
                     if variant.poly != poly:
                         return _mismatch("f_root_order",
@@ -463,16 +459,15 @@ def verify_congruences(cfg):
         for r in cfg.ranks:
             tag = f"[q={base.order},r={r},a={a.render()}]"
             fa = f_chain_sum(a, r)
-            ideal = IdealI(a, r)
 
-            def exchange(poly=fa.poly, r=r, ideal=ideal, a_ranks=a_ranks):
+            def exchange(poly=fa.poly, r=r, a=a, a_ranks=a_ranks):
                 for l in range(r):
                     for h in range(l + 1, r):
                         diff = (
                             MultiPoly.variable(base, r, l)
                             - MultiPoly.variable(base, r, h)
                         ) * poly
-                        nf = normal_form(diff, ideal)
+                        nf = normal_form(diff, a)
                         if not nf.is_zero():
                             return _mismatch("congruence_exchange",
                                              {"a": a_ranks, "r": r, "l": l + 1, "h": h + 1},
@@ -481,7 +476,7 @@ def verify_congruences(cfg):
 
             suite.run(f"congruence.exchange{tag}", exchange)
 
-            def root_peel(fa=fa, r=r, ideal=ideal, a_ranks=a_ranks):
+            def root_peel(fa=fa, r=r, a=a, a_ranks=a_ranks):
                 level = fa.roots[0].ctx if fa.roots else base
                 lifted = fa.poly.embed_to(level)
                 seen = set()
@@ -495,7 +490,7 @@ def verify_congruences(cfg):
                     rhs = shared * f_rem
                     for l in range(r):
                         lhs = linear_factors(level, r, [(l, alpha)]) * lifted
-                        nf = normal_form(lhs - rhs, ideal)
+                        nf = normal_form(lhs - rhs, a)
                         if not nf.is_zero():
                             return _mismatch("congruence_root_peel",
                                              {"a": a_ranks, "r": r, "l": l + 1,
@@ -870,7 +865,7 @@ def _all_monic_ranks(q, max_deg):
     )
 
 
-def default_bundle(seed=0, budget=10_000_000):
+def default_bundle(seed=VerificationConfig.seed, budget=VerificationConfig.budget):
     """The stock verification set: the full small-field grid for the
     coefficient-family suites, and the exhaustive pairing
     configurations used by the acceptance tests."""
@@ -919,10 +914,8 @@ def reevaluate(counterexample):
     identity = counterexample.get("identity")
     inputs = counterexample.get("inputs", {})
     if identity in ("f_chain_eq_recursive", "f_rootfree_eq_chain"):
-        p, e, r = inputs["p"], inputs.get("e", 1), inputs["r"]
-        for name, value in (("p", p), ("e", e), ("r", r)):
-            _require_int(value, f"inputs.{name}")
-        a = UniPoly.from_ranks(make_field(p, e), inputs["a"])
+        p, r = require_int(inputs["p"], "inputs.p"), require_int(inputs["r"], "inputs.r")
+        a = UniPoly.from_ranks(make_field(p, inputs.get("e", 1)), inputs["a"])
         other = f_rootfree if identity == "f_rootfree_eq_chain" else f_recursive
         return f_chain_sum(a, r).poly != other(a, r).poly
     if identity in ("multilinear", "compatibility"):
@@ -935,7 +928,7 @@ def reevaluate(counterexample):
         psi = _det_module(phi)
         if identity == "multilinear":
             slot = inputs["slot"]
-            _require_int(slot, "inputs.slot")
+            require_int(slot, "inputs.slot")
             scaled = list(points)
             scaled[slot] = phi.phi(b)(points[slot])
             lhs = weil_evaluate(phi, a, scaled)

@@ -189,6 +189,16 @@ def test_torsion_inseparable_config_exit3(capsys, tmp_path):
     assert code == 3 and "T + 1" in err
 
 
+def test_weil_eval_and_torsion_reject_a_constant_a_exit3(capsys, tmp_path):
+    # the inseparable case is test_weil_inseparable_exit3_names_characteristic
+    # and test_torsion_inseparable_config_exit3
+    code, out, err = run_cli(capsys, "weil", "--module", MODULE_I, "--a", "1", "--eval", "[0, 0]")
+    assert code == 3 and out == "" and "need deg(a) >= 1" in err
+    path = _config_file(tmp_path, dict(CFG_I, a_list=[[1]]))
+    code, out, err = run_cli(capsys, "torsion", "--config", path)
+    assert code == 3 and out == "" and "need deg(a) >= 1" in err
+
+
 def test_galois_det_command(capsys, tmp_path):
     path = _config_file(tmp_path, CFG_I)
     code, out, _ = run_cli(capsys, "galois-det", "--config", path)

@@ -23,7 +23,6 @@ from drinfeld.pairing import (
 )
 from drinfeld.polynomials import (
     DensePoly,
-    IdealI,
     MultiPoly,
     UniPoly,
     normal_form,
@@ -140,7 +139,7 @@ def test_multipoly_results(data, ctx, nvars):
     a = UniPoly(ctx, low + [ctx.one_element])
     results = [f + g, f - g, g - g, -f, f * g, f * c, f.scale(c), f.permute(sigma),
                f.embed_to(UPPER[ctx]), f.embed_to(UPPER[ctx]) - g,
-               normal_form(f * g, IdealI(a, nvars))]
+               normal_form(f * g, a)]
     for poly in results:
         check(poly)
     roots = [data.draw(elements(ctx)) for _ in range(data.draw(st.integers(0, 3)))]

@@ -16,7 +16,6 @@ from drinfeld.errors import (
 from drinfeld import fields
 from drinfeld.core import DrinfeldModule
 from drinfeld.fields import (
-    MatrixFq,
     as_vector,
     determinant,
     dim_between,
@@ -159,6 +158,15 @@ def test_extend_rejects_bad_degree():
         extend(F2, 0)
 
 
+@pytest.mark.parametrize("degree", [True, 2.0])
+def test_extension_degree_must_be_an_int(degree):
+    # make_field(2, True) used to return GF(2), extend(F2, 2.0) die with TypeError
+    with pytest.raises(MalformedInput):
+        make_field(2, degree)
+    with pytest.raises(MalformedInput):
+        extend(F2, degree)
+
+
 def test_extend_is_cached():
     a, _ = extend(F2, 3)
     b, _ = extend(F2, 3)
@@ -263,7 +271,7 @@ def test_kernel_hand_oracle():
     # rows {(1,1,0),(0,1,1)} over GF(2); elimination by hand gives (1,1,1)
     one, zero = F2.one_element, F2.zero_element
     rows = [[one, one, zero], [zero, one, one]]
-    basis = kernel(MatrixFq(rows))
+    basis = kernel(rows)
     assert len(basis) == 1
     assert [c.rank() for c in basis[0]] == [1, 1, 1]
 
@@ -304,6 +312,29 @@ def test_solve_consistent_and_inconsistent():
     assert sol is not None and _mat_vec(rows, sol) == [zero, one]
     rows2 = [[one, one], [one, one]]
     assert solve(rows2, [zero, one]) is None
+
+
+ONE3, ZERO3 = F3.one_element, F3.zero_element
+RAGGED = [[ONE3, ZERO3], [ONE3]]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: kernel([]),
+        lambda: kernel([[]]),
+        lambda: kernel(RAGGED),
+        lambda: solve(RAGGED, [ONE3, ONE3]),
+        lambda: solve([[ONE3, ONE3], [ZERO3, ONE3]], [ONE3]),  # used to drop a row
+        lambda: determinant(RAGGED),
+        lambda: determinant([[ONE3, ONE3, ONE3], [ZERO3, ONE3, ONE3]]),  # used to give 2
+    ],
+    ids=["kernel-empty", "kernel-no-columns", "kernel-ragged", "solve-ragged",
+         "solve-short-rhs", "determinant-ragged", "determinant-2x3"],
+)
+def test_matrix_edges_check_the_shape(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_determinant_matches_permutation_expansion():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from drinfeld.core import DrinfeldModule, torsion
 from drinfeld.errors import (
+    ArityMismatch,
     InseparableTorsion,
     LevelMismatch,
     NonMonic,
@@ -26,7 +27,7 @@ from drinfeld.pairing import (
     weil_nonmonic,
     weil_polynomial,
 )
-from drinfeld.polynomials import IdealI, MultiPoly, UniPoly, all_monic, normal_form
+from drinfeld.polynomials import MultiPoly, UniPoly, all_monic, normal_form
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -177,7 +178,6 @@ def normal_form_product(a, r):
     """Oracle of the site expansion: NF_I of the product of the r-1
     difference quotients Delta_a(T_j, T_{j+1}), built from MultiPoly and
     normal_form and reduced modulo I after each factor."""
-    ideal = IdealI(a, r)
     poly = MultiPoly.one(a.ctx, r)
     for j in range(r - 1):
         quotient = {}
@@ -186,7 +186,7 @@ def normal_form_product(a, r):
                 exps = [0] * r
                 exps[j], exps[j + 1] = k, i - 1 - k
                 quotient[tuple(exps)] = a[i]
-        poly = normal_form(poly * MultiPoly(a.ctx, r, quotient), ideal)
+        poly = normal_form(poly * MultiPoly(a.ctx, r, quotient), a)
     return poly
 
 
@@ -226,6 +226,42 @@ def test_f_root_order_variants():
 def test_f_rejects_nonmonic():
     with pytest.raises(NonMonic):
         f_chain_sum(UniPoly.from_ranks(F3, [0, 2]), 2)
+
+
+F_ROUTES = {
+    "rootfree": f_rootfree,
+    "chain": f_chain_sum,
+    "recursive": f_recursive,
+    "root_order": lambda a, r: f_root_order_variant(a, r, (1, 0)),
+}
+
+
+@pytest.mark.parametrize("r", [True, False, 2.0, "2", 0, -1])
+@pytest.mark.parametrize("route", sorted(F_ROUTES))
+def test_f_routes_reject_an_arity_that_is_not_a_positive_int(route, r):
+    # f_chain_sum(a, True) used to be memoized under r = 1, so a later
+    # f_chain_sum(a, 1) reported "r": true; f_rootfree(a, 2.0) died with TypeError
+    a = UniPoly.from_ranks(F2, [1, 1, 1])
+    with pytest.raises(ArityMismatch):
+        F_ROUTES[route](a, r)
+    provenance = f_chain_sum(a, 1).to_json()["provenance"]
+    assert provenance["r"] == 1 and type(provenance["r"]) is int
+
+
+@pytest.mark.parametrize(
+    "ranks, error, needle",
+    [([1, 1], InseparableTorsion, "a(1) = 0: a is divisible by the A-characteristic "
+      "generated by T + 1"), ([1], NonMonic, "need deg(a) >= 1")],
+    ids=["inseparable", "constant"],
+)
+def test_torsion_and_pairing_reject_an_operator_alike(ranks, error, needle):
+    # the pairing's guard used to word both errors differently from torsion's
+    phi, a = rank2_f2(), UniPoly.from_ranks(F2, ranks)
+    with pytest.raises(error) as by_torsion:
+        torsion(phi, a)
+    with pytest.raises(error) as by_pairing:
+        weil_evaluate(phi, a, [F2.one_element, F2.one_element])
+    assert str(by_pairing.value) == str(by_torsion.value) == needle
 
 
 def test_fa_json_carries_provenance():

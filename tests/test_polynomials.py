@@ -7,7 +7,6 @@ import pytest
 from drinfeld.errors import ArityMismatch, DivisionByZero, MalformedInput
 from drinfeld.fields import extend, make_field
 from drinfeld.polynomials import (
-    IdealI,
     MultiPoly,
     UniPoly,
     all_monic,
@@ -184,27 +183,33 @@ def test_permute_examples_and_group_action():
 
 
 def test_normal_form_examples():
-    ideal = IdealI(UniPoly.from_ranks(F2, [0, 0, 1]), 2)  # a = T**2
+    a = UniPoly.from_ranks(F2, [0, 0, 1])  # a = T**2
     p = MultiPoly(F2, 2, {(2, 1): F2.one_element})  # T1**2 T2
-    assert normal_form(p, ideal).is_zero()
+    assert normal_form(p, a).is_zero()
     small = MultiPoly(F2, 2, {(1, 1): F2.one_element, (0, 0): F2.one_element})
-    assert normal_form(small, ideal) == small  # already reduced
+    assert normal_form(small, a) == small  # already reduced
 
 
 def test_normal_form_degree_and_idempotence():
     rng = random.Random(3)
     a = UniPoly.from_ranks(F3, [1, 2, 1])
-    ideal = IdealI(a, 2)
     for _ in range(20):
         terms = {}
         for _ in range(5):
             key = (rng.randrange(5), rng.randrange(5))
             terms[key] = F3.element_of_rank(rng.randrange(3))
         p = MultiPoly(F3, 2, terms)
-        nf = normal_form(p, ideal)
+        nf = normal_form(p, a)
         for j in range(2):
             assert nf.degree_in(j) < a.degree
-        assert normal_form(nf, ideal) == nf
+        assert normal_form(nf, a) == nf
+
+
+def test_normal_form_needs_a_nonconstant_a():
+    p = MultiPoly(F2, 2, {(1, 1): F2.one_element})
+    for a in (UniPoly.one(F2), UniPoly.zero(F2)):
+        with pytest.raises(ValueError):
+            normal_form(p, a)
 
 
 def test_normal_form_kills_ideal_members():
@@ -212,7 +217,6 @@ def test_normal_form_kills_ideal_members():
     rng = random.Random(4)
     for ctx in (F2, F3):
         a = all_monic(ctx, 2)[rng.randrange(ctx.order**2)]
-        ideal = IdealI(a, 2)
         gens = []
         for j in range(2):
             gens.append(
@@ -241,7 +245,7 @@ def test_normal_form_kills_ideal_members():
                     },
                 )
                 spiked = spiked + h * g
-            assert normal_form(spiked, ideal) == normal_form(p, ideal)
+            assert normal_form(spiked, a) == normal_form(p, a)
 
 
 def test_unipoly_json_roundtrip():
