@@ -24,7 +24,7 @@ import json
 import re
 import sys
 
-from .core import DrinfeldModule, galois_det_table, torsion
+from .core import DEFAULT_EXTENSION_CAP, DrinfeldModule, galois_det_table, torsion
 from .errors import (
     ConfigurationTooLarge,
     DrinfeldError,
@@ -309,7 +309,7 @@ def build_parser():
     p_weil.add_argument("--a", required=True, help="little-endian coefficient ranks")
     p_weil.add_argument("--eval", default=None,
                         help="JSON list of torsion points (ranks or nested arrays)")
-    p_weil.add_argument("--cap", type=int, default=64,
+    p_weil.add_argument("--cap", type=int, default=DEFAULT_EXTENSION_CAP,
                         help="extension-degree search cap for torsion")
     p_weil.add_argument("--json", action="store_true")
     p_weil.set_defaults(func=cmd_weil)

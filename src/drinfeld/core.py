@@ -109,7 +109,7 @@ class DrinfeldModule:
     """Rank-r module over K, given by theta = gamma(T) and the twist
     coefficients g_1 .. g_r of phi_T."""
 
-    __slots__ = ("K", "theta", "g", "_phi_t", "_char", "_tpows")
+    __slots__ = ("K", "theta", "g", "_phi_t", "_tpows")
 
     def __init__(self, K, theta, g):
         theta = theta if theta.ctx is K else theta.embed_to(K)
@@ -122,7 +122,6 @@ class DrinfeldModule:
         self.theta = theta
         self.g = g
         self._phi_t = SkewPoly(K, (theta,) + g)
-        self._char = None
         self._tpows = [SkewPoly.one(K), self._phi_t]
 
     @property
@@ -178,20 +177,14 @@ class DrinfeldModule:
 
     def char_poly(self):
         """Monic generator of the A-characteristic: the minimal
-        polynomial of theta over the base field."""
-        if self._char is not None:
-            return self._char
-        base = self.base
-        s = dim_between(self.K, base)
-        powers = [as_vector(self.theta**i, base) for i in range(s + 1)]
-        for d in range(1, s + 1):
-            rows = [[powers[j][i] for j in range(d)] for i in range(len(powers[0]))]
-            sol = solve(rows, powers[d])
-            if sol is not None:
-                coeffs = [-c for c in sol] + [base.one_element]
-                self._char = UniPoly(base, coeffs)
-                return self._char
-        raise AssertionError("minimal polynomial search failed")  # pragma: no cover
+        polynomial of theta over the base field, the product of T - c
+        over theta's Frobenius orbit c = theta, theta**q, theta**(q**2),
+        ..., whose coefficients lie in GF(q)."""
+        acc, conj = UniPoly.one(self.K), self.theta
+        while True:
+            acc = acc * UniPoly(self.K, (-conj, self.K.one_element))
+            if (conj := conj.frobenius()) == self.theta:
+                return UniPoly(self.base, [c.project_to(self.base) for c in acc.coeffs])
 
     def det_module(self):
         """The rank-1 module whose T-image is theta + (-1)**(r-1) g_r tau."""
@@ -241,13 +234,8 @@ def operator_kernel(op, level, base):
     """GF(q)-basis of the kernel of a twisted-polynomial operator acting
     on one tower level, via a matrix kernel over the base field."""
     dim = dim_between(level, base)
-    std = [
-        from_vector(
-            [base.one_element if i == j else base.zero_element for i in range(dim)],
-            level,
-        )
-        for j in range(dim)
-    ]
+    # ranks flatten coordinates, so unit vector j over GF(q) has rank q**j
+    std = [level.element_of_rank(base.order**j) for j in range(dim)]
     columns = [as_vector(op(b), base) for b in std]
     rows = [[columns[j][i] for j in range(dim)] for i in range(dim)]
     return [from_vector(v, level) for v in kernel(rows)]
@@ -292,7 +280,11 @@ def _tau_s_order(phi_a, s, cap):
     return None
 
 
-def torsion(phi, a, cap=64):
+# the largest extension degree m over K that torsion searches by default
+DEFAULT_EXTENSION_CAP = 64
+
+
+def torsion(phi, a, cap=DEFAULT_EXTENSION_CAP):
     """The a-torsion of phi, realized in the smallest extension
     GF(q**(s*m)) of K = GF(q**s) that carries the full kernel of phi_a.
 
@@ -438,7 +430,7 @@ def galois_action_matrix(tm, sigma, seed=0):
     return [list(row) for row in zip(*cols)]
 
 
-def galois_det_table(phi, psi, a, cap=64, seed=0):
+def galois_det_table(phi, psi, a, cap=DEFAULT_EXTENSION_CAP, seed=0):
     """(k, det, scalar) for every power sigma**k over one period of the
     Frobenius action on both torsion modules: det is the determinant
     over A/aA of sigma**k acting on phi[a], scalar the residue by which

@@ -60,10 +60,12 @@ little-endian payload lists (``_pcombine``, ``_pmul``, ``_pdivmod``,
 ``_pgcd``, ``_pxgcd``, ``_ppow_mod``) are its univariate polynomial
 arithmetic; ``polynomials.UniPoly`` wraps them.  ``_frobenius_map`` is
 the one h -> h**Q mod f, and the lazy ``_pdistinct_degree`` the one
-distinct-degree loop over it.  The Gauss-Jordan ``_row_reduce`` is its
-only elimination; ``kernel``, ``solve`` and ``determinant`` are edges
-over it.  ``common_level`` is the one rule for mixed levels: lift to
-the higher of two comparable levels, else LevelMismatch.
+distinct-degree loop over it, for any monic f: the irreducibility test
+reads its first yield, ``polynomials.splitting_level`` all of them.
+The Gauss-Jordan ``_row_reduce`` is its only elimination; ``kernel``,
+``solve`` and ``determinant`` are edges over it.  ``common_level`` is
+the one rule for mixed levels: lift to the higher of two comparable
+levels, else LevelMismatch.
 
 Their matrix contract, checked once by ``_payload_rows``: a matrix is
 at least one row, all rows of one nonzero length (else ValueError), of
@@ -327,12 +329,13 @@ def _frobenius_map(ctx, f):
 
 
 def _pdistinct_degree(ctx, f):
-    """Distinct-degree loop on a monic f over GF(Q), Q = |ctx|, lazily:
-    yields (i, gcd(x**(Q**i) - x, f)) whenever that gcd is not 1 and
-    divides it out; once 2i > deg f, what is left is yielded whole.  For
-    a squarefree f the i-th yield is the product of its factors of
-    degree i; for any f the first yield has degree deg f iff f is
-    irreducible."""
+    """Distinct-degree loop on any monic f over GF(Q), Q = |ctx|, lazily:
+    yields (i, g) for g = gcd(x**(Q**i) - x, f) whenever g is not 1,
+    then divides every power of g's factors out of f; once 2i > deg f,
+    what is left is irreducible and yielded whole.  So the yields are
+    the distinct degrees of f's irreducible factors, each once with the
+    product of the distinct factors of that degree, and the first yield
+    has degree deg f iff f is irreducible."""
     x = [ctx.zero(), ctx.one()]
     h, i, frob = x, 0, _frobenius_map(ctx, f)
     while 2 * (i + 1) < len(f):
@@ -341,7 +344,8 @@ def _pdistinct_degree(ctx, f):
         g = _pgcd(ctx, _pcombine(ctx, ctx.sub, h, x), f)
         if len(g) > 1:
             yield i, g
-            f = _pdivmod(ctx, f, g)[0]
+            while len(c := _pgcd(ctx, f, g)) > 1:
+                f = _pdivmod(ctx, f, c)[0]
             frob = _frobenius_map(ctx, f)
     if len(f) > 1:
         yield len(f) - 1, f
@@ -1179,7 +1183,7 @@ class FieldElement:
         return FieldElement(ctx, ctx.div(a, b))
 
     def __pow__(self, e):
-        return FieldElement(self.ctx, self.ctx.power(self.val, e))
+        return FieldElement(self.ctx, self.ctx.power(self.val, require_int(e, "exponent")))
 
     def __eq__(self, other):
         return (

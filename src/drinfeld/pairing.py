@@ -509,6 +509,7 @@ def weil_polynomial(phi, a, arity=None):
     coefficients under the full set, the root W_a under the empty one.
     """
     r = phi.rank if arity is None else arity
+    phi._require_over_base(a)
     _check_inputs(a, r, phi.rank)
     K = phi.K
     mul, add, neg, zero = K.mul, K.add, K.neg, K.zero()

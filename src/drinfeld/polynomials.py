@@ -209,7 +209,7 @@ class UniPoly(DensePoly):
         return divmod(self, other)[1]
 
     def __pow__(self, e):
-        if e < 0:
+        if require_int(e, "exponent") < 0:
             raise ValueError(f"negative exponent {e} of a polynomial")
         return _power(operator.mul, self, e, UniPoly.one(self.ctx))
 
@@ -375,47 +375,20 @@ def _equal_degree_split(ctx, h, rng):
             return d
 
 
-def _pth_root_poly(f):
-    # f with zero derivative is a polynomial in T**p; take p-th roots of
-    # the surviving coefficients (c -> c**(order/p) inverts x -> x**p).
-    # The top degree is a multiple of p, so the result is stripped.
-    ctx = f.ctx
-    root_exp = ctx.order // ctx.p
-    return UniPoly._wrap(ctx, [ctx.power(c, root_exp) for c in f._payloads(ctx)[:: ctx.p]])
-
-
 def splitting_level(f):
     """Smallest tower level containing every root of f.
 
-    Returns GF(Q**d) over f's level, where d is the lcm of the degrees
-    of f's irreducible factors (found by distinct-degree gcds,
-    ``fields._pdistinct_degree``, never a full factorization; its
-    x**(Q**i) steps run on Kronecker products when f's level is GF(p)
-    and f fits their byte slots).
+    Returns GF(Q**d) over f's level, where d is the lcm of the distinct
+    degrees of f's irreducible factors, the yields of the distinct-degree
+    loop on monic f (``fields._pdistinct_degree``, never a full
+    factorization; its x**(Q**i) steps run on Kronecker products when
+    f's level is GF(p) and f fits their byte slots).
     """
     if f.degree < 1:
         raise ValueError("splitting level of a constant polynomial")
     ctx = f.ctx
-    g = f.monic()
-    degrees = []
-    while g.degree > 0:
-        d = g.derivative()
-        if d.is_zero():
-            g = _pth_root_poly(g)
-            continue
-        w = g // poly_gcd(g, d)  # product of the factors with exponent prime to p
-        degrees.extend(i for i, _ in _pdistinct_degree(ctx, w._payloads(ctx)))
-        rest = g
-        while True:
-            c = poly_gcd(rest, w)
-            if c.degree == 0:
-                break
-            rest = rest // c
-        g = rest
-    d = math.lcm(*degrees)
-    if d == 1:
-        return ctx
-    return extend(ctx, d)[0]
+    d = math.lcm(*(i for i, _ in _pdistinct_degree(ctx, _pmonic(ctx, f._payloads(ctx)))))
+    return ctx if d == 1 else extend(ctx, d)[0]
 
 
 # ---------------------------------------------------------------------------

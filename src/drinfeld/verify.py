@@ -32,6 +32,7 @@ import time
 from dataclasses import dataclass, field, fields
 
 from .core import (
+    DEFAULT_EXTENSION_CAP,
     DrinfeldModule,
     ResidueRing,
     fq_span,
@@ -95,7 +96,7 @@ class VerificationConfig:
     ab_pairs: tuple = ()
     trials: int = 30
     seed: int = 0
-    extension_cap: int = 64
+    extension_cap: int = DEFAULT_EXTENSION_CAP
     budget: int = 10_000_000
 
     def __post_init__(self):

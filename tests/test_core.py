@@ -17,7 +17,7 @@ from drinfeld.errors import (
     SearchCapExceeded,
     ZeroLeadingCoefficient,
 )
-from drinfeld.fields import extend, make_field
+from drinfeld.fields import as_vector, dim_between, extend, make_field, solve
 from drinfeld.polynomials import UniPoly, poly_gcd, rank_vectors
 
 F2 = make_field(2)
@@ -88,6 +88,33 @@ def test_make_drinfeld_examples():
     assert phi2.phi_T.render() == "1 + tau + tau^2"
     with pytest.raises(ZeroLeadingCoefficient):
         DrinfeldModule(F2, F2.one_element, (F2.one_element, F2.zero_element))
+
+
+def solved_char_poly(phi):
+    """Minimal polynomial of theta over GF(q) by linear solves of growing
+    size, an independent oracle: the least d for which theta**d is a
+    GF(q)-combination of 1, theta, ..., theta**(d-1)."""
+    base = phi.base
+    powers = [as_vector(phi.theta**i, base) for i in range(dim_between(phi.K, base) + 1)]
+    for d in range(1, len(powers)):
+        sol = solve([list(row[:d]) for row in zip(*powers)], powers[d])
+        if sol is not None:
+            return UniPoly(base, [-c for c in sol] + [base.one_element])
+
+
+@pytest.mark.parametrize("base, degrees", [
+    (make_field(2), (2, 3)),
+    (make_field(2, 2), (3,)),
+    (F3, (2, 2)),
+    (make_field(3, 2), (2,)),
+], ids=["GF(2^6)/GF(2)", "GF(4^3)/GF(4)", "GF(81)/GF(3)", "GF(9^2)/GF(9)"])
+def test_char_poly_matches_solved_minimal_polynomial_on_towers(base, degrees):
+    K = base
+    for m in degrees:
+        K = extend(K, m)[0]
+    for theta in K.elements():
+        phi = DrinfeldModule(K, theta, (K.one_element,))
+        assert phi.char_poly() == solved_char_poly(phi), theta
 
 
 def test_phi_image_unital_and_example():

@@ -77,21 +77,22 @@ def flat_weil_polynomial(phi, a, arity=None):
 
 @st.composite
 def modules(draw, fields=FIELDS, max_degree=2):
-    """A module of rank 1 to 4 and a monic a of degree 1 to max_degree
-    (at most 2 at rank 4, where the flat oracle grows too slow) with
-    a(theta) != 0."""
+    """A module of rank 1 to 4 and a monic a over the base field GF(q)
+    of degree 1 to max_degree (at most 2 at rank 4, where the flat
+    oracle grows too slow) with a(theta) != 0."""
     K = draw(st.sampled_from(fields))
+    base = K.base
     r = draw(st.integers(1, 4))
     n = draw(st.integers(1, max_degree if r <= 3 else 2))
     theta = K.element_of_rank(draw(st.integers(0, K.order - 1)))
     g = [K.element_of_rank(draw(st.integers(0, K.order - 1))) for _ in range(r - 1)]
     g.append(K.element_of_rank(draw(st.integers(1, K.order - 1))))
-    high = draw(st.lists(st.integers(0, K.order - 1), min_size=n - 1, max_size=n - 1))
+    high = draw(st.lists(st.integers(0, base.order - 1), min_size=n - 1, max_size=n - 1))
     # the constant term avoids the one value that makes a(theta) = 0
-    shift = -UniPoly.from_ranks(K, [0] + high + [1])(theta)
-    const = draw(st.sampled_from([c for c in K.elements() if c != shift]))
+    shift = -UniPoly.from_ranks(base, [0] + high + [1])(theta)
+    const = draw(st.sampled_from([c for c in base.elements() if c.embed_to(K) != shift]))
     phi = DrinfeldModule(K, theta, tuple(g))
-    return phi, UniPoly.from_ranks(K, [const.rank()] + high + [1])
+    return phi, UniPoly.from_ranks(base, [const.rank()] + high + [1])
 
 
 @functools.lru_cache(maxsize=64)

@@ -264,6 +264,17 @@ def test_torsion_and_pairing_reject_an_operator_alike(ranks, error, needle):
     assert str(by_pairing.value) == str(by_torsion.value) == needle
 
 
+def test_weil_polynomial_rejects_an_a_above_the_base_field():
+    # over GF(4) above GF(2), a = T + x is monic but not in GF(2)[T]
+    K = extend(F2, 2)[0]
+    phi = DrinfeldModule(K, K.element_of_rank(2), (K.one_element, K.one_element))
+    a = UniPoly.from_ranks(K, [2, 1])
+    with pytest.raises(LevelMismatch):
+        weil_polynomial(phi, a)
+    with pytest.raises(LevelMismatch):
+        PairingEvaluator(phi, a, K)
+
+
 def test_fa_json_carries_provenance():
     fa = f_chain_sum(UniPoly.from_ranks(F2, [1, 1, 1]), 2)
     obj = fa.to_json()

@@ -18,6 +18,7 @@ from sympy.polys.galoistools import (
     gf_add,
     gf_ddf_zassenhaus,
     gf_div,
+    gf_factor,
     gf_gcdex,
     gf_mul,
     gf_pow_mod,
@@ -25,7 +26,7 @@ from sympy.polys.galoistools import (
     gf_sub,
 )
 
-from drinfeld.errors import DivisionByZero, LevelMismatch
+from drinfeld.errors import DivisionByZero, LevelMismatch, MalformedInput
 from drinfeld.fields import (
     _frobenius_map,
     _is_irreducible,
@@ -359,6 +360,16 @@ def test_unipoly_negative_power_raises():
     assert x**0 == UniPoly.one(PRIMES[2]) and x**3 == x * x * x
 
 
+@pytest.mark.parametrize("e", [True, 2.0, "2"])
+def test_power_exponents_must_be_ints(e):
+    x = WIDE["GF(4)"].element_of_rank(2)
+    with pytest.raises(MalformedInput):
+        UniPoly.gen(PRIMES[2]) ** e
+    with pytest.raises(MalformedInput):
+        x**e
+    assert x**-2 == (x * x).inverse()
+
+
 def _gf_rem_pow(h, p, f):
     """h**p mod f by sympy, little-endian."""
     return gf_pow_mod(h[::-1], p, f[::-1], p, ZZ)[::-1]
@@ -385,6 +396,38 @@ def test_distinct_degree_loop_matches_galoistools(p, data):
     assume(len(f) > 1)
     expected = [(i, g[::-1]) for g, i in gf_ddf_zassenhaus(f[::-1], p, ZZ)]
     assert list(_pdistinct_degree(F, f)) == expected
+
+
+def _distinct_factors_by_degree(p, factors):
+    """(f, [(i, product of f's distinct irreducible factors of degree
+    i)]) for f the product of g**e over `factors`, little-endian, by
+    sympy's full factorization."""
+    f = [1]  # big-endian, as galoistools has it
+    for g, e in factors:
+        for _ in range(e):
+            f = gf_mul(f, g[::-1], p, ZZ)
+    by_degree = {}
+    for g, _ in gf_factor(f, p, ZZ)[1]:
+        by_degree[len(g) - 1] = gf_mul(by_degree.get(len(g) - 1, [1]), g, p, ZZ)
+    return [int(c) for c in f[::-1]], [(i, g[::-1]) for i, g in sorted(by_degree.items())]
+
+
+def test_distinct_degree_loop_divides_out_every_power():
+    # T^4 (T+1)^2: dividing by g = T(T+1) only while g | f leaves T^2
+    f, expected = _distinct_factors_by_degree(2, [([0, 1], 4), ([1, 1], 2)])
+    assert list(_pdistinct_degree(PRIMES[2], f)) == expected == [(1, [0, 1, 1])]
+
+
+@SETTINGS
+@given(st.sampled_from((2, 3, 5)), st.data())
+def test_distinct_degree_loop_on_any_monic_f_matches_gf_factor(p, data):
+    # products of small monic factors with multiplicities up to 2p, so
+    # squares, p-th powers and unequal multiplicities of one degree occur
+    low = st.integers(1, 3).flatmap(
+        lambda d: st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
+    drawn = data.draw(st.lists(st.tuples(low, st.integers(1, 2 * p)), min_size=1, max_size=3))
+    f, expected = _distinct_factors_by_degree(p, [(g + [1], e) for g, e in drawn])
+    assert list(_pdistinct_degree(PRIMES[p], f)) == expected
 
 
 def _divisible_by_a_low_monic(ctx, f):

@@ -1,11 +1,14 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drinfeld.errors import ArityMismatch, DivisionByZero, MalformedInput
-from drinfeld.fields import extend, make_field
+from drinfeld.fields import _pdistinct_degree, extend, make_field
 from drinfeld.polynomials import (
     MultiPoly,
     UniPoly,
@@ -125,6 +128,41 @@ def test_splitting_level_degrees(coeffs, expected_dim):
     f = UniPoly.from_ranks(F2, coeffs)
     level = splitting_level(f)
     assert level.dim_over_prime == expected_dim
+
+
+def peeled_splitting_degree(f):
+    """Splitting-field degree of f over its level by squarefree peeling,
+    an independent oracle: the factors of g whose exponent is prime to
+    p make up w = g // gcd(g, g'), whose distinct degrees are collected
+    before every power of them is divided out of g; a g with g' = 0 is
+    a polynomial in T**p and gives way to its p-th root."""
+    ctx = f.ctx
+    g, degrees = f.monic(), []
+    while g.degree > 0:
+        d = g.derivative()
+        if d.is_zero():
+            g = UniPoly(ctx, [c ** (ctx.order // ctx.p) for c in g.coeffs[:: ctx.p]])
+            continue
+        w = g // poly_gcd(g, d)
+        degrees.extend(i for i, _ in _pdistinct_degree(ctx, w._payloads(ctx)))
+        while (c := poly_gcd(g, w)).degree > 0:
+            g = g // c
+    return math.lcm(*degrees)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from((make_field(2, 2), make_field(3, 2))), st.data())
+def test_splitting_level_over_gf4_gf9_matches_peeling(ctx, data):
+    # products of small monic factors raised to 1, 2, p or p + 1: squares,
+    # p-th powers and polynomials in T**p all occur
+    f = UniPoly.one(ctx)
+    for _ in range(data.draw(st.integers(1, 3))):
+        low = data.draw(st.lists(st.integers(0, ctx.order - 1), min_size=1, max_size=3))
+        e = data.draw(st.sampled_from((1, 2, ctx.p, ctx.p + 1)))
+        f = f * UniPoly.from_ranks(ctx, low + [1]) ** e
+    level = splitting_level(f)
+    assert level.order == ctx.order ** peeled_splitting_degree(f)
+    assert (level is ctx) == (level.order == ctx.order)
 
 
 def test_splitting_level_yields_all_roots():
