@@ -13,6 +13,8 @@ Exit codes: 0 success, 1 at least one verification FAIL, 2 malformed
 input or config, 3 domain errors (non-monic operator, points outside
 torsion, operator divisible by the characteristic), 4 a search cap or
 evaluation budget was exceeded.
+
+`--json` prints exactly `json.dumps(obj, indent=2, sort_keys=True)`.
 """
 
 from __future__ import annotations
@@ -21,8 +23,10 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .core import DEFAULT_EXTENSION_CAP, DrinfeldModule, galois_det_table, torsion
 from .errors import (
@@ -74,8 +78,35 @@ def _fail(code, message):
     return code
 
 
+def _dumps(obj, indent="\n"):
+    """`json.dumps(obj, indent=2, sort_keys=True)` for obj on a line that
+    `indent` starts; what is not plain JSON goes to json, re-indented."""
+    t = type(obj)
+    if t is str:
+        return _quote(obj)
+    if t is int or t is float and math.isfinite(obj):
+        return repr(obj)
+    if obj is None or t is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    inner = indent + "  "
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
+        if {int}.issuperset(map(type, obj)):
+            return "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + indent + "]"
+        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in obj]) + indent + "]"
+    if t is dict and all(type(k) is str for k in obj):
+        if not obj:
+            return "{}"
+        items = [_quote(k) + ": " + _dumps(obj[k], inner) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    # NaN, infinities, subclasses, other keys; JSON text holds no raw newline
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", indent)
+
+
 def _emit(obj):
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    """Print obj as `json.dumps(obj, indent=2, sort_keys=True)` does."""
+    print(_dumps(obj))
 
 
 def cmd_fa(args):

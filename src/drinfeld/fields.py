@@ -917,7 +917,7 @@ class FieldCtx:
                 raise MalformedInput(f"{obj!r} is not an element of {self!r}")
             return obj
         if not isinstance(obj, sequence_types) or len(obj) != self.degree:
-            raise WrongLength(f"element of {self!r} needs {self.degree} entries")
+            raise WrongLength(f"element of {self!r} needs {self.degree} entries, got {obj!r}")
         par = self.parent
         return self._from_coords([par._parse(c, sequence_types) for c in obj])
 

@@ -467,12 +467,12 @@ class SparsePoly:
         )
 
     def to_json(self):
-        key = self._json_key
+        key, coeff = self._json_key, self.ctx.element_to_json
         return {
             "vars": self.nvars,
             "level": self.ctx.descriptor(),
             "terms": [
-                {key: list(e), "coeff": c.to_json()} for e, c in self.sorted_terms()
+                {key: list(e), "coeff": coeff(c.val)} for e, c in self.sorted_terms()
             ],
         }
 
@@ -494,11 +494,6 @@ class SparsePoly:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.render()!r} over {self.ctx!r})"
-
-
-def _grlex_key(exps):
-    # graded lexicographic with T_1 > T_2 > ... ; negated for descending sort
-    return (-sum(exps),) + tuple(-e for e in exps)
 
 
 class MultiPoly(SparsePoly):
@@ -607,8 +602,10 @@ class MultiPoly(SparsePoly):
 
     def sorted_terms(self):
         """Terms in canonical order: graded lex with T_1 > ... > T_r,
-        largest monomial first."""
-        return sorted(self.terms.items(), key=lambda item: _grlex_key(item[0]))
+        largest monomial first: by tuple, then stably by degree (tuples
+        are unique, so no coefficient is ever compared)."""
+        by_exps = sorted(self.terms.items(), reverse=True)
+        return sorted(by_exps, key=lambda item: sum(item[0]), reverse=True)
 
     def render(self, var="T"):
         if not self.terms:

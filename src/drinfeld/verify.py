@@ -190,9 +190,11 @@ class VerificationConfig:
 
 def parse_element(level, spec):
     """Element of `level` from an int rank or its nested coefficient
-    array; a bool is neither."""
+    array; anything else, a bool included, is MalformedInput."""
     if type(spec) is int:
         return level.element_of_rank(spec)
+    if not isinstance(spec, (list, tuple)):
+        raise MalformedInput(f"{spec!r} is neither an int rank nor a coefficient list")
     return level.element_from_json(spec)
 
 

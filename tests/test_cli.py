@@ -376,6 +376,16 @@ def test_weil_eval_must_be_a_json_list_exit2(capsys, points):
     assert code == 2 and out == "" and "JSON list" in err
 
 
+@pytest.mark.parametrize("point", ["true", "1.0", '"3"'])
+def test_weil_eval_names_a_point_that_is_no_rank_or_list_exit2(capsys, point):
+    # used to read "element of GF(2^3) needs 3 entries", naming no value
+    code, out, err = run_cli(
+        capsys, "weil", "--module", MODULE_I, "--a", "0,1", "--eval", f"[{point}, 2]"
+    )
+    assert code == 2 and out == ""
+    assert f"{json.loads(point)!r} is neither an int rank nor a coefficient list" in err
+
+
 def test_fa_ranks_are_plain_decimals(capsys):
     # int() read "1_0" as 10 and printed f_a for T + 10
     for text in ("1_0,1", "1,٣", "0x1,1", "1.0,1", "1,,1", "", "1 1,1", "--1,1"):

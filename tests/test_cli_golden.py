@@ -67,3 +67,26 @@ def test_cli_outputs_are_golden(capsys, tmp_path):
     assert digest.hexdigest() == (
         "a5e8eea80d384eddc1a3c801f833069afe22a716e5c14a0c1f3d769e36665053"
     )
+
+
+def test_cli_json_equals_an_independent_serializer(capsys, tmp_path):
+    # each --json stdout is one or more documents, each exactly
+    # json.dumps(doc, indent=2, sort_keys=True) and a newline
+    path = tmp_path / "configs.json"
+    path.write_text(json.dumps({"configs": CONFIGS}))
+    runs = [argv for argv in _commands(str(path)) if "--json" in argv]
+    runs.append(["verify", "--suite", "det", "--json"])
+    decoder = json.JSONDecoder()
+    for argv in runs:
+        code = main(argv)
+        out = capsys.readouterr().out
+        if not out:
+            assert code == 3, argv  # the non-monic fa case
+            continue
+        docs, pos = [], 0
+        while pos < len(out):
+            doc, pos = decoder.raw_decode(out, pos)
+            docs.append(doc)
+            pos += 1
+        expected = "".join(json.dumps(doc, indent=2, sort_keys=True) + "\n" for doc in docs)
+        assert out == expected, argv

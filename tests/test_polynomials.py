@@ -406,3 +406,21 @@ def test_sparse_from_json_is_strict(obj, ctx):
         blob = json.dumps(obj).replace('"E"', f'"{cls._json_key}"')
         with pytest.raises(MalformedInput):
             cls.from_json(json.loads(blob), ctx)
+
+
+def grlex_key(exps):
+    # the former sort key: graded lexicographic with T_1 > T_2 > ...,
+    # negated for an ascending sort
+    return (-sum(exps),) + tuple(-e for e in exps)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda r: st.sets(st.tuples(*[st.integers(0, 4)] * r), min_size=1, max_size=40)
+))
+def test_sorted_terms_is_graded_lex_descending(exponents):
+    r = len(next(iter(exponents)))
+    p = MultiPoly(F3, r, {e: F3.element_of_rank(1 + sum(e) % 2) for e in exponents})
+    expected = sorted(p.terms.items(), key=lambda item: grlex_key(item[0]))
+    assert p.sorted_terms() == expected
+    assert [t["exps"] for t in p.to_json()["terms"]] == [list(e) for e, _ in expected]
