@@ -26,14 +26,16 @@ A raw payload takes one of two forms, known only to this module:
 
 A packed level multiplies through log/exp tables of the powers of its
 smallest-rank primitive element g: a*b = exp[log a + log b], with
-inverse, power and Frobenius read off log a as well.  For odd p,
+inverse, power and Frobenius read off log a as well; log 0 is 2(order-1)
+and exp is zero from there on, so a zero needs no branch.  For odd p,
 addition uses Zech logarithms, zech[k] = log(1 + g**k) (K. Huber,
 "Some comments on Zech's logarithms", IEEE Trans. IT 36, 1990).  The
-tables are ``array('H')`` and are built on demand: until a level has
-done ``order`` operations it runs the slow digit path (coordinates over
-the parent, the tuple-level multiply, back to a rank; over GF(2), a
-carry-less multiply of the rank bits), so a level that a search
-touches a few hundred times never pays for its tables.
+tables are built in one pass x -> g*x off two half-rank tables
+(``_times``), on demand: at once for a `PairingEvaluator`, for plain
+arithmetic only after ``order`` operations on the slow digit path
+(coordinates over the parent, the tuple-level multiply, back to a rank;
+over GF(2), a carry-less multiply of the rank bits), so a level that a
+search touches a few hundred times never pays for its tables.
 
 A level of degree d directly over GF(p) multiplies coordinate tuples by
 Kronecker substitution whenever d*(p-1)**2 + (p-1) < 256: each tuple
@@ -78,6 +80,7 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache, partial
+from itertools import accumulate
 from operator import and_, xor
 
 from .errors import (
@@ -230,7 +233,7 @@ def _kron_modulus(p, mod):
     return (d, tail) + _byte_tables(p)
 
 
-@lru_cache(maxsize=8)  # only p <= 13 passes the byte bound
+@lru_cache(maxsize=16)  # only p <= 13 passes the byte bound, p <= 36 builds tables
 def _byte_tables(p):
     """Translate tables that map a byte to itself mod p and to its
     negative mod p."""
@@ -305,6 +308,14 @@ def _kron_dot_ops(p, kron, terms):
         return tuple(x.to_bytes(d * w, "little")[::w])
 
     return spread, dot, payload
+
+
+def _span(images, p, add):
+    """Entry i is the `add`-sum of c_k * images[k] over i's base-p digits c_k."""
+    table = [0]
+    for b in images:
+        table = [add(v, m) for m in accumulate([b] * (p - 1), add, initial=0) for v in table]
+    return table
 
 
 def _frobenius_map(ctx, f):
@@ -449,9 +460,11 @@ class FieldCtx:
     built its tables.  ``dot_ops(terms)``, the trie contraction's op,
     gives ``(spread, dot, payload)``: payload to operand form, the
     operand sums of row[j] * vals[i] over each node's (j, i) pairs (at
-    most `terms` of them), and back.  A tuple level directly over GF(p)
-    with Kronecker data reduces once per node (`_kron_dot_ops`); on any
-    other level operands are payloads and dot is the mul/add loop.
+    most `terms` of them), and back.  Once a packed extension level has
+    its tables, an operand is a log, a product one exp lookup, summed
+    by XOR or Zech.  A tuple level directly over GF(p) with Kronecker
+    data reduces once per node (`_kron_dot_ops`); on any other level
+    operands are payloads and dot is the mul/add loop.
     """
 
     __slots__ = (
@@ -596,6 +609,20 @@ class FieldCtx:
 
         return _same, dot, _same
 
+    def _log_dot_ops(self, terms):
+        log, exp, add = self._log, self._exp, self.add
+
+        def dot(row, vals, nodes):
+            out = []
+            for node in nodes:
+                acc = 0
+                for j, i in node:
+                    acc = add(acc, exp[row[j] + vals[i]])
+                out.append(log[acc])
+            return out
+
+        return log.__getitem__, dot, exp.__getitem__
+
     def _mul_over_prime(self, a, b):
         # coefficients are plain ints mod p: one Kronecker product unless
         # a byte slot could overflow
@@ -690,9 +717,9 @@ class FieldCtx:
         return r
 
     def _tick(self):
-        # a caller may still hold a slow op after the switch: build only once
+        # a held slow op may tick after the switch or an evaluator's build: build once
         self._slow_ops += 1
-        if self._slow_ops == self.order:
+        if self._slow_ops == self.order and self._log is None:
             self._build_tables()
 
     def _mul_raw(self, a, b):
@@ -721,47 +748,75 @@ class FieldCtx:
     def _pow_raw(self, a, e):
         return _power(self._mul_raw, a, e, 1)
 
+    def ensure_tables(self):
+        """Build a packed extension level's tables now if they are missing."""
+        if self._log is None and self.packed and self.parent is not None:
+            self._build_tables()
+
     def _build_tables(self):
         """Log/exp tables (and Zech logarithms for odd p) of a packed
-        level, from the powers of its smallest-rank primitive element."""
+        level, from the powers of its smallest-rank primitive element g,
+        in one pass x -> g*x.  log 0 is the sentinel 2(order-1), and exp
+        is zero from there to twice that: an index sum with it reads 0."""
         n = self.order - 1
         factors = _prime_factors(n)
         g = 2
         while any(self._pow_raw(g, n // f) == 1 for f in factors):
             g += 1
-        log = array("H", bytes(2 * self.order))
-        exp = array("H", bytes(4 * n))  # doubled: exp[i + j] needs no reduction
+        step = self._times(g)
+        log = array("I", [2 * n]) * self.order
+        exp = array("H", [0]) * (4 * n + 1)  # exp[i + j] needs no reduction
         x = 1
         for k in range(n):
             exp[k] = exp[k + n] = x
             log[x] = k
-            x = self._mul_raw(g, x)  # g first: the product loop skips its zero digits
+            x = step(x)
         if self.p != 2:
-            # zech[k] = log(1 + g**k), with n marking 1 + g**k = 0; stored three
-            # times over so that sub's index log(-b) - log(a) + n needs no reduction
-            size, padd = self.parent.order, self.parent.add
-            zech = array("H", bytes(6 * n))
-            for k in range(n):
-                x = exp[k]
-                low = x % size
-                y = x - low + padd(low, 1)
-                zech[k] = zech[k + n] = zech[k + 2 * n] = log[y] if y else n
-            self._zech = zech
+            # zech[k] = log(1 + g**k), n marking 1 + g**k = 0 (1 + x changes x's lowest
+            # base-p digit); stored thrice, so sub's log(-b) - log(a) + n needs no reduction
+            p = self.p
+            plus_one = [x + 1 if (x + 1) % p else x + 1 - p for x in exp[:n]]
+            self._zech = array("H", [log[y] if y else n for y in plus_one]) * 3
         self._log, self._exp = log, exp
         self._inv_cache.clear()
         self._frob_cache.clear()
         self._install_table_ops()
+
+    def _times(self, g):
+        """x -> g*x on ranks.  It is GF(p)-linear in the base-p digits of
+        x, so for p <= 36 it is the sum of two half-rank tables: of ranks
+        by XOR for p = 2, else of coordinates packed one byte each, read
+        back by one translate and ``int(..., p)``.  Else ``_mul_raw``."""
+        p, d = self.p, self.dim_over_prime
+        if p > 36:  # int() reads no base above 36
+            return partial(self._mul_raw, g)
+        h, size = d // 2, p ** (d // 2)
+        if p == 2:
+            add, images = xor, [self._mul_raw(g, 1 << k) for k in range(d)]
+        else:
+            mod_p = _byte_tables(p)[0]
+
+            def add(u, v):
+                return int.from_bytes((u + v).to_bytes(d, "little").translate(mod_p), "little")
+
+            images = [int.from_bytes(bytes(r // p**i % p for i in range(d)), "little")
+                      for r in (self._mul_raw(g, p**k) for k in range(d))]
+        low, high = _span(images[:h], p, add), _span(images[h:], p, add)
+        if p == 2:
+            return lambda x: low[x & (size - 1)] ^ high[x >> h]
+        digit = bytes(b"0123456789abcdefghijklmnopqrstuvwxyz"[b % p] for b in range(256))
+        return lambda x: int((low[x % size] + high[x // size]).to_bytes(d, "big")
+                             .translate(digit), p)
 
     def _install_table_ops(self):
         log, exp, zech = self._log, self._exp, self._zech
         n = self.order - 1
 
         def mul(a, b):
-            if a and b:
-                return exp[log[a] + log[b]]
-            return 0
+            return exp[log[a] + log[b]]
 
         self.mul = mul
+        self.dot_ops = self._log_dot_ops
         if self.p == 2:
             return  # add, sub and neg stay xor and the identity
         half = n // 2  # g**half = -1

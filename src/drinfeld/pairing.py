@@ -356,7 +356,7 @@ def _trie(level, terms, nvars):
     (j_r, index into cs) pairs.  inner[d] lists, for slot r-2-d, each
     node's (j, child index) pairs; the last level of inner holds the
     root alone.  ops is ``level.dot_ops`` for the node with the most
-    children.
+    children: the exp/log op once a packed level has its tables.
     """
     nodes, cs = {}, []
     for key, c in terms.items():
@@ -430,6 +430,8 @@ class QPowerPoly(SparsePoly):
         return QPowerPoly._wrap(self.ctx, self.nvars - 1, terms)
 
     def __call__(self, points):
+        """The value at `points`, in the highest of their levels and the
+        coefficients'.  Unlike `PairingEvaluator`, it builds no tables."""
         if len(points) != self.nvars:
             raise ArityMismatch(f"need {self.nvars} arguments")
         level = functools.reduce(common_level, (x.ctx for x in points), self.ctx)
@@ -621,10 +623,11 @@ class PairingEvaluator:
     times the child's value, one sum of the level's dot op
     (``FieldCtx.dot_ops``).  On a tuple level directly over GF(p) with
     Kronecker data (GF(2^31), GF(3^40), ...) a node adds its bigint
-    products unreduced and reduces once; every other level (packed
-    tables, towers, levels too wide for Kronecker data) runs the mul/add
-    loop, skipping zeros.  The trie's coefficients take operand form
-    once, at build.
+    products unreduced and reduces once.  On a packed level (GF(2^15),
+    GF(3^8), ...) the build makes the level's tables, operands are logs
+    and a product is one exp lookup.  Tuple towers and levels too
+    wide for Kronecker data run the mul/add loop, skipping zeros.  The
+    trie's coefficients take operand form once, at build.
 
     The last slot's contraction, a vector over the trie nodes at depth
     r-1, depends only on that slot's point.  A per-point memo holds the
@@ -651,6 +654,8 @@ class PairingEvaluator:
         terms = poly._payloads(level)
         self.poly = QPowerPoly._wrap(level, poly.nvars, terms)
         self._top = max((max(k) for k in terms), default=0)
+        # an evaluator runs many products: tables now, not after `order` slow ops
+        level.ensure_tables()
         self._trie = _trie(level, terms, poly.nvars)
         # point -> [[Frobenius row, its operand form or None], last-slot values or None]
         self._memo = {}

@@ -1,7 +1,10 @@
 """The sum-of-products op behind the trie contraction (`FieldCtx.dot_ops`)
 against the mul/add loop, and `PairingEvaluator` and `QPowerPoly.__call__`
 against every term multiplied out in turn, on Kronecker levels above the
-pack cap, a tower level and a level too wide for Kronecker data."""
+pack cap, a tower level, a level too wide for Kronecker data and packed
+levels (the exp/log op, towers included); and the rule that an evaluator,
+not plain arithmetic or a one-shot `QPowerPoly` call, builds a packed
+level's tables."""
 
 import itertools
 
@@ -10,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drinfeld.core import DrinfeldModule, torsion
-from drinfeld.fields import PACKED_MAX_ORDER, FieldElement, extend, make_field
-from drinfeld.pairing import PairingEvaluator, weil_evaluate
+from drinfeld.fields import PACKED_MAX_ORDER, FieldCtx, FieldElement, extend, make_field
+from drinfeld.pairing import PairingEvaluator, QPowerPoly, weil_evaluate
 from drinfeld.polynomials import UniPoly
 
 F2, F3, F5, F7, F11 = (make_field(p) for p in (2, 3, 5, 7, 11))
@@ -26,9 +29,23 @@ OTHER = {
     "GF(4^9) tower": extend(make_field(2, 2), 9)[0],
     "GF(11^5)": extend(F11, 5)[0],
 }
+PACKED = {
+    "GF(2^2)": extend(F2, 2)[0],
+    "GF(2^15)": extend(F2, 15)[0],
+    "GF(2^16)": extend(F2, 16)[0],
+    "GF(3^8)": extend(F3, 8)[0],
+    "GF(5^6)": extend(F5, 6)[0],
+    "GF(4)^2 tower": extend(make_field(2, 2), 2)[0],
+    "GF(9)^2 tower": extend(make_field(3, 2), 2)[0],
+}
+for ctx in PACKED.values():
+    ctx.ensure_tables()  # the exp/log op runs once a level has its tables
 LEVELS = {**KRONECKER, **OTHER}
+EVERY = {**LEVELS, **PACKED}
 
 SETTINGS = settings(max_examples=40, derandomize=True, deadline=None)
+# the properties again, with draws of their own on each level
+PER_LEVEL = settings(max_examples=8, derandomize=True, deadline=None)
 
 
 def test_levels_take_the_op_they_should():
@@ -43,6 +60,15 @@ def test_levels_take_the_op_they_should():
         spread, _, payload = ctx.dot_ops(100)
         x = ctx.payload_of_rank(ctx.order - 1)
         assert spread(x) is x and payload(x) is x
+    # with its tables, a packed level's operand is a log, 0 at the sentinel 2(order-1)
+    for ctx in PACKED.values():
+        assert ctx.packed and ctx.parent is not None and ctx._log is not None
+        spread, _, payload = ctx.dot_ops(100)
+        n = ctx.order - 1
+        assert spread(0) == 2 * n and payload(2 * n) == 0
+        assert [spread(ctx.one()), spread(ctx._exp[n - 1])] == [0, n - 1]
+        assert all(payload(spread(x)) == x for x in (0, 1, 2, n // 2, n))
+    assert PACKED["GF(2^15)"]._kron is not None and PACKED["GF(9)^2 tower"]._kron is None
 
 
 def loop_dot(ctx, xs, ys):
@@ -77,8 +103,8 @@ def test_dot_at_the_largest_term_count_of_a_width(name, width):
 
 
 @st.composite
-def dots(draw):
-    ctx = LEVELS[draw(st.sampled_from(sorted(LEVELS)))]
+def dots(draw, names=sorted(LEVELS)):
+    ctx = EVERY[draw(st.sampled_from(names))]
     terms = draw(st.integers(1, 12))
     n = draw(st.integers(0, terms))
     ranks = st.integers(0, ctx.order - 1)
@@ -101,6 +127,33 @@ def test_dot_matches_the_mul_add_loop(case):
     assert payload(again) == payload(both[0])
 
 
+@pytest.mark.parametrize("name", sorted(EVERY))
+@PER_LEVEL
+@given(data=st.data())
+def test_dot_matches_the_mul_add_loop_on_each_level(name, data):
+    test_dot_matches_the_mul_add_loop.hypothesis.inner_test(data.draw(dots([name])))
+
+
+@pytest.mark.parametrize("name", sorted(EVERY))
+def test_dot_of_zeros_and_of_no_terms_is_zero(name):
+    ctx = EVERY[name]
+    spread, dot, payload = ctx.dot_ops(4)
+    zero, one = ctx.zero(), ctx.one()
+    x = ctx.payload_of_rank(ctx.order - 1)
+    row = list(map(spread, [zero, x, one]))
+    vals = list(map(spread, [zero, x, zero, one]))
+    nodes = [
+        [(0, 0), (2, 2)],  # every product has a zero
+        [(0, 1), (0, 3)],  # a zero in the row
+        [(1, 0), (2, 2)],  # a zero in the values
+        [(0, 1), (1, 3), (2, 2)],  # one nonzero product among zeros
+        [],  # no terms
+    ]
+    got = list(map(payload, dot(row, vals, nodes)))
+    assert got == [zero, zero, zero, x, zero]
+    assert payload(dot((), (), [()])[0]) == zero
+
+
 def flat_evaluate(poly, betas):
     """Every term of the q-power polynomial multiplied out in turn."""
     acc = poly.ctx.zero_element
@@ -113,10 +166,10 @@ def flat_evaluate(poly, betas):
 
 
 @st.composite
-def evaluations(draw):
-    """An evaluator on one of LEVELS for a module over its base level
-    (rank 1-3, monic a of degree 1-2), and r + 1 random points there."""
-    level = LEVELS[draw(st.sampled_from(sorted(LEVELS)))]
+def evaluations(draw, names=sorted(LEVELS)):
+    """An evaluator on one of the named levels for a module over its base
+    level (rank 1-3, monic a of degree 1-2), and r + 1 random points there."""
+    level = EVERY[draw(st.sampled_from(names))]
     K = level.base
     ranks = st.integers(0, K.order - 1)
     r = draw(st.integers(1, 3))
@@ -143,6 +196,14 @@ def test_evaluator_and_poly_call_match_flat_evaluation(case):
     assert ev(rotated) == ev.poly(rotated) == flat_evaluate(ev.poly, rotated)
 
 
+@pytest.mark.parametrize("name", sorted(EVERY))
+@PER_LEVEL
+@given(data=st.data())
+def test_evaluator_and_poly_call_match_flat_evaluation_on_each_level(name, data):
+    inner = test_evaluator_and_poly_call_match_flat_evaluation.hypothesis.inner_test
+    inner(data.draw(evaluations([name])))
+
+
 def test_rank3_gf2_28_evaluator_matches_weil_evaluate():
     # the rank-3 module of the pairing-sweep benchmark: torsion in GF(2^28)
     K = F2
@@ -158,3 +219,91 @@ def test_rank3_gf2_28_evaluator_matches_weil_evaluate():
         values.append(ev(betas))
         assert values[-1] == weil_evaluate(phi, a, betas)
     assert any(not v.is_zero() for v in values)
+
+
+def _fresh(level):
+    """An uncached copy of a packed level, so that its tables are missing."""
+    return FieldCtx(level.p, parent=level.parent, degree=level.degree, modulus=level._mod)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The levels whose tables get built, one entry per build."""
+    built = []
+    build = FieldCtx._build_tables
+
+    def counted(ctx):
+        built.append(ctx)
+        build(ctx)
+
+    monkeypatch.setattr(FieldCtx, "_build_tables", counted)
+    return built
+
+
+def _poly(ctx):
+    """A q-power polynomial over `ctx` in two variables, and two points."""
+    terms = {(0, 1): ctx.payload_of_rank(5), (1, 0): ctx.one(), (2, 2): ctx.payload_of_rank(7)}
+    points = [ctx.element_of_rank(3), ctx.element_of_rank(ctx.order - 2)]
+    return QPowerPoly._wrap(ctx, 2, terms), points
+
+
+@pytest.mark.parametrize("name", ["GF(2^15)", "GF(3^8)", "GF(9)^2 tower"])
+def test_a_one_shot_call_builds_no_tables(name, builds):
+    ctx = _fresh(PACKED[name])
+    poly, points = _poly(ctx)
+    spread, _, payload = ctx.dot_ops(3)
+    assert spread is payload  # without tables, operands are the payloads
+    assert poly(points) == flat_evaluate(poly, points)
+    assert builds == [] and ctx._log is None
+
+
+@pytest.mark.parametrize("name", ["GF(2^15)", "GF(3^8)", "GF(9)^2 tower"])
+def test_an_evaluator_builds_the_tables_once(name, builds):
+    ctx = _fresh(PACKED[name])
+    slow_mul = ctx.mul  # a caller may still hold a slow op after the switch
+    K = ctx.base
+    phi = DrinfeldModule(K, K.one_element, (K.one_element, K.one_element))
+    a = UniPoly.from_ranks(K, [1, 1, 1])
+    ev = PairingEvaluator(phi, a, ctx)
+    assert builds == [ctx]
+    assert ctx.dot_ops.__func__ is FieldCtx._log_dot_ops
+    poly, points = _poly(ctx)
+    assert ev(points) == ev.poly(points) == flat_evaluate(ev.poly, points)
+    assert poly(points) == flat_evaluate(poly, points)
+    PairingEvaluator(phi, a, ctx)
+    x, y = points[0].val, points[1].val
+    for _ in range(ctx.order):
+        assert slow_mul(x, y) == ctx.mul(x, y)
+    assert builds == [ctx]
+
+
+def test_fewer_than_order_plain_ops_build_no_tables(builds):
+    ctx = _fresh(PACKED["GF(3^8)"])
+    x, y = ctx.payload_of_rank(10), ctx.payload_of_rank(ctx.order - 1)
+    for _ in range((ctx.order - 1) // 2):
+        ctx.add(ctx.mul(x, y), y)
+    assert builds == [] and ctx._log is None
+    ctx.mul(x, y)  # the order-th op
+    assert builds == [ctx] and ctx._log is not None
+
+
+@pytest.mark.parametrize("p, theta, g, a, order", [
+    (2, 1, (1, 1), (1, 1, 1), 2**15),  # a = T^2 + T + 1
+    (3, 2, (1, 1), (0, 1), 3**8),  # a = T
+])
+def test_evaluators_agree_with_weil_evaluate_on_a_packed_torsion_level(p, theta, g, a, order):
+    K = make_field(p)
+    phi = DrinfeldModule(K, K.element_of_rank(theta), tuple(map(K.element_of_rank, g)))
+    a = UniPoly.from_ranks(K, a)
+    tm = torsion(phi, a)
+    assert tm.level.order == order and tm.level.packed
+    points = tm.points()
+    tuples = [(points[i], points[j]) for i in range(1, len(points), 3)
+              for j in range(2, len(points), 4)]
+    ev = PairingEvaluator(phi, a, tm.level)
+    cold = [ev(t) for t in tuples]
+    warm = [ev(t) for t in tuples]
+    expected = [weil_evaluate(phi, a, t) for t in tuples]
+    assert cold == warm == expected
+    assert [ev.poly(t) for t in tuples] == [flat_evaluate(ev.poly, t) for t in tuples] == expected
+    assert any(not v.is_zero() for v in expected)
