@@ -10,11 +10,17 @@ exit 1 when they differ).  `fa --json` reports the route taken in
 one object per oracle under "chain" and "recursive" plus "match".
 
 Exit codes: 0 success, 1 at least one verification FAIL, 2 malformed
-input or config, 3 domain errors (non-monic operator, points outside
-torsion, operator divisible by the characteristic), 4 a search cap or
-evaluation budget was exceeded.
+input or config (a module suite, `torsion` or `galois-det` on a config
+that declares no Drinfeld module included), 3 domain errors (non-monic
+operator, points outside torsion, operator divisible by the
+characteristic), 4 a search cap or evaluation budget was exceeded.
+`torsion` and `galois-det` build every result before printing any, so
+an exit code of 2 or more comes with no output.
 
 `--json` prints exactly `json.dumps(obj, indent=2, sort_keys=True)`.
+
+`--config` names a config file, whose format `verify.bundle_from_json`
+documents and parses.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import re
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
-from .core import DEFAULT_EXTENSION_CAP, DrinfeldModule, galois_det_table, torsion
+from .core import DEFAULT_EXTENSION_CAP, DrinfeldModule, galois_det_table, torsion, torsion_level
 from .errors import (
     ConfigurationTooLarge,
     DrinfeldError,
@@ -39,17 +45,10 @@ from .errors import (
     SearchBudget,
     SearchCapExceeded,
 )
-from .fields import dim_between, make_field
+from .fields import make_field
 from .pairing import f_chain_sum, f_recursive, f_rootfree, weil_evaluate, weil_polynomial
 from .polynomials import UniPoly
-from .verify import (
-    SUITE_NAMES,
-    BundleEntry,
-    VerificationConfig,
-    default_bundle,
-    parse_element,
-    run_suites,
-)
+from .verify import SUITE_NAMES, bundle_from_json, default_bundle, parse_element, run_suites
 
 _BUDGET_ERRORS = (ConfigurationTooLarge, SearchCapExceeded, SearchBudget)
 _DOMAIN_ERRORS = (NonMonic, NotTorsionPoint, InseparableTorsion)
@@ -66,11 +65,13 @@ def _parse_ranks(text):
     return tuple(int(tok) for tok in tokens)
 
 
+def _load_json_file(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def _load_json_arg(text):
-    if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.loads(text)
+    return _load_json_file(text[1:]) if text.startswith("@") else json.loads(text)
 
 
 def _fail(code, message):
@@ -152,8 +153,8 @@ def cmd_weil(args):
     specs = _load_json_arg(args.eval)
     if not isinstance(specs, list):
         raise MalformedInput(f"--eval must be a JSON list of points, got {specs!r}")
-    tm = torsion(module, a, cap=args.cap)
-    points = [parse_element(tm.level, s) for s in specs]
+    level = torsion_level(module, a, cap=args.cap)[2]
+    points = [parse_element(level, s) for s in specs]
     value = weil_evaluate(module, a, points)
     in_torsion = module.det_module().phi(a)(value).is_zero()
     if args.json:
@@ -161,7 +162,7 @@ def cmd_weil(args):
             {
                 "value": value.to_json(),
                 "rank": value.rank(),
-                "level": tm.level.descriptor(),
+                "level": level.descriptor(),
                 "in_det_module_torsion": in_torsion,
             }
         )
@@ -171,112 +172,73 @@ def cmd_weil(args):
     return 0
 
 
-def _config_entry(obj, default_label):
-    """(label, config, suites) from one config object."""
-    if not isinstance(obj, dict):
-        raise MalformedInput(f"a config must be a JSON object, got {obj!r}")
-    obj = dict(obj)
-    suites = obj.pop("suites", [])
-    if not (isinstance(suites, list) and all(s in SUITE_NAMES for s in suites)):
-        raise MalformedInput(f"suites must be a list of names from {SUITE_NAMES}, got {suites!r}")
-    label = obj.pop("label", default_label)
-    if not isinstance(label, str):
-        raise MalformedInput(f"label must be a string, got {label!r}")
-    return label, VerificationConfig.from_json(obj), tuple(suites)
-
-
 def _overrides(args):
     """The --seed and --budget a subcommand was given, by config field name."""
     return {k: v for k in ("seed", "budget") if (v := getattr(args, k, None)) is not None}
 
 
-def _config_from_file(path, overrides):
-    """One BundleEntry per config in the file, with `overrides` applied."""
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if isinstance(obj, dict) and "configs" in obj:
-        if not isinstance(obj["configs"], list):
-            raise MalformedInput(f"configs must be a list of objects, got {obj['configs']!r}")
-        cfgs = [_config_entry(entry, f"config-{i}") for i, entry in enumerate(obj["configs"])]
-    else:
-        cfgs = [_config_entry(obj, "config-0")]
-    out = []
-    for label, cfg, suites in cfgs:
-        cfg = dataclasses.replace(cfg, **overrides)
-        if not suites:
-            suites = (
-                ("pairing", "compatibility", "leading", "det")
-                if cfg.theta is not None
-                else ("f", "congruence")
-            )
-        out.append(BundleEntry(label, cfg, suites))
-    return out
+def _config_entries(args):
+    """The BundleEntry list of the --config file, --seed and --budget applied."""
+    return bundle_from_json(_load_json_file(args.config), **_overrides(args))
 
 
 def _config_modules(args):
-    """(label, config, module) per config entry; every entry is checked
-    for a module before the caller prints anything."""
-    out = []
-    for entry in _config_from_file(args.config, _overrides(args)):
-        module = entry.config.module()
-        if module is None:
-            raise MalformedInput(f"config {entry.label!r} declares no Drinfeld module")
-        out.append((entry.label, entry.config, module))
-    return out
+    """(label, config, module) per entry of the --config file; every
+    module is built before the caller computes or prints anything."""
+    return [(e.label, e.config, e.config.module()) for e in _config_entries(args)]
 
 
 def cmd_torsion(args):
-    for label, cfg, module in _config_modules(args):
-        for a in cfg.a_polys():
-            tm = torsion(module, a, cap=cfg.extension_cap)
-            if args.json:
-                out = tm.to_json()
-                out["module"] = module.to_json()
-                out["point_count"] = tm.count()
-                _emit(out)
-            else:
-                print(f"{label}: a = {a.render()}")
-                print(f"  extension degree over K: {tm.m}")
-                print(f"  point count: {tm.count()}")
-                for b in tm.fq_basis:
-                    print(f"  basis: {json.dumps(b.to_json())}")
+    # every result is built before any is printed: an error prints nothing
+    found = [(label, module, a, torsion(module, a, cap=cfg.extension_cap))
+             for label, cfg, module in _config_modules(args) for a in cfg.a_polys()]
+    for label, module, a, tm in found:
+        if args.json:
+            out = tm.to_json()
+            out["module"] = module.to_json()
+            out["point_count"] = tm.count()
+            _emit(out)
+        else:
+            print(f"{label}: a = {a.render()}")
+            print(f"  extension degree over K: {tm.m}")
+            print(f"  point count: {tm.count()}")
+            for b in tm.fq_basis:
+                print(f"  basis: {json.dumps(b.to_json())}")
     return 0
 
 
 def cmd_galois_det(args):
-    for label, cfg, module in _config_modules(args):
-        psi = module.det_module()
-        for a in cfg.a_polys():
-            table = galois_det_table(module, psi, a, cfg.extension_cap, cfg.seed)
-            rows = [
-                {
-                    "k": k,
-                    "det_rho_phi": det.render(),
-                    "rho_psi": scalar.render(),
-                    "equal": det == scalar,
-                }
-                for k, det, scalar in table
-            ]
-            if args.json:
-                _emit({"label": label, "a": [c.rank() for c in a.coeffs], "powers": rows})
-            else:
-                print(f"{label}: a = {a.render()}")
-                for row in rows:
-                    mark = "==" if row["equal"] else "!="
-                    print(
-                        f"  sigma^{row['k']}: det = {row['det_rho_phi']} "
-                        f"{mark} psi-scalar = {row['rho_psi']}"
-                    )
-            if not all(row["equal"] for row in rows):
-                return 1
+    # every table is built before any is printed: an error prints nothing
+    tables = [(label, a, galois_det_table(module, module.det_module(), a,
+                                          cfg.extension_cap, cfg.seed))
+              for label, cfg, module in _config_modules(args) for a in cfg.a_polys()]
+    for label, a, table in tables:
+        rows = [
+            {
+                "k": k,
+                "det_rho_phi": det.render(),
+                "rho_psi": scalar.render(),
+                "equal": det == scalar,
+            }
+            for k, det, scalar in table
+        ]
+        if args.json:
+            _emit({"label": label, "a": [c.rank() for c in a.coeffs], "powers": rows})
+        else:
+            print(f"{label}: a = {a.render()}")
+            for row in rows:
+                mark = "==" if row["equal"] else "!="
+                print(
+                    f"  sigma^{row['k']}: det = {row['det_rho_phi']} "
+                    f"{mark} psi-scalar = {row['rho_psi']}"
+                )
+        if not all(row["equal"] for row in rows):
+            return 1
     return 0
 
 
 def cmd_verify(args):
-    if args.config:
-        entries = _config_from_file(args.config, _overrides(args))
-    else:
-        entries = default_bundle(**_overrides(args))
+    entries = _config_entries(args) if args.config else default_bundle(**_overrides(args))
     if args.suite:
         wanted = set(args.suite)
         entries = [
@@ -347,7 +309,6 @@ def build_parser():
 
     p_tor = sub.add_parser("torsion", help="inspect a torsion module")
     p_tor.add_argument("--config", required=True)
-    p_tor.add_argument("--seed", type=int, default=None)
     p_tor.add_argument("--json", action="store_true")
     p_tor.set_defaults(func=cmd_torsion)
 

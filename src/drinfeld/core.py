@@ -284,26 +284,31 @@ def _tau_s_order(phi_a, s, cap):
 DEFAULT_EXTENSION_CAP = 64
 
 
-def torsion(phi, a, cap=DEFAULT_EXTENSION_CAP):
-    """The a-torsion of phi, realized in the smallest extension
-    GF(q**(s*m)) of K = GF(q**s) that carries the full kernel of phi_a.
-
-    m is the order of tau**s modulo phi_a on the right (see the module
-    docstring); the level of degree m over K is built once and the
-    kernel of phi_a on it, a GF(q)-space of dimension r*deg(a), is the
-    torsion.  No m <= cap raises SearchCapExceeded.
-    """
+def torsion_level(phi, a, cap=DEFAULT_EXTENSION_CAP):
+    """(phi_a, m, level): phi_a for a monic a over GF(q) separable for
+    phi, m the order of tau**s modulo phi_a on the right (see the module
+    docstring), and the level of degree m over K = GF(q**s) that carries
+    the kernel of phi_a.  No m <= cap raises SearchCapExceeded."""
     require_int(cap, "extension-degree cap", low=1)
     phi._require_over_base(a)
     require_monic(a)
     phi._require_separable(a)
-    base = phi.base
     phi_a = phi.phi(a)
-    m = _tau_s_order(phi_a, dim_between(phi.K, base), cap)
+    m = _tau_s_order(phi_a, dim_between(phi.K, phi.base), cap)
     if m is None:
         raise SearchCapExceeded(f"no extension of degree <= {cap} splits phi_a")
-    level = phi.K if m == 1 else extend(phi.K, m)[0]
-    null = operator_kernel(phi_a, level, base)
+    return phi_a, m, phi.K if m == 1 else extend(phi.K, m)[0]
+
+
+def torsion(phi, a, cap=DEFAULT_EXTENSION_CAP):
+    """The a-torsion of phi, realized in the smallest extension
+    GF(q**(s*m)) of K = GF(q**s) that carries the full kernel of phi_a.
+
+    The level comes from `torsion_level`, and the kernel of phi_a on
+    it, a GF(q)-space of dimension r*deg(a), is the torsion.
+    """
+    phi_a, m, level = torsion_level(phi, a, cap)
+    null = operator_kernel(phi_a, level, phi.base)
     want = phi.rank * a.degree
     if len(null) != want:
         raise AssertionError(

@@ -11,9 +11,10 @@ switch is an explicit evaluation budget, and reports are reproducible
 byte-for-byte apart from their timing fields.
 
 Each exhaustive sweep evaluates a tuple once per operator.  The Galois
-check walks each orbit of tuples under the Frobenius of K from its least
-member and compares each member's value, under the k-th Frobenius, with
-the value k steps on; operators are applied once per point or value.
+check walks each orbit of tuples under the Frobenius sigma of K from its
+least member and compares sigma of each member's value with the next
+member's value; around a closed orbit sigma**k then carries each value
+k steps on, for every k.  Operators are applied once per point or value.
 
 The mutation tests in tests/test_verify.py prove the checks have teeth
 by patching a broken construction in from outside: `_det_module` (the
@@ -29,7 +30,7 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .core import (
     DEFAULT_EXTENSION_CAP,
@@ -126,8 +127,10 @@ class VerificationConfig:
         return ctx
 
     def module(self):
+        """The Drinfeld module the config declares; MalformedInput if it
+        declares none (no theta)."""
         if self.theta is None:
-            return None
+            raise MalformedInput(f"config with p={self.p} declares no Drinfeld module (no theta)")
         K = self.K_ctx()
         return DrinfeldModule(
             K, parse_element(K, self.theta), tuple(parse_element(K, c) for c in self.g)
@@ -152,21 +155,8 @@ class VerificationConfig:
         return out
 
     def to_json(self):
-        return {
-            "p": self.p,
-            "e": self.e,
-            "k_extensions": list(self.k_extensions),
-            "theta": self.theta,
-            "g": list(self.g),
-            "ranks": list(self.ranks),
-            "max_deg": self.max_deg,
-            "a_list": [list(a) for a in self.a_list],
-            "ab_pairs": [[list(a), list(b)] for a, b in self.ab_pairs],
-            "trials": self.trials,
-            "seed": self.seed,
-            "extension_cap": self.extension_cap,
-            "budget": self.budget,
-        }
+        """Every field by name; `json` writes the tuples as arrays."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_json(cls, obj):
@@ -542,11 +532,11 @@ def verify_pairing_properties(cfg):
     for a in cfg.a_polys():
         tag = f"[a={a.render()}]"
         tm = torsion(phi, a, cap=cfg.extension_cap)
-        pts = tm.points()
-        if len(pts) ** r > cfg.budget:
+        if tm.count() ** r > cfg.budget:  # checked before any point is built
             raise ConfigurationTooLarge(
-                f"{len(pts)}**{r} tuples exceed the budget of {cfg.budget}"
+                f"{tm.count()}**{r} tuples exceed the budget of {cfg.budget}"
             )
+        pts = tm.points()
         level = tm.level
         ev = PairingEvaluator(phi, a, level)
         a_ranks = [c.rank() for c in a.coeffs]
@@ -658,10 +648,10 @@ def verify_pairing_properties(cfg):
                     continue  # a smaller member walks this orbit
                 tuples = [[pts[i] for i in idx] for idx in orbit]
                 vals = [ev(tup) for tup in tuples]
-                for j, k in itertools.product(range(len(vals)), range(1, tm.m + 1)):
-                    lhs, rhs = vals[j].frobenius(k * s), vals[(j + k) % len(vals)]
+                for j, val in enumerate(vals):
+                    lhs, rhs = val.frobenius(s), vals[(j + 1) % len(vals)]
                     if lhs != rhs:
-                        return _mismatch("galois", {"a": a_ranks, "k": k,
+                        return _mismatch("galois", {"a": a_ranks, "k": 1,
                                                     "points": _point_list_json(tuples[j])},
                                          lhs, rhs)
             return True
@@ -904,6 +894,44 @@ def default_bundle(seed=VerificationConfig.seed, budget=VerificationConfig.budge
         for q in (2, 3)
         for r in (1, 2, 3)
     ]
+
+
+def bundle_from_json(obj, **overrides):
+    """One BundleEntry per config in a config file's parsed JSON, each
+    config's fields replaced by `overrides` (the CLI's --seed and
+    --budget).
+
+    The file holds one config object or {"configs": [config, ...]}.  A
+    config object has `VerificationConfig.to_json`'s keys, of which only
+    "p" is required, and two more, both optional: "label", a string
+    ("config-<i>" for the i-th config by default), and "suites", a list
+    of names from SUITE_NAMES.  With no suites, or an empty list, a
+    config with a theta runs the four module suites and one without runs
+    "f" and "congruence"."""
+    if isinstance(obj, dict) and "configs" in obj:
+        objs = obj["configs"]
+        if not isinstance(objs, list):
+            raise MalformedInput(f"configs must be a list of objects, got {objs!r}")
+    else:
+        objs = [obj]
+    out = []
+    for i, entry in enumerate(objs):
+        if not isinstance(entry, dict):
+            raise MalformedInput(f"a config must be a JSON object, got {entry!r}")
+        entry = dict(entry)
+        suites = entry.pop("suites", [])
+        if not (isinstance(suites, list) and all(s in SUITE_NAMES for s in suites)):
+            raise MalformedInput(
+                f"suites must be a list of names from {SUITE_NAMES}, got {suites!r}"
+            )
+        label = entry.pop("label", f"config-{i}")
+        if not isinstance(label, str):
+            raise MalformedInput(f"label must be a string, got {label!r}")
+        cfg = replace(VerificationConfig.from_json(entry), **overrides)
+        if not suites:
+            suites = SUITE_NAMES[2:] if cfg.theta is not None else SUITE_NAMES[:2]
+        out.append(BundleEntry(label, cfg, tuple(suites)))
+    return out
 
 
 # ---------------------------------------------------------------------------
