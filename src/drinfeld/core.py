@@ -353,7 +353,7 @@ class TorsionModule:
             self._points = tuple(fq_span(self.fq_basis, self.level, self.phi.base))
         return self._points
 
-    def _point(self, index):
+    def point(self, index):
         """points()[index], from the index's base-q digits, first slowest."""
         base, point = self.phi.base, self.level.zero_element
         for b in reversed(self.fq_basis):
@@ -384,7 +384,7 @@ class TorsionModule:
         ops = [self.phi.phi_tpow(i) for i in range(self.a.degree)]
         rng = random.Random(seed)
         for _ in range(_A_BASIS_ATTEMPTS):
-            candidate = tuple(self._point(rng.randrange(1, total)) for _ in range(self.rank))
+            candidate = tuple(self.point(rng.randrange(1, total)) for _ in range(self.rank))
             columns = [as_vector(op(beta), base) for beta in candidate for op in ops]
             rows = [list(row) for row in zip(*columns)]
             if not kernel(rows):

@@ -26,7 +26,7 @@ A raw payload takes one of two forms, known only to this module:
 
 A packed level multiplies through log/exp tables of the powers of its
 smallest-rank primitive element g: a*b = exp[log a + log b], with
-inverse, power and Frobenius read off log a as well; log 0 is 2(order-1)
+inverse and power read off log a as well; log 0 is 2(order-1)
 and exp is zero from there on, so a zero needs no branch.  For odd p,
 addition uses Zech logarithms, zech[k] = log(1 + g**k) (K. Huber,
 "Some comments on Zech's logarithms", IEEE Trans. IT 36, 1990).  The
@@ -55,6 +55,11 @@ multiply stays.  Payloads are ints or tuples, so equality and hashing
 are structural and every value is immutable.  The public wrapper is
 :class:`FieldElement`; ``elem``, ``element_of_rank`` and the
 nested-array JSON form are the ways in from outside.
+
+Levels memoize nothing but their log tables: ``frobenius(a, k)`` is
+``power(a, q**(k mod m))``, and inverses are computed per call.
+``_ext_cache`` keeps found moduli and levels, bounded by the distinct
+degrees asked for; it makes ``extend`` return the identical level.
 
 These algorithms live here once, on payloads, for the whole package.
 ``_power`` is the one square-and-multiply.  The ``_p*`` helpers on
@@ -494,8 +499,6 @@ class FieldCtx:
         "_ext_cache",
         "_zero_el",
         "_one_el",
-        "_inv_cache",
-        "_frob_cache",
     )
 
     def __init__(self, p, parent=None, degree=1, modulus=None):
@@ -533,8 +536,6 @@ class FieldCtx:
         self._ext_cache = {}
         self._zero_el = None
         self._one_el = None
-        self._inv_cache = {}
-        self._frob_cache = {}
         self._install_ops()
 
     def _install_ops(self):
@@ -778,8 +779,6 @@ class FieldCtx:
             plus_one = [x + 1 if (x + 1) % p else x + 1 - p for x in exp[:n]]
             self._zech = array("H", [log[y] if y else n for y in plus_one]) * 3
         self._log, self._exp = log, exp
-        self._inv_cache.clear()
-        self._frob_cache.clear()
         self._install_table_ops()
 
     def _times(self, g):
@@ -850,23 +849,17 @@ class FieldCtx:
             raise DivisionByZero(f"inverse of zero in {self!r}")
         if self._log is not None:
             return self._exp[self.order - 1 - self._log[a]]
-        cached = self._inv_cache.get(a)
-        if cached is not None:
-            return cached
         if self.parent is None:
-            result = pow(a, self.p - 2, self.p)
-        else:
-            if self.packed:
-                self._tick()
-            par = self.parent
-            mod = list(self._mod)
-            d, u, _ = _pxgcd(par, list(self._coords(a)), mod)
-            if len(d) != 1:  # pragma: no cover - modulus is irreducible
-                raise DivisionByZero("element not invertible")
-            u = _pmod(par, u, mod)
-            result = self._from_coords(u + [par._zero] * (self.degree - len(u)))
-        self._inv_cache[a] = result
-        return result
+            return pow(a, self.p - 2, self.p)
+        if self.packed:
+            self._tick()
+        par = self.parent
+        mod = list(self._mod)
+        d, u, _ = _pxgcd(par, list(self._coords(a)), mod)
+        if len(d) != 1:  # pragma: no cover - modulus is irreducible
+            raise DivisionByZero("element not invertible")
+        u = _pmod(par, u, mod)
+        return self._from_coords(u + [par._zero] * (self.degree - len(u)))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -889,22 +882,8 @@ class FieldCtx:
         """Payload of a**(q**k) for q the tower's base cardinality; k is
         taken modulo m, the level's degree over GF(q), so it may be negative."""
         k %= self.dim_over_prime // self.base.dim_over_prime
-        if not k:
-            return a  # a**(q**m) = a; m = 1 at or below the base level
-        log = self._log
-        if log is not None:
-            if not a:
-                return 0
-            n = self.order - 1
-            return self._exp[log[a] * pow(self.q, k, n) % n]
-        cache = self._frob_cache
-        for _ in range(k):
-            nxt = cache.get(a)
-            if nxt is None:
-                nxt = self.power(a, self.q)
-                cache[a] = nxt
-            a = nxt
-        return a
+        # a**(q**m) = a; m = 1 at or below the base level
+        return self.power(a, self.q**k) if k else a
 
     # -- ranking and enumeration --------------------------------------------
 
@@ -919,7 +898,7 @@ class FieldCtx:
 
     def payload_of_rank(self, n):
         if not 0 <= require_int(n, "rank") < self.order:
-            raise ValueError(f"rank {n} out of range for {self!r}")
+            raise MalformedInput(f"rank {n} out of range for {self!r}")
         if self.packed:
             return n
         par = self.parent
@@ -1073,14 +1052,14 @@ def make_field(p, e=1, modulus=None):
         _PRIME_FIELDS[p] = prime
     if e == 1:
         if modulus is not None:
-            raise ValueError("a modulus only makes sense for e >= 2")
+            raise MalformedInput("a modulus only makes sense for e >= 2")
         return prime
     if modulus is not None:
         mod = tuple(modulus)
         if any(type(c) is not int or not 0 <= c < p for c in mod):
             raise MalformedInput(f"modulus {list(mod)} needs ints in range({p})")
         if len(mod) != e + 1 or mod[-1] != 1:
-            raise ValueError(f"modulus must be monic of degree {e}")
+            raise MalformedInput(f"modulus must be monic of degree {e}")
         if not _is_irreducible(prime, list(mod)):
             raise ReducibleModulus(f"modulus {list(mod)} factors over GF({p})")
     else:
@@ -1113,7 +1092,7 @@ def extend(ctx, m, modulus=None):
             for c in modulus
         )
         if len(mod) != m + 1 or mod[-1] != ctx.one():
-            raise ValueError(f"modulus must be monic of degree {m}")
+            raise MalformedInput(f"modulus must be monic of degree {m}")
         if not _is_irreducible(ctx, list(mod)):
             raise ReducibleModulus(f"modulus factors over {ctx!r}")
     else:
@@ -1144,7 +1123,7 @@ def field_from_descriptor(desc):
     degrees = [require_int(level.get("degree"), "descriptor 'degree'") for level in tower]
     if e > 1:
         if not tower or degrees[0] != e:
-            raise ValueError("descriptor base degree disagrees with its tower")
+            raise MalformedInput("descriptor base degree disagrees with its tower")
         ctx = make_field(p, e, modulus=tower[0]["modulus"])
         tower, degrees = tower[1:], degrees[1:]
     else:

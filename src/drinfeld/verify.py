@@ -679,9 +679,9 @@ def verify_pairing_properties(cfg):
 def verify_compatibility(cfg):
     """psi_b(W_{ab}(t)) = W_a(phi_b applied slotwise), on every torsion
     tuple of phi[ab] when that fits the budget, else on min(budget,
-    10,000) sampled tuples; phi_b and psi_b are applied once per point
-    and once per value, and W_a once per image tuple (phi_b maps many
-    tuples to one)."""
+    10,000) sampled tuples, whose points alone are built; phi_b and
+    psi_b are applied once per point and once per value, and W_a once
+    per image tuple (phi_b maps many tuples to one)."""
     suite = _Suite(cfg)
     phi = cfg.module()
     psi = _det_module(phi)
@@ -692,7 +692,6 @@ def verify_compatibility(cfg):
         tag = f"[a={a.render()},b={b.render()}]"
         ab = a * b
         tm = torsion(phi, ab, cap=cfg.extension_cap)
-        pts = tm.points()
         level = tm.level
         ev_ab = PairingEvaluator(phi, ab, level)
         ev_a = PairingEvaluator(phi, a, level)
@@ -701,12 +700,12 @@ def verify_compatibility(cfg):
 
         def compat():
             phi_images, psi_images, rhs_values = {}, {}, {}  # filled on first use
-            total = len(pts) ** r
-            if total <= cfg.budget:
-                tuples = itertools.product(pts, repeat=r)
+            count = tm.count()
+            if count ** r <= cfg.budget:
+                tuples = itertools.product(tm.points(), repeat=r)
             else:
                 tuples = (
-                    tuple(rng.choice(pts) for _ in range(r))
+                    tuple(tm.point(rng.randrange(count)) for _ in range(r))
                     for _ in range(min(cfg.budget, 10_000))
                 )
             for tup in tuples:

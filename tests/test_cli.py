@@ -490,3 +490,11 @@ def test_config_numbers_are_never_coerced_exit2(capsys, tmp_path, command, patch
     path.write_text(json.dumps({**base, **patch}))
     code, out, err = run_cli(capsys, command, "--config", str(path))
     assert code == 2 and out == "" and "Traceback" not in err, err
+
+
+def test_descriptor_degree_disagreement_exit2_without_a_type_name(capsys):
+    k = {"p": 2, "e": 2, "tower": [{"degree": 3, "modulus": [1, 1, 0, 1]}]}
+    module = json.dumps({"K": k, "theta": [1, 0], "g": [[1, 0]]})
+    code, out, err = run_cli(capsys, "weil", "--module", module, "--a", "0,1")
+    assert code == 2 and out == "" and "disagrees with its tower" in err
+    assert "ValueError" not in err

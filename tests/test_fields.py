@@ -372,3 +372,38 @@ def test_rank_enumeration_bijective():
     F8, _ = extend(F2, 3)
     seen = {x.rank() for x in F8.elements()}
     assert seen == set(range(8))
+
+
+# Out-of-range input from outside raises MalformedInput (a ValueError), not a bare ValueError.
+
+
+def test_out_of_range_rank_is_malformed_input():
+    F4 = extend(F2, 2)[0]
+    for ctx, rank in ((F2, 2), (F9, -1), (F4, 4), (extend(F2, 17)[0], 2**17)):
+        with pytest.raises(MalformedInput, match="out of range"):
+            ctx.payload_of_rank(rank)
+
+
+def test_modulus_for_a_prime_field_is_malformed_input():
+    with pytest.raises(MalformedInput, match="e >= 2"):
+        make_field(3, 1, modulus=[1, 1])
+
+
+@pytest.mark.parametrize("modulus", [[1, 0, 2], [1, 0, 1, 0], [2, 1]])
+def test_make_field_modulus_of_wrong_shape_is_malformed_input(modulus):
+    with pytest.raises(MalformedInput, match="monic of degree 2"):
+        make_field(3, 2, modulus=modulus)
+
+
+@pytest.mark.parametrize(
+    "e, modulus", [(1, [1, 1, 0]), (1, [1, 1, 1, 1]), (2, [[1, 0], [1, 0], [0, 1]])]
+)
+def test_extend_modulus_of_wrong_shape_is_malformed_input(e, modulus):
+    with pytest.raises(MalformedInput, match="monic of degree 2"):
+        extend(make_field(2, e), 2, modulus=modulus)
+
+
+def test_descriptor_base_degree_disagreeing_with_its_tower_is_malformed_input():
+    for tower in ([], [{"degree": 3, "modulus": [1, 1, 0, 1]}]):
+        with pytest.raises(MalformedInput, match="disagrees with its tower"):
+            field_from_descriptor({"p": 2, "e": 2, "tower": tower})

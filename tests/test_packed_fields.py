@@ -3,12 +3,13 @@ element is its rank) with and without their log/Zech tables, and tuple
 levels above the cap, over a prime or a packed parent."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import ZZ
-from sympy.polys.galoistools import gf_irreducible_p
+from sympy.polys.galoistools import gf_gcdex, gf_irreducible_p, gf_pow_mod, gf_strip
 
 from drinfeld.errors import MalformedInput, NotInSubfield
 from drinfeld.fields import PACKED_MAX_ORDER, FieldCtx, _is_irreducible, extend, make_field
@@ -170,3 +171,50 @@ def test_rank_must_be_an_int(rank):
         with pytest.raises(MalformedInput):
             ctx.element_of_rank(rank)
     assert make_field(2, 2).element_of_rank(1).rank() == 1
+
+
+def _gf(coords):
+    """Little-endian coordinates over GF(p) as sympy's big-endian list."""
+    return gf_strip(list(coords)[::-1])
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(level_and_ranks(("GF(2^17)", "GF(3^11)"), count=1))
+def test_frobenius_and_inverse_on_tuple_levels_match_sympy(case):
+    ctx, (x,) = case
+    p, m = ctx.p, ctx.degree  # q = p on these levels over GF(p)
+    f, mod = _gf(x.val), _gf(ctx._mod)
+    for k in range(-m, 2 * m + 1):
+        y = x.frobenius(k)
+        if k >= 0:
+            assert _gf(y.val) == gf_pow_mod(f, p**k, mod, p, ZZ), (ctx, x, k)
+        else:  # Frobenius by -k undoes Frobenius by k
+            assert gf_pow_mod(_gf(y.val), p**-k, mod, p, ZZ) == f, (ctx, x, k)
+    if not x.is_zero():
+        assert x * x.inverse() == ctx.one_element
+        inv, _, one = gf_gcdex(f, mod, p, ZZ)  # inv * f + _ * mod = 1
+        assert one == [1] and _gf(x.inverse().val) == inv
+
+
+@pytest.mark.parametrize("name", ["GF(2^15)", "GF(9)^4"])
+def test_packed_frobenius_and_inverse_match_the_digit_path_with_and_without_tables(name):
+    level = LEVELS[name]
+    ctx = FieldCtx(level.p, parent=level.parent, degree=level.degree, modulus=level._mod)
+    m, q = level.degree, ctx.q  # the parent is the base on both levels
+    ranks = [0, 1, 2, ctx.order - 1] + random.Random(0).sample(range(3, ctx.order - 1), 4)
+
+    def check():
+        for a in ranks:
+            for k in range(-m, 2 * m + 1):
+                b = ctx.frobenius(a, k)
+                if k >= 0:
+                    assert b == ctx._pow_raw(a, q**k), (a, k)
+                else:
+                    assert ctx._pow_raw(b, q**-k) == a, (a, k)
+            if a:
+                assert ctx._mul_raw(a, ctx.inv(a)) == 1
+
+    check()
+    assert ctx._log is None
+    ctx._build_tables()
+    check()

@@ -1,11 +1,12 @@
 import copy
 import hashlib
 import json
+import random
 
 import pytest
 
 from drinfeld import pairing, verify
-from drinfeld.core import DrinfeldModule
+from drinfeld.core import DrinfeldModule, TorsionModule, torsion
 from drinfeld.errors import ConfigurationTooLarge, MalformedInput
 from drinfeld.pairing import FaPoly
 from drinfeld.polynomials import MultiPoly, UniPoly
@@ -301,3 +302,32 @@ def test_default_bundle_report_is_golden(bundle, bundle_reports):
     assert hashlib.sha256(blob.encode()).hexdigest() == (
         "73a692be8c343ac11e1eee1d713850c263f683a499ee37860ef37cb4077b4728"
     )
+
+
+def test_compatibility_samples_by_index_the_tuples_the_point_list_gave(monkeypatch):
+    # sampling draws an index per slot and builds that point alone; the
+    # draws are those random.choice made on the full point list
+    cfg = VerificationConfig(p=2, e=2, theta=2, g=(1, 1), ab_pairs=(((1, 1), (0, 1)),),
+                             budget=7, seed=3)
+    a, b = (UniPoly.from_ranks(cfg.K_ctx(), r) for r in cfg.ab_pairs[0])
+    tm = torsion(cfg.module(), a * b, cap=cfg.extension_cap)
+    pts = tm.points()
+    assert [tm.point(i) for i in range(tm.count())] == list(pts)
+    rng = random.Random(cfg.seed)
+    expected = [tuple(rng.choice(pts) for _ in range(2)) for _ in range(cfg.budget)]
+
+    seen = []
+    real_call = pairing.PairingEvaluator.__call__
+
+    def counted(self, betas):
+        if self.a.degree == 2:
+            seen.append(tuple(betas))
+        return real_call(self, betas)
+
+    def no_point_list(self):
+        raise AssertionError("the sampled branch builds the whole point list")
+
+    monkeypatch.setattr(pairing.PairingEvaluator, "__call__", counted)
+    monkeypatch.setattr(TorsionModule, "points", no_point_list)
+    assert verify_compatibility(cfg).ok()
+    assert seen == expected
