@@ -45,10 +45,11 @@ from .errors import (
     SearchBudget,
     SearchCapExceeded,
 )
-from .fields import make_field
+from .fields import make_field, require_int
 from .pairing import f_chain_sum, f_recursive, f_rootfree, weil_evaluate, weil_polynomial
 from .polynomials import UniPoly
-from .verify import SUITE_NAMES, bundle_from_json, default_bundle, parse_element, run_suites
+from .verify import (SUITE_NAMES, VerificationConfig, bundle_from_json, default_bundle,
+                     parse_element, run_suites)
 
 _BUDGET_ERRORS = (ConfigurationTooLarge, SearchCapExceeded, SearchBudget)
 _DOMAIN_ERRORS = (NonMonic, NotTorsionPoint, InseparableTorsion)
@@ -113,10 +114,12 @@ def _emit(obj):
 def cmd_fa(args):
     base = make_field(args.q_char, args.q_deg)
     a = UniPoly.from_ranks(base, _parse_ranks(args.a))
-    route = args.route
-    if route == "both":
-        chain = f_chain_sum(a, args.r)
-        rec = f_recursive(a, args.r)
+    budget, n, r = require_int(args.budget, "budget", low=1), a.degree, args.r
+    if n > 1 and (r >= budget.bit_length() or n**r > budget):  # n**r >= 2**r
+        raise ConfigurationTooLarge(f"{n}**{r} terms of f_a exceed the budget of {budget}")
+    if args.route == "both":
+        chain = f_chain_sum(a, r)
+        rec = f_recursive(a, r)
         match = chain == rec
         if args.json:
             _emit(
@@ -131,8 +134,8 @@ def cmd_fa(args):
             print(rec.render())
             print("match" if match else "MISMATCH")
         return 0 if match else 1
-    build = {"rootfree": f_rootfree, "chain": f_chain_sum, "recursive": f_recursive}[route]
-    fa = build(a, args.r)
+    build = {"rootfree": f_rootfree, "chain": f_chain_sum, "recursive": f_recursive}[args.route]
+    fa = build(a, r)
     if args.json:
         _emit(fa.to_json())
     else:
@@ -293,6 +296,8 @@ def build_parser():
                       "chain / recursive: the root-based oracles; both: compare "
                       "the two oracles.  --json reports the route in "
                       "provenance.route")
+    p_fa.add_argument("--budget", type=int, default=VerificationConfig.budget,
+                      help="exit 4 when deg(a)**r, f_a's term bound, exceeds it")
     p_fa.add_argument("--json", action="store_true")
     p_fa.set_defaults(func=cmd_fa)
 

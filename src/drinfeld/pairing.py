@@ -23,12 +23,14 @@ every monic a, inseparable ones included.
 
 `f_rootfree` expands it from site matrices over GF(q), indices below
 n = deg a: D[k][l] = a_{k+l+1} (Delta_a = sum D[k][l] x^k y^l), R[e] =
-T^e mod a (e <= 2n-2) and A[l'][m][l] = sum_k R[l'+k][m] D[k][l].  The
-a(T_j) lie in distinct variables, so NF_I reduces each variable on its
-own; slot j's exponent l' + k is final once its left bond l' and its
-right pair (k, l) are chosen, so A reduces it there and the expansion
-is NF_I of the product.  Slot 1 opens with bond 0 (A[0] = D); the last
-slot's exponent is the bond l' < n it closes.
+T^e mod a (e <= 2n-2) and one matrix per digit m, M_m[l'][l] = sum_k
+R[l'+k][m] D[k][l].  NF_I reduces each variable on its own, and slot j's
+exponent l' + k is final once its left bond l' and its right pair (k, l)
+are chosen, so M_m reduces it there to m.  Slot 1 opens with bond 0; a
+vector over the open bond per prefix of digits goes through M_m for each
+next digit m; the last slot's exponent is the bond l' < n it closes.
+R[e] for e < n is the unit vector of T^e; the residues above stay on
+`UniPoly`, the polynomial-layer calls that perfbench counts for `fa`.
 
 The chain sum above (`f_chain_sum`, `f_root_order_variant`) and a
 peel-one-root recursion (`f_recursive`) are kept as its independent
@@ -239,32 +241,45 @@ def _check_inputs(a, r, top=None):
         raise ArityMismatch(f"arity must be {span}, got {r!r}")
 
 
-def f_rootfree(a, r):
-    """f_a expanded from its site matrices (module docstring) over
-    (exponent prefix, open bond) states, dropping zero states; no roots.
-    Every production path uses it; it is cheap, so nothing is memoized."""
-    _check_inputs(a, r)
-    ctx, n = a.ctx, a.degree
+def _site_rows(a):
+    """Row l' of every M_m side by side, per open bond l': the nonzero
+    (m*n + l, M_m[l'][l]).  Block l' + k of row l' is D[k] as it stands."""
+    ctx, n, coeffs = a.ctx, a.degree, a._payloads(a.ctx)
     zero, add, mul = ctx.zero(), ctx.add, ctx.mul
-    coeffs = a._payloads(ctx)
-    D = [[coeffs[k + l + 1] if k + l < n else zero for l in range(n)] for k in range(n)]
-    t, R = UniPoly.gen(ctx), [UniPoly.one(ctx)]
-    for _ in range(2 * n - 2):
-        R.append(t * R[-1] % a)
-    A = [[] for _ in range(n)]  # A[l']: the (m, l, A[l'][m][l]) with a nonzero entry
-    for lb, m, l in itertools.product(range(n), repeat=3):
-        entry = functools.reduce(add, [mul(R[lb + k][m].val, D[k][l]) for k in range(n)])
-        if entry != zero:
-            A[lb].append((m, l, entry))
-    states = {((), 0): ctx.one()}
-    for _ in range(r - 1):
-        nxt = {}
-        for (prefix, lb), c in states.items():
-            for m, l, entry in A[lb]:
-                key = (prefix + (m,), l)
-                nxt[key] = add(nxt.get(key, zero), mul(c, entry))
-        states = {key: c for key, c in nxt.items() if c != zero}
-    terms = {prefix + (lb,): c for (prefix, lb), c in states.items()}
+    D = [coeffs[k + 1 : n + 1] + [zero] * k for k in range(n)]  # D[k][l] = a_(k+l+1)
+    R, t = [], UniPoly.gen(ctx)
+    top = UniPoly(ctx, [ctx.zero_element] * (n - 1) + [ctx.one_element])  # T^(n-1)
+    for _ in range(n - 1):  # R[e - n] = T^e mod a, n <= e <= 2n - 2
+        top = t * top % a
+        R.append([(m, x.val) for m, x in enumerate(top.coeffs) if x.val != zero])
+    acc = [sum(D[: n - lb], [zero] * (n * lb)) for lb in range(n)]  # e < n: no arithmetic
+    for lb in range(n):
+        for k in range(n - lb, n):
+            for m, x in R[lb + k - n]:
+                for l in range(n - k):
+                    acc[lb][m * n + l] = add(acc[lb][m * n + l], mul(x, D[k][l]))
+    return D, [[(i, c) for i, c in enumerate(row) if c != zero] for row in acc]
+
+
+def f_rootfree(a, r):
+    """f_a from its site matrices (module docstring): no roots, no memo."""
+    _check_inputs(a, r)
+    ctx, n, (D, rows) = a.ctx, a.degree, _site_rows(a)
+    zero, add, mul = ctx.zero(), ctx.add, ctx.mul
+    zeros = [zero] * n  # slot 1 opens with bond 0, and row 0 of M_m is D[m]
+    vectors = {(m,): row for m, row in enumerate(D)} if r > 1 else {(): [ctx.one()] + zeros[1:]}
+    for _ in range(r - 2):
+        last, vectors = vectors, {}
+        for prefix, v in last.items():
+            w = zeros * n  # w[m*n + l]: v times M_m, at bond l
+            for lb, c in enumerate(v):
+                if c != zero:
+                    for i, entry in rows[lb]:
+                        w[i] = add(w[i], mul(c, entry))
+            for m in range(n):
+                if (u := w[m * n : m * n + n]) != zeros:
+                    vectors[prefix + (m,)] = u
+    terms = {prefix + (l,): c for prefix, v in vectors.items() for l, c in enumerate(v)}
     return FaPoly(MultiPoly._wrap(ctx, r, terms), a, r, "rootfree", ())
 
 

@@ -19,8 +19,8 @@ k steps on, for every k.  Operators are applied once per point or value.
 The mutation tests in tests/test_verify.py prove the checks have teeth
 by patching a broken construction in from outside: `_det_module` (the
 one place the verifier takes the determinant module from),
-`f_chain_sum` as this module sees it, and `pairing.f_rootfree` (the
-f_a behind `PairingEvaluator`).
+`f_chain_sum` as this module sees it, `pairing.f_rootfree` (the f_a
+behind `PairingEvaluator`) and hand mutants of its site expansion.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import copy
 import json
+import time
 
 import pytest
 
@@ -99,6 +100,45 @@ def test_production_paths_never_scan_roots(capsys, monkeypatch):
 def test_fa_nonmonic_exit3(capsys):
     code, _, err = run_cli(capsys, "fa", "--q", "3", "--a", "1,2", "--r", "2")
     assert code == 3 and "monic" in err
+
+
+@pytest.mark.parametrize("route", ["rootfree", "chain", "recursive", "both"])
+def test_fa_budget_bounds_the_terms_before_any_build(capsys, monkeypatch, route):
+    from drinfeld import cli
+
+    def forbidden(*args):
+        raise AssertionError("f_a built past its budget")
+
+    for name in ("f_rootfree", "f_chain_sum", "f_recursive"):
+        monkeypatch.setattr(cli, name, forbidden)
+    # 2**99999999999 terms: decided without forming the power (this hung)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "fa", "--q", "2", "--a", "1,1,1",
+                             "--r", "99999999999", "--route", route)
+    assert time.perf_counter() - start < 5
+    assert code == 4 and out == "" and "exceed the budget of 10000000" in err
+    # the bound is n**r exactly: 2**16 = 65,536 terms at most
+    code, out, err = run_cli(capsys, "fa", "--q", "2", "--a", "1,1,1", "--r", "16",
+                             "--budget", "65535", "--route", route)
+    assert code == 4 and out == "" and "2**16 terms" in err
+
+
+def test_fa_budget_default_and_edges(capsys):
+    code, out, _ = run_cli(capsys, "fa", "--q", "2", "--a", "1,1,1", "--r", "16")
+    assert code == 0 and out.count("+") + 1 == 43_691
+    code, out, _ = run_cli(capsys, "fa", "--q", "2", "--a", "1,1,1", "--r", "4",
+                           "--budget", "16")
+    assert code == 0 and out.strip()
+    # deg a = 1: f_a = 1, a single term at any r
+    code, out, _ = run_cli(capsys, "fa", "--q", "3", "--a", "2,1", "--r", "40", "--budget", "1")
+    assert code == 0 and out.strip() == "1"
+    for bad in ("0", "-3"):
+        code, out, err = run_cli(capsys, "fa", "--q", "2", "--a", "1,1,1", "--r", "2",
+                                 "--budget", bad)
+        assert code == 2 and out == "" and "budget must be an int >= 1" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["fa", "--q", "2", "--a", "1,1,1", "--r", "2", "--budget", "1.5"])
+    assert exc.value.code == 2
 
 
 def test_fa_malformed_exit2(capsys):

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -494,3 +496,22 @@ def test_evaluator_embeds_lower_points_and_rejects_other_levels():
             ev([f4.one_element, points[1]])
         with pytest.raises(LevelMismatch):
             PairingEvaluator(phi, T2, tm.level)([points[1].embed_to(upper), points[1]])
+
+
+@pytest.mark.parametrize("p, ranks, r, count, orbits", [
+    (2, (1, 1, 1), 16, 43_691, 11),  # T^2+T+1 over GF(2)
+    (3, (2, 0, 2, 1), 8, 3_608, 27),  # T^3+2T^2+2 over GF(3)
+])
+def test_fa_term_and_orbit_counts_pinned(p, ranks, r, count, orbits):
+    terms = f_rootfree(UniPoly.from_ranks(make_field(p), ranks), r).poly.terms
+    by_orbit = {}
+    for exps, c in terms.items():
+        by_orbit.setdefault(tuple(sorted(exps)), []).append(c)
+    assert len(terms) == count and len(by_orbit) == orbits
+    # f_a is symmetric: each orbit under permuting the variables is whole,
+    # with one coefficient
+    for key, coeffs in by_orbit.items():
+        size = math.factorial(r)
+        for mult in Counter(key).values():
+            size //= math.factorial(mult)
+        assert len(coeffs) == size and len(set(coeffs)) == 1

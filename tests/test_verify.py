@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import inspect
 import json
 import random
 
@@ -209,6 +210,38 @@ def test_mutation_fab_product_detected(monkeypatch):
     fails = report.failures()
     assert fails and fails[0].counterexample["identity"] == "compatibility"
     assert reevaluate(fails[0].counterexample)
+
+
+# hand mutants of f_a's site expansion: (function, its text, the mutated text)
+SITE_MUTANTS = {
+    # R starts from T^n, not T^(n-1): every residue row is T^(e+1) mod a
+    "R row off by one": ("_site_rows", "[ctx.zero_element] * (n - 1)", "[ctx.zero_element] * n"),
+    # D[k][l] = a_(k+l) instead of a_(k+l+1)
+    "D shifted by one": ("_site_rows", "coeffs[k + 1 : n + 1]", "coeffs[k : n]"),
+    # only chains whose last bond is 0 give a term; the others are dropped
+    "last bond not closed": ("f_rootfree", "enumerate(v)}", "enumerate(v[:1])}"),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(SITE_MUTANTS))
+def test_mutation_site_expansion_detected(monkeypatch, tmp_path, capsys, mutant):
+    from drinfeld.cli import main
+
+    name, text, mutated = SITE_MUTANTS[mutant]
+    source = inspect.getsource(getattr(pairing, name))
+    assert source.count(text) == 1
+    namespace = dict(vars(pairing))
+    exec(compile(source.replace(text, mutated), pairing.__file__, "exec"), namespace)
+    monkeypatch.setattr(pairing, name, namespace[name])
+    # verify imported f_rootfree by name; a mutated _site_rows is looked up in pairing
+    monkeypatch.setattr(verify, "f_rootfree", pairing.f_rootfree)
+    path = tmp_path / "f-grid-q2.json"
+    path.write_text(json.dumps({"p": 2}))
+    code = main(["verify", "--config", str(path), "--suite", "f", "--json"])
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    failed = {check["name"].split("[")[0] for report in reports
+              for check in report["checks"] if check["status"] == "fail"}
+    assert code == 1 and "f.rootfree_eq_chain" in failed
 
 
 def test_reports_reproducible_modulo_timing():
