@@ -18,6 +18,8 @@ characteristic), 4 a search cap or evaluation budget was exceeded.
 an exit code of 2 or more comes with no output.
 
 `--json` prints exactly `json.dumps(obj, indent=2, sort_keys=True)`.
+Polynomials (`fa`, `weil`) are written straight from their terms, with
+the same bytes as `json.dumps` of their `to_json()`.
 
 `--config` names a config file, whose format `verify.bundle_from_json`
 documents and parses.
@@ -46,8 +48,8 @@ from .errors import (
     SearchCapExceeded,
 )
 from .fields import make_field, require_int
-from .pairing import f_chain_sum, f_recursive, f_rootfree, weil_evaluate, weil_polynomial
-from .polynomials import UniPoly
+from .pairing import FaPoly, f_chain_sum, f_recursive, f_rootfree, weil_evaluate, weil_polynomial
+from .polynomials import SparsePoly, UniPoly
 from .verify import (SUITE_NAMES, VerificationConfig, bundle_from_json, default_bundle,
                      parse_element, run_suites)
 
@@ -82,7 +84,8 @@ def _fail(code, message):
 
 def _dumps(obj, indent="\n"):
     """`json.dumps(obj, indent=2, sort_keys=True)` for obj on a line that
-    `indent` starts; what is not plain JSON goes to json, re-indented."""
+    `indent` starts; a polynomial is written as its `to_json()` (see
+    `_dumps_poly`), and what is not plain JSON goes to json, re-indented."""
     t = type(obj)
     if t is str:
         return _quote(obj)
@@ -102,12 +105,46 @@ def _dumps(obj, indent="\n"):
             return "{}"
         items = [_quote(k) + ": " + _dumps(obj[k], inner) for k in sorted(obj)]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if t is _Slot:
+        obj.indent = indent
+        return obj.mark
+    if t is FaPoly or isinstance(obj, SparsePoly):
+        return _dumps_poly(obj, indent)
     # NaN, infinities, subclasses, other keys; JSON text holds no raw newline
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", indent)
 
 
+class _Slot:
+    """A mark that `_dumps` writes as it stands, noting its indent."""
+
+    __slots__ = ("mark", "indent")
+
+    def __init__(self, mark):
+        self.mark = mark
+
+
+def _dumps_poly(obj, indent):
+    """`_dumps(obj.to_json(), indent)` for a SparsePoly or FaPoly, written
+    straight from its terms: no per-term dict or list, and one %-template
+    per distinct coefficient, which fills in each term's exponents.  The
+    layout is `json_head`'s and `json_term`'s, written around marks;
+    `_quote` escapes every control character, so no other text holds one."""
+    poly = obj.poly if type(obj) is FaPoly else obj
+    terms, coeff, exp = _Slot("\0"), _Slot("\1"), _Slot("\2")
+    head = _dumps(obj.json_head(terms), indent)
+    inner = terms.indent + "  "
+    record = _dumps(poly.json_term([exp] * poly.nvars, coeff), inner)
+    template = record.replace("%", "%%").replace("\2", "%d")
+    to_json, at = poly.ctx.element_to_json, coeff.indent  # element JSON holds no "%"
+    by_coeff = {v: template.replace("\1", _dumps(to_json(v), at))
+                for v in {c.val for c in poly.terms.values()}}
+    records = [by_coeff[c.val] % e for e, c in poly.sorted_terms()]
+    body = "[" + inner + ("," + inner).join(records) + terms.indent + "]" if records else "[]"
+    return head.replace("\0", body)
+
+
 def _emit(obj):
-    """Print obj as `json.dumps(obj, indent=2, sort_keys=True)` does."""
+    """Print `_dumps(obj)`: obj as `json.dumps(obj, indent=2, sort_keys=True)` does."""
     print(_dumps(obj))
 
 
@@ -122,13 +159,7 @@ def cmd_fa(args):
         rec = f_recursive(a, r)
         match = chain == rec
         if args.json:
-            _emit(
-                {
-                    "chain": chain.to_json(),
-                    "recursive": rec.to_json(),
-                    "match": match,
-                }
-            )
+            _emit({"chain": chain, "recursive": rec, "match": match})
         else:
             print(chain.render())
             print(rec.render())
@@ -137,7 +168,7 @@ def cmd_fa(args):
     build = {"rootfree": f_rootfree, "chain": f_chain_sum, "recursive": f_recursive}[args.route]
     fa = build(a, r)
     if args.json:
-        _emit(fa.to_json())
+        _emit(fa)
     else:
         print(fa.render())
     return 0
@@ -149,7 +180,7 @@ def cmd_weil(args):
     if args.eval is None:
         poly = weil_polynomial(module, a)
         if args.json:
-            _emit(poly.to_json())
+            _emit(poly)
         else:
             print(poly.render())
         return 0

@@ -31,6 +31,7 @@ vector over the open bond per prefix of digits goes through M_m for each
 next digit m; the last slot's exponent is the bond l' < n it closes.
 R[e] for e < n is the unit vector of T^e; the residues above stay on
 `UniPoly`, the polynomial-layer calls that perfbench counts for `fa`.
+At n = 1 there is one site and f_a = 1 in every r.
 
 The chain sum above (`f_chain_sum`, `f_root_order_variant`) and a
 peel-one-root recursion (`f_recursive`) are kept as its independent
@@ -113,10 +114,14 @@ class FaPoly:
     def __hash__(self):
         return hash(self.poly)
 
+    def json_head(self, terms):
+        """`to_json`'s object with `terms` in place of its term records."""
+        head = self.poly.json_head(terms)
+        head["provenance"] = {"a": self.a.to_json(), "r": self.r, "route": self.route}
+        return head
+
     def to_json(self):
-        obj = self.poly.to_json()
-        obj["provenance"] = {"a": self.a.to_json(), "r": self.r, "route": self.route}
-        return obj
+        return self.json_head(self.poly.to_json()["terms"])
 
     def render(self):
         return self.poly.render()
@@ -264,6 +269,8 @@ def _site_rows(a):
 def f_rootfree(a, r):
     """f_a from its site matrices (module docstring): no roots, no memo."""
     _check_inputs(a, r)
+    if a.degree == 1:  # one site: f_a = 1, built in time linear in r
+        return FaPoly(MultiPoly.one(a.ctx, r), a, r, "rootfree", ())
     ctx, n, (D, rows) = a.ctx, a.degree, _site_rows(a)
     zero, add, mul = ctx.zero(), ctx.add, ctx.mul
     zeros = [zero] * n  # slot 1 opens with bond 0, and row 0 of M_m is D[m]

@@ -466,15 +466,17 @@ class SparsePoly:
             self.ctx, self.nvars, {e: mul(c.val, v) for e, c in self.terms.items()}
         )
 
+    def json_head(self, terms):
+        """`to_json`'s object with `terms` in place of its term records."""
+        return {"vars": self.nvars, "level": self.ctx.descriptor(), "terms": terms}
+
+    def json_term(self, exps, coeff):
+        """One of `to_json`'s term records, from its exponents and coefficient JSON."""
+        return {self._json_key: exps, "coeff": coeff}
+
     def to_json(self):
-        key, coeff = self._json_key, self.ctx.element_to_json
-        return {
-            "vars": self.nvars,
-            "level": self.ctx.descriptor(),
-            "terms": [
-                {key: list(e), "coeff": coeff(c.val)} for e, c in self.sorted_terms()
-            ],
-        }
+        term, coeff = self.json_term, self.ctx.element_to_json
+        return self.json_head([term(list(e), coeff(c.val)) for e, c in self.sorted_terms()])
 
     @classmethod
     def from_json(cls, obj, ctx=None):

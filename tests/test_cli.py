@@ -5,6 +5,9 @@ import time
 import pytest
 
 from drinfeld.cli import build_parser, main
+from drinfeld.fields import make_field
+from drinfeld.pairing import f_rootfree
+from drinfeld.polynomials import UniPoly
 
 MODULE_I = json.dumps({"K": {"p": 2, "e": 1, "tower": []}, "theta": 1, "g": [1, 1]})
 
@@ -121,6 +124,26 @@ def test_fa_budget_bounds_the_terms_before_any_build(capsys, monkeypatch, route)
     code, out, err = run_cli(capsys, "fa", "--q", "2", "--a", "1,1,1", "--r", "16",
                              "--budget", "65535", "--route", route)
     assert code == 4 and out == "" and "2**16 terms" in err
+
+
+def stdlib_fa_json(p, ranks, r):
+    fa = f_rootfree(UniPoly.from_ranks(make_field(p), ranks), r)
+    return json.dumps(fa.to_json(), indent=2, sort_keys=True) + "\n"
+
+
+def test_fa_json_at_r16_equals_the_stdlib_on_to_json(capsys):
+    # 43,691 terms, 10 MB of JSON, written from the terms
+    code, out, _ = run_cli(capsys, "fa", "--q", "2", "--a", "1,1,1", "--r", "16", "--json")
+    assert code == 0 and out == stdlib_fa_json(2, (1, 1, 1), 16)
+
+
+def test_fa_deg1_is_linear_in_r(capsys):
+    # each step once copied the growing exponent prefix (37.6 s at r = 80,000)
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "fa", "--q", "2", "--a", "1,1", "--r", "100000", "--json")
+    assert time.perf_counter() - start < 5
+    assert code == 0 and json.loads(out)["terms"] == [{"coeff": 1, "exps": [0] * 100_000}]
+    assert out == stdlib_fa_json(2, (1, 1), 100_000)
 
 
 def test_fa_budget_default_and_edges(capsys):

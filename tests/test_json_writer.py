@@ -1,7 +1,8 @@
 """`cli._dumps`, the writer behind every --json subcommand, against the
 stdlib's `json.dumps(obj, indent=2, sort_keys=True)`: equal text on
 arbitrary JSON trees, the same text or exception type on values only
-the stdlib's fallback handles, and no fallback on the CLI's own trees."""
+the stdlib's fallback handles, no fallback on the CLI's own trees, and
+polynomials written from their terms as the stdlib writes `to_json()`."""
 
 import json
 
@@ -10,6 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drinfeld import cli
+from drinfeld.fields import extend, make_field
+from drinfeld.pairing import QPowerPoly, f_rootfree
+from drinfeld.polynomials import MultiPoly, UniPoly
 
 
 def stdlib(obj):
@@ -93,6 +97,49 @@ def test_writer_matches_stdlib_outside_plain_json(obj):
     assert outcome(cli._dumps, obj) == outcome(stdlib, obj)
 
 
+GF4 = {"p": 2, "e": 2, "tower": [{"degree": 2, "modulus": [1, 1, 1]}]}
+
+# GF(4) over GF(2) writes each coefficient as a nested list
+LEVELS = (make_field(2), make_field(3), make_field(3, 2), extend(make_field(2), 2)[0])
+
+
+@st.composite
+def sparse_polys(draw):
+    """A MultiPoly or QPowerPoly in 0-4 variables; rank 0 coefficients
+    drop out, so some draws are the zero polynomial."""
+    ctx = draw(st.sampled_from(LEVELS))
+    cls = draw(st.sampled_from((MultiPoly, QPowerPoly)))
+    nvars = draw(st.integers(0, 4))
+    exps = st.tuples(*[st.integers(0, 6)] * nvars)
+    terms = draw(st.dictionaries(exps, st.integers(0, ctx.order - 1), max_size=12))
+    return cls(ctx, nvars, {e: ctx.element_of_rank(n) for e, n in terms.items()})
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(sparse_polys())
+def test_poly_writer_equals_stdlib_on_to_json(p):
+    assert cli._dumps(p) == stdlib(p.to_json())
+    # one level deeper, as `fa --route both` nests its two polynomials
+    assert cli._dumps({"poly": p, "x": 1}) == stdlib({"poly": p.to_json(), "x": 1})
+
+
+@pytest.mark.parametrize("ctx", LEVELS)
+@pytest.mark.parametrize("nvars", range(5))
+def test_poly_writer_on_the_zero_polynomial(ctx, nvars):
+    for p in (MultiPoly.zero(ctx, nvars), QPowerPoly(ctx, nvars)):
+        assert cli._dumps(p) == stdlib(p.to_json())
+        assert cli._dumps([p]) == stdlib([p.to_json()])
+
+
+def test_poly_writer_on_fa_with_provenance():
+    for ctx, ranks, r in [(LEVELS[0], (1, 1, 1), 4), (LEVELS[2], (5, 0, 1), 3),
+                          (LEVELS[3], (2, 3, 1), 3), (LEVELS[1], (2, 1), 6)]:
+        fa = f_rootfree(UniPoly.from_ranks(ctx, ranks), r)
+        assert cli._dumps(fa) == stdlib(fa.to_json())
+        assert cli._dumps({"chain": fa, "match": True}) == stdlib(
+            {"chain": fa.to_json(), "match": True})
+
+
 @pytest.fixture
 def no_indented_dumps(monkeypatch):
     """json.dumps that fails when asked for an indent: the stdlib's slow
@@ -113,6 +160,9 @@ def no_indented_dumps(monkeypatch):
         ["fa", "--q", "3", "--a", "2,0,1", "--r", "2", "--route", "both"],
         ["fa", "--q", "2", "--q-deg", "2", "--a", "2,3,1", "--r", "3"],
         ["fa", "--q", "3", "--q-deg", "2", "--a", "1,0,1", "--r", "2"],
+        ["fa", "--q", "2", "--q-deg", "2", "--a", "2,3,1", "--r", "3", "--route", "both"],
+        ["weil", "--module", json.dumps({"K": GF4, "theta": [0, 1], "g": [[1, 0], [1, 1]]}),
+         "--a", "1,1"],
         ["verify", "--suite", "det"],
     ],
 )
