@@ -52,7 +52,6 @@ from .polynomials import (
 )
 from .core import (
     DrinfeldModule,
-    GaloisElement,
     ResidueRing,
     SkewPoly,
     TorsionModule,

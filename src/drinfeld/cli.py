@@ -22,7 +22,9 @@ Polynomials (`fa`, `weil`) are written straight from their terms, with
 the same bytes as `json.dumps` of their `to_json()`.
 
 `--config` names a config file, whose format `verify.bundle_from_json`
-documents and parses.
+documents and parses.  `torsion` and `galois-det` read no seed: a
+torsion module has one A/a-basis, and the Galois determinants do not
+depend on it.  Only verify's suites read a config's `seed`.
 """
 
 from __future__ import annotations
@@ -152,7 +154,9 @@ def cmd_fa(args):
     base = make_field(args.q_char, args.q_deg)
     a = UniPoly.from_ranks(base, _parse_ranks(args.a))
     budget, n, r = require_int(args.budget, "budget", low=1), a.degree, args.r
-    if n > 1 and (r >= budget.bit_length() or n**r > budget):  # n**r >= 2**r
+    if r > budget:  # r exponents per term, even at n = 1 where f_a = 1
+        raise ConfigurationTooLarge(f"{r} variables of f_a exceed the budget of {budget}")
+    if n > 1 and (r >= budget.bit_length() or n**r > budget):  # n**r >= 2**r > r
         raise ConfigurationTooLarge(f"{n}**{r} terms of f_a exceed the budget of {budget}")
     if args.route == "both":
         chain = f_chain_sum(a, r)
@@ -243,8 +247,7 @@ def cmd_torsion(args):
 
 def cmd_galois_det(args):
     # every table is built before any is printed: an error prints nothing
-    tables = [(label, a, galois_det_table(module, module.det_module(), a,
-                                          cfg.extension_cap, cfg.seed))
+    tables = [(label, a, galois_det_table(module, module.det_module(), a, cfg.extension_cap))
               for label, cfg, module in _config_modules(args) for a in cfg.a_polys()]
     for label, a, table in tables:
         rows = [
@@ -328,7 +331,8 @@ def build_parser():
                       "the two oracles.  --json reports the route in "
                       "provenance.route")
     p_fa.add_argument("--budget", type=int, default=VerificationConfig.budget,
-                      help="exit 4 when deg(a)**r, f_a's term bound, exceeds it")
+                      help="exit 4 when max(r, deg(a)**r), f_a's variable and "
+                      "term bound, exceeds it")
     p_fa.add_argument("--json", action="store_true")
     p_fa.set_defaults(func=cmd_fa)
 
@@ -359,9 +363,9 @@ def build_parser():
     p_ver.set_defaults(func=cmd_verify)
 
     p_gd = sub.add_parser("galois-det", help="determinant of the Galois action "
-                          "against the rank-1 scalar, per Frobenius power")
+                          "against the rank-1 scalar, per Frobenius power; "
+                          "basis-free, so it reads no seed")
     p_gd.add_argument("--config", required=True)
-    p_gd.add_argument("--seed", type=int, default=None)
     p_gd.add_argument("--json", action="store_true")
     p_gd.set_defaults(func=cmd_galois_det)
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .errors import (
     InseparableTorsion,
@@ -319,17 +318,19 @@ def torsion(phi, a, cap=DEFAULT_EXTENSION_CAP):
 
 # random candidates TorsionModule.a_basis tries before raising SearchBudget
 _A_BASIS_ATTEMPTS = 200
+# seed of the private generator TorsionModule.a_basis draws candidates from
+_A_BASIS_SEED = 0
 
 
 class TorsionModule:
     """The kernel of phi_a inside an explicit extension level.
 
-    Carries a GF(q)-basis always, and on request a module basis over
+    Carries a GF(q)-basis always, and on request its one module basis over
     the residue ring A/aA, which exhibits the torsion as free of rank r.
     No table of points is kept: `coordinates` solves one linear system.
     """
 
-    __slots__ = ("phi", "a", "level", "m", "fq_basis", "_points", "_abasis", "_coords", "_seed")
+    __slots__ = ("phi", "a", "level", "m", "fq_basis", "_points", "_abasis", "_coords")
 
     def __init__(self, phi, a, level, m, fq_basis):
         self.phi = phi
@@ -338,7 +339,7 @@ class TorsionModule:
         self.m = m
         self.fq_basis = tuple(fq_basis)
         self._points = None
-        self._abasis = self._coords = self._seed = None
+        self._abasis = self._coords = None
 
     @property
     def rank(self):
@@ -354,7 +355,10 @@ class TorsionModule:
         return self._points
 
     def point(self, index):
-        """points()[index], from the index's base-q digits, first slowest."""
+        """points()[index], from the index's base-q digits, first slowest;
+        IndexError outside range(count())."""
+        if not 0 <= index < self.count():
+            raise IndexError(f"torsion point index {index} outside range({self.count()})")
         base, point = self.phi.base, self.level.zero_element
         for b in reversed(self.fq_basis):
             index, digit = divmod(index, base.order)
@@ -364,38 +368,32 @@ class TorsionModule:
     def contains(self, beta):
         return self.phi.phi(self.a)(beta).is_zero()
 
-    def apply_galois(self, beta, sigma):
-        """Image of beta under the sigma.k-th power of the K-Frobenius."""
-        s = dim_between(self.phi.K, self.phi.base)
-        return beta.frobenius(sigma.k * s)
-
-    def a_basis(self, seed=0):
+    def a_basis(self):
         """Points beta_1 .. beta_r through which (A/aA)**r sweeps out the
-        whole torsion module, found by seeded random search.  A candidate
-        (r nonzero points, drawn by index into `points()`) is accepted
-        when the n*r points phi_(T**i)(beta_j), i < n = deg(a), are
-        GF(q)-independent.  They are the images of a GF(q)-basis under
-        the GF(q)-linear map (A/aA)**r -> phi[a] between spaces of
-        dimension n*r, so independence is exactly bijectivity.  The
-        last seed's basis is cached, and `coordinates` refers to it."""
-        if self._abasis is not None and self._seed == seed:
+        whole torsion module: its one A/a-basis, cached, found by random
+        search with a fixed seed.  A candidate (r nonzero points, drawn
+        by index into `points()`) is accepted when the n*r points
+        phi_(T**i)(beta_j), i < n = deg(a), are GF(q)-independent.  They
+        are the images of a GF(q)-basis under the GF(q)-linear map
+        (A/aA)**r -> phi[a] between spaces of dimension n*r, so
+        independence is exactly bijectivity."""
+        if self._abasis is not None:
             return self._abasis
         base, total = self.phi.base, self.count()
         ops = [self.phi.phi_tpow(i) for i in range(self.a.degree)]
-        rng = random.Random(seed)
+        rng = random.Random(_A_BASIS_SEED)
         for _ in range(_A_BASIS_ATTEMPTS):
             candidate = tuple(self.point(rng.randrange(1, total)) for _ in range(self.rank))
             columns = [as_vector(op(beta), base) for beta in candidate for op in ops]
             rows = [list(row) for row in zip(*columns)]
             if not kernel(rows):
-                self._abasis, self._coords, self._seed = candidate, rows, seed
+                self._abasis, self._coords = candidate, rows
                 return candidate
         raise SearchBudget(f"no module basis found in {_A_BASIS_ATTEMPTS} attempts")
 
     def coordinates(self, beta):
-        """A/aA-coordinates of beta over the module basis of the last
-        `a_basis` call (seed 0 if none), by one solve against the
-        columns `a_basis` stored: the entry for
+        """A/aA-coordinates of beta over the module's basis `a_basis()`,
+        by one solve against the columns `a_basis` stored: the entry for
         phi_(T**i)(beta_j) is the T**i coefficient of coordinate j."""
         if self._coords is None:
             self.a_basis()
@@ -421,36 +419,32 @@ class TorsionModule:
         )
 
 
-@dataclass(frozen=True)
-class GaloisElement:
-    """The k-th power of the arithmetic Frobenius x -> x**|K| of K."""
-
-    k: int
-
-
-def galois_action_matrix(tm, sigma, seed=0):
-    """Matrix of sigma on the torsion module over A/aA: column j holds
-    the coordinates of sigma(beta_j) over the module basis `tm.a_basis(seed)`."""
-    cols = [tm.coordinates(tm.apply_galois(beta, sigma)) for beta in tm.a_basis(seed)]
+def galois_action_matrix(tm, k):
+    """Matrix over A/aA of the k-th power sigma**k of the arithmetic
+    Frobenius x -> x**|K| on the torsion module: column j holds the
+    coordinates of sigma**k(beta_j) over the module basis `tm.a_basis()`."""
+    require_int(k, "Frobenius exponent")
+    s = dim_between(tm.phi.K, tm.phi.base)
+    cols = [tm.coordinates(beta.frobenius(k * s)) for beta in tm.a_basis()]
     return [list(row) for row in zip(*cols)]
 
 
-def galois_det_table(phi, psi, a, cap=DEFAULT_EXTENSION_CAP, seed=0):
+def galois_det_table(phi, psi, a, cap=DEFAULT_EXTENSION_CAP):
     """(k, det, scalar) for every power sigma**k over one period of the
     Frobenius action on both torsion modules: det is the determinant
     over A/aA of sigma**k acting on phi[a], scalar the residue by which
-    sigma**k acts on psi[a].  psi is the determinant module of phi, or a
-    deliberately wrong one when the comparison is tested for teeth."""
+    sigma**k acts on the rank-1 psi[a].  Neither depends on a basis (a
+    change of basis conjugates the matrix, and sigma**k acts on psi[a]
+    by one scalar), so each module's one `a_basis()` serves.  psi is the
+    determinant module of phi, or a deliberately wrong one when the
+    comparison is tested for teeth."""
     tm = torsion(phi, a, cap=cap)
     tpsi = torsion(psi, a, cap=cap)
-    gen = tpsi.a_basis(seed=seed)[0]
+    gen = tpsi.a_basis()[0]
+    s = dim_between(psi.K, psi.base)
     ring = ResidueRing(a)
-    rows = []
-    for k in range(math.lcm(tm.m, tpsi.m)):
-        sigma = GaloisElement(k)
-        det = ring.det(galois_action_matrix(tm, sigma, seed))
-        rows.append((k, det, tpsi.coordinates(tpsi.apply_galois(gen, sigma))[0]))
-    return rows
+    return [(k, ring.det(galois_action_matrix(tm, k)), tpsi.coordinates(gen.frobenius(k * s))[0])
+            for k in range(math.lcm(tm.m, tpsi.m))]
 
 
 class ResidueRing:

@@ -809,7 +809,7 @@ def verify_det_representation(cfg):
 
         def det_match(a=a):
             ring = ResidueRing(a)
-            for k, det, scalar in galois_det_table(phi, psi, a, cfg.extension_cap, cfg.seed):
+            for k, det, scalar in galois_det_table(phi, psi, a, cfg.extension_cap):
                 if det != scalar or not ring.is_unit(det):
                     return _mismatch("det_representation",
                                      {"a": [c.rank() for c in a.coeffs], "k": k}, det, scalar)

@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from drinfeld.verify import default_bundle, run_suites
+
+# every property test is reproducible: the same examples on every run
+settings.register_profile("drinfeld", derandomize=True, deadline=None)
+settings.load_profile("drinfeld")
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,13 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import drinfeld
 from drinfeld.cli import build_parser, main
 from drinfeld.fields import make_field
 from drinfeld.pairing import f_rootfree
@@ -120,10 +124,29 @@ def test_fa_budget_bounds_the_terms_before_any_build(capsys, monkeypatch, route)
                              "--r", "99999999999", "--route", route)
     assert time.perf_counter() - start < 5
     assert code == 4 and out == "" and "exceed the budget of 10000000" in err
+    # at n = 1, f_a = 1 is one term of r exponents: r itself is bounded
+    code, out, err = run_cli(capsys, "fa", "--q", "2", "--a", "1,1",
+                             "--r", "99999999999", "--route", route)
+    assert code == 4 and out == ""
+    assert "99999999999 variables of f_a exceed the budget of 10000000" in err
     # the bound is n**r exactly: 2**16 = 65,536 terms at most
     code, out, err = run_cli(capsys, "fa", "--q", "2", "--a", "1,1,1", "--r", "16",
                              "--budget", "65535", "--route", route)
     assert code == 4 and out == "" and "2**16 terms" in err
+
+
+def test_fa_budget_bounds_r_at_deg1_in_a_process():
+    # this once died in MultiPoly.one with a MemoryError traceback, exit 1
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(drinfeld.__file__)))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "drinfeld.cli", "fa", "--q", "2", "--a", "1,1",
+         "--r", "99999999999", "--json"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr and "exceed the budget" in proc.stderr
 
 
 def stdlib_fa_json(p, ranks, r):
@@ -152,9 +175,11 @@ def test_fa_budget_default_and_edges(capsys):
     code, out, _ = run_cli(capsys, "fa", "--q", "2", "--a", "1,1,1", "--r", "4",
                            "--budget", "16")
     assert code == 0 and out.strip()
-    # deg a = 1: f_a = 1, a single term at any r
-    code, out, _ = run_cli(capsys, "fa", "--q", "3", "--a", "2,1", "--r", "40", "--budget", "1")
+    # deg a = 1: f_a = 1, a single term of r exponents, so r is the bound
+    code, out, _ = run_cli(capsys, "fa", "--q", "3", "--a", "2,1", "--r", "40", "--budget", "40")
     assert code == 0 and out.strip() == "1"
+    code, out, err = run_cli(capsys, "fa", "--q", "3", "--a", "2,1", "--r", "40", "--budget", "39")
+    assert code == 4 and out == "" and "40 variables of f_a exceed the budget of 39" in err
     for bad in ("0", "-3"):
         code, out, err = run_cli(capsys, "fa", "--q", "2", "--a", "1,1,1", "--r", "2",
                                  "--budget", bad)
@@ -276,6 +301,14 @@ def test_galois_det_non_squarefree_a(capsys, tmp_path):
     assert code == 0
     rows = json.loads(out)["powers"]
     assert len(rows) > 1 and all(row["equal"] for row in rows)
+
+
+def test_galois_det_seed_flag_is_gone(capsys, tmp_path):
+    path = _config_file(tmp_path, CFG_I)
+    with pytest.raises(SystemExit) as exc:
+        main(["galois-det", "--config", path, "--seed", "1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == "" and "--seed" in captured.err
 
 
 def test_verify_config_run(capsys, tmp_path):

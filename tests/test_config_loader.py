@@ -200,7 +200,7 @@ def fuzz_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "config.json"
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=200)
 @given(obj=_files(), command=st.sampled_from(["verify", "torsion", "galois-det"]))
 def test_config_commands_end_in_a_documented_exit_code(fuzz_path, obj, command):
     fuzz_path.write_text(json.dumps(obj))

@@ -34,7 +34,7 @@ from drinfeld.polynomials import (
 FIELDS = (make_field(2), make_field(3), make_field(2, 2), extend(make_field(3, 2), 6)[0])
 UPPER = {ctx: extend(ctx, 2)[0] for ctx in FIELDS}
 
-SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
+SETTINGS = settings(max_examples=60)
 
 
 def check(poly):

@@ -4,14 +4,15 @@ import pytest
 
 from drinfeld.core import (
     DrinfeldModule,
-    GaloisElement,
     ResidueRing,
     SkewPoly,
     galois_action_matrix,
+    galois_det_table,
     torsion,
 )
 from drinfeld.errors import (
     InseparableTorsion,
+    MalformedInput,
     NonMonic,
     PointNotInModule,
     SearchCapExceeded,
@@ -267,34 +268,38 @@ def enumeration_a_basis(tm, seed=0):
     raise AssertionError("no module basis in 200 draws")
 
 
-def assert_matches_enumeration(tm, seed=0):
-    basis, table = enumeration_a_basis(tm, seed)
-    assert tm.a_basis(seed) == basis
+def assert_matches_enumeration(tm):
+    basis, table = enumeration_a_basis(tm)
+    assert tm.a_basis() == basis
     assert {p: tm.coordinates(p) for p in tm.points()} == table
 
 
-def _stock_and_golden_modules():
+def _stock_and_golden_configs():
+    """The stock bundle's det configs and the golden CLI configs."""
     from drinfeld.verify import VerificationConfig, default_bundle
 
     from test_cli_golden import CONFIGS
 
     configs = [e.config for e in default_bundle() if "det" in e.suites]
-    configs += [
+    return configs + [
         VerificationConfig.from_json({k: v for k, v in c.items() if k != "label"})
         for c in CONFIGS
     ]
-    for cfg in configs:
+
+
+def _stock_and_golden_modules():
+    for cfg in _stock_and_golden_configs():
         phi = cfg.module()
         for a in cfg.a_polys():
             for module in (phi, phi.det_module()):
-                yield module, a, cfg.seed
+                yield module, a
 
 
 def test_a_basis_matches_enumeration_on_stock_and_golden_configs():
     cases = list(_stock_and_golden_modules())
     assert len(cases) == 18
-    for module, a, seed in cases:
-        assert_matches_enumeration(torsion(module, a), seed)
+    for module, a in cases:
+        assert_matches_enumeration(torsion(module, a))
 
 
 @pytest.mark.parametrize("base", [F2, F3, make_field(2, 2)], ids=["q2", "q3", "q4"])
@@ -315,7 +320,7 @@ def test_a_basis_matches_enumeration_on_random_squarefree(base):
             tm = torsion(phi, a, cap=24)
         except SearchCapExceeded:
             continue
-        assert_matches_enumeration(tm, seed=rng.randrange(100))
+        assert_matches_enumeration(tm)
         checked += 1
 
 
@@ -365,7 +370,7 @@ def test_galois_matrix_identity_and_homomorphism():
     phi2 = rank2_module()
     tm = torsion(phi2, T2)
     ring = ResidueRing(T2)
-    eye = galois_action_matrix(tm, GaloisElement(0))
+    eye = galois_action_matrix(tm, 0)
     assert eye[0][0] == ring.one() and eye[1][1] == ring.one()
     assert eye[0][1].is_zero() and eye[1][0].is_zero()
 
@@ -380,13 +385,13 @@ def test_galois_matrix_identity_and_homomorphism():
             for i in range(n)
         ]
 
-    m1 = galois_action_matrix(tm, GaloisElement(1))
+    m1 = galois_action_matrix(tm, 1)
     for k in range(2, tm.m + 1):
-        mk = galois_action_matrix(tm, GaloisElement(k))
-        prev = galois_action_matrix(tm, GaloisElement(k - 1))
+        mk = galois_action_matrix(tm, k)
+        prev = galois_action_matrix(tm, k - 1)
         assert mk == matmul(m1, prev)
     # order of Frobenius on the splitting level
-    assert galois_action_matrix(tm, GaloisElement(tm.m)) == eye
+    assert galois_action_matrix(tm, tm.m) == eye
 
 
 def test_galois_det_hand_example():
@@ -396,7 +401,7 @@ def test_galois_det_hand_example():
     phi2 = rank2_module()
     tm = torsion(phi2, T2)
     ring = ResidueRing(T2)
-    det = ring.det(galois_action_matrix(tm, GaloisElement(1)))
+    det = ring.det(galois_action_matrix(tm, 1))
     assert det == ring.one()
     psi = phi2.det_module()
     tpsi = torsion(psi, T2)
@@ -474,18 +479,59 @@ def test_torsion_points_match_combination_oracle():
     assert list(tm.points()) == combination_span(tm.fq_basis, tm.level, F3)
 
 
-def test_a_basis_follows_the_seed_after_another_seed():
+def test_a_basis_and_coordinates_agree_on_every_call():
     phi2 = rank2_module()
     a = UniPoly.from_ranks(F2, [1, 1, 1])
     tm = torsion(phi2, a)
-    first = tm.a_basis(0)
+    coords = {p: tm.coordinates(p) for p in tm.points()}  # before any a_basis call
+    basis = tm.a_basis()
+    assert tm.a_basis() is basis
+    one, zero = UniPoly.one(F2), UniPoly.zero(F2)
+    for j, beta in enumerate(basis):
+        assert tm.coordinates(beta) == tuple(one if i == j else zero for i in range(2))
+    assert {p: tm.coordinates(p) for p in tm.points()} == coords
     fresh = torsion(phi2, a)
-    assert fresh.a_basis(5) != first
-    assert tm.a_basis(5) == fresh.a_basis(5)
-    assert {p: tm.coordinates(p) for p in tm.points()} == {
-        p: fresh.coordinates(p) for p in fresh.points()
-    }
-    sigma = GaloisElement(1)
-    assert galois_action_matrix(tm, sigma, 5) == galois_action_matrix(fresh, sigma, 5)
-    assert tm.a_basis(0) == first == torsion(phi2, a).a_basis(0)
-    assert galois_action_matrix(tm, sigma) == galois_action_matrix(torsion(phi2, a), sigma)
+    assert fresh.a_basis() == basis
+    assert {p: fresh.coordinates(p) for p in fresh.points()} == coords
+    assert galois_action_matrix(tm, 1) == galois_action_matrix(fresh, 1)
+    with pytest.raises(TypeError):
+        tm.a_basis(5)  # no seed: one basis per module
+    with pytest.raises(MalformedInput, match="Frobenius exponent"):
+        galois_action_matrix(tm, 1.0)
+
+
+def _action_matrix(tm, basis, table, k):
+    """sigma**k on phi[a] over any module basis, from its enumeration table."""
+    s = dim_between(tm.phi.K, tm.phi.base)
+    cols = [table[beta.frobenius(k * s)] for beta in basis]
+    return [list(row) for row in zip(*cols)]
+
+
+def test_galois_dets_and_scalars_do_not_depend_on_the_basis():
+    changed = []
+    for cfg in _stock_and_golden_configs():
+        phi = cfg.module()
+        psi = phi.det_module()
+        for a in cfg.a_polys():
+            rows = galois_det_table(phi, psi, a)
+            tm, tpsi = torsion(phi, a), torsion(psi, a)
+            s = dim_between(psi.K, psi.base)
+            ring = ResidueRing(a)
+            bases = set()
+            for seed in range(5):
+                basis, table = enumeration_a_basis(tm, seed)
+                (gen,), psi_table = enumeration_a_basis(tpsi, seed)
+                bases.add(basis)
+                for k, det, scalar in rows:
+                    assert ring.det(_action_matrix(tm, basis, table, k)) == det
+                    assert psi_table[gen.frobenius(k * s)][0] == scalar
+            changed.append(len(bases) > 1)
+    assert changed == [True] * 9  # each module got other bases from other seeds
+
+
+def test_point_index_outside_the_points_raises():
+    tm = torsion(rank2_module(), UniPoly.from_ranks(F2, [1, 1, 1]))
+    assert tm.point(tm.count() - 1) == tm.points()[-1]
+    for index in (tm.count(), tm.count() + 1, -1):
+        with pytest.raises(IndexError):
+            tm.point(index)

@@ -43,9 +43,9 @@ for ctx in PACKED.values():
 LEVELS = {**KRONECKER, **OTHER}
 EVERY = {**LEVELS, **PACKED}
 
-SETTINGS = settings(max_examples=40, derandomize=True, deadline=None)
+SETTINGS = settings(max_examples=40)
 # the properties again, with draws of their own on each level
-PER_LEVEL = settings(max_examples=8, derandomize=True, deadline=None)
+PER_LEVEL = settings(max_examples=8)
 
 
 def test_levels_take_the_op_they_should():
@@ -183,7 +183,7 @@ def evaluations(draw, names=sorted(LEVELS)):
     return PairingEvaluator(phi, a, level), points
 
 
-@settings(max_examples=30, derandomize=True, deadline=None)
+@settings(max_examples=30)
 @given(evaluations())
 def test_evaluator_and_poly_call_match_flat_evaluation(case):
     ev, points = case

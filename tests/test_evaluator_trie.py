@@ -31,7 +31,7 @@ FIELDS = (make_field(2), make_field(3), make_field(2, 2))
 WIDE_FIELDS = FIELDS + (make_field(5), extend(make_field(2), 2)[0])
 CAP = 24
 
-SETTINGS = settings(max_examples=80, derandomize=True, deadline=None)
+SETTINGS = settings(max_examples=80)
 
 
 def flat_evaluate(poly, betas):
@@ -145,7 +145,7 @@ def test_trie_matches_flat_oracle_and_weil_evaluate(case):
         assert ev(swapped) == flat_evaluate(ev.poly, swapped)
 
 
-@settings(max_examples=80, derandomize=True, deadline=None)
+@settings(max_examples=80)
 @given(modules(WIDE_FIELDS, max_degree=3))
 def test_weil_polynomial_matches_flat_construction(case):
     phi, a = case

@@ -53,7 +53,7 @@ TREES = st.recursive(
 )
 
 
-@settings(max_examples=400, derandomize=True, deadline=None)
+@settings(max_examples=400)
 @given(TREES)
 def test_writer_equals_stdlib_on_json_trees(obj):
     assert cli._dumps(obj) == stdlib(obj)
@@ -115,7 +115,7 @@ def sparse_polys(draw):
     return cls(ctx, nvars, {e: ctx.element_of_rank(n) for e, n in terms.items()})
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(sparse_polys())
 def test_poly_writer_equals_stdlib_on_to_json(p):
     assert cli._dumps(p) == stdlib(p.to_json())

@@ -53,7 +53,7 @@ LEVELS = {
 }
 WIDE = extend(F17, 3)[0]  # 3 * 16**2 + 16 >= 256: the schoolbook stays
 
-SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
+SETTINGS = settings(max_examples=60)
 
 
 def test_byte_bound_picks_the_levels():
@@ -118,7 +118,7 @@ def test_wide_slots_keep_the_schoolbook(data):
     assert (x * y).to_json() == list(_sympy_mulmod(WIDE, a, b))
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+@settings(max_examples=150)
 @given(st.data())
 def test_is_irreducible_matches_sympy_degrees_5_to_12(data):
     p = data.draw(st.sampled_from((2, 3, 5)))
@@ -167,7 +167,7 @@ def test_binomial_skip_keeps_the_modulus():
     assert _no_irreducible_binomial(top.order, 2)
 
 
-@settings(max_examples=80, derandomize=True, deadline=None)
+@settings(max_examples=80)
 @given(st.data())
 def test_splitting_level_matches_sympy_factor_degrees(data):
     p = data.draw(st.sampled_from((2, 3, 5)))

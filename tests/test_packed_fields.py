@@ -32,7 +32,7 @@ LEVELS = {
 }
 PACKED = [name for name, ctx in LEVELS.items() if ctx.order <= PACKED_MAX_ORDER]
 
-SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
+SETTINGS = settings(max_examples=60)
 
 
 def test_levels_have_the_intended_form():
@@ -126,7 +126,7 @@ def test_embed_then_project_is_identity(case, data):
         outside.project_to(low)
 
 
-@settings(max_examples=25, derandomize=True, deadline=None)
+@settings(max_examples=25)
 @given(level_and_ranks(count=1), st.integers(0, 6))
 def test_frobenius_is_q_power(case, k):
     ctx, (x,) = case
@@ -178,7 +178,7 @@ def _gf(coords):
     return gf_strip(list(coords)[::-1])
 
 
-@settings(max_examples=12, derandomize=True, deadline=None)
+@settings(max_examples=12)
 @given(level_and_ranks(("GF(2^17)", "GF(3^11)"), count=1))
 def test_frobenius_and_inverse_on_tuple_levels_match_sympy(case):
     ctx, (x,) = case

@@ -168,7 +168,7 @@ def monic_operators(draw, qs=tuple(sorted(FIELDS)), max_degree=3):
     return a
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
+@settings(max_examples=40)
 @given(a=monic_operators(), r=st.integers(1, 4))
 def test_f_rootfree_matches_both_oracles(a, r):
     rootfree = f_rootfree(a, r)
@@ -192,7 +192,7 @@ def normal_form_product(a, r):
     return poly
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=60)
 @given(a=monic_operators(qs=(2, 3, 4, 5), max_degree=4), r=st.integers(1, 6))
 @example(a=T2 * T2, r=6)
 @example(a=(T3 - UniPoly.one(F3)) ** 3, r=5)

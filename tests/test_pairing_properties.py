@@ -16,7 +16,7 @@ from drinfeld.polynomials import UniPoly
 FIELDS = (make_field(2), make_field(3), make_field(2, 2))
 CAP = 24
 
-SETTINGS = settings(max_examples=30, derandomize=True, deadline=None)
+SETTINGS = settings(max_examples=30)
 
 @functools.lru_cache(maxsize=128)
 def _setup(phi, a):

@@ -52,7 +52,7 @@ WIDE = {
     "GF(2^17)": make_field(2, 17),  # a tuple level over GF(2)
     "GF(9^6)": extend(GF9, 6)[0],  # a tuple level over a packed level
 }
-SETTINGS = settings(max_examples=80, derandomize=True, deadline=None)
+SETTINGS = settings(max_examples=80)
 
 
 def _poly(ctx, ranks):

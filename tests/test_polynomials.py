@@ -150,7 +150,7 @@ def peeled_splitting_degree(f):
     return math.lcm(*degrees)
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=60)
 @given(st.sampled_from((make_field(2, 2), make_field(3, 2))), st.data())
 def test_splitting_level_over_gf4_gf9_matches_peeling(ctx, data):
     # products of small monic factors raised to 1, 2, p or p + 1: squares,
@@ -414,7 +414,7 @@ def grlex_key(exps):
     return (-sum(exps),) + tuple(-e for e in exps)
 
 
-@settings(max_examples=80, derandomize=True, deadline=None)
+@settings(max_examples=80)
 @given(st.integers(1, 5).flatmap(
     lambda r: st.sets(st.tuples(*[st.integers(0, 4)] * r), min_size=1, max_size=40)
 ))

@@ -26,7 +26,7 @@ from drinfeld.pairing import (
 from drinfeld.polynomials import MultiPoly, UniPoly, roots_in_field, splitting_level
 
 FIELDS = [make_field(p, e) for p, e in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))]
-SETTINGS = settings(max_examples=400, derandomize=True, deadline=None)
+SETTINGS = settings(max_examples=400)
 
 
 def scan_roots(f, level):
@@ -158,7 +158,7 @@ def test_large_field_oracles_never_enumerate_a_level(argv, capsys, monkeypatch):
     assert capsys.readouterr().out.splitlines() == [oracle]
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=60)
 @given(st.data())
 def test_chain_sum_matches_multipoly_products(data):
     level = data.draw(st.sampled_from(FIELDS))

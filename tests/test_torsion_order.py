@@ -24,7 +24,7 @@ FIELDS = {
     "GF(8)/GF(2)": (extend(F2, 3)[0], 6),
 }
 
-SETTINGS = settings(max_examples=80, derandomize=True, deadline=None)
+SETTINGS = settings(max_examples=80)
 
 
 def scan_torsion(phi, a, cap):
