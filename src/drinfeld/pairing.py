@@ -42,8 +42,9 @@ equal-degree splitting, with no element scan, and the splitting level
 and the rank-ordered roots go into a memo.  That memo and the one of
 finished oracle results (`_F_CACHE`) each keep at most `_MEMO_SIZE`
 entries and drop the oldest first.  `chain_sum_over_roots` builds each
-chain term as an outer product of r univariate factors, taken from one
-pass of prefix and suffix products over the root list.
+chain term as an outer product of r univariate factors, one per segment
+of the root list, each the next wider segment's times one (x - alpha);
+`linear_factors` multiplies the recursion's and root-peel's products likewise.
 
 The pairing itself contracts f_a against Moore determinants of
 operator images,
@@ -160,11 +161,12 @@ def _sorted_roots(a):
     return _remember(_ROOTS_CACHE, key, (level, roots))
 
 
-def linear_factors(level, nvars, factors):
-    """prod (T_{j+1} - alpha) over the (j, alpha) pairs (none: 1), multiplied
-    out on one payload dict over `level` and wrapped once as a MultiPoly."""
+def linear_factors(level, nvars, factors, start=None):
+    """start (none: 1) times prod (T_{j+1} - alpha) over the (j, alpha)
+    pairs, multiplied out one factor at a time on start's payload dict
+    over `level` and wrapped once as a MultiPoly."""
     zero, add, mul = level.zero(), level.add, level.mul
-    acc = {(0,) * nvars: level.one()}
+    acc = {(0,) * nvars: level.one()} if start is None else start._payloads(level)
     for j, alpha in factors:
         minus, out = level.neg(alpha.embed_to(level).val), {}
         for e, c in acc.items():
@@ -178,33 +180,29 @@ def linear_factors(level, nvars, factors):
 def chain_sum_over_roots(level, roots, r):
     """The chain-sum construction from an explicit root list (with
     multiplicity), over whatever level the roots live in.  An empty
-    root list gives the zero polynomial, matching the empty chain sum.
+    root list gives the zero polynomial, matching the empty chain sum,
+    and a single root gives 1, every segment's product being empty.
 
-    The factor of T_j in a chain term omits the roots inside
-    [i_(j-1), i_j], so it is prefix[i_(j-1) - 1] * suffix[i_j], the
-    products of (x - alpha) over the roots before and after that
-    segment.  One pass builds every prefix and suffix product; each
-    chain term is then the outer product of its r univariate factors,
-    added coefficient by coefficient into one payload dict.
+    The factor of T_j in a chain term omits the roots inside segment
+    [i_(j-1), i_j]: segment (lo, n) is the product of (x - alpha) over
+    the roots before lo, and (lo, hi) is (lo, hi + 1) times root hi + 1's
+    linear factor.  Each chain term is then the outer product of its r
+    univariate factors, added coefficient by coefficient into one payload dict.
     """
     n = len(roots)
-    if n == 0:
-        return MultiPoly.zero(level, r)
+    if n <= 1:
+        return MultiPoly.one(level, r) if n else MultiPoly.zero(level, r)
     zero, one = level.zero(), level.one()
     add, mul, neg = level.add, level.mul, level.neg
     linear = [[neg(alpha.embed_to(level).val), one] for alpha in roots]
-    prefix = [[one]]
-    for factor in linear:
-        prefix.append(_pmul(level, prefix[-1], factor))
-    suffix = [[one]]
-    for factor in reversed(linear):
-        suffix.append(_pmul(level, suffix[-1], factor))
-    suffix.reverse()  # suffix[k]: the product over roots[k:]
-    segments = {}
+    segments, prefix = {}, [one]
     for lo in range(1, n + 1):
-        for hi in range(lo, n + 1):
-            poly = _pmul(level, prefix[lo - 1], suffix[hi])
+        poly = prefix
+        for hi in range(n, lo - 1, -1):
+            if hi < n:
+                poly = _pmul(level, poly, linear[hi])
             segments[lo, hi] = [(k, c) for k, c in enumerate(poly) if c != zero]
+        prefix = _pmul(level, prefix, linear[lo - 1])
     acc = {}
     count = 0
     for mid in itertools.combinations_with_replacement(range(1, n + 1), r - 1):
@@ -335,14 +333,14 @@ def f_recursive(a, r):
             result = MultiPoly.one(level, arity)
         else:
             alpha = roots_left[0]
-            head = linear_factors(level, arity, [(arity - 1, b) for b in roots_left[1:]])
-            keep = linear_factors(level, arity, [(j, alpha) for j in range(arity - 1)])
-            peeled = keep * build(roots_left[1:], arity)
+            peeled = linear_factors(level, arity, [(j, alpha) for j in range(arity - 1)],
+                                    build(roots_left[1:], arity))
             lowered = build(roots_left, arity - 1)
             lifted = MultiPoly._wrap(
                 level, arity, {exps + (0,): c.val for exps, c in lowered.terms.items()}
             )
-            result = peeled + head * lifted
+            result = peeled + linear_factors(
+                level, arity, [(arity - 1, b) for b in roots_left[1:]], lifted)
         memo[key] = result
         return result
 

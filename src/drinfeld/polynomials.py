@@ -632,32 +632,37 @@ class MultiPoly(SparsePoly):
 
 def normal_form(p, a):
     """Reduce p modulo the ideal (a(T_1), ..., a(T_r)), r = p.nvars, for a
-    UniPoly a of degree >= 1 (else ValueError); the result has degree
-    < deg(a) in every variable, the map is linear and idempotent, and p
-    minus the result lies in the ideal."""
-    if a.degree < 1:
+    UniPoly a of degree n >= 1 (else ValueError); the result has degree
+    < n in every variable, the map is linear and idempotent, and p
+    minus the result lies in the ideal.  Exponents below n pass as they
+    stand; T^e mod a for e >= n is T^(e-1) mod a shifted, less its top
+    coefficient times a's low coefficients over a's lead (a need not be monic)."""
+    n = a.degree
+    if n < 1:
         raise ValueError("ideal generator must have degree >= 1")
     ctx = p.ctx
-    max_exp = max((max(exps) for exps in p.terms), default=0)
-    # residues of T**k mod a, as payload lists
+    zero, add, sub, mul = ctx.zero(), ctx.add, ctx.sub, ctx.mul
     a_vals = a._payloads(ctx)
-    zero = ctx.zero()
-    add, mul = ctx.add, ctx.mul
-    residues = [[ctx.one()]]
-    for _ in range(max_exp):
-        residues.append(_pmod(ctx, [zero] + residues[-1], a_vals))
+    inv_lead = ctx.inv(a_vals[n])
+    low = [mul(c, inv_lead) for c in a_vals[:n]]  # T^n = -sum low[k] T^k mod a
+    residues, res = [], [zero] * (n - 1) + [ctx.one()]  # residues[e - n]: T^e mod a
+    for _ in range(n, max((max(exps) + 1 for exps in p.terms), default=0)):
+        top, res = res[-1], [zero] + res[:-1]
+        if top != zero:
+            res = [sub(c, mul(top, x)) for c, x in zip(res, low)]
+        residues.append([(k, c) for k, c in enumerate(res) if c != zero])
     out = {}
     for exps, coeff in p.terms.items():
+        if max(exps) < n:
+            out[exps] = add(out.get(exps, zero), coeff.val)
+            continue
         partial = {(): coeff.val}
-        for j in range(p.nvars):
-            res = residues[exps[j]]
-            nxt = {}
-            for prefix, c in partial.items():
-                for k, rc in enumerate(res):
-                    if rc != zero:
-                        key = prefix + (k,)
-                        nxt[key] = add(nxt.get(key, zero), mul(c, rc))
-            partial = nxt
+        for e in exps:  # keys stay distinct: one new exponent per key
+            if e < n:
+                partial = {prefix + (e,): c for prefix, c in partial.items()}
+            else:
+                partial = {prefix + (k,): mul(c, rc) for prefix, c in partial.items()
+                           for k, rc in residues[e - n]}
         for key, c in partial.items():
             out[key] = add(out.get(key, zero), c)
     return MultiPoly._wrap(ctx, p.nvars, out)

@@ -479,10 +479,9 @@ def verify_congruences(cfg):
                     seen.add(alpha)
                     rest = fa.roots[:idx] + fa.roots[idx + 1 :]
                     f_rem = chain_sum_over_roots(level, rest, r)
-                    shared = linear_factors(level, r, [(j, alpha) for j in range(r)])
-                    rhs = shared * f_rem
+                    rhs = linear_factors(level, r, [(j, alpha) for j in range(r)], f_rem)
                     for l in range(r):
-                        lhs = linear_factors(level, r, [(l, alpha)]) * lifted
+                        lhs = linear_factors(level, r, [(l, alpha)], lifted)
                         nf = normal_form(lhs - rhs, a)
                         if not nf.is_zero():
                             return _mismatch("congruence_root_peel",
@@ -510,11 +509,15 @@ def _point_list_json(points):
     return [p.to_json() for p in points]
 
 
+_MISSING = object()  # no memo value is this
+
+
 def _applied(memo, op, x):
     """op(x), computed on x's first use and then read from `memo`."""
-    if x not in memo:
-        memo[x] = op(x)
-    return memo[x]
+    got = memo.get(x, _MISSING)
+    if got is _MISSING:
+        got = memo[x] = op(x)
+    return got
 
 
 def verify_pairing_properties(cfg):

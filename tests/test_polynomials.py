@@ -6,6 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import ZZ
+from sympy.polys.galoistools import gf_rem
 
 from drinfeld.errors import ArityMismatch, DivisionByZero, MalformedInput
 from drinfeld.fields import _pdistinct_degree, extend, make_field
@@ -241,6 +243,30 @@ def test_normal_form_degree_and_idempotence():
         for j in range(2):
             assert nf.degree_in(j) < a.degree
         assert normal_form(nf, a) == nf
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_normal_form_is_the_slotwise_remainder_of_gf_rem(data):
+    # each T_j^e goes to sympy's T^e mod a, for a non-monic a of degree 1-3
+    # over GF(2), GF(3) or GF(5), and the slots multiply out
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    n, r = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    a_ranks = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    a_ranks.append(data.draw(st.integers(1, p - 1)))
+    exps = st.tuples(*[st.integers(0, 2 * n + 1)] * r)
+    terms = data.draw(st.dictionaries(exps, st.integers(1, p - 1), max_size=6))
+    expected = {}
+    for key, c in terms.items():
+        # little-endian T^e mod a, padded to n coefficients
+        rems = [gf_rem([1] + [0] * e, a_ranks[::-1], p, ZZ)[::-1] for e in key]
+        for pick in itertools.product(*(enumerate(rem) for rem in rems)):
+            k = tuple(i for i, _ in pick)
+            expected[k] = (expected.get(k, 0) + c * math.prod(int(x) for _, x in pick)) % p
+    ctx = make_field(p)
+    poly = MultiPoly(ctx, r, {k: ctx.element_of_rank(c) for k, c in terms.items()})
+    got = normal_form(poly, UniPoly.from_ranks(ctx, a_ranks))
+    assert {k: c.rank() for k, c in got.terms.items()} == {k: v for k, v in expected.items() if v}
 
 
 def test_normal_form_needs_a_nonconstant_a():

@@ -6,6 +6,7 @@ memos against their bound."""
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from drinfeld.pairing import (
     f_recursive,
     f_root_order_variant,
     f_rootfree,
+    linear_factors,
 )
 from drinfeld.polynomials import MultiPoly, UniPoly, roots_in_field, splitting_level
 
@@ -167,6 +169,47 @@ def test_chain_sum_matches_multipoly_products(data):
     ranks = data.draw(st.lists(st.integers(0, level.order - 1), min_size=n, max_size=n))
     roots = [level.element_of_rank(k) for k in ranks]
     assert chain_sum_over_roots(level, roots, r) == multipoly_chain_sum(level, roots, r)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("pattern", [(0,), (0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 0), (2, 0, 2, 1)])
+@pytest.mark.parametrize("level", [make_field(3), make_field(2, 2)], ids=str)
+def test_chain_sum_matches_multipoly_products_at_one_or_repeated_roots(level, pattern, r):
+    # one root (every segment an empty product) and roots that repeat
+    roots = [level.element_of_rank(k % level.order) for k in pattern]
+    expected = multipoly_chain_sum(level, roots, r)
+    assert chain_sum_over_roots(level, roots, r) == expected
+    if len(roots) == 1:
+        assert expected == MultiPoly.one(level, r)
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_linear_factors_from_a_start_equal_the_product_with_it(data):
+    level = data.draw(st.sampled_from(FIELDS))
+    r = data.draw(st.integers(1, 3))
+    element = st.integers(0, level.order - 1).map(level.element_of_rank)
+    factors = data.draw(st.lists(st.tuples(st.integers(0, r - 1), element), max_size=4))
+    # the start may live in the prime field below the factors' level
+    ctx = data.draw(st.sampled_from((level, make_field(level.p))))
+    exps = st.tuples(*[st.integers(0, 2)] * r)
+    terms = data.draw(st.dictionaries(exps, st.integers(0, ctx.order - 1), max_size=5))
+    start = MultiPoly(ctx, r, {e: ctx.element_of_rank(c) for e, c in terms.items()})
+    assert linear_factors(level, r, factors, start) == linear_factors(level, r, factors) * start
+
+
+@pytest.mark.parametrize("route", ["chain", "recursive", "both"])
+def test_oracle_routes_at_degree_one_are_linear_in_r(route, capsys):
+    # one root: f_a = 1, built without copying a growing exponent tuple per slot
+    r = 200_000
+    start = time.perf_counter()
+    code = cli.main(["fa", "--route", route, "--q", "2", "--a", "1,1",
+                     "--r", str(r), "--budget", str(r)])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == (["1", "1", "match"] if route == "both" else ["1"])
+    assert elapsed < 5.0, elapsed
 
 
 def test_roots_are_found_once_per_field_and_a(monkeypatch):

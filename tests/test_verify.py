@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from drinfeld import pairing, verify
+from drinfeld import pairing, polynomials, verify
 from drinfeld.core import DrinfeldModule, TorsionModule, torsion
 from drinfeld.errors import ConfigurationTooLarge, MalformedInput
 from drinfeld.pairing import FaPoly
@@ -242,6 +242,53 @@ def test_mutation_site_expansion_detected(monkeypatch, tmp_path, capsys, mutant)
     failed = {check["name"].split("[")[0] for report in reports
               for check in report["checks"] if check["status"] == "fail"}
     assert code == 1 and "f.rootfree_eq_chain" in failed
+
+
+# hand mutants of the root oracles' linear-factor kernels: (module, function,
+# its text, the mutated text, the suite to run, check families one of which
+# must fail, or None where the chain oracle's own rationality guard stops the run)
+ORACLE_MUTANTS = {
+    # a segment step takes the factor of root hi, inside the segment, not of root
+    # hi + 1; on the first a with roots outside GF(q) a coefficient of the chain
+    # sum is not rational, and the run exits 2 before any check of that a
+    "segment step by the wrong root": (
+        pairing, "chain_sum_over_roots", "linear[hi])", "linear[hi - 1])", "f", None),
+    # a term is kept as it stands when only its first exponent is below n
+    "normal_form reads the first exponent": (
+        polynomials, "normal_form", "max(exps) < n", "exps[0] < n", "congruence",
+        {"congruence.exchange", "congruence.root_peel"}),
+    # the start polynomial is dropped: the product starts from 1
+    "linear_factors ignores start": (
+        pairing, "linear_factors", " if start is None else start._payloads(level)", "",
+        "congruence", {"congruence.root_peel"}),
+}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("mutant", sorted(ORACLE_MUTANTS))
+def test_mutation_root_oracle_kernels_detected(monkeypatch, tmp_path, capsys, mutant, q):
+    from drinfeld.cli import main
+
+    module, name, text, mutated, suite, families = ORACLE_MUTANTS[mutant]
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(text) == 1
+    namespace = dict(vars(module))
+    exec(compile(source.replace(text, mutated), module.__file__, "exec"), namespace)
+    # the mutant replaces every name it is called by; no oracle result is memoized
+    for home in (module, pairing, verify):
+        if hasattr(home, name):
+            monkeypatch.setattr(home, name, namespace[name])
+    monkeypatch.setattr(pairing, "_F_CACHE", {})
+    path = tmp_path / f"f-grid-q{q}.json"
+    path.write_text(json.dumps({"p": q}))
+    code = main(["verify", "--config", str(path), "--suite", suite, "--json"])
+    out, err = capsys.readouterr()
+    if families is None:
+        assert code == 2 and not out and "is not rational" in err
+        return
+    failed = {check["name"].split("[")[0] for report in json.loads(out)["reports"]
+              for check in report["checks"] if check["status"] == "fail"}
+    assert code == 1 and failed & families, failed
 
 
 def test_reports_reproducible_modulo_timing():
