@@ -139,8 +139,8 @@ def _dumps_poly(obj, indent):
     template = record.replace("%", "%%").replace("\2", "%d")
     to_json, at = poly.ctx.element_to_json, coeff.indent  # element JSON holds no "%"
     by_coeff = {v: template.replace("\1", _dumps(to_json(v), at))
-                for v in {c.val for c in poly.terms.values()}}
-    records = [by_coeff[c.val] % e for e, c in poly.sorted_terms()]
+                for v in set(poly._vals.values())}
+    records = [by_coeff[c] % e for e, c in poly._sorted_payloads()]
     body = "[" + inner + ("," + inner).join(records) + terms.indent + "]" if records else "[]"
     return head.replace("\0", body)
 

@@ -1270,6 +1270,7 @@ class FieldElement:
 def _row_reduce(ctx, rows, ncols):
     """Gauss-Jordan elimination, in place, of payload rows over `ctx` on
     their first `ncols` columns; later columns follow the row operations.
+    Rows of `rows` are replaced, never written into, so callers may share them.
 
     Afterwards rows[:rank] are the reduced pivot rows.  Returns the
     pivot columns and the product of the pivots, negated once per row

@@ -86,7 +86,7 @@ from .errors import (
     NotTorsionPoint,
     RationalityFailure,
 )
-from .fields import FieldElement, _pmul, common_level, determinant
+from .fields import FieldElement, _pmul, _row_reduce, common_level, determinant
 from .polynomials import (
     MultiPoly,
     SparsePoly,
@@ -225,12 +225,12 @@ def _coerce_to_base(poly, base):
     if poly.ctx is base:
         return poly
     terms = {}
-    for exps, c in poly.terms.items():
+    for exps, c in poly._vals.items():
         try:
-            terms[exps] = poly.ctx.project_payload(c.val, base)
+            terms[exps] = poly.ctx.project_payload(c, base)
         except NotInSubfield:
             raise RationalityFailure(
-                f"coefficient {c.to_json()} of {list(exps)} is not rational"
+                f"coefficient {poly.ctx.element_to_json(c)} of {list(exps)} is not rational"
             ) from None
     return MultiPoly._wrap(base, poly.nvars, terms)
 
@@ -337,7 +337,7 @@ def f_recursive(a, r):
                                     build(roots_left[1:], arity))
             lowered = build(roots_left, arity - 1)
             lifted = MultiPoly._wrap(
-                level, arity, {exps + (0,): c.val for exps, c in lowered.terms.items()}
+                level, arity, {exps + (0,): c for exps, c in lowered._vals.items()}
             )
             result = peeled + linear_factors(
                 level, arity, [(arity - 1, b) for b in roots_left[1:]], lifted)
@@ -444,9 +444,9 @@ class QPowerPoly(SparsePoly):
         """Coefficient of x_{j+1}**(q**frob_exp) as a polynomial in the
         remaining variables (slot j removed)."""
         terms = {}
-        for key, c in self.terms.items():
+        for key, c in self._vals.items():
             if key[j] == frob_exp:
-                terms[key[:j] + key[j + 1 :]] = c.val
+                terms[key[:j] + key[j + 1 :]] = c
         return QPowerPoly._wrap(self.ctx, self.nvars - 1, terms)
 
     def __call__(self, points):
@@ -461,11 +461,11 @@ class QPowerPoly(SparsePoly):
         vals = _contract_last(dot, leaves, rows[-1])
         return FieldElement(level, payload(_contract_inner(dot, inner, rows, vals)))
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: item[0])
+    def _sorted_payloads(self):
+        return sorted(self._vals.items(), key=lambda item: item[0])
 
     def render(self, var="x"):
-        if not self.terms:
+        if not self._vals:
             return "0"
         q = self.ctx.q
         parts = []
@@ -544,8 +544,7 @@ def weil_polynomial(phi, a, arity=None):
         plus = [[(k + t, K.frobenius(v, t)) for k, v in coeffs] for t in range(r)]
         twisted.append([(row, [(j, neg(v)) for j, v in row]) for row in plus])
     # node prefix -> {used rows as a bit mask: {exponent key: payload}}
-    nodes = {e: {(1 << r) - 1: {(): c.embed_to(K).val}}
-             for e, c in f_rootfree(a, r).poly.terms.items()}
+    nodes = {e: {(1 << r) - 1: {(): c}} for e, c in f_rootfree(a, r).poly._payloads(K).items()}
     for _ in range(r):
         parents = {}
         for prefix, states in nodes.items():
@@ -581,23 +580,26 @@ def _torsion_guard(phi, a, betas):
 
 
 def moore_contraction(f_poly, images, level):
-    """sum over the terms c*T^e of f_poly of c * MooreDet(images[0][e_1], ...,
-    images[r-1][e_r]) in `level`, where images[s][i] is phi_{T^i}(beta_s)."""
-    acc = level.zero_element
-    for exps, c in f_poly.terms.items():
-        det = moore_eval([images[slot][e] for slot, e in enumerate(exps)])
-        acc = acc + c.embed_to(level) * det
-    return acc
+    """sum over the terms c*T^e of f_poly of c * det(images[0][e_1], ...,
+    images[r-1][e_r]) in `level`, where images[s][i] is the Moore row
+    (x, x**q, ..., x**(q**(r-1))) of x = phi_{T^i}(beta_s) as payloads,
+    shared by every term: one `_row_reduce` per term."""
+    acc, add, mul, r = level.zero(), level.add, level.mul, f_poly.nvars
+    for exps, c in f_poly._payloads(level).items():
+        pivots, det = _row_reduce(level, [images[slot][e] for slot, e in enumerate(exps)], r)
+        if len(pivots) == r:
+            acc = add(acc, mul(c, det))
+    return FieldElement(level, acc)
 
 
 def weil_values(phi, a, points, tuples):
     """`weil_evaluate` on each of `tuples` (rank-tuples of `points`), yielded
-    in order: the guard and the images phi_{T^i}(beta) run once per point,
-    and the value's torsion check once per distinct value."""
+    in order: the guard, the images phi_{T^i}(beta) and their Moore rows
+    run once per point, and the value's torsion check once per distinct value."""
     level = _torsion_guard(phi, a, points)
-    f_poly = f_rootfree(a, phi.rank).poly
+    f_poly = f_rootfree(a, phi.rank).poly.embed_to(level)
     ops = [phi.phi_tpow(i) for i in range(a.degree)]
-    images = {b: [op(b) for op in ops] for b in points}
+    images = {b: [_frobenius_row(op(b), level, phi.rank - 1) for op in ops] for b in points}
     psi_a, landed = phi.det_module().phi(a), set()
     for tup in tuples:
         acc = moore_contraction(f_poly, [images[b] for b in tup], level)

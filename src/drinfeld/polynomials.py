@@ -13,8 +13,10 @@ Each shape has one validating constructor, ``__init__``, for terms
 from outside (user code, JSON, the closed forms).  Every internal
 result is computed on raw payloads and wrapped once by ``_wrap``, which
 checks nothing: it takes a stripped payload list (dense) or a payload
-dict, whose zero entries it drops (sparse).  ``coeffs`` and ``terms``
-hold FieldElements of ``ctx``, with no trailing or zero term.
+dict, whose zero entries it drops (sparse).  ``coeffs`` holds
+FieldElements of ``ctx`` with no trailing zero.  A sparse polynomial
+keeps one {exponent tuple: nonzero payload} dict, which the package
+reads as it stands; ``terms`` wraps it read-only, as FieldElements of ``ctx``.
 
 The ideal's generators are univariate in distinct variables, so they
 form a Groebner basis for any monomial order and the normal form is
@@ -27,6 +29,7 @@ import itertools
 import math
 import operator
 import random
+from types import MappingProxyType
 
 from .errors import ArityMismatch, MalformedInput, NonMonic
 from .fields import (
@@ -398,10 +401,10 @@ def splitting_level(f):
 
 class SparsePoly:
     """Sparse polynomial in `nvars` slots: exponent tuple -> nonzero
-    FieldElement of `ctx`.  Subclasses set the JSON key of a term's
-    exponent tuple."""
+    payload of `ctx`.  Subclasses set the JSON key of a term's exponent
+    tuple and the canonical term order, `_sorted_payloads`."""
 
-    __slots__ = ("ctx", "nvars", "terms")
+    __slots__ = ("ctx", "nvars", "_vals")
 
     _json_key = "exps"
 
@@ -419,10 +422,10 @@ class SparsePoly:
             if not isinstance(c, FieldElement):
                 raise TypeError(f"{type(self).__name__} coefficients must be FieldElements")
             if not c.is_zero():
-                cleaned[exps] = c if c.ctx is ctx else c.embed_to(ctx)
+                cleaned[exps] = c.val if c.ctx is ctx else ctx.embed_payload(c.val, c.ctx)
         self.ctx = ctx
         self.nvars = nvars
-        self.terms = cleaned
+        self._vals = cleaned
 
     @classmethod
     def _wrap(cls, ctx, nvars, terms):
@@ -432,39 +435,48 @@ class SparsePoly:
         poly = object.__new__(cls)
         poly.ctx = ctx
         poly.nvars = nvars
-        poly.terms = {e: FieldElement(ctx, v) for e, v in terms.items() if v != zero}
+        poly._vals = {e: v for e, v in terms.items() if v != zero}
         return poly
 
+    @property
+    def terms(self):
+        """A read-only {exponent tuple: nonzero FieldElement of ctx}."""
+        return MappingProxyType({e: FieldElement(self.ctx, v) for e, v in self._vals.items()})
+
     def _payloads(self, ctx):
-        """A fresh {exponent tuple: payload} dict on `ctx`."""
+        """The {exponent tuple: payload} dict on `ctx`: on the own level
+        the stored dict itself, which the caller must not change."""
         if ctx is self.ctx:
-            return {e: c.val for e, c in self.terms.items()}
-        return {e: ctx.embed_payload(c.val, self.ctx) for e, c in self.terms.items()}
+            return self._vals
+        embed, own = ctx.embed_payload, self.ctx
+        return {e: embed(v, own) for e, v in self._vals.items()}
 
     def is_zero(self):
-        return not self.terms
+        return not self._vals
 
     def __eq__(self, other):
         return (
             type(other) is type(self)
             and self.ctx is other.ctx
             and self.nvars == other.nvars
-            and self.terms == other.terms
+            and self._vals == other._vals
         )
 
     def __hash__(self):
-        return hash((id(self.ctx), self.nvars, frozenset(self.terms.items())))
+        return hash((id(self.ctx), self.nvars, frozenset(self._vals.items())))
 
     def _top_exponent(self, j):
         """Largest exponent in slot j (0-indexed); -1 for the zero polynomial."""
-        return max((e[j] for e in self.terms), default=-1)
+        return max((e[j] for e in self._vals), default=-1)
 
     def scale(self, value):
         value = value if value.ctx is self.ctx else value.embed_to(self.ctx)
         mul, v = self.ctx.mul, value.val
-        return self._wrap(
-            self.ctx, self.nvars, {e: mul(c.val, v) for e, c in self.terms.items()}
-        )
+        return self._wrap(self.ctx, self.nvars, {e: mul(c, v) for e, c in self._vals.items()})
+
+    def sorted_terms(self):
+        """(exponent tuple, FieldElement) pairs in the canonical order."""
+        return [(e, FieldElement(self.ctx, v)) for e, v in self._sorted_payloads()]
 
     def json_head(self, terms):
         """`to_json`'s object with `terms` in place of its term records."""
@@ -476,7 +488,7 @@ class SparsePoly:
 
     def to_json(self):
         term, coeff = self.json_term, self.ctx.element_to_json
-        return self.json_head([term(list(e), coeff(c.val)) for e, c in self.sorted_terms()])
+        return self.json_head([term(list(e), coeff(v)) for e, v in self._sorted_payloads()])
 
     @classmethod
     def from_json(cls, obj, ctx=None):
@@ -537,7 +549,7 @@ class MultiPoly(SparsePoly):
 
     def _combine(self, other, name):
         ctx, f, g = self._common(other)
-        op, zero = getattr(ctx, name), ctx.zero()
+        op, zero, f = getattr(ctx, name), ctx.zero(), dict(f)
         for e, v in g.items():
             f[e] = op(f.get(e, zero), v)
         return MultiPoly._wrap(ctx, self.nvars, f)
@@ -550,9 +562,7 @@ class MultiPoly(SparsePoly):
 
     def __neg__(self):
         neg = self.ctx.neg
-        return MultiPoly._wrap(
-            self.ctx, self.nvars, {e: neg(c.val) for e, c in self.terms.items()}
-        )
+        return MultiPoly._wrap(self.ctx, self.nvars, {e: neg(c) for e, c in self._vals.items()})
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
@@ -576,11 +586,11 @@ class MultiPoly(SparsePoly):
         if sorted(sigma) != list(range(self.nvars)):
             raise ArityMismatch(f"{sigma} is not a permutation of {self.nvars} slots")
         terms = {}
-        for exps, c in self.terms.items():
+        for exps, c in self._vals.items():
             new = [0] * self.nvars
             for j, e in enumerate(exps):
                 new[sigma[j]] = e
-            terms[tuple(new)] = c.val
+            terms[tuple(new)] = c
         return MultiPoly._wrap(self.ctx, self.nvars, terms)
 
     def embed_to(self, level):
@@ -602,16 +612,17 @@ class MultiPoly(SparsePoly):
             acc = acc + term
         return acc
 
-    def sorted_terms(self):
-        """Terms in canonical order: graded lex with T_1 > ... > T_r,
-        largest monomial first: by tuple, then stably by degree (tuples
-        are unique, so no coefficient is ever compared).  One sort on
-        nested (degree, exponents) keys took 1.7x as long at r = 16."""
-        by_exps = sorted(self.terms.items(), reverse=True)
+    def _sorted_payloads(self):
+        """(exponent tuple, payload) pairs in canonical order: graded lex
+        with T_1 > ... > T_r, largest monomial first: by tuple, then
+        stably by degree (tuples are unique, so no coefficient is ever
+        compared).  One sort on nested (degree, exponents) keys took
+        1.7x as long at r = 16."""
+        by_exps = sorted(self._vals.items(), reverse=True)
         return sorted(by_exps, key=lambda item: sum(item[0]), reverse=True)
 
     def render(self, var="T"):
-        if not self.terms:
+        if not self._vals:
             return "0"
         parts = []
         for exps, c in self.sorted_terms():
@@ -646,17 +657,17 @@ def normal_form(p, a):
     inv_lead = ctx.inv(a_vals[n])
     low = [mul(c, inv_lead) for c in a_vals[:n]]  # T^n = -sum low[k] T^k mod a
     residues, res = [], [zero] * (n - 1) + [ctx.one()]  # residues[e - n]: T^e mod a
-    for _ in range(n, max((max(exps) + 1 for exps in p.terms), default=0)):
+    for _ in range(n, max((max(exps) + 1 for exps in p._vals), default=0)):
         top, res = res[-1], [zero] + res[:-1]
         if top != zero:
             res = [sub(c, mul(top, x)) for c, x in zip(res, low)]
         residues.append([(k, c) for k, c in enumerate(res) if c != zero])
     out = {}
-    for exps, coeff in p.terms.items():
+    for exps, coeff in p._vals.items():
         if max(exps) < n:
-            out[exps] = add(out.get(exps, zero), coeff.val)
+            out[exps] = add(out.get(exps, zero), coeff)
             continue
-        partial = {(): coeff.val}
+        partial = {(): coeff}
         for e in exps:  # keys stay distinct: one new exponent per key
             if e < n:
                 partial = {prefix + (e,): c for prefix, c in partial.items()}

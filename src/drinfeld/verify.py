@@ -14,7 +14,12 @@ Each exhaustive sweep evaluates a tuple once per operator.  The Galois
 check walks each orbit of tuples under the Frobenius sigma of K from its
 least member and compares sigma of each member's value with the next
 member's value; around a closed orbit sigma**k then carries each value
-k steps on, for every k.  Operators are applied once per point or value.
+k steps on, for every k.  Operators are applied once per point or value,
+and each operator phi_b and psi_b is built once per b.  The root-order
+check sums each distinct root sequence once and skips the rank-ordered
+one, which `f_chain_sum` has summed.  A chain sum with a coefficient
+outside GF(q) fails its (a, r)'s rationality check, or both congruence
+checks, and the rest of that (a, r) is skipped.
 
 The mutation tests in tests/test_verify.py prove the checks have teeth
 by patching a broken construction in from outside: `_det_module` (the
@@ -41,7 +46,7 @@ from .core import (
     operator_kernel,
     torsion,
 )
-from .errors import ConfigurationTooLarge, MalformedInput, NotInSubfield
+from .errors import ConfigurationTooLarge, MalformedInput, NotInSubfield, RationalityFailure
 from .fields import dim_between, extend, field_from_descriptor, make_field, require_int
 from .pairing import (
     PairingEvaluator,
@@ -351,6 +356,13 @@ def _constructions_agree(identity, cfg, a_ranks, r, lhs, rhs):
     return check
 
 
+def _irrational(cfg, a_ranks, r, err):
+    """The failed check of an (a, r) whose chain sum has a coefficient
+    outside GF(q): the oracle's RationalityFailure, as a counterexample."""
+    inputs = {"p": cfg.p, "e": cfg.e, "a": a_ranks, "r": r}
+    return lambda: _mismatch("f_rationality", inputs, str(err), "every coefficient in GF(q)")
+
+
 def verify_f_identities(cfg):
     """Dual construction, root-free product against the chain sum,
     symmetry, root-order invariance, rationality, degree bounds, and
@@ -363,7 +375,12 @@ def verify_f_identities(cfg):
         a_ranks = [c.rank() for c in a.coeffs]
         for r in cfg.ranks:
             tag = f"[q={base.order},r={r},a={a.render()}]"
-            poly = f_chain_sum(a, r).poly
+            try:
+                fa = f_chain_sum(a, r)
+            except RationalityFailure as err:
+                suite.run(f"f.rationality{tag}", _irrational(cfg, a_ranks, r, err))
+                continue
+            poly = fa.poly
 
             suite.run(f"f.chain_eq_recursive{tag}", _constructions_agree(
                 "f_chain_eq_recursive", cfg, a_ranks, r,
@@ -382,15 +399,17 @@ def verify_f_identities(cfg):
 
             suite.run(f"f.symmetry{tag}", symmetry)
 
-            def root_order(a=a, r=r, poly=poly, n=n, a_ranks=a_ranks):
-                # every order is drawn, but each distinct one is computed once
-                seen = set()
+            def root_order(a=a, r=r, poly=poly, roots=fa.roots, n=n, a_ranks=a_ranks):
+                # every order is drawn, but each distinct root sequence is
+                # summed once, and the rank-ordered one, f_chain_sum's, not again
+                seen = {roots}
                 for _ in range(max(10, cfg.trials // 3)):
                     order = list(range(n))
                     rng.shuffle(order)
-                    if tuple(order) in seen:
+                    sequence = tuple(roots[i] for i in order)
+                    if sequence in seen:
                         continue
-                    seen.add(tuple(order))
+                    seen.add(sequence)
                     variant = f_root_order_variant(a, r, order)
                     if variant.poly != poly:
                         return _mismatch("f_root_order",
@@ -451,7 +470,12 @@ def verify_congruences(cfg):
         a_ranks = [c.rank() for c in a.coeffs]
         for r in cfg.ranks:
             tag = f"[q={base.order},r={r},a={a.render()}]"
-            fa = f_chain_sum(a, r)
+            try:
+                fa = f_chain_sum(a, r)
+            except RationalityFailure as err:
+                for name in ("exchange", "root_peel"):
+                    suite.run(f"congruence.{name}{tag}", _irrational(cfg, a_ranks, r, err))
+                continue
 
             def exchange(poly=fa.poly, r=r, a=a, a_ranks=a_ranks):
                 for l in range(r):
@@ -545,7 +569,7 @@ def verify_pairing_properties(cfg):
         a_ranks = [c.rank() for c in a.coeffs]
 
         def multilinear():
-            psi_cache = {}
+            psi_cache, phi_cache = {}, {}
             # one deterministic trial on an independent tuple, then
             # cfg.trials random operator draws for every slot
             trials = [(UniPoly.gen(base), tuple(tm.fq_basis[:r]), 0)]
@@ -559,7 +583,7 @@ def verify_pairing_properties(cfg):
                     trials.append((b, tup, slot))
             for b, tup, slot in trials:
                 psi_b = _applied(psi_cache, psi.phi, b)
-                phi_b = phi.phi(b)
+                phi_b = _applied(phi_cache, phi.phi, b)
                 scaled = list(tup)
                 scaled[slot] = phi_b(tup[slot])
                 value = ev(tup)

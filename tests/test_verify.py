@@ -246,13 +246,14 @@ def test_mutation_site_expansion_detected(monkeypatch, tmp_path, capsys, mutant)
 
 # hand mutants of the root oracles' linear-factor kernels: (module, function,
 # its text, the mutated text, the suite to run, check families one of which
-# must fail, or None where the chain oracle's own rationality guard stops the run)
+# must fail)
 ORACLE_MUTANTS = {
     # a segment step takes the factor of root hi, inside the segment, not of root
-    # hi + 1; on the first a with roots outside GF(q) a coefficient of the chain
-    # sum is not rational, and the run exits 2 before any check of that a
+    # hi + 1; on an a with roots outside GF(q) a coefficient of the chain sum is
+    # not rational, and that (a, r)'s rationality check fails
     "segment step by the wrong root": (
-        pairing, "chain_sum_over_roots", "linear[hi])", "linear[hi - 1])", "f", None),
+        pairing, "chain_sum_over_roots", "linear[hi])", "linear[hi - 1])", "f",
+        {"f.rationality"}),
     # a term is kept as it stands when only its first exponent is below n
     "normal_form reads the first exponent": (
         polynomials, "normal_form", "max(exps) < n", "exps[0] < n", "congruence",
@@ -282,10 +283,7 @@ def test_mutation_root_oracle_kernels_detected(monkeypatch, tmp_path, capsys, mu
     path = tmp_path / f"f-grid-q{q}.json"
     path.write_text(json.dumps({"p": q}))
     code = main(["verify", "--config", str(path), "--suite", suite, "--json"])
-    out, err = capsys.readouterr()
-    if families is None:
-        assert code == 2 and not out and "is not rational" in err
-        return
+    out = capsys.readouterr().out
     failed = {check["name"].split("[")[0] for report in json.loads(out)["reports"]
               for check in report["checks"] if check["status"] == "fail"}
     assert code == 1 and failed & families, failed
