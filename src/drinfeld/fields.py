@@ -761,8 +761,10 @@ class FieldCtx:
         is zero from there to twice that: an index sum with it reads 0."""
         n = self.order - 1
         factors = _prime_factors(n)
+        mul = self._mul_over_prime if self.parent.parent is None else self._mul_generic
+        one = tuple(self._coords(1))  # powers on coordinates: one digit split per candidate
         g = 2
-        while any(self._pow_raw(g, n // f) == 1 for f in factors):
+        while any(_power(mul, tuple(self._coords(g)), n // f, one) == one for f in factors):
             g += 1
         step = self._times(g)
         log = array("I", [2 * n]) * self.order
@@ -1227,7 +1229,8 @@ class FieldElement:
         )
 
     def __hash__(self):
-        return hash((id(self.ctx), self.val))
+        # equal elements share a payload; the level is left to __eq__
+        return hash(self.val)
 
     def is_zero(self):
         return self.val == self.ctx._zero

@@ -62,9 +62,12 @@ would take r! products per f_a term.
 into a trie over their Frobenius exponents, contracts one slot at a
 time, and memoizes the last slot's contraction per point, in a memo of
 at most `_MEMO_SIZE` points; each trie node is one sum of the level's
-dot op, shared with `QPowerPoly.__call__`.  `weil_values` contracts
-f_a against Moore determinants directly, the independent oracle;
-`weil_evaluate` on one tuple.
+dot op, shared with `QPowerPoly.__call__`.  Its `values` streams every
+tuple of a point list, each slot contracted once per point and tuple
+of later points.  `weil_values` contracts f_a against Moore
+determinants directly, the independent oracle, and checks no value;
+`weil_evaluate` runs it on one tuple and trips unless the value lies
+in the determinant module's torsion.
 
 Inputs go through shared checks: `_check_inputs` for a and the arity
 on every f_a route and in `weil_polynomial`, and in the torsion guard
@@ -593,21 +596,16 @@ def moore_contraction(f_poly, images, level):
 
 
 def weil_values(phi, a, points, tuples):
-    """`weil_evaluate` on each of `tuples` (rank-tuples of `points`), yielded
-    in order: the guard, the images phi_{T^i}(beta) and their Moore rows
-    run once per point, and the value's torsion check once per distinct value."""
+    """The direct contraction on each of `tuples` (rank-tuples of
+    `points`), yielded in order: the guard, the images phi_{T^i}(beta) and
+    their Moore rows run once per point.  No value is checked to land in
+    the determinant module's torsion; `pairing.poly_agreement` checks it."""
     level = _torsion_guard(phi, a, points)
     f_poly = f_rootfree(a, phi.rank).poly.embed_to(level)
     ops = [phi.phi_tpow(i) for i in range(a.degree)]
     images = {b: [_frobenius_row(op(b), level, phi.rank - 1) for op in ops] for b in points}
-    psi_a, landed = phi.det_module().phi(a), set()
     for tup in tuples:
-        acc = moore_contraction(f_poly, [images[b] for b in tup], level)
-        if acc not in landed:
-            if not psi_a(acc).is_zero():  # pragma: no cover - tripwire
-                raise AssertionError("pairing value escaped the determinant torsion")
-            landed.add(acc)
-        yield acc
+        yield moore_contraction(f_poly, [images[b] for b in tup], level)
 
 
 def weil_evaluate(phi, a, betas):
@@ -620,6 +618,8 @@ def weil_evaluate(phi, a, betas):
     if len(betas) != phi.rank:
         raise ArityMismatch(f"need {phi.rank} torsion points")
     (value,) = weil_values(phi, a, betas, [betas])
+    if not phi.det_module().phi(a)(value).is_zero():  # pragma: no cover - tripwire
+        raise AssertionError("pairing value escaped the determinant torsion")
     return value
 
 
@@ -654,11 +654,16 @@ class PairingEvaluator:
     The last slot's contraction, a vector over the trie nodes at depth
     r-1, depends only on that slot's point.  A per-point memo holds the
     point's Frobenius row, beta, beta**q, ... as payloads of `level`,
-    the row's operand form, made on the point's first use in a call,
+    the row's operand form, made on the point's first use in a call or sweep,
     and that vector, filled on the point's first use in the last slot
     (`powers_of` fills only the row).  The memo keeps at most
     `_MEMO_SIZE` points and drops the oldest first; a point evicted and
     seen again costs about one uncached contraction.
+
+    `values(points)` is the exhaustive sweep: it yields W's payload at
+    every tuple of product(points, repeat=r), in that order, with no
+    call per tuple.  It holds one vector per tuple of slots 1 .. r-1,
+    never a list of the values; `__call__` keeps its own per-tuple loop.
 
     The loop runs on the level's raw payloads and wraps only the result.
     Points from a level below `level` are embedded first; a point from
@@ -708,3 +713,26 @@ class PairingEvaluator:
         if entry[1] is None:
             entry[1] = _contract_last(dot, leaves, rows[-1])
         return FieldElement(self.level, payload(_contract_inner(dot, inner, rows, entry[1])))
+
+    def values(self, points):
+        """W's payload in `level` at every tuple of product(points,
+        repeat=r), yielded in that order.  Each point's row and last-slot
+        vector come from the memo, once per point; slots r-2 .. 1 each
+        make one vector per tuple of the slots from there on, one dot per
+        (point, vector of the later slots), and the root's dots stream."""
+        leaves, inner, (spread, dot, payload) = self._trie
+        rows, vecs = [], []
+        for beta in points:
+            entry = self._entry(beta)
+            row = entry[0]
+            if row[1] is None:
+                row[1] = list(map(spread, row[0]))
+            if entry[1] is None:
+                entry[1] = _contract_last(dot, leaves, row[1])
+            rows.append(row[1])
+            vecs.append(entry[1])
+        for nodes in inner[:-1]:
+            vecs = [dot(row, v, nodes) for row in rows for v in vecs]
+        roots = (dot(row, v, inner[-1]) for row in rows for v in vecs) if inner else vecs
+        for vals in roots:  # at r = 1 the last slot's node is the root
+            yield payload(vals[0] if vals else dot((), (), [()])[0])

@@ -47,7 +47,8 @@ from .core import (
     torsion,
 )
 from .errors import ConfigurationTooLarge, MalformedInput, NotInSubfield, RationalityFailure
-from .fields import dim_between, extend, field_from_descriptor, make_field, require_int
+from .fields import (FieldElement, dim_between, extend, field_from_descriptor, make_field,
+                     require_int)
 from .pairing import (
     PairingEvaluator,
     chain_sum_over_roots,
@@ -547,7 +548,10 @@ def _applied(memo, op, x):
 def verify_pairing_properties(cfg):
     """Multilinearity, alternation, surjectivity, nondegeneracy,
     Galois invariance and agreement with `weil_values`, exhaustively
-    within the configured budget; each sweep evaluates a tuple once."""
+    within the configured budget; each sweep evaluates a tuple once.
+    Alternation, surjectivity, nondegeneracy and agreement each read one
+    `PairingEvaluator.values` sweep of payloads; the Galois and multilinear
+    checks call the evaluator.  A direct value outside psi[a] fails agreement."""
     suite = _Suite(cfg)
     phi = cfg.module()
     base = phi.base
@@ -567,6 +571,7 @@ def verify_pairing_properties(cfg):
         level = tm.level
         ev = PairingEvaluator(phi, a, level)
         a_ranks = [c.rank() for c in a.coeffs]
+        zero = level.zero()
 
         def multilinear():
             psi_cache, phi_cache = {}, {}
@@ -618,39 +623,38 @@ def verify_pairing_properties(cfg):
         suite.run(f"pairing.multilinear{tag}", multilinear)
 
         def alternating():
-            for tup in itertools.product(pts, repeat=r):
-                if len(set(tup)) == len(tup):
-                    continue
-                val = ev(tup)
-                if not val.is_zero():
-                    return _mismatch("alternating",
-                                     {"a": a_ranks, "points": _point_list_json(tup)},
-                                     val, level.zero_element)
+            for idx, val in zip(itertools.product(range(len(pts)), repeat=r), ev.values(pts)):
+                if val != zero and len(set(idx)) < r:
+                    return _mismatch("alternating", {"a": a_ranks, "points": _point_list_json(
+                        [pts[i] for i in idx])}, FieldElement(level, val), level.zero_element)
             return True
 
         suite.run(f"pairing.alternating{tag}", alternating)
 
         psi_a = psi.phi(a)
         psi_points = set(fq_span(operator_kernel(psi_a, level, base), level, base))
+        psi_vals = {x.val for x in psi_points}
 
         def codomain_and_surjective():
-            image = {ev(tup) for tup in itertools.product(pts, repeat=r)}
+            image = set(ev.values(pts))
             expected_size = base.order**a.degree
-            if len(psi_points) != expected_size or image != psi_points:
+            if len(psi_points) != expected_size or image != psi_vals:
                 return _mismatch("surjective", {"a": a_ranks},
-                                 sorted(v.rank() for v in image),
+                                 sorted(map(level.rank_of, image)),
                                  sorted(v.rank() for v in psi_points))
             return True
 
         suite.run(f"pairing.surjective{tag}", codomain_and_surjective)
 
         def nondegenerate():
+            hit = [[False] * len(pts) for _ in range(r)]  # hit[slot][i]: pts[i] there meets W != 0
+            for idx, val in zip(itertools.product(range(len(pts)), repeat=r), ev.values(pts)):
+                if val != zero:
+                    for slot, i in enumerate(idx):
+                        hit[slot][i] = True
             for slot in range(r):
-                for beta in pts:
-                    if beta.is_zero():
-                        continue
-                    rests = itertools.product(pts, repeat=r - 1)
-                    if all(ev(rest[:slot] + (beta,) + rest[slot:]).is_zero() for rest in rests):
+                for beta, seen in zip(pts, hit[slot]):
+                    if not (seen or beta.is_zero()):
                         return _mismatch("nondegenerate",
                                          {"a": a_ranks, "slot": slot, "beta": beta.to_json()},
                                          beta, level.zero_element)
@@ -686,12 +690,18 @@ def verify_pairing_properties(cfg):
         suite.run(f"pairing.galois{tag}", galois)
 
         def agreement():
+            # weil_evaluate's tripwire, as a failure: a direct value outside
+            # the torsion of phi's own determinant module (not `_det_module`'s)
+            psi_a_direct, landed = phi.det_module().phi(a), set()
             direct_values = weil_values(phi, a, pts, itertools.product(pts, repeat=r))
-            for tup, direct in zip(itertools.product(pts, repeat=r), direct_values):
-                if direct != ev(tup):
+            for tup, direct, val in zip(itertools.product(pts, repeat=r), direct_values,
+                                        ev.values(pts)):
+                if direct.val != val or (
+                        direct.val not in landed and not psi_a_direct(direct).is_zero()):
                     return _mismatch("poly_agreement",
                                      {"a": a_ranks, "points": _point_list_json(tup)},
-                                     direct, ev(tup))
+                                     direct, FieldElement(level, val))
+                landed.add(val)
             return True
 
         suite.run(f"pairing.poly_agreement{tag}", agreement)
@@ -705,10 +715,11 @@ def verify_pairing_properties(cfg):
 
 def verify_compatibility(cfg):
     """psi_b(W_{ab}(t)) = W_a(phi_b applied slotwise), on every torsion
-    tuple of phi[ab] when that fits the budget, else on min(budget,
-    10,000) sampled tuples, whose points alone are built; phi_b and
-    psi_b are applied once per point and once per value, and W_a once
-    per image tuple (phi_b maps many tuples to one)."""
+    tuple of phi[ab] when that fits the budget (one sweep of W_ab, by
+    point index), else on min(budget, 10,000) sampled tuples, whose
+    points alone are built; phi_b and psi_b are applied once per point
+    and once per value, and W_a once per image tuple (phi_b maps many
+    tuples to one)."""
     suite = _Suite(cfg)
     phi = cfg.module()
     psi = _det_module(phi)
@@ -725,28 +736,40 @@ def verify_compatibility(cfg):
         psi_b = psi.phi(b)
         phi_b = phi.phi(b)
 
+        def mismatch(tup, lhs, rhs):
+            return _mismatch("compatibility", {
+                "module": module_json,
+                "a": [c.rank() for c in a.coeffs],
+                "b": [c.rank() for c in b.coeffs],
+                "points": _point_list_json(tup),
+                "level": level.descriptor(),
+            }, lhs, rhs)
+
         def compat():
             phi_images, psi_images, rhs_values = {}, {}, {}  # filled on first use
             count = tm.count()
             if count ** r <= cfg.budget:
-                tuples = itertools.product(tm.points(), repeat=r)
-            else:
-                tuples = (
-                    tuple(tm.point(rng.randrange(count)) for _ in range(r))
-                    for _ in range(min(cfg.budget, 10_000))
-                )
-            for tup in tuples:
+                # one sweep of W_ab; W_a is keyed by the first point of each slot's image
+                pts = tm.points()
+                images = [phi_b(x) for x in pts]
+                first = {}
+                keys = [first.setdefault(y, i) for i, y in enumerate(images)]
+                for tup, key, val in zip(itertools.product(pts, repeat=r),
+                                         itertools.product(keys, repeat=r), ev_ab.values(pts)):
+                    if (lhs := psi_images.get(val)) is None:
+                        lhs = psi_images[val] = psi_b(FieldElement(level, val))
+                    if (rhs := rhs_values.get(key)) is None:
+                        rhs = rhs_values[key] = ev_a([images[i] for i in key])
+                    if lhs != rhs:
+                        return mismatch(tup, lhs, rhs)
+                return True
+            for _ in range(min(cfg.budget, 10_000)):
+                tup = tuple(tm.point(rng.randrange(count)) for _ in range(r))
                 lhs = _applied(psi_images, psi_b, ev_ab(tup))
                 rhs = _applied(rhs_values, ev_a,
                                tuple(_applied(phi_images, phi_b, x) for x in tup))
                 if lhs != rhs:
-                    return _mismatch("compatibility", {
-                        "module": module_json,
-                        "a": [c.rank() for c in a.coeffs],
-                        "b": [c.rank() for c in b.coeffs],
-                        "points": _point_list_json(tup),
-                        "level": level.descriptor(),
-                    }, lhs, rhs)
+                    return mismatch(tup, lhs, rhs)
             return True
 
         suite.run(f"compatibility.identity{tag}", compat)

@@ -204,6 +204,24 @@ def test_tower_embeddings_compose():
         assert e24(x).embed_to(F16) == e416(e24(x))
 
 
+def test_hash_agrees_with_eq_and_levels_stay_apart():
+    # equal elements hash alike; the hash is the payload's, so elements of
+    # two levels with one payload collide in a dict but stay two keys
+    F4, _ = extend(F2, 2)
+    F8, _ = extend(F2, 3)
+    for level in (F2, F4, F8, make_field(3, 2), extend(F2, 31)[0]):
+        for x in itertools.islice(level.elements(), 8):
+            y = fields.FieldElement(level, x.val)
+            assert x == y and hash(x) == hash(y)
+    table = {}
+    for level in (F4, F8, make_field(2, 2)):
+        for x in level.elements():
+            table[x] = level
+    assert len(table) == 4 + 8 + 4
+    assert all(table[x] is level for level in (F4, F8) for x in level.elements())
+    assert F4.one_element != F8.one_element and hash(F4.one_element) == hash(F8.one_element)
+
+
 def test_incomparable_levels_raise():
     F4, _ = extend(F2, 2)
     F8, _ = extend(F2, 3)

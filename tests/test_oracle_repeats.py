@@ -4,15 +4,19 @@ The root-order check sums each distinct root sequence once and skips the
 rank-ordered one, which `f_chain_sum` has summed; `weil_values` builds
 each image's Moore row once per point.  Calls are counted by
 monkeypatch, and a hand mutant of the Moore rows shows that the
-pairing suite still compares them against the evaluator."""
+pairing suite still compares them against the evaluator, and fails
+`pairing.poly_agreement` where a direct value leaves psi[a]."""
 
 import inspect
+import json
 import math
 
 import pytest
 
 from drinfeld import pairing, verify
+from drinfeld.core import torsion
 from drinfeld.pairing import f_chain_sum
+from drinfeld.polynomials import UniPoly
 
 
 def stripped(checks):
@@ -76,3 +80,41 @@ def test_moore_row_step_mutant(monkeypatch, bundle, label, fails):
     assert failed == ({"pairing.poly_agreement"} if fails else set())
     for check in report.failures():
         assert check.counterexample["identity"] == "poly_agreement"
+
+
+def test_moore_row_value_outside_the_torsion_fails_agreement(monkeypatch, tmp_path, capsys,
+                                                             bundle):
+    # the same Moore-row mutant on pairing-q2-K4-r2, where a direct value
+    # leaves psi[a]: the check fails with that tuple and value, the report
+    # is written and verify exits 1; weil_evaluate still trips on the tuple
+    from drinfeld.cli import main
+
+    text, mutated = "powers[-1].frobenius(1)", "powers[-1].frobenius(2)"
+    source = inspect.getsource(pairing._frobenius_row)
+    namespace = dict(vars(pairing))
+    exec(compile(source.replace(text, mutated), pairing.__file__, "exec"), namespace)
+    for name in ("weil_values", "weil_evaluate"):
+        exec(compile(inspect.getsource(getattr(pairing, name)), pairing.__file__, "exec"),
+             namespace)
+    for home in (pairing, verify):
+        monkeypatch.setattr(home, "weil_values", namespace["weil_values"])
+    cfg = bundle["pairing-q2-K4-r2"].config
+    path = tmp_path / "pairing-q2-K4-r2.json"
+    path.write_text(json.dumps(cfg.to_json()))
+    code = main(["verify", "--config", str(path), "--suite", "pairing", "--json"])
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    failed = [check for check in report["checks"] if check["status"] == "fail"]
+    assert code == 1 and [check["name"].split("[")[0] for check in failed] == [
+        "pairing.poly_agreement"]
+    counterexample = failed[0]["counterexample"]
+    assert counterexample["identity"] == "poly_agreement"
+    assert set(counterexample["inputs"]) == {"a", "points"}
+    phi = cfg.module()
+    a = UniPoly.from_ranks(phi.base, counterexample["inputs"]["a"])
+    level = torsion(phi, a, cap=cfg.extension_cap).level
+    points = [level.element_from_json(p) for p in counterexample["inputs"]["points"]]
+    (direct,) = namespace["weil_values"](phi, a, points, [points])
+    assert counterexample["lhs"] == direct.to_json()
+    assert not phi.det_module().phi(a)(direct).is_zero()
+    with pytest.raises(AssertionError, match="escaped the determinant torsion"):
+        namespace["weil_evaluate"](phi, a, points)

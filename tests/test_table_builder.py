@@ -2,7 +2,8 @@
 each of its paths (p = 2 by XOR of half-rank tables, odd p by packed
 coordinates, towers, and ``_mul_raw`` for p > 36): log and exp are
 inverse bijections, the tables equal the powers of g taken by
-``_mul_raw``, and Zech add and sub equal the digit path."""
+``_mul_raw``, g is the smallest-rank primitive element that a search on
+ranks by ``_pow_raw`` finds, and Zech add and sub equal the digit path."""
 
 import itertools
 
@@ -74,6 +75,31 @@ def test_tables_are_the_powers_of_g_by_mul_raw(name):
     for k, x in enumerate(powers):
         log[x] = k
     assert list(ctx._log) == log
+
+
+# levels for the primitive-element search on coordinates: GF(3^k), GF(5^k),
+# and GF(2^2) over GF(2) with towers over it
+SEARCH = {
+    **{f"GF(3^{k})": extend(F3, k)[0] for k in range(2, 8)},
+    **{f"GF(5^{k})": extend(F5, k)[0] for k in range(2, 5)},
+    "GF(2^2)": make_field(2, 2),
+    **{f"GF(4)^{k} tower": extend(make_field(2, 2), k)[0] for k in range(2, 5)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH))
+def test_search_on_coordinates_finds_the_g_of_the_search_on_ranks(name):
+    ctx = _fresh(SEARCH[name])
+    n = ctx.order - 1
+    g = 2  # the search on ranks by _pow_raw, one digit split per product
+    while any(ctx._pow_raw(g, n // f) == 1 for f in _prime_factors(n)):
+        g += 1
+    assert ctx._exp[1] == g
+    x = 1
+    for k in range(n):
+        assert ctx._exp[k] == x and ctx._log[x] == k
+        x = ctx._mul_raw(g, x)
+    assert x == 1 and ctx._log[0] == 2 * n
 
 
 @pytest.mark.parametrize("name", [k for k in sorted(SMALL) if SMALL[k].p != 2] + ["GF(3^8)"])

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import inspect
+import itertools
 import json
 import random
 
@@ -104,21 +105,36 @@ def test_budget_guard():
 @pytest.mark.parametrize("budget, tuples", [(1, 1), (100, 100), (256, 256)])
 def test_compatibility_sampling_respects_budget(monkeypatch, budget, tuples):
     # phi[T^2] has 16 points, so 256 tuples; past the budget the suite
-    # used to sample 10,000 tuples whatever the budget
-    calls = {}  # degree of the evaluator's a -> the tuples it was called on
-    real_call = pairing.PairingEvaluator.__call__
+    # used to sample 10,000 tuples whatever the budget.  Within the budget
+    # W_ab is one sweep over every tuple, past it one call per sampled tuple
+    calls, swept = {}, {}  # degree of the evaluator's a -> the tuples it gave values on
+    real_call, real_values = pairing.PairingEvaluator.__call__, pairing.PairingEvaluator.values
 
     def counted(self, betas):
         calls.setdefault(self.a.degree, []).append(tuple(betas))
         return real_call(self, betas)
 
+    def counted_sweep(self, points):
+        tuples = itertools.product(points, repeat=self.poly.nvars)
+        for tup, val in zip(tuples, real_values(self, points)):
+            swept.setdefault(self.a.degree, []).append(tup)
+            yield val
+
     monkeypatch.setattr(pairing.PairingEvaluator, "__call__", counted)
+    monkeypatch.setattr(pairing.PairingEvaluator, "values", counted_sweep)
     cfg = VerificationConfig(p=2, theta=1, g=(1, 1), ab_pairs=(((0, 1), (0, 1)),),
                              budget=budget)
     assert verify_compatibility(cfg).ok()
     # W_ab (a*b = T^2) once per tuple; W_a (a = T) once per distinct
     # phi_b image tuple, with the images recomputed here
-    ab_tuples, a_tuples = calls[2], calls[1]
+    if budget >= 256:
+        assert 2 not in calls and 1 not in swept
+        ab_tuples = swept[2]
+        assert len(set(ab_tuples)) == len(ab_tuples) == tuples
+    else:
+        assert not swept
+        ab_tuples = calls[2]
+    a_tuples = calls[1]
     assert len(ab_tuples) == tuples
     phi_b = cfg.module().phi(UniPoly.from_ranks(cfg.K_ctx(), [0, 1]))
     images = {tuple(phi_b(x) for x in tup) for tup in ab_tuples}

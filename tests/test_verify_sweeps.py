@@ -4,7 +4,9 @@ The Galois check walks Frobenius orbits of tuples; the k-major loop it
 replaced lives on here as an oracle and must give the same verdict.
 Call counts are taken by monkeypatch: the check that is running is
 read off `_Suite.run`, and every evaluator call and operator
-application is recorded under it.
+application is recorded under it, and on request every
+`PairingEvaluator.values` sweep: the checks that read every tuple run
+one sweep each and no call.
 """
 
 import itertools
@@ -16,7 +18,7 @@ from drinfeld import core, pairing, verify
 from drinfeld.core import torsion
 from drinfeld.fields import dim_between
 from drinfeld.pairing import PairingEvaluator, linear_factors
-from drinfeld.polynomials import MultiPoly
+from drinfeld.polynomials import MultiPoly, UniPoly
 from drinfeld.verify import VerificationConfig, default_bundle, verify_pairing_properties
 
 PAIR_I = VerificationConfig(p=2, theta=1, g=(1, 1), a_list=((0, 1),),
@@ -74,14 +76,16 @@ def scale_outside_k(monkeypatch):
     monkeypatch.setattr(pairing.PairingEvaluator, "__call__", scaled)
 
 
-def record_by_check(monkeypatch):
+def record_by_check(monkeypatch, sweeps=None):
     """Evaluator calls and operator applications, keyed by the name of
-    the check that made them."""
+    the check that made them; given a dict `sweeps`, also each sweep as
+    [its number of points, the values it has yielded so far]."""
     current = [None]
     evals, applied = {}, {}
     real_run = verify._Suite.run
     real_ev = pairing.PairingEvaluator.__call__
     real_apply = core.SkewPoly.__call__
+    real_values = pairing.PairingEvaluator.values
 
     def run(self, name, fn):
         current[0] = name
@@ -99,9 +103,18 @@ def record_by_check(monkeypatch):
         applied.setdefault(current[0], []).append((self, x))
         return real_apply(self, x)
 
+    def values(self, points):
+        sweep = [len(points), 0]
+        sweeps.setdefault(current[0], []).append(sweep)
+        for val in real_values(self, points):
+            sweep[1] += 1
+            yield val
+
     monkeypatch.setattr(verify._Suite, "run", run)
     monkeypatch.setattr(pairing.PairingEvaluator, "__call__", ev)
     monkeypatch.setattr(core.SkewPoly, "__call__", apply)
+    if sweeps is not None:
+        monkeypatch.setattr(pairing.PairingEvaluator, "values", values)
     return evals, applied
 
 
@@ -158,6 +171,36 @@ def test_galois_evaluates_each_tuple_once(monkeypatch, cfg):
     for phi, a, pts in per_a(cfg):
         calls = evals[f"pairing.galois[a={a.render()}]"]
         assert len(calls) == len(set(calls)) == len(pts) ** phi.rank
+
+
+@pytest.mark.parametrize("cfg", STOCK, ids=lambda c: f"q{c.p}-r{len(c.g)}-K{c.k_extensions}")
+def test_exhaustive_checks_run_one_sweep_and_no_call(monkeypatch, cfg):
+    sweeps = {}
+    evals, _ = record_by_check(monkeypatch, sweeps)
+    assert verify_pairing_properties(cfg).ok()
+    for phi, a, pts in per_a(cfg):
+        for check in ("alternating", "surjective", "nondegenerate", "poly_agreement"):
+            name = f"pairing.{check}[a={a.render()}]"
+            assert sweeps[name] == [[len(pts), len(pts) ** phi.rank]]
+            assert name not in evals
+    # the random-access checks call the evaluator and sweep nothing
+    assert not {n for n in sweeps if "galois" in n or "multilinear" in n}
+
+
+def test_compat_sweeps_w_ab_once_and_calls_w_a_per_image_tuple(monkeypatch):
+    sweeps = {}
+    evals, _ = record_by_check(monkeypatch, sweeps)
+    cfg = next(c for c in STOCK if c.ab_pairs)
+    assert verify.verify_compatibility(cfg).ok()
+    phi = cfg.module()
+    for a_ranks, b_ranks in cfg.ab_pairs:
+        a, b = (UniPoly.from_ranks(phi.base, ranks) for ranks in (a_ranks, b_ranks))
+        pts = torsion(phi, a * b, cap=cfg.extension_cap).points()
+        name = f"compatibility.identity[a={a.render()},b={b.render()}]"
+        assert sweeps[name] == [[len(pts), len(pts) ** phi.rank]]
+        # W_a once per tuple of phi_b images: phi_b maps phi[ab] onto phi[a]
+        images = len({phi.phi(b)(x) for x in pts})
+        assert len(evals[name]) == len(set(evals[name])) == images ** phi.rank
 
 
 def test_multilinear_evaluates_each_base_tuple_once(monkeypatch):
