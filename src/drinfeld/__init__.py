@@ -46,7 +46,6 @@ from .polynomials import (
     normal_form,
     poly_gcd,
     poly_xgcd,
-    pow_mod,
     roots_in_field,
     splitting_level,
 )
@@ -72,7 +71,6 @@ from .pairing import (
     moore_eval,
     moore_poly,
     weil_evaluate,
-    weil_nonmonic,
     weil_polynomial,
 )
 from .verify import (
@@ -81,7 +79,6 @@ from .verify import (
     VerificationConfig,
     VerificationReport,
     default_bundle,
-    merge_reports,
     reevaluate,
     run_suites,
     verify_compatibility,

@@ -19,8 +19,10 @@ the order of tau**s modulo phi_a; only that one level is built, and
 its kernel comes from one matrix kernel over GF(q).
 
 An operator polynomial is checked once per property, by helpers that
-``pairing`` shares: ``polynomials.require_monic``, and
-``DrinfeldModule._require_over_base`` and ``_require_separable``.
+``pairing`` shares: ``polynomials.require_monic``,
+``DrinfeldModule._require_over_base``, and the torsion gate
+``DrinfeldModule._require_torsion_operator`` that runs both and then
+checks separability.
 """
 
 from __future__ import annotations
@@ -133,10 +135,6 @@ class DrinfeldModule:
         return self.K.base
 
     @property
-    def q(self):
-        return self.K.q
-
-    @property
     def phi_T(self):
         return self._phi_t
 
@@ -153,8 +151,12 @@ class DrinfeldModule:
         if a.ctx is not self.base:
             raise LevelMismatch("operator coefficients must live in the base field")
 
-    def _require_separable(self, a):
-        """InseparableTorsion when a(theta) = 0, naming the A-characteristic."""
+    def _require_torsion_operator(self, a):
+        """The gate of torsion and the pairing: `_require_over_base`,
+        `require_monic`, then InseparableTorsion when a(theta) = 0, naming
+        the A-characteristic."""
+        self._require_over_base(a)
+        require_monic(a)
         if self.gamma(a).is_zero():
             raise InseparableTorsion(
                 f"a({self.theta.to_json()}) = 0: a is divisible by the "
@@ -211,7 +213,8 @@ class DrinfeldModule:
         }
 
     @classmethod
-    def from_json(cls, obj, K=None):
+    def from_json(cls, obj):
+        """The module `to_json` wrote, over the level obj["K"] describes."""
         if not (
             isinstance(obj, dict)
             and {"K", "theta", "g"} <= obj.keys()
@@ -220,7 +223,7 @@ class DrinfeldModule:
             raise MalformedInput(
                 'a Drinfeld module is an object with "K", "theta" and a list "g"'
             )
-        level = K if K is not None else field_from_descriptor(obj["K"])
+        level = field_from_descriptor(obj["K"])
         theta = level.element_from_json(obj["theta"])
         g = tuple(level.element_from_json(c) for c in obj["g"])
         return cls(level, theta, g)
@@ -289,14 +292,12 @@ def torsion_level(phi, a, cap=DEFAULT_EXTENSION_CAP):
     docstring), and the level of degree m over K = GF(q**s) that carries
     the kernel of phi_a.  No m <= cap raises SearchCapExceeded."""
     require_int(cap, "extension-degree cap", low=1)
-    phi._require_over_base(a)
-    require_monic(a)
-    phi._require_separable(a)
+    phi._require_torsion_operator(a)
     phi_a = phi.phi(a)
     m = _tau_s_order(phi_a, dim_between(phi.K, phi.base), cap)
     if m is None:
         raise SearchCapExceeded(f"no extension of degree <= {cap} splits phi_a")
-    return phi_a, m, phi.K if m == 1 else extend(phi.K, m)[0]
+    return phi_a, m, phi.K if m == 1 else extend(phi.K, m)
 
 
 def torsion(phi, a, cap=DEFAULT_EXTENSION_CAP):
@@ -364,9 +365,6 @@ class TorsionModule:
             index, digit = divmod(index, base.order)
             point = point + base.element_of_rank(digit).embed_to(self.level) * b
         return point
-
-    def contains(self, beta):
-        return self.phi.phi(self.a)(beta).is_zero()
 
     def a_basis(self):
         """Points beta_1 .. beta_r through which (A/aA)**r sweeps out the

@@ -5,8 +5,8 @@ field GF(p) or an extension of another context by a monic irreducible
 modulus.  ``make_field(p, e)`` builds GF(p**e) in one step and marks it
 as the *base* level: its cardinality q is the one that drives every
 Frobenius computation (x -> x**q), regardless of how much further the
-tower is extended.  ``extend(ctx, m)`` stacks one more level of degree
-m on top of any context.
+tower is extended.  ``extend(ctx, m)`` returns the level of degree m
+on top of any context; ``x.embed_to(level)`` lifts an element into it.
 
 Every context ranks its elements 0 .. order-1 by flattening an
 element's coordinates, little-endian in the residue generator, to
@@ -1078,13 +1078,13 @@ def make_field(p, e=1, modulus=None):
 
 
 def extend(ctx, m, modulus=None):
-    """One more tower level of degree m over `ctx`.
+    """The tower level of degree m over `ctx`.
 
-    Returns ``(new_ctx, embed)`` where `embed` maps elements of `ctx`
-    (or anything below it) into the new level.  Levels are cached, so
-    extending the same context by the same degree twice hands back the
-    identical object.  A given modulus lists its coefficients as
-    elements of `ctx` or in their nested coordinate form.
+    Levels are cached, so extending the same context by the same degree
+    twice hands back the identical object; ``x.embed_to(level)`` brings
+    an element of `ctx` (or anything below it) up.  A given modulus
+    lists its coefficients as elements of `ctx` or in their nested
+    coordinate form.
     """
     if require_int(m, "extension degree") < 1:
         raise InvalidDegree(f"extension degree {m} < 1")
@@ -1103,11 +1103,7 @@ def extend(ctx, m, modulus=None):
     if new is None:
         new = FieldCtx(ctx.p, parent=ctx, degree=m, modulus=mod)
         ctx._ext_cache[(m, mod)] = new
-
-    def embed(x):
-        return x.embed_to(new)
-
-    return new, embed
+    return new
 
 
 def field_from_descriptor(desc):
@@ -1132,7 +1128,7 @@ def field_from_descriptor(desc):
         ctx = make_field(p, e)
     for level, degree in zip(tower, degrees):
         mod = [ctx.element_from_json(c) for c in level["modulus"]]
-        ctx, _ = extend(ctx, degree, modulus=mod)
+        ctx = extend(ctx, degree, modulus=mod)
     return ctx
 
 

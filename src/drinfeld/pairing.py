@@ -71,8 +71,7 @@ in the determinant module's torsion.
 
 Inputs go through shared checks: `_check_inputs` for a and the arity
 on every f_a route and in `weil_polynomial`, and in the torsion guard
-`require_monic` and the module's `_require_over_base` and
-`_require_separable`, as in `core.torsion`.
+the module's `_require_torsion_operator`, as in `core.torsion`.
 """
 
 from __future__ import annotations
@@ -84,7 +83,6 @@ from math import comb
 from .errors import (
     ArityMismatch,
     LevelMismatch,
-    NonMonic,
     NotInSubfield,
     NotTorsionPoint,
     RationalityFailure,
@@ -467,7 +465,7 @@ class QPowerPoly(SparsePoly):
     def _sorted_payloads(self):
         return sorted(self._vals.items(), key=lambda item: item[0])
 
-    def render(self, var="x"):
+    def render(self):
         if not self._vals:
             return "0"
         q = self.ctx.q
@@ -476,7 +474,7 @@ class QPowerPoly(SparsePoly):
             factors = []
             for slot, j in enumerate(key):
                 e = q**j
-                factors.append(f"{var}{slot + 1}" + (f"^{e}" if e > 1 else ""))
+                factors.append(f"x{slot + 1}" + (f"^{e}" if e > 1 else ""))
             body = "*".join(factors)
             parts.append(body if c.is_one() else f"{c.rank()}*{body}")
         return " + ".join(parts)
@@ -568,9 +566,7 @@ def weil_polynomial(phi, a, arity=None):
 def _torsion_guard(phi, a, betas):
     """The one level of betas, all a-torsion for a monic a over GF(q)
     separable for phi."""
-    phi._require_over_base(a)
-    require_monic(a)
-    phi._require_separable(a)
+    phi._require_torsion_operator(a)
     level = betas[0].ctx
     for b in betas:
         if b.ctx is not level:
@@ -621,18 +617,6 @@ def weil_evaluate(phi, a, betas):
     if not phi.det_module().phi(a)(value).is_zero():  # pragma: no cover - tripwire
         raise AssertionError("pairing value escaped the determinant torsion")
     return value
-
-
-def weil_nonmonic(phi, ca, betas):
-    """Pairing for a nonzero scalar multiple c*a of a monic operator:
-    the value is c**(r-1) times the monic pairing, on the same torsion."""
-    if ca.is_zero() or ca.degree < 1:
-        raise NonMonic("need a nonconstant operator polynomial")
-    c = ca.leading()
-    a = ca.monic()
-    w = weil_evaluate(phi, a, betas)
-    scale = c ** (phi.rank - 1)
-    return scale.embed_to(w.ctx) * w
 
 
 class PairingEvaluator:

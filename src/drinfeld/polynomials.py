@@ -144,10 +144,9 @@ class DensePoly:
         neg = self.ctx.neg
         return self._wrap(self.ctx, [neg(c.val) for c in self.coeffs])
 
-    def render(self, var=None):
+    def render(self):
         if self.is_zero():
             return "0"
-        var = self._var if var is None else var
         order = range(self.degree, -1, -1) if self._descending else range(self.degree + 1)
         parts = []
         for i in order:
@@ -158,7 +157,7 @@ class DensePoly:
                 parts.append(str(c.rank()))
             else:
                 head = "" if c.is_one() else f"{c.rank()}*"
-                parts.append(f"{head}{var}" + (f"^{i}" if i > 1 else ""))
+                parts.append(f"{head}{self._var}" + (f"^{i}" if i > 1 else ""))
         return " + ".join(parts)
 
     def __repr__(self):
@@ -256,19 +255,20 @@ class UniPoly(DensePoly):
         }
 
     @classmethod
-    def from_json(cls, obj, ctx=None):
-        level = _json_level(obj, ctx, "coeffs")
+    def from_json(cls, obj):
+        """The polynomial `to_json` wrote, on the level obj["level"] describes."""
+        level = _json_level(obj, "coeffs")
         return cls(level, (level.element_from_json(c) for c in obj["coeffs"]))
 
 
-def _json_level(obj, ctx, list_key, *keys):
-    """`ctx`, else the level obj["level"] describes.  MalformedInput unless
-    obj is an object with a list `list_key`, every key, and "level" if no ctx."""
-    keys += () if ctx is not None else ("level",)
+def _json_level(obj, list_key, *keys):
+    """The level obj["level"] describes.  MalformedInput unless obj is an
+    object with a list `list_key`, every key, and "level"."""
+    keys += ("level",)
     if not (isinstance(obj, dict) and isinstance(obj.get(list_key), list)
             and all(k in obj for k in keys)):
         raise MalformedInput(f'a polynomial is an object with a list "{list_key}" and {keys}')
-    return ctx if ctx is not None else field_from_descriptor(obj["level"])
+    return field_from_descriptor(obj["level"])
 
 
 def require_monic(a):
@@ -290,12 +290,6 @@ def poly_xgcd(f, g):
     """(d, u, v) with u*f + v*g = d and d monic."""
     ctx, f, g = f._common(g)
     return tuple(UniPoly._wrap(ctx, h) for h in _pxgcd(ctx, f, g))
-
-
-def pow_mod(f, exponent, mod):
-    """f**exponent reduced modulo `mod`, by repeated squaring."""
-    ctx, f, mod = f._common(mod)
-    return UniPoly._wrap(ctx, _ppow_mod(ctx, f, exponent, mod))
 
 
 # seed of the splitting elements delta drawn by `roots_in_field`
@@ -391,7 +385,7 @@ def splitting_level(f):
         raise ValueError("splitting level of a constant polynomial")
     ctx = f.ctx
     d = math.lcm(*(i for i, _ in _pdistinct_degree(ctx, _pmonic(ctx, f._payloads(ctx)))))
-    return ctx if d == 1 else extend(ctx, d)[0]
+    return ctx if d == 1 else extend(ctx, d)
 
 
 # ---------------------------------------------------------------------------
@@ -491,11 +485,12 @@ class SparsePoly:
         return self.json_head([term(list(e), coeff(v)) for e, v in self._sorted_payloads()])
 
     @classmethod
-    def from_json(cls, obj, ctx=None):
-        """The polynomial `to_json` wrote; "terms" and each term's exponents
-        must be lists, each term needs a "coeff" and no exponent tuple may
-        repeat, else MalformedInput."""
-        level = _json_level(obj, ctx, "terms", "vars")
+    def from_json(cls, obj):
+        """The polynomial `to_json` wrote, on the level obj["level"]
+        describes; "terms" and each term's exponents must be lists, each
+        term needs a "coeff" and no exponent tuple may repeat, else
+        MalformedInput."""
+        level = _json_level(obj, "terms", "vars")
         key, terms = cls._json_key, {}
         for t in obj["terms"]:
             exps = t.get(key) if isinstance(t, dict) and "coeff" in t else None
@@ -621,7 +616,7 @@ class MultiPoly(SparsePoly):
         by_exps = sorted(self._vals.items(), reverse=True)
         return sorted(by_exps, key=lambda item: sum(item[0]), reverse=True)
 
-    def render(self, var="T"):
+    def render(self):
         if not self._vals:
             return "0"
         parts = []
@@ -629,9 +624,9 @@ class MultiPoly(SparsePoly):
             factors = []
             for j, e in enumerate(exps):
                 if e == 1:
-                    factors.append(f"{var}{j + 1}")
+                    factors.append(f"T{j + 1}")
                 elif e > 1:
-                    factors.append(f"{var}{j + 1}^{e}")
+                    factors.append(f"T{j + 1}^{e}")
             if not factors:
                 parts.append(str(c.rank()))
             elif c.is_one():

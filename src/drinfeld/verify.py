@@ -129,7 +129,7 @@ class VerificationConfig:
     def K_ctx(self):
         ctx = self.base_ctx()
         for d in self.k_extensions:
-            ctx = extend(ctx, d)[0]
+            ctx = extend(ctx, d)
         return ctx
 
     def module(self):
@@ -154,11 +154,20 @@ class VerificationConfig:
         ]
 
     def grid_polys(self):
-        base = self.base_ctx()
-        out = []
-        for d in range(1, self.max_deg + 1):
-            out.extend(all_monic(base, d))
-        return out
+        """Every monic a of degree 1 .. max_deg over the base field, the
+        grid of the f and congruence suites, which check each a once per
+        rank: ConfigurationTooLarge, before any a is built, when
+        len(ranks) * (q + q**2 + ... + q**max_deg) exceeds the budget.
+        With no ranks no check reads the grid, so it is empty."""
+        base, count = self.base_ctx(), 0
+        degrees = range(1, self.max_deg + 1) if self.ranks else ()
+        for d in degrees:
+            count += len(self.ranks) * base.order**d
+            if count > self.budget:
+                raise ConfigurationTooLarge(
+                    f"{len(self.ranks)} ranks times the monic a of degree <= {self.max_deg} "
+                    f"over GF({base.order}) exceed the budget of {self.budget}")
+        return [a for d in degrees for a in all_monic(base, d)]
 
     def to_json(self):
         """Every field by name; `json` writes the tuples as arrays."""
@@ -235,16 +244,6 @@ class VerificationReport:
         n_fail = len(self.failures())
         lines.append(f"-- {len(self.checks)} checks, {n_fail} failures")
         return "\n".join(lines)
-
-
-def merge_reports(reports):
-    """Single report with checks ordered by name; digests are chained."""
-    blob = ",".join(r.config_digest for r in reports)
-    merged = VerificationReport(hashlib.sha256(blob.encode()).hexdigest())
-    for r in reports:
-        merged.checks.extend(r.checks)
-    merged.checks.sort(key=lambda c: c.name)
-    return merged
 
 
 def _mismatch(identity, inputs, lhs, rhs):
@@ -385,12 +384,12 @@ def verify_f_identities(cfg):
 
             suite.run(f"f.chain_eq_recursive{tag}", _constructions_agree(
                 "f_chain_eq_recursive", cfg, a_ranks, r,
-                lambda poly=poly: poly, lambda a=a, r=r: f_recursive(a, r).poly))
+                lambda: poly, lambda: f_recursive(a, r).poly))
             suite.run(f"f.rootfree_eq_chain{tag}", _constructions_agree(
                 "f_rootfree_eq_chain", cfg, a_ranks, r,
-                lambda a=a, r=r: f_rootfree(a, r).poly, lambda poly=poly: poly))
+                lambda: f_rootfree(a, r).poly, lambda: poly))
 
-            def symmetry(poly=poly, r=r, a_ranks=a_ranks):
+            def symmetry():
                 for sigma in itertools.permutations(range(r)):
                     if poly.permute(sigma) != poly:
                         return _mismatch("f_symmetry",
@@ -400,14 +399,14 @@ def verify_f_identities(cfg):
 
             suite.run(f"f.symmetry{tag}", symmetry)
 
-            def root_order(a=a, r=r, poly=poly, roots=fa.roots, n=n, a_ranks=a_ranks):
+            def root_order():
                 # every order is drawn, but each distinct root sequence is
                 # summed once, and the rank-ordered one, f_chain_sum's, not again
-                seen = {roots}
+                seen = {fa.roots}
                 for _ in range(max(10, cfg.trials // 3)):
                     order = list(range(n))
                     rng.shuffle(order)
-                    sequence = tuple(roots[i] for i in order)
+                    sequence = tuple(fa.roots[i] for i in order)
                     if sequence in seen:
                         continue
                     seen.add(sequence)
@@ -420,7 +419,7 @@ def verify_f_identities(cfg):
 
             suite.run(f"f.root_order{tag}", root_order)
 
-            def degree_bound(poly=poly, r=r, n=n, a_ranks=a_ranks):
+            def degree_bound():
                 for j in range(r):
                     if poly.degree_in(j) > n - 1:
                         return _mismatch("f_degree_bound",
@@ -431,7 +430,7 @@ def verify_f_identities(cfg):
             suite.run(f"f.degree_bound{tag}", degree_bound)
 
             # rationality: f_chain_sum would have raised; assert the level
-            suite.run(f"f.rationality{tag}", lambda poly=poly: poly.ctx is base)
+            suite.run(f"f.rationality{tag}", lambda: poly.ctx is base)
 
             closed = []
             if r == 1 or n == 1:
@@ -446,8 +445,7 @@ def verify_f_identities(cfg):
                 closed.append(("r2", _closed_form_r2(base, a)))
             for label, expected in closed:
 
-                def closed_check(poly=poly, expected=expected, label=label,
-                                 a_ranks=a_ranks, r=r):
+                def closed_check():
                     if poly == expected:
                         return True
                     return _mismatch(f"f_closed_{label}", {"a": a_ranks, "r": r},
@@ -478,13 +476,13 @@ def verify_congruences(cfg):
                     suite.run(f"congruence.{name}{tag}", _irrational(cfg, a_ranks, r, err))
                 continue
 
-            def exchange(poly=fa.poly, r=r, a=a, a_ranks=a_ranks):
+            def exchange():
                 for l in range(r):
                     for h in range(l + 1, r):
                         diff = (
                             MultiPoly.variable(base, r, l)
                             - MultiPoly.variable(base, r, h)
-                        ) * poly
+                        ) * fa.poly
                         nf = normal_form(diff, a)
                         if not nf.is_zero():
                             return _mismatch("congruence_exchange",
@@ -494,7 +492,7 @@ def verify_congruences(cfg):
 
             suite.run(f"congruence.exchange{tag}", exchange)
 
-            def root_peel(fa=fa, r=r, a=a, a_ranks=a_ranks):
+            def root_peel():
                 level = fa.roots[0].ctx if fa.roots else base
                 lifted = fa.poly.embed_to(level)
                 seen = set()
@@ -795,7 +793,7 @@ def verify_leading_term(cfg):
         a_ranks = [c.rank() for c in a.coeffs]
         built = [None]  # W_a, built inside the timed degree_bound, reused by split
 
-        def degree_bound(a=a, n=n, a_ranks=a_ranks, built=built):
+        def degree_bound():
             w = built[0] = weil_polynomial(phi, a)
             for j in range(r):
                 if w.max_frob_exp(j) > r * n - 1:
@@ -809,7 +807,7 @@ def verify_leading_term(cfg):
             suite.skip(f"leading.split{tag}", {"reason": "no lower arity in rank 1"})
             continue
 
-        def split(built=built, n=n, a=a, a_ranks=a_ranks):
+        def split():
             top = built[0].top_slice(r - 1, r * n - 1)
             lower = weil_polynomial(phi, a, arity=r - 1)
             g_r = phi.g[-1]
@@ -857,7 +855,7 @@ def verify_det_representation(cfg):
     for a in cfg.a_polys():
         tag = f"[a={a.render()}]"
 
-        def det_match(a=a):
+        def det_match():
             ring = ResidueRing(a)
             for k, det, scalar in galois_det_table(phi, psi, a, cfg.extension_cap):
                 if det != scalar or not ring.is_unit(det):

@@ -345,6 +345,21 @@ def test_verify_budget_exit4(capsys, tmp_path):
     assert code == 4
 
 
+def test_verify_grid_is_budgeted_before_any_polynomial_is_built(capsys, tmp_path):
+    # 2 + 4 + ... + 2**40 monic polynomials: all_monic used to list them first
+    path = _config_file(tmp_path, {"p": 2, "max_deg": 40, "ranks": [1]})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--config", path)
+    assert time.perf_counter() - start < 1
+    assert code == 4 and out == "" and "exceed the budget of 10000000" in err
+    # with no ranks no check reads the grid, which is then not built at all
+    path = _config_file(tmp_path, {"p": 2, "max_deg": 40, "ranks": []})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--config", path)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "produce no check" in err
+
+
 def test_config_overrides_are_validated_and_applied(capsys, tmp_path):
     path = _config_file(tmp_path, CFG_I)
     code, out, err = run_cli(capsys, "verify", "--config", path, "--budget", "0")

@@ -23,7 +23,7 @@ from drinfeld.polynomials import UniPoly, poly_gcd, rank_vectors
 
 F2 = make_field(2)
 F3 = make_field(3)
-F9 = extend(F3, 2)[0]  # GF(9) above the base GF(3): tau acts as x -> x**3
+F9 = extend(F3, 2)  # GF(9) above the base GF(3): tau acts as x -> x**3
 T2 = UniPoly.gen(F2)
 T3 = UniPoly.gen(F3)
 
@@ -70,7 +70,7 @@ def test_skew_apply_shape():
 
 def test_skew_apply_linearity_and_composition():
     rng = random.Random(1)
-    F8, _ = extend(F2, 3)
+    F8 = extend(F2, 3)
     elems = list(F8.elements())
     for _ in range(50):
         f = SkewPoly(F8, [rng.choice(elems) for _ in range(rng.randrange(1, 4))])
@@ -112,7 +112,7 @@ def solved_char_poly(phi):
 def test_char_poly_matches_solved_minimal_polynomial_on_towers(base, degrees):
     K = base
     for m in degrees:
-        K = extend(K, m)[0]
+        K = extend(K, m)
     for theta in K.elements():
         phi = DrinfeldModule(K, theta, (K.one_element,))
         assert phi.char_poly() == solved_char_poly(phi), theta
@@ -168,7 +168,7 @@ def test_torsion_rank2_oracle():
     phi2 = rank2_module()
     tm = torsion(phi2, T2)
     assert tm.m == 3
-    F8, _ = extend(F2, 3)
+    F8 = extend(F2, 3)
     assert tm.level is F8
     expected = {x for x in F8.elements() if (x + x**2 + x**4).is_zero()}
     assert set(tm.points()) == expected
@@ -215,7 +215,7 @@ def test_torsion_counts_and_submodule():
         for _ in range(10):
             b = UniPoly.from_ranks(F2, [rng.randrange(2) for _ in range(4)])
             beta = rng.choice(pts)
-            assert tm.contains(phi2.phi(b)(beta))
+            assert phi2.phi(a)(phi2.phi(b)(beta)).is_zero()
 
 
 def test_a_basis_generates_everything():
@@ -361,7 +361,8 @@ def test_coordinates_reject_points_outside_the_torsion():
     for x in F2.elements():  # points of K, one level down
         with pytest.raises(PointNotInModule):
             tm.coordinates(x)
-    outside = next(x for x in tm.level.elements() if not tm.contains(x))
+    phi_a = tm.phi.phi(T2)
+    outside = next(x for x in tm.level.elements() if not phi_a(x).is_zero())
     with pytest.raises(PointNotInModule):
         tm.coordinates(outside)
 
@@ -450,14 +451,14 @@ def combination_span(basis, level, base):
 
 
 GF4 = make_field(2, 2)
-GF8 = extend(F2, 3)[0]
+GF8 = extend(F2, 3)
 
 
 @pytest.mark.parametrize(
     "base, source, level",
-    [(F2, None, extend(F2, 5)[0]), (F3, None, extend(F3, 3)[0]),
-     (GF4, None, extend(GF4, 3)[0]), (F3, F3, F9), (GF4, GF4, extend(GF4, 2)[0]),
-     (F2, GF8, extend(GF8, 6)[0])],  # GF(2^18) stores tuples over GF(8)
+    [(F2, None, extend(F2, 5)), (F3, None, extend(F3, 3)),
+     (GF4, None, extend(GF4, 3)), (F3, F3, F9), (GF4, GF4, extend(GF4, 2)),
+     (F2, GF8, extend(GF8, 6))],  # GF(2^18) stores tuples over GF(8)
 )
 def test_fq_span_matches_combination_oracle(base, source, level):
     from drinfeld.core import fq_span

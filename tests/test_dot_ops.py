@@ -20,23 +20,23 @@ from drinfeld.polynomials import UniPoly
 F2, F3, F5, F7, F11 = (make_field(p) for p in (2, 3, 5, 7, 11))
 
 KRONECKER = {
-    "GF(2^20)": extend(F2, 20)[0],
-    "GF(3^11)": extend(F3, 11)[0],
-    "GF(5^7)": extend(F5, 7)[0],
-    "GF(7^6)": extend(F7, 6)[0],
+    "GF(2^20)": extend(F2, 20),
+    "GF(3^11)": extend(F3, 11),
+    "GF(5^7)": extend(F5, 7),
+    "GF(7^6)": extend(F7, 6),
 }
 OTHER = {
-    "GF(4^9) tower": extend(make_field(2, 2), 9)[0],
-    "GF(11^5)": extend(F11, 5)[0],
+    "GF(4^9) tower": extend(make_field(2, 2), 9),
+    "GF(11^5)": extend(F11, 5),
 }
 PACKED = {
-    "GF(2^2)": extend(F2, 2)[0],
-    "GF(2^15)": extend(F2, 15)[0],
-    "GF(2^16)": extend(F2, 16)[0],
-    "GF(3^8)": extend(F3, 8)[0],
-    "GF(5^6)": extend(F5, 6)[0],
-    "GF(4)^2 tower": extend(make_field(2, 2), 2)[0],
-    "GF(9)^2 tower": extend(make_field(3, 2), 2)[0],
+    "GF(2^2)": extend(F2, 2),
+    "GF(2^15)": extend(F2, 15),
+    "GF(2^16)": extend(F2, 16),
+    "GF(3^8)": extend(F3, 8),
+    "GF(5^6)": extend(F5, 6),
+    "GF(4)^2 tower": extend(make_field(2, 2), 2),
+    "GF(9)^2 tower": extend(make_field(3, 2), 2),
 }
 for ctx in PACKED.values():
     ctx.ensure_tables()  # the exp/log op runs once a level has its tables

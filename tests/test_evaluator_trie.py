@@ -28,7 +28,7 @@ from drinfeld.polynomials import UniPoly
 
 FIELDS = (make_field(2), make_field(3), make_field(2, 2))
 # adds GF(5), and GF(4) over GF(2), where the Frobenius twist is not the identity
-WIDE_FIELDS = FIELDS + (make_field(5), extend(make_field(2), 2)[0])
+WIDE_FIELDS = FIELDS + (make_field(5), extend(make_field(2), 2))
 CAP = 24
 
 SETTINGS = settings(max_examples=80)

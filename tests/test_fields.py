@@ -16,6 +16,7 @@ from drinfeld.errors import (
 from drinfeld import fields
 from drinfeld.core import DrinfeldModule
 from drinfeld.fields import (
+    FieldCtx,
     as_vector,
     determinant,
     dim_between,
@@ -92,13 +93,13 @@ def test_pow_matches_repeated_multiplication():
 
 
 def test_fermat_sweep_small_fields():
-    for ctx in (F2, F3, F9, extend(F2, 4)[0]):
+    for ctx in (F2, F3, F9, extend(F2, 4)):
         for x in ctx.elements():
             assert x**ctx.order == x
 
 
 def test_fermat_sweep_sampled_large_field():
-    big = extend(F2, 13)[0]
+    big = extend(F2, 13)
     assert big.order > 4096
     rng = random.Random(1)
     for _ in range(50):
@@ -107,7 +108,7 @@ def test_fermat_sweep_sampled_large_field():
 
 
 def test_frobenius_is_qth_power():
-    F8, _ = extend(F2, 3)
+    F8 = extend(F2, 3)
     for ctx in (F9, F8):
         q = ctx.q
         for x in ctx.elements():
@@ -117,7 +118,7 @@ def test_frobenius_is_qth_power():
 
 def test_frobenius_fixes_base():
     # q here is 9, so the 9-power Frobenius fixes all of GF(9)
-    top, _ = extend(F9, 2)
+    top = extend(F9, 2)
     for x in F9.elements():
         assert x.frobenius(1) == x
         lifted = x.embed_to(top)
@@ -126,7 +127,7 @@ def test_frobenius_fixes_base():
 
 def test_frobenius_example_f9_over_f3():
     # GF(9) as an extension of the base GF(3): tau is x -> x**3 there
-    F9e, _ = extend(F3, 2)
+    F9e = extend(F3, 2)
     y = F9e.elem((0, 1))
     assert y.frobenius(1) == y**3
     assert y**3 == F9e.elem((0, 2))
@@ -141,7 +142,7 @@ def test_frobenius_identity_on_base_gf9():
 
 
 def test_frobenius_linear_and_multiplicative():
-    F8, _ = extend(F2, 3)
+    F8 = extend(F2, 3)
     for x in F8.elements():
         for z in F8.elements():
             assert (x + z).frobenius(1) == x.frobenius(1) + z.frobenius(1)
@@ -149,7 +150,7 @@ def test_frobenius_linear_and_multiplicative():
 
 
 def test_extend_finds_standard_modulus():
-    F8, _ = extend(F2, 3)
+    F8 = extend(F2, 3)
     assert F8.modulus == (1, 1, 0, 1)  # x**3 + x + 1
 
 
@@ -167,10 +168,10 @@ def test_extension_degree_must_be_an_int(degree):
         extend(F2, degree)
 
 
-def test_extend_is_cached():
-    a, _ = extend(F2, 3)
-    b, _ = extend(F2, 3)
-    assert a is b
+def test_extend_returns_the_cached_level():
+    # the level itself, and the identical object on every call
+    assert isinstance(extend(F2, 3), FieldCtx)
+    assert extend(F2, 3) is extend(F2, 3)
 
 
 def test_make_field_searches_for_its_modulus_once(monkeypatch):
@@ -182,34 +183,34 @@ def test_make_field_searches_for_its_modulus_once(monkeypatch):
     monkeypatch.setattr(fields, "_is_irreducible", no_search)
     assert make_field(7, 3) is first
     # extend shares the search over the prime field
-    assert extend(make_field(7), 3)[0].modulus == first.modulus
+    assert extend(make_field(7), 3).modulus == first.modulus
 
 
 def test_embedding_is_ring_homomorphism():
-    F4, emb = extend(F2, 2)
-    F16, emb2 = extend(F4, 2)
+    F4 = extend(F2, 2)
+    F16 = extend(F4, 2)
     elements = list(F4.elements())
-    images = {emb2(x) for x in elements}
+    images = {x.embed_to(F16) for x in elements}
     assert len(images) == len(elements)  # injective
     for x in elements:
         for z in elements:
-            assert emb2(x + z) == emb2(x) + emb2(z)
-            assert emb2(x * z) == emb2(x) * emb2(z)
+            assert (x + z).embed_to(F16) == x.embed_to(F16) + z.embed_to(F16)
+            assert (x * z).embed_to(F16) == x.embed_to(F16) * z.embed_to(F16)
 
 
 def test_tower_embeddings_compose():
-    F4, e24 = extend(F2, 2)
-    F16, e416 = extend(F4, 2)
+    F4 = extend(F2, 2)
+    F16 = extend(F4, 2)
     for x in F2.elements():
-        assert e24(x).embed_to(F16) == e416(e24(x))
+        assert x.embed_to(F16) == x.embed_to(F4).embed_to(F16)
 
 
 def test_hash_agrees_with_eq_and_levels_stay_apart():
     # equal elements hash alike; the hash is the payload's, so elements of
     # two levels with one payload collide in a dict but stay two keys
-    F4, _ = extend(F2, 2)
-    F8, _ = extend(F2, 3)
-    for level in (F2, F4, F8, make_field(3, 2), extend(F2, 31)[0]):
+    F4 = extend(F2, 2)
+    F8 = extend(F2, 3)
+    for level in (F2, F4, F8, make_field(3, 2), extend(F2, 31)):
         for x in itertools.islice(level.elements(), 8):
             y = fields.FieldElement(level, x.val)
             assert x == y and hash(x) == hash(y)
@@ -223,14 +224,14 @@ def test_hash_agrees_with_eq_and_levels_stay_apart():
 
 
 def test_incomparable_levels_raise():
-    F4, _ = extend(F2, 2)
-    F8, _ = extend(F2, 3)
+    F4 = extend(F2, 2)
+    F8 = extend(F2, 3)
     with pytest.raises(LevelMismatch):
         F4.one_element + F8.one_element
 
 
 def test_project_roundtrip_and_failure():
-    F4, _ = extend(F2, 2)
+    F4 = extend(F2, 2)
     one = F2.one_element.embed_to(F4)
     assert one.project_to(F2) == F2.one_element
     gen = F4.elem((0, 1))
@@ -239,7 +240,7 @@ def test_project_roundtrip_and_failure():
 
 
 def test_as_vector_roundtrip_random():
-    F16 = extend(extend(F2, 2)[0], 2)[0]
+    F16 = extend(extend(F2, 2), 2)
     rng = random.Random(2)
     for _ in range(100):
         x = F16.element_of_rank(rng.randrange(16))
@@ -250,7 +251,7 @@ def test_as_vector_roundtrip_random():
 
 
 def test_as_vector_is_linear():
-    F8, _ = extend(F2, 3)
+    F8 = extend(F2, 3)
     for x in F8.elements():
         for z in F8.elements():
             lhs = as_vector(x + z, F2)
@@ -259,7 +260,7 @@ def test_as_vector_is_linear():
 
 
 def test_from_vector_wrong_length():
-    F8, _ = extend(F2, 3)
+    F8 = extend(F2, 3)
     with pytest.raises(WrongLength):
         from_vector([F2.one_element] * 2, F8)
 
@@ -268,7 +269,7 @@ def test_wrong_shape_json_entry_is_malformed_input():
     # a bare int where GF(4) needs a coordinate pair
     F4 = make_field(2, 2)
     with pytest.raises(MalformedInput):
-        UniPoly.from_json({"coeffs": [5]}, F4)
+        UniPoly.from_json({"coeffs": [5], "level": F4.descriptor()})
     module = DrinfeldModule(F4, F4.one_element, (F4.one_element,)).to_json()
     with pytest.raises(MalformedInput):
         DrinfeldModule.from_json({**module, "theta": 1})
@@ -374,20 +375,20 @@ def test_determinant_matches_permutation_expansion():
 
 
 def test_descriptor_roundtrip_identity():
-    F16 = extend(extend(F2, 2)[0], 2)[0]
+    F16 = extend(extend(F2, 2), 2)
     for ctx in (F2, F9, F16):
         assert field_from_descriptor(ctx.descriptor()) is ctx
 
 
 def test_element_json_roundtrip():
-    F16 = extend(extend(F2, 2)[0], 2)[0]
+    F16 = extend(extend(F2, 2), 2)
     for n in range(16):
         x = F16.element_of_rank(n)
         assert F16.element_from_json(x.to_json()) == x
 
 
 def test_rank_enumeration_bijective():
-    F8, _ = extend(F2, 3)
+    F8 = extend(F2, 3)
     seen = {x.rank() for x in F8.elements()}
     assert seen == set(range(8))
 
@@ -396,8 +397,8 @@ def test_rank_enumeration_bijective():
 
 
 def test_out_of_range_rank_is_malformed_input():
-    F4 = extend(F2, 2)[0]
-    for ctx, rank in ((F2, 2), (F9, -1), (F4, 4), (extend(F2, 17)[0], 2**17)):
+    F4 = extend(F2, 2)
+    for ctx, rank in ((F2, 2), (F9, -1), (F4, 4), (extend(F2, 17), 2**17)):
         with pytest.raises(MalformedInput, match="out of range"):
             ctx.payload_of_rank(rank)
 

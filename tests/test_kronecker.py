@@ -42,16 +42,16 @@ GF2_200 = [1, 1, 1] + [0] * 78 + [1] + [0] * 118 + [1]
 
 LEVELS = {
     # at or just under the byte bound d*(p-1)**2 + (p-1) < 256
-    "GF(2^200)": extend(F2, 200, modulus=GF2_200)[0],
-    "GF(3^63)": extend(F3, 63)[0],
-    "GF(5^15)": extend(F5, 15)[0],
-    "GF(7^6)": extend(F7, 6)[0],
+    "GF(2^200)": extend(F2, 200, modulus=GF2_200),
+    "GF(3^63)": extend(F3, 63),
+    "GF(5^15)": extend(F5, 15),
+    "GF(7^6)": extend(F7, 6),
     # a dense modulus: every fold lowers the top degree by one only
-    "GF(3^12) dense": extend(F3, 12, modulus=_first_dense_irreducible(3, 12))[0],
-    "GF(2^31)": extend(F2, 31)[0],
+    "GF(3^12) dense": extend(F3, 12, modulus=_first_dense_irreducible(3, 12)),
+    "GF(2^31)": extend(F2, 31),
     "GF(3^40)": make_field(3, 40),
 }
-WIDE = extend(F17, 3)[0]  # 3 * 16**2 + 16 >= 256: the schoolbook stays
+WIDE = extend(F17, 3)  # 3 * 16**2 + 16 >= 256: the schoolbook stays
 
 SETTINGS = settings(max_examples=60)
 
@@ -145,8 +145,8 @@ def test_found_modulus_is_the_first_irreducible_in_counting_order():
 
 
 BINOMIAL_FIELDS = [
-    make_field(2), make_field(3), extend(F2, 2)[0], make_field(5),
-    make_field(7), extend(F2, 3)[0], make_field(3, 2),
+    make_field(2), make_field(3), extend(F2, 2), make_field(5),
+    make_field(7), extend(F2, 3), make_field(3, 2),
 ]
 
 
@@ -162,7 +162,7 @@ def test_binomial_skip_is_exact(ctx):
 
 def test_binomial_skip_keeps_the_modulus():
     top = make_field(2, 15)
-    level = extend(top, 2)[0]
+    level = extend(top, 2)
     assert level.modulus == ((1,) + (0,) * 14,) * 3  # x^2 + x + 1
     assert _no_irreducible_binomial(top.order, 2)
 

@@ -32,7 +32,7 @@ def test_fresh_elements_leave_no_memo_behind():
     F2 = make_field(2)
     phi = DrinfeldModule(F2, F2.one_element, (F2.one_element, F2.one_element))
     phi_a = phi.phi(UniPoly.from_ranks(F2, [1, 1, 1]))  # a = T^2 + T + 1
-    level = extend(F2, 31)[0]
+    level = extend(F2, 31)
     prime = make_field(2**31 - 1)
     rng = random.Random(0)
     xs = [level.element_of_rank(rng.randrange(level.order)) for _ in range(2000)]

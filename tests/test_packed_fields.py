@@ -15,20 +15,20 @@ from drinfeld.errors import MalformedInput, NotInSubfield
 from drinfeld.fields import PACKED_MAX_ORDER, FieldCtx, _is_irreducible, extend, make_field
 
 F2, F3, F5 = make_field(2), make_field(3), make_field(5)
-F4 = extend(F2, 2)[0]
+F4 = extend(F2, 2)
 F9 = make_field(3, 2)
-F256 = extend(F2, 8)[0]
+F256 = extend(F2, 8)
 
 LEVELS = {
-    "GF(2^15)": extend(F2, 15)[0],
-    "GF(3^8)": extend(F3, 8)[0],
+    "GF(2^15)": extend(F2, 15),
+    "GF(3^8)": extend(F3, 8),
     "GF(3^2)": F9,
-    "GF(4)^3": extend(F4, 3)[0],  # packed over packed
-    "GF(9)^4": extend(F9, 4)[0],  # odd p: packed over packed, q = 9
-    "GF(2^8)^3": extend(F256, 3)[0],  # tuple level over a packed parent
-    "GF(2^17)": extend(F2, 17)[0],  # tuple level over the prime field
-    "GF(9)^6": extend(F9, 6)[0],  # odd p: tuple level over a packed parent
-    "GF(3^11)": extend(F3, 11)[0],  # odd p: tuple level over the prime field
+    "GF(4)^3": extend(F4, 3),  # packed over packed
+    "GF(9)^4": extend(F9, 4),  # odd p: packed over packed, q = 9
+    "GF(2^8)^3": extend(F256, 3),  # tuple level over a packed parent
+    "GF(2^17)": extend(F2, 17),  # tuple level over the prime field
+    "GF(9)^6": extend(F9, 6),  # odd p: tuple level over a packed parent
+    "GF(3^11)": extend(F3, 11),  # odd p: tuple level over the prime field
 }
 PACKED = [name for name, ctx in LEVELS.items() if ctx.order <= PACKED_MAX_ORDER]
 
@@ -146,7 +146,7 @@ def _frobenius_wraps(ctx, m):
 
 def test_frobenius_takes_k_modulo_the_degree_over_gf_q():
     # a fresh packed GF(2^10) over GF(2), before and after its tables exist
-    ctx = FieldCtx(2, parent=F2, degree=10, modulus=extend(F2, 10)[0]._mod)
+    ctx = FieldCtx(2, parent=F2, degree=10, modulus=extend(F2, 10)._mod)
     before = _frobenius_wraps(ctx, 10)
     assert ctx._log is None
     ctx._build_tables()

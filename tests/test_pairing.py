@@ -26,7 +26,6 @@ from drinfeld.pairing import (
     moore_eval,
     moore_poly,
     weil_evaluate,
-    weil_nonmonic,
     weil_polynomial,
 )
 from drinfeld.polynomials import MultiPoly, UniPoly, all_monic, normal_form
@@ -268,7 +267,7 @@ def test_torsion_and_pairing_reject_an_operator_alike(ranks, error, needle):
 
 def test_weil_polynomial_rejects_an_a_above_the_base_field():
     # over GF(4) above GF(2), a = T + x is monic but not in GF(2)[T]
-    K = extend(F2, 2)[0]
+    K = extend(F2, 2)
     phi = DrinfeldModule(K, K.element_of_rank(2), (K.one_element, K.one_element))
     a = UniPoly.from_ranks(K, [2, 1])
     with pytest.raises(LevelMismatch):
@@ -293,7 +292,7 @@ def test_moore_rank1():
 
 
 def test_moore_poly_term_count_and_eval_agreement():
-    F9, _ = extend(F3, 2)
+    F9 = extend(F3, 2)
     for r in (1, 2, 3):
         mp = moore_poly(r, F3)
         assert len(mp.terms) == [1, 2, 6][r - 1]
@@ -304,14 +303,14 @@ def test_moore_poly_term_count_and_eval_agreement():
 
 
 def test_moore_eval_rank2_oracle():
-    F9, _ = extend(F3, 2)
+    F9 = extend(F3, 2)
     for b1 in F9.elements():
         for b2 in F9.elements():
             assert moore_eval([b1, b2]) == b1 * b2**3 - b2 * b1**3
 
 
 def test_moore_repeated_arguments_vanish():
-    F8, _ = extend(F2, 3)
+    F8 = extend(F2, 3)
     for x in F8.elements():
         for y in F8.elements():
             assert moore_eval([x, y, x]).is_zero()
@@ -408,42 +407,6 @@ def test_weil_polynomial_degree_bound_example():
         assert key[1] <= 3
 
 
-def test_weil_nonmonic_scaling():
-    two = F3.element_of_rank(2)
-    rng = random.Random(7)
-    for r, gs in ((2, (1, 1)), (3, (1, 1, 1))):
-        phi = DrinfeldModule(
-            F3, F3.one_element, tuple(F3.element_of_rank(c) for c in gs)
-        )
-        tm = torsion(phi, T3)
-        pts = tm.points()
-        ca = T3 * UniPoly.constant(two)  # 2a, not monic
-        scale = two ** (r - 1)
-        if r == 2:
-            tuples = itertools.product(pts, repeat=r)  # exhaustive, 81 tuples
-        else:
-            tuples = (tuple(rng.choice(pts) for _ in range(r)) for _ in range(150))
-        for tup in tuples:
-            lhs = weil_nonmonic(phi, ca, list(tup))
-            rhs = scale.embed_to(tm.level) * weil_evaluate(phi, T3, list(tup))
-            assert lhs == rhs
-        if r == 3:
-            # 2**2 = 1 in GF(3): scaling by 2 is invisible in rank 3
-            tup = tuple(pts)[:3]
-            assert weil_nonmonic(phi, ca, list(tup)) == weil_evaluate(
-                phi, T3, list(tup)
-            )
-
-
-def test_weil_nonmonic_identity_when_c_is_one():
-    phi = rank2_f2()
-    tm = torsion(phi, T2)
-    for tup in itertools.product(tm.points(), repeat=2):
-        assert weil_nonmonic(phi, T2, list(tup)) == weil_evaluate(
-            phi, T2, list(tup)
-        )
-
-
 def test_pairing_evaluator_matches_direct():
     phi = rank2_f2()
     a = UniPoly.from_ranks(F2, [1, 1, 1])
@@ -483,9 +446,9 @@ def test_evaluator_embeds_lower_points_and_rejects_other_levels():
     rng = random.Random(5)
     tm = torsion(phi, T2)  # in GF(2^3)
     points = tm.points()
-    f4 = extend(F2, 2)[0]  # not in the tower of the torsion level
+    f4 = extend(F2, 2)  # not in the tower of the torsion level
     for m in (2, 6):  # GF(2^6) is packed, GF(2^18) holds tuples of GF(2^3) ranks
-        upper = extend(tm.level, m)[0]
+        upper = extend(tm.level, m)
         ev = PairingEvaluator(phi, T2, upper)
         for _ in range(8):
             x, y = rng.choice(points), rng.choice(points)

@@ -24,7 +24,7 @@ from drinfeld.pairing import PairingEvaluator, weil_evaluate
 from drinfeld.polynomials import UniPoly
 from drinfeld.verify import default_bundle, run_suites
 
-FIELDS = (make_field(2), make_field(3), make_field(2, 2), extend(make_field(2), 2)[0])
+FIELDS = (make_field(2), make_field(3), make_field(2, 2), extend(make_field(2), 2))
 CAP = 24
 
 

@@ -42,7 +42,7 @@ from drinfeld.fields import (
     make_field,
     solve,
 )
-from drinfeld.polynomials import UniPoly, poly_gcd, poly_xgcd, pow_mod
+from drinfeld.polynomials import UniPoly, poly_gcd, poly_xgcd
 
 PRIMES = {p: make_field(p) for p in (2, 3, 5, 7)}
 GF9 = make_field(3, 2)
@@ -50,7 +50,7 @@ WIDE = {
     "GF(4)": make_field(2, 2),
     "GF(9)": GF9,
     "GF(2^17)": make_field(2, 17),  # a tuple level over GF(2)
-    "GF(9^6)": extend(GF9, 6)[0],  # a tuple level over a packed level
+    "GF(9^6)": extend(GF9, 6),  # a tuple level over a packed level
 }
 SETTINGS = settings(max_examples=80)
 
@@ -113,7 +113,9 @@ def test_gcds_match_galoistools(case):
 def test_pow_mod_matches_galoistools(case, e):
     p, f, mod = case
     assume(not mod.is_zero())
-    assert _gf(pow_mod(f, e, mod)) == gf_pow_mod(_gf(f), e, _gf(mod), p, ZZ)
+    F = PRIMES[p]  # a prime-field payload is its rank
+    got = _ppow_mod(F, f._payloads(F), e, mod._payloads(F))
+    assert got[::-1] == gf_pow_mod(_gf(f), e, _gf(mod), p, ZZ)
 
 
 # -- against the wrapped-element schoolbook over GF(4), GF(9), tuple levels ----
@@ -202,7 +204,8 @@ def test_core_matches_wrapped_schoolbook(case, e):
     d, u, v = poly_xgcd(f, g)
     assert [list(h.coeffs) for h in (d, u, v)] == list(_old_xgcd(F, G, ctx.one_element))
     assert u * f + v * g == d and poly_gcd(f, g) == d
-    assert list(pow_mod(f, e, g).coeffs) == _old_pow_mod(F, e, G, ctx.one_element)
+    got = _ppow_mod(ctx, f._payloads(ctx), e, g._payloads(ctx))
+    assert got == [c.val for c in _old_pow_mod(F, e, G, ctx.one_element)]
 
 
 def test_unipoly_from_outside_still_validates():
@@ -342,7 +345,7 @@ def test_power_makes_log2_plus_popcount_minus_one_products():
 @pytest.mark.parametrize("p, m, products", [(2, 31, 1), (3, 40, 2)])
 def test_frobenius_step_on_a_tuple_level_is_one_or_two_products(monkeypatch, p, m, products):
     # the GF(2^31) and GF(3^40) levels of the pairing-sweep benchmark
-    ctx = extend(make_field(p), m)[0]
+    ctx = extend(make_field(p), m)
     x = ctx.payload_of_rank(p)  # the residue generator
     expected = x
     for _ in range(p - 1):

@@ -14,7 +14,7 @@ from drinfeld.fields import FieldElement, extend, make_field
 from drinfeld.pairing import QPowerPoly
 from drinfeld.polynomials import MultiPoly
 
-FIELDS = (make_field(2), make_field(3), make_field(2, 2), extend(make_field(2), 31)[0])
+FIELDS = (make_field(2), make_field(3), make_field(2, 2), extend(make_field(2), 31))
 
 
 @st.composite
@@ -46,4 +46,3 @@ def test_wrapped_payloads_match_the_constructor(cls, ctx, data):
         terms[(0,) * nvars] = ctx.one_element
 
     assert cls.from_json(wrapped.to_json()) == wrapped
-    assert cls.from_json(wrapped.to_json(), ctx) == wrapped

@@ -14,18 +14,18 @@ from drinfeld.fields import FieldCtx, _prime_factors, extend, make_field
 F2, F3, F5, F7 = (make_field(p) for p in (2, 3, 5, 7))
 
 SMALL = {  # order <= 729, checked exhaustively
-    "GF(2^9)": extend(F2, 9)[0],
-    "GF(3^6)": extend(F3, 6)[0],
-    "GF(5^4)": extend(F5, 4)[0],
-    "GF(7^3)": extend(F7, 3)[0],
-    "GF(4)^3 tower": extend(make_field(2, 2), 3)[0],
-    "GF(9)^3 tower": extend(make_field(3, 2), 3)[0],
-    "GF(8)^2 tower": extend(make_field(2, 3), 2)[0],
+    "GF(2^9)": extend(F2, 9),
+    "GF(3^6)": extend(F3, 6),
+    "GF(5^4)": extend(F5, 4),
+    "GF(7^3)": extend(F7, 3),
+    "GF(4)^3 tower": extend(make_field(2, 2), 3),
+    "GF(9)^3 tower": extend(make_field(3, 2), 3),
+    "GF(8)^2 tower": extend(make_field(2, 3), 2),
 }
 LARGE = {
     "GF(37^2)": make_field(37, 2),  # int() reads no base above 36: _mul_raw
-    "GF(2^15)": extend(F2, 15)[0],
-    "GF(3^8)": extend(F3, 8)[0],
+    "GF(2^15)": extend(F2, 15),
+    "GF(3^8)": extend(F3, 8),
 }
 
 
@@ -80,10 +80,10 @@ def test_tables_are_the_powers_of_g_by_mul_raw(name):
 # levels for the primitive-element search on coordinates: GF(3^k), GF(5^k),
 # and GF(2^2) over GF(2) with towers over it
 SEARCH = {
-    **{f"GF(3^{k})": extend(F3, k)[0] for k in range(2, 8)},
-    **{f"GF(5^{k})": extend(F5, k)[0] for k in range(2, 5)},
+    **{f"GF(3^{k})": extend(F3, k) for k in range(2, 8)},
+    **{f"GF(5^{k})": extend(F5, k) for k in range(2, 5)},
     "GF(2^2)": make_field(2, 2),
-    **{f"GF(4)^{k} tower": extend(make_field(2, 2), k)[0] for k in range(2, 5)},
+    **{f"GF(4)^{k} tower": extend(make_field(2, 2), k) for k in range(2, 5)},
 }
 
 

@@ -19,9 +19,9 @@ FIELDS = {
     "GF(3)": (F3, 12),
     "GF(4)": (make_field(2, 2), 12),
     "GF(5)": (F5, 12),
-    "GF(9)/GF(3)": (extend(F3, 2)[0], 8),
-    "GF(4)/GF(2)": (extend(F2, 2)[0], 8),
-    "GF(8)/GF(2)": (extend(F2, 3)[0], 6),
+    "GF(9)/GF(3)": (extend(F3, 2), 8),
+    "GF(4)/GF(2)": (extend(F2, 2), 8),
+    "GF(8)/GF(2)": (extend(F2, 3), 6),
 }
 
 SETTINGS = settings(max_examples=80)
@@ -34,7 +34,7 @@ def scan_torsion(phi, a, cap):
     phi_a = phi.phi(a)
     want = phi.rank * a.degree
     for m in range(1, cap + 1):
-        level = phi.K if m == 1 else extend(phi.K, m)[0]
+        level = phi.K if m == 1 else extend(phi.K, m)
         null = operator_kernel(phi_a, level, base)
         if len(null) == want:
             return m, level, null

@@ -14,9 +14,7 @@ from drinfeld.pairing import FaPoly
 from drinfeld.polynomials import MultiPoly, UniPoly
 from drinfeld.verify import (
     VerificationConfig,
-    VerificationReport,
     default_bundle,
-    merge_reports,
     reevaluate,
     run_suites,
     verify_compatibility,
@@ -336,16 +334,14 @@ def test_config_json_roundtrip_and_digest():
     assert again.digest() == cfg.digest()
 
 
-def test_merge_reports_sorted():
-    r1 = VerificationReport("a")
-    r2 = VerificationReport("b")
-    from drinfeld.verify import CheckResult
-
-    r1.checks.append(CheckResult("z", "pass"))
-    r2.checks.append(CheckResult("a", "fail", {"lhs": 1, "rhs": 2}))
-    merged = merge_reports([r1, r2])
-    assert [c.name for c in merged.checks] == ["a", "z"]
-    assert not merged.ok()
+def test_grid_counts_its_checks_against_the_budget():
+    # the stock q = 3 grid: 3 ranks times 3 + 9 + 27 monic a, 117 in all
+    assert len(VerificationConfig(p=3, budget=117).grid_polys()) == 39
+    with pytest.raises(ConfigurationTooLarge, match="exceed the budget of 116"):
+        VerificationConfig(p=3, budget=116).grid_polys()
+    assert len(VerificationConfig(p=2, budget=42).grid_polys()) == 14
+    with pytest.raises(ConfigurationTooLarge):
+        VerificationConfig(p=2, budget=41).grid_polys()
 
 
 def test_run_suites_rejects_unknown():
