@@ -53,8 +53,8 @@ h -> h**p mod f over GF(p) run on packed ints, and a sum of products
 Above the bound (large p times d, say GF(1009^2)) the schoolbook
 multiply stays.  Payloads are ints or tuples, so equality and hashing
 are structural and every value is immutable.  The public wrapper is
-:class:`FieldElement`; ``elem``, ``element_of_rank`` and the
-nested-array JSON form are the ways in from outside.
+:class:`FieldElement`; ``element_of_rank`` and the nested-array form
+(``element_from_json``, lists or tuples) are the ways in from outside.
 
 Levels memoize nothing but their log tables: ``frobenius(a, k)`` is
 ``power(a, q**(k mod m))``, and inverses are computed per call.
@@ -937,25 +937,21 @@ class FieldCtx:
     def element_of_rank(self, n):
         return FieldElement(self, self.payload_of_rank(n))
 
-    def elem(self, coords):
-        """Element from its nested coordinate tuple (an int in range(p)
-        at the prime level), the form ``.modulus`` uses for its entries."""
-        return FieldElement(self, self._parse(coords, tuple))
-
     def element_from_json(self, obj):
-        """Parse the nested coefficient array form of an element.  Every
+        """Parse the nested coefficient array form of an element, as lists
+        or as the tuples ``.modulus`` uses for its entries.  Every
         prime-level entry must be an int in range(p); nothing is reduced."""
-        return FieldElement(self, self._parse(obj, (list, tuple)))
+        return FieldElement(self, self._parse(obj))
 
-    def _parse(self, obj, sequence_types):
+    def _parse(self, obj):
         if self.parent is None:
             if type(obj) is not int or not 0 <= obj < self.p:
                 raise MalformedInput(f"{obj!r} is not an element of {self!r}")
             return obj
-        if not isinstance(obj, sequence_types) or len(obj) != self.degree:
+        if not isinstance(obj, (list, tuple)) or len(obj) != self.degree:
             raise WrongLength(f"element of {self!r} needs {self.degree} entries, got {obj!r}")
         par = self.parent
-        return self._from_coords([par._parse(c, sequence_types) for c in obj])
+        return self._from_coords([par._parse(c) for c in obj])
 
     def _coordinate_tuple(self, payload):
         """Nested coordinate tuple of a payload: an int at the prime
@@ -1089,10 +1085,7 @@ def extend(ctx, m, modulus=None):
     if require_int(m, "extension degree") < 1:
         raise InvalidDegree(f"extension degree {m} < 1")
     if modulus is not None:
-        mod = tuple(
-            c.val if isinstance(c, FieldElement) else ctx._parse(c, (tuple, list))
-            for c in modulus
-        )
+        mod = tuple(c.val if isinstance(c, FieldElement) else ctx._parse(c) for c in modulus)
         if len(mod) != m + 1 or mod[-1] != ctx.one():
             raise MalformedInput(f"modulus must be monic of degree {m}")
         if not _is_irreducible(ctx, list(mod)):

@@ -40,8 +40,9 @@ oracles; only the verification suites, the tests and the CLI's
 of a once per (field, a): `roots_in_field` splits gcd(a, x^Q - x) by
 equal-degree splitting, with no element scan, and the splitting level
 and the rank-ordered roots go into a memo.  That memo and the one of
-finished oracle results (`_F_CACHE`) each keep at most `_MEMO_SIZE`
-entries and drop the oldest first.  `chain_sum_over_roots` builds each
+finished chain sums (`_F_CACHE`) each keep at most `_MEMO_SIZE`
+entries and drop the oldest first; a recursion's result is not kept,
+since each (a, r) asks for it once.  `chain_sum_over_roots` builds each
 chain term as an outer product of r univariate factors, one per segment
 of the root list, each the next wider segment's times one (x - alpha);
 `linear_factors` multiplies the recursion's and root-peel's products likewise.
@@ -289,7 +290,7 @@ def f_rootfree(a, r):
     return FaPoly(MultiPoly._wrap(ctx, r, terms), a, r, "rootfree", ())
 
 
-# (construction, field, a, r) -> FaPoly, for the root-based oracles only
+# (field, a, r) -> FaPoly, the chain sums only
 _F_CACHE = {}
 
 
@@ -300,7 +301,7 @@ def f_chain_sum(a, r):
     treated as immutable, which every polynomial operation respects.
     """
     _check_inputs(a, r)
-    key = ("chain", a.ctx, a.coeffs, r)
+    key = (a.ctx, a.coeffs, r)
     got = _F_CACHE.get(key)
     if got is not None:
         return got
@@ -317,10 +318,6 @@ def f_recursive(a, r):
     runs are reproducible; any other choice would give the same result.
     """
     _check_inputs(a, r)
-    key = ("recursive", a.ctx, a.coeffs, r)
-    got = _F_CACHE.get(key)
-    if got is not None:
-        return got
     level, roots = _sorted_roots(a)
     memo = {}
 
@@ -346,8 +343,7 @@ def f_recursive(a, r):
         return result
 
     poly = build(roots, r)
-    result = FaPoly(_coerce_to_base(poly, a.ctx), a, r, "recursive", roots)
-    return _remember(_F_CACHE, key, result)
+    return FaPoly(_coerce_to_base(poly, a.ctx), a, r, "recursive", roots)
 
 
 def f_root_order_variant(a, r, order):

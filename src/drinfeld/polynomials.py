@@ -188,11 +188,6 @@ class UniPoly(DensePoly):
     def is_monic(self):
         return bool(self.coeffs) and self.coeffs[-1].is_one()
 
-    def leading(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def __mul__(self, other):
         if isinstance(other, FieldElement):
             other = UniPoly.constant(other)

@@ -10,12 +10,13 @@ All randomness flows from the config seed, the exhaustive/sampled
 switch is an explicit evaluation budget, and reports are reproducible
 byte-for-byte apart from their timing fields.
 
-Each exhaustive sweep evaluates a tuple once per operator.  The Galois
-check walks each orbit of tuples under the Frobenius sigma of K from its
-least member and compares sigma of each member's value with the next
-member's value; around a closed orbit sigma**k then carries each value
-k steps on, for every k.  Operators are applied once per point or value,
-and each operator phi_b and psi_b is built once per b.  The root-order
+Each exhaustive pairing or compatibility check reads
+`PairingEvaluator.values` sweeps, each evaluating every tuple once.  The
+Galois check compares sigma of the value at each tuple, for the
+Frobenius sigma of K, with the value at the tuple of its images, read
+off a second sweep over the points' images; sigma**k then follows for
+every k.  Operators are applied once per point or value, and each
+operator phi_b and psi_b is built once per b.  The root-order
 check sums each distinct root sequence once and skips the rank-ordered
 one, which `f_chain_sum` has summed.  A chain sum with a coefficient
 outside GF(q) fails its (a, r)'s rationality check, or both congruence
@@ -548,8 +549,10 @@ def verify_pairing_properties(cfg):
     Galois invariance and agreement with `weil_values`, exhaustively
     within the configured budget; each sweep evaluates a tuple once.
     Alternation, surjectivity, nondegeneracy and agreement each read one
-    `PairingEvaluator.values` sweep of payloads; the Galois and multilinear
-    checks call the evaluator.  A direct value outside psi[a] fails agreement."""
+    `PairingEvaluator.values` sweep of payloads, and the Galois check two:
+    over the points and over their Frobenius images.  Only the multilinear
+    check calls the evaluator, beside base values from `weil_values`.  A
+    direct value outside psi[a] fails agreement."""
     suite = _Suite(cfg)
     phi = cfg.module()
     base = phi.base
@@ -584,12 +587,13 @@ def verify_pairing_properties(cfg):
                     )
                     tup = tuple(rng.choice(pts) for _ in range(r))
                     trials.append((b, tup, slot))
-            for b, tup, slot in trials:
+            # the base values are the direct contraction's: the calls meet the oracle
+            direct = weil_values(phi, a, pts, (tup for _, tup, _ in trials))
+            for (b, tup, slot), value in zip(trials, direct):
                 psi_b = _applied(psi_cache, psi.phi, b)
                 phi_b = _applied(phi_cache, phi.phi, b)
                 scaled = list(tup)
                 scaled[slot] = phi_b(tup[slot])
-                value = ev(tup)
                 lhs = ev(scaled)
                 rhs = psi_b(value)
                 if lhs != rhs:
@@ -661,28 +665,19 @@ def verify_pairing_properties(cfg):
         suite.run(f"pairing.nondegenerate{tag}", nondegenerate)
 
         def galois():
-            # step[i] indexes pts[i]'s Frobenius image; each orbit of index
-            # tuples is walked once, from its least member
-            index = {pt: i for i, pt in enumerate(pts)}
-            step = [index.get(pt.frobenius(s)) for pt in pts]
-            if None in step:
-                pt = pts[step.index(None)]
-                return _mismatch("galois", {"a": a_ranks, "point": pt.to_json()},
-                                 pt.frobenius(s), None)
-            for first in itertools.product(range(len(pts)), repeat=r):
-                orbit = [first]
-                while (nxt := tuple(step[i] for i in orbit[-1])) > first:
-                    orbit.append(nxt)
-                if nxt != first:
-                    continue  # a smaller member walks this orbit
-                tuples = [[pts[i] for i in idx] for idx in orbit]
-                vals = [ev(tup) for tup in tuples]
-                for j, val in enumerate(vals):
-                    lhs, rhs = val.frobenius(s), vals[(j + 1) % len(vals)]
-                    if lhs != rhs:
-                        return _mismatch("galois", {"a": a_ranks, "k": 1,
-                                                    "points": _point_list_json(tuples[j])},
-                                         lhs, rhs)
+            # sigma carries W at each tuple to W at the tuple of images: one
+            # sweep over the points, one over their images in the same order
+            images = [pt.frobenius(s) for pt in pts]
+            on = set(pts)
+            for pt, image in zip(pts, images):
+                if image not in on:
+                    return _mismatch("galois", {"a": a_ranks, "point": pt.to_json()}, image, None)
+            for tup, val, moved in zip(itertools.product(pts, repeat=r), ev.values(pts),
+                                       ev.values(images)):
+                if (lhs := level.frobenius(val, s)) != moved:
+                    return _mismatch("galois", {"a": a_ranks, "k": 1,
+                                                "points": _point_list_json(tup)},
+                                     FieldElement(level, lhs), FieldElement(level, moved))
             return True
 
         suite.run(f"pairing.galois{tag}", galois)
@@ -713,11 +708,11 @@ def verify_pairing_properties(cfg):
 
 def verify_compatibility(cfg):
     """psi_b(W_{ab}(t)) = W_a(phi_b applied slotwise), on every torsion
-    tuple of phi[ab] when that fits the budget (one sweep of W_ab, by
-    point index), else on min(budget, 10,000) sampled tuples, whose
-    points alone are built; phi_b and psi_b are applied once per point
-    and once per value, and W_a once per image tuple (phi_b maps many
-    tuples to one)."""
+    tuple of phi[ab] when that fits the budget (a sweep of W_ab over the
+    points beside a sweep of W_a over their phi_b images), else on
+    min(budget, 10,000) sampled tuples, whose points alone are built,
+    with W_a called once per image tuple (phi_b maps many tuples to
+    one).  phi_b and psi_b are applied once per point and once per value."""
     suite = _Suite(cfg)
     phi = cfg.module()
     psi = _det_module(phi)
@@ -747,19 +742,14 @@ def verify_compatibility(cfg):
             phi_images, psi_images, rhs_values = {}, {}, {}  # filled on first use
             count = tm.count()
             if count ** r <= cfg.budget:
-                # one sweep of W_ab; W_a is keyed by the first point of each slot's image
+                # W_ab swept over the points, W_a over their phi_b images in the same order
                 pts = tm.points()
-                images = [phi_b(x) for x in pts]
-                first = {}
-                keys = [first.setdefault(y, i) for i, y in enumerate(images)]
-                for tup, key, val in zip(itertools.product(pts, repeat=r),
-                                         itertools.product(keys, repeat=r), ev_ab.values(pts)):
+                for tup, val, rhs in zip(itertools.product(pts, repeat=r), ev_ab.values(pts),
+                                         ev_a.values([phi_b(x) for x in pts])):
                     if (lhs := psi_images.get(val)) is None:
                         lhs = psi_images[val] = psi_b(FieldElement(level, val))
-                    if (rhs := rhs_values.get(key)) is None:
-                        rhs = rhs_values[key] = ev_a([images[i] for i in key])
-                    if lhs != rhs:
-                        return mismatch(tup, lhs, rhs)
+                    if lhs.val != rhs:
+                        return mismatch(tup, lhs, FieldElement(level, rhs))
                 return True
             for _ in range(min(cfg.budget, 10_000)):
                 tup = tuple(tm.point(rng.randrange(count)) for _ in range(r))
@@ -1009,7 +999,7 @@ def reevaluate(counterexample):
             require_int(slot, "inputs.slot")
             scaled = list(points)
             scaled[slot] = phi.phi(b)(points[slot])
-            lhs = weil_evaluate(phi, a, scaled)
+            lhs = PairingEvaluator(phi, a, level)(scaled)
             rhs = psi.phi(b)(weil_evaluate(phi, a, points))
             return lhs != rhs
         lhs = psi.phi(b)(PairingEvaluator(phi, a * b, level)(points))

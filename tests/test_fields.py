@@ -44,7 +44,7 @@ def test_make_field_prime():
 def test_make_field_f9_modulus():
     # y**2 + 1 is irreducible mod 3 and is the first candidate found
     assert F9.modulus == (1, 0, 1)
-    y = F9.elem((0, 1))
+    y = F9.element_from_json((0, 1))
     assert (y * y).to_json() == [2, 0]
 
 
@@ -128,9 +128,9 @@ def test_frobenius_fixes_base():
 def test_frobenius_example_f9_over_f3():
     # GF(9) as an extension of the base GF(3): tau is x -> x**3 there
     F9e = extend(F3, 2)
-    y = F9e.elem((0, 1))
+    y = F9e.element_from_json((0, 1))
     assert y.frobenius(1) == y**3
-    assert y**3 == F9e.elem((0, 2))
+    assert y**3 == F9e.element_from_json((0, 2))
     assert y.frobenius(0) == y
 
 
@@ -234,7 +234,7 @@ def test_project_roundtrip_and_failure():
     F4 = extend(F2, 2)
     one = F2.one_element.embed_to(F4)
     assert one.project_to(F2) == F2.one_element
-    gen = F4.elem((0, 1))
+    gen = F4.element_from_json((0, 1))
     with pytest.raises(NotInSubfield):
         gen.project_to(F2)
 

@@ -114,7 +114,7 @@ def test_kronecker_add_sub_neg_match_coordinatewise(case):
 def test_wide_slots_keep_the_schoolbook(data):
     a, b = data.draw(coordinates(WIDE)), data.draw(coordinates(WIDE))
     assert WIDE._mul_over_prime(a, b) == _sympy_mulmod(WIDE, a, b)
-    x, y = WIDE.elem(a), WIDE.elem(b)
+    x, y = WIDE.element_from_json(a), WIDE.element_from_json(b)
     assert (x * y).to_json() == list(_sympy_mulmod(WIDE, a, b))
 
 

@@ -64,8 +64,9 @@ def test_moore_row_step_mutant(monkeypatch, bundle, label, fails):
     # rank 2, tau**2 = (phi_T - theta - g_1 tau) / g_2, and the phi_T part
     # cancels over f_a's terms by the exchange congruence, so the stepped
     # contraction is -(g_1 / g_2) times the true value: -1 at q = 3, g = (1, 1),
-    # where poly_agreement must fail, and 1 at q = 2, g = (1, 1), where the
-    # mutant is equivalent and every check passes
+    # where poly_agreement and multilinear (whose base values are the direct
+    # contraction's) must fail, and 1 at q = 2, g = (1, 1), where the mutant
+    # is equivalent and every check passes
     text, mutated = "powers[-1].frobenius(1)", "powers[-1].frobenius(2)"
     source = inspect.getsource(pairing._frobenius_row)
     assert source.count(text) == 1
@@ -77,16 +78,17 @@ def test_moore_row_step_mutant(monkeypatch, bundle, label, fails):
         monkeypatch.setattr(home, "weil_values", namespace["weil_values"])
     report = verify.verify_pairing_properties(bundle[label].config)
     failed = {check.name.split("[")[0] for check in report.failures()}
-    assert failed == ({"pairing.poly_agreement"} if fails else set())
+    assert failed == ({"pairing.multilinear", "pairing.poly_agreement"} if fails else set())
     for check in report.failures():
-        assert check.counterexample["identity"] == "poly_agreement"
+        assert check.counterexample["identity"] in ("multilinear", "additive", "poly_agreement")
 
 
 def test_moore_row_value_outside_the_torsion_fails_agreement(monkeypatch, tmp_path, capsys,
                                                              bundle):
     # the same Moore-row mutant on pairing-q2-K4-r2, where a direct value
-    # leaves psi[a]: the check fails with that tuple and value, the report
-    # is written and verify exits 1; weil_evaluate still trips on the tuple
+    # leaves psi[a]: agreement fails with that tuple and value (multilinear,
+    # on the direct base values, fails as well), the report is written and
+    # verify exits 1; weil_evaluate still trips on the tuple
     from drinfeld.cli import main
 
     text, mutated = "powers[-1].frobenius(1)", "powers[-1].frobenius(2)"
@@ -105,8 +107,8 @@ def test_moore_row_value_outside_the_torsion_fails_agreement(monkeypatch, tmp_pa
     (report,) = json.loads(capsys.readouterr().out)["reports"]
     failed = [check for check in report["checks"] if check["status"] == "fail"]
     assert code == 1 and [check["name"].split("[")[0] for check in failed] == [
-        "pairing.poly_agreement"]
-    counterexample = failed[0]["counterexample"]
+        "pairing.multilinear", "pairing.poly_agreement"]
+    counterexample = failed[1]["counterexample"]
     assert counterexample["identity"] == "poly_agreement"
     assert set(counterexample["inputs"]) == {"a", "points"}
     phi = cfg.module()

@@ -105,7 +105,7 @@ def test_rank_elem_and_json_roundtrips(case):
     assert ctx.element_of_rank(x.rank()) == x
     assert _rank_from_json(ctx, obj) == x.rank()
     assert ctx.element_from_json(obj) == x
-    assert ctx.elem(_as_tuples(obj)) == x
+    assert ctx.element_from_json(_as_tuples(obj)) == x
 
 
 @SETTINGS

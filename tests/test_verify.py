@@ -104,7 +104,8 @@ def test_budget_guard():
 def test_compatibility_sampling_respects_budget(monkeypatch, budget, tuples):
     # phi[T^2] has 16 points, so 256 tuples; past the budget the suite
     # used to sample 10,000 tuples whatever the budget.  Within the budget
-    # W_ab is one sweep over every tuple, past it one call per sampled tuple
+    # W_ab and W_a are one sweep each and nothing is called; past it W_ab
+    # is one call per sampled tuple
     calls, swept = {}, {}  # degree of the evaluator's a -> the tuples it gave values on
     real_call, real_values = pairing.PairingEvaluator.__call__, pairing.PairingEvaluator.values
 
@@ -123,21 +124,22 @@ def test_compatibility_sampling_respects_budget(monkeypatch, budget, tuples):
     cfg = VerificationConfig(p=2, theta=1, g=(1, 1), ab_pairs=(((0, 1), (0, 1)),),
                              budget=budget)
     assert verify_compatibility(cfg).ok()
-    # W_ab (a*b = T^2) once per tuple; W_a (a = T) once per distinct
-    # phi_b image tuple, with the images recomputed here
-    if budget >= 256:
-        assert 2 not in calls and 1 not in swept
-        ab_tuples = swept[2]
-        assert len(set(ab_tuples)) == len(ab_tuples) == tuples
-    else:
-        assert not swept
-        ab_tuples = calls[2]
-    a_tuples = calls[1]
-    assert len(ab_tuples) == tuples
+    # W_ab (a*b = T^2) once per tuple; W_a (a = T) at each tuple's phi_b
+    # images, with the images recomputed here
     phi_b = cfg.module().phi(UniPoly.from_ranks(cfg.K_ctx(), [0, 1]))
-    images = {tuple(phi_b(x) for x in tup) for tup in ab_tuples}
-    assert len(a_tuples) == len(set(a_tuples)) == len(images)
-    assert set(a_tuples) == images
+    if budget >= 256:
+        assert not calls
+        ab_tuples = swept[2]
+        assert len(set(ab_tuples)) == len(ab_tuples)
+        assert swept[1] == [tuple(phi_b(x) for x in tup) for tup in ab_tuples]
+    else:
+        # sampled, W_a is called once per distinct phi_b image tuple
+        assert not swept
+        ab_tuples, a_tuples = calls[2], calls[1]
+        images = {tuple(phi_b(x) for x in tup) for tup in ab_tuples}
+        assert len(a_tuples) == len(set(a_tuples)) == len(images)
+        assert set(a_tuples) == images
+    assert len(ab_tuples) == tuples
 
 
 def _break_chain_sum(monkeypatch, alter):

@@ -1,14 +1,16 @@
-"""The pairing suite's exhaustive sweeps evaluate each tuple once.
+"""The pairing and compatibility suites' exhaustive sweeps evaluate each
+tuple once per sweep.
 
-The Galois check walks Frobenius orbits of tuples; the k-major loop it
-replaced lives on here as an oracle and must give the same verdict.
-Call counts are taken by monkeypatch: the check that is running is
-read off `_Suite.run`, and every evaluator call and operator
-application is recorded under it, and on request every
-`PairingEvaluator.values` sweep: the checks that read every tuple run
-one sweep each and no call.
+The Galois check compares a sweep over the points with a sweep over
+their Frobenius images; the k-major loop it replaced lives on here as an
+oracle and must give the same verdict and counterexample.  Call counts
+are taken by monkeypatch: the check that is running is read off
+`_Suite.run`, and every evaluator call and operator application is
+recorded under it, and on request every `PairingEvaluator.values`
+sweep: the checks that read every tuple run their sweeps and no call.
 """
 
+import inspect
 import itertools
 from collections import Counter
 
@@ -16,7 +18,7 @@ import pytest
 
 from drinfeld import core, pairing, verify
 from drinfeld.core import torsion
-from drinfeld.fields import dim_between
+from drinfeld.fields import FieldElement, dim_between
 from drinfeld.pairing import PairingEvaluator, linear_factors
 from drinfeld.polynomials import MultiPoly, UniPoly
 from drinfeld.verify import VerificationConfig, default_bundle, verify_pairing_properties
@@ -58,12 +60,12 @@ def galois_verdicts(report):
 
 
 def scale_outside_k(monkeypatch):
-    """Every evaluator value is multiplied by the least-ranked element
-    of its level that the Frobenius of K moves."""
-    real = pairing.PairingEvaluator.__call__
+    """Every evaluator value, swept or called, is multiplied by the
+    least-ranked element of its level that the Frobenius of K moves."""
+    real_call, real_values = pairing.PairingEvaluator.__call__, pairing.PairingEvaluator.values
     factors = {}
 
-    def scaled(self, betas):
+    def factor(self):
         level = self.level
         if level not in factors:
             s = dim_between(self.phi.K, self.phi.base)
@@ -71,15 +73,24 @@ def scale_outside_k(monkeypatch):
                 x for x in map(level.element_of_rank, range(level.order))
                 if x.frobenius(s) != x
             )
-        return real(self, betas) * factors[level]
+        return factors[level]
+
+    def scaled(self, betas):
+        return real_call(self, betas) * factor(self)
+
+    def scaled_values(self, points):
+        c = factor(self)
+        for val in real_values(self, points):
+            yield (FieldElement(self.level, val) * c).val
 
     monkeypatch.setattr(pairing.PairingEvaluator, "__call__", scaled)
+    monkeypatch.setattr(pairing.PairingEvaluator, "values", scaled_values)
 
 
 def record_by_check(monkeypatch, sweeps=None):
     """Evaluator calls and operator applications, keyed by the name of
     the check that made them; given a dict `sweeps`, also each sweep as
-    [its number of points, the values it has yielded so far]."""
+    [its evaluator's a, its points, the values it has yielded so far]."""
     current = [None]
     evals, applied = {}, {}
     real_run = verify._Suite.run
@@ -104,10 +115,10 @@ def record_by_check(monkeypatch, sweeps=None):
         return real_apply(self, x)
 
     def values(self, points):
-        sweep = [len(points), 0]
+        sweep = [self.a, list(points), 0]
         sweeps.setdefault(current[0], []).append(sweep)
         for val in real_values(self, points):
-            sweep[1] += 1
+            sweep[2] += 1
             yield val
 
     monkeypatch.setattr(verify._Suite, "run", run)
@@ -129,7 +140,7 @@ def repeats(calls):
 
 
 @pytest.mark.parametrize("cfg", STOCK, ids=lambda c: f"q{c.p}-r{len(c.g)}-K{c.k_extensions}")
-def test_orbit_walk_agrees_with_k_major_oracle(cfg):
+def test_galois_sweeps_agree_with_k_major_oracle(cfg):
     report = verify_pairing_properties(cfg)
     verdicts = galois_verdicts(report)
     assert verdicts and all(verdicts)
@@ -144,17 +155,37 @@ def test_scaled_evaluator_fails_galois(monkeypatch, cfg):
     assert fails and fails[0].counterexample["identity"] == "galois"
     assert fails[0].counterexample["lhs"] != fails[0].counterexample["rhs"]
     assert galois_verdicts(report) == oracle_verdicts(cfg) == [False]
-    # the scaled value fails on every tuple with a nonzero value, so the
-    # least such tuple leads the first failing orbit and the walk names
-    # the same (k, tuple) as the k-major loop
+    # the scaled value fails at k = 1 on every tuple with a nonzero value,
+    # so the sweeps and the k-major loop name the same first tuple in
+    # product order
     ((k, tup),) = oracle_failures(cfg)
     inputs = fails[0].counterexample["inputs"]
     assert (inputs["k"], inputs["points"]) == (k, [b.to_json() for b in tup])
 
 
+def rotated_image_sweep():
+    """verify_pairing_properties with the Galois check's image sweep
+    rotated by one point: W at the images of tuple i is read at tuple i+1's."""
+    source = inspect.getsource(verify.verify_pairing_properties)
+    text = "ev.values(images)"
+    assert source.count(text) == 1
+    namespace = dict(vars(verify))
+    exec(compile(source.replace(text, "ev.values(images[1:] + images[:1])"),
+                 verify.__file__, "exec"), namespace)
+    return namespace["verify_pairing_properties"]
+
+
+@pytest.mark.parametrize("cfg", [PAIR_I, DET_Q3], ids=["PAIR_I", "DET_Q3"])
+def test_rotated_image_sweep_fails_galois(cfg):
+    report = rotated_image_sweep()(cfg)
+    (fail,) = report.failures()
+    assert fail.name.startswith("pairing.galois")
+    assert fail.counterexample["lhs"] != fail.counterexample["rhs"]
+
+
 def test_galois_point_outside_the_points_is_a_mismatch(monkeypatch):
     # a torsion module whose last point is dropped: its Frobenius image
-    # has no index, and the check names the point instead of raising
+    # is not a point, and the check names the point instead of raising
     real = core.TorsionModule.points
     monkeypatch.setattr(core.TorsionModule, "points", lambda self: real(self)[:-1])
     report = verify_pairing_properties(PAIR_I)
@@ -164,30 +195,27 @@ def test_galois_point_outside_the_points_is_a_mismatch(monkeypatch):
 
 
 @pytest.mark.parametrize("cfg", STOCK, ids=lambda c: f"q{c.p}-r{len(c.g)}-K{c.k_extensions}")
-def test_galois_evaluates_each_tuple_once(monkeypatch, cfg):
-    evals, _ = record_by_check(monkeypatch)
-    assert verify_pairing_properties(cfg).ok()
-    assert len([n for n in evals if n and "galois" in n]) == len(cfg.a_list)
-    for phi, a, pts in per_a(cfg):
-        calls = evals[f"pairing.galois[a={a.render()}]"]
-        assert len(calls) == len(set(calls)) == len(pts) ** phi.rank
-
-
-@pytest.mark.parametrize("cfg", STOCK, ids=lambda c: f"q{c.p}-r{len(c.g)}-K{c.k_extensions}")
-def test_exhaustive_checks_run_one_sweep_and_no_call(monkeypatch, cfg):
+def test_exhaustive_checks_run_their_sweeps_and_no_call(monkeypatch, cfg):
     sweeps = {}
     evals, _ = record_by_check(monkeypatch, sweeps)
     assert verify_pairing_properties(cfg).ok()
+    s = dim_between(cfg.module().K, cfg.module().base)
     for phi, a, pts in per_a(cfg):
+        tuples = len(pts) ** phi.rank
         for check in ("alternating", "surjective", "nondegenerate", "poly_agreement"):
             name = f"pairing.{check}[a={a.render()}]"
-            assert sweeps[name] == [[len(pts), len(pts) ** phi.rank]]
+            assert sweeps[name] == [[a, list(pts), tuples]]
             assert name not in evals
-    # the random-access checks call the evaluator and sweep nothing
-    assert not {n for n in sweeps if "galois" in n or "multilinear" in n}
+        # Galois: one sweep over the points, one over their images
+        name = f"pairing.galois[a={a.render()}]"
+        images = [x.frobenius(s) for x in pts]
+        assert sweeps[name] == [[a, list(pts), tuples], [a, images, tuples]]
+        assert name not in evals
+    # the random-access check calls the evaluator and sweeps nothing
+    assert not {n for n in sweeps if "multilinear" in n}
 
 
-def test_compat_sweeps_w_ab_once_and_calls_w_a_per_image_tuple(monkeypatch):
+def test_compat_sweeps_w_ab_and_w_a_once_each(monkeypatch):
     sweeps = {}
     evals, _ = record_by_check(monkeypatch, sweeps)
     cfg = next(c for c in STOCK if c.ab_pairs)
@@ -197,18 +225,20 @@ def test_compat_sweeps_w_ab_once_and_calls_w_a_per_image_tuple(monkeypatch):
         a, b = (UniPoly.from_ranks(phi.base, ranks) for ranks in (a_ranks, b_ranks))
         pts = torsion(phi, a * b, cap=cfg.extension_cap).points()
         name = f"compatibility.identity[a={a.render()},b={b.render()}]"
-        assert sweeps[name] == [[len(pts), len(pts) ** phi.rank]]
-        # W_a once per tuple of phi_b images: phi_b maps phi[ab] onto phi[a]
-        images = len({phi.phi(b)(x) for x in pts})
-        assert len(evals[name]) == len(set(evals[name])) == images ** phi.rank
+        # W_ab over phi[ab], W_a over the phi_b images in the same order
+        images = [phi.phi(b)(x) for x in pts]
+        tuples = len(pts) ** phi.rank
+        assert sweeps[name] == [[a * b, list(pts), tuples], [a, images, tuples]]
+        assert name not in evals
 
 
-def test_multilinear_evaluates_each_base_tuple_once(monkeypatch):
+def test_multilinear_calls_the_evaluator_off_the_base_tuple(monkeypatch):
     evals, _ = record_by_check(monkeypatch)
     assert verify_pairing_properties(PAIR_I).ok()
     trials = 1 + 2 * PAIR_I.trials  # the fixed trial, then trials per slot
-    # phi_b-scaled, base, summed and split tuple, once each
-    assert len(evals["pairing.multilinear[a=T]"]) == 4 * trials
+    # phi_b-scaled, summed and split tuple, once each; the base tuple's
+    # value is the direct contraction's
+    assert len(evals["pairing.multilinear[a=T]"]) == 3 * trials
 
 
 def test_agreement_applies_each_operator_once_per_point(monkeypatch):
