@@ -11,9 +11,11 @@ one object per oracle under "chain" and "recursive" plus "match".
 
 Exit codes: 0 success, 1 at least one verification FAIL, 2 malformed
 input or config (a module suite, `torsion` or `galois-det` on a config
-that declares no Drinfeld module included), 3 domain errors (non-monic
-operator, points outside torsion, operator divisible by the
-characteristic), 4 a search cap or evaluation budget was exceeded.
+that declares no Drinfeld module included, `torsion` or `galois-det` on
+configs that list no a, and `verify` on configs and suites that produce
+no check), 3 domain errors (non-monic operator, points outside torsion,
+operator divisible by the characteristic), 4 a search cap or evaluation
+budget was exceeded.
 `torsion` and `galois-det` build every result before printing any, so
 an exit code of 2 or more comes with no output.
 
@@ -220,16 +222,21 @@ def _config_entries(args):
     return bundle_from_json(_load_json_file(args.config), **_overrides(args))
 
 
-def _config_modules(args):
-    """(label, config, module) per entry of the --config file; every
-    module is built before the caller computes or prints anything."""
-    return [(e.label, e.config, e.config.module()) for e in _config_entries(args)]
+def _config_cases(args):
+    """(label, config, module, a) per a of each entry of the --config
+    file; every module is built before the caller computes or prints
+    anything.  No a at all is malformed: there would be nothing to print."""
+    modules = [(e.label, e.config, e.config.module()) for e in _config_entries(args)]
+    cases = [(label, cfg, module, a) for label, cfg, module in modules for a in cfg.a_polys()]
+    if not cases:
+        raise MalformedInput("the configs list no a")
+    return cases
 
 
 def cmd_torsion(args):
     # every result is built before any is printed: an error prints nothing
     found = [(label, module, a, torsion(module, a, cap=cfg.extension_cap))
-             for label, cfg, module in _config_modules(args) for a in cfg.a_polys()]
+             for label, cfg, module, a in _config_cases(args)]
     for label, module, a, tm in found:
         if args.json:
             out = tm.to_json()
@@ -248,7 +255,7 @@ def cmd_torsion(args):
 def cmd_galois_det(args):
     # every table is built before any is printed: an error prints nothing
     tables = [(label, a, galois_det_table(module, module.det_module(), a, cfg.extension_cap))
-              for label, cfg, module in _config_modules(args) for a in cfg.a_polys()]
+              for label, cfg, module, a in _config_cases(args)]
     for label, a, table in tables:
         rows = [
             {

@@ -593,11 +593,11 @@ class FieldCtx:
         return self._one
 
     def _plain_dot_ops(self, terms):
-        zero = self._zero
+        # bound once: a packed level's ops switch only when it builds its
+        # tables, and `PairingEvaluator`, the one caller, builds them first
+        zero, mul, add = self._zero, self.mul, self.add
 
         def dot(row, vals, nodes):
-            # look the ops up per call: a packed level may switch to tables
-            mul, add = self.mul, self.add
             out = []
             for node in nodes:
                 acc = zero

@@ -63,7 +63,7 @@ would take r! products per f_a term.
 into a trie over their Frobenius exponents, contracts one slot at a
 time, and memoizes the last slot's contraction per point, in a memo of
 at most `_MEMO_SIZE` points; each trie node is one sum of the level's
-dot op, shared with `QPowerPoly.__call__`.  Its `values` streams every
+dot op.  No other code contracts the trie.  Its `values` streams every
 tuple of a point list, each slot contracted once per point and tuple
 of later points.  `weil_values` contracts f_a against Moore
 determinants directly, the independent oracle, and checks no value;
@@ -77,7 +77,6 @@ the module's `_require_torsion_operator`, as in `core.torsion`.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from math import comb
 
@@ -88,7 +87,7 @@ from .errors import (
     NotTorsionPoint,
     RationalityFailure,
 )
-from .fields import FieldElement, _pmul, _row_reduce, common_level, determinant
+from .fields import FieldElement, _pmul, _row_reduce, determinant
 from .polynomials import (
     MultiPoly,
     SparsePoly,
@@ -364,32 +363,6 @@ def f_root_order_variant(a, r, order):
 # ---------------------------------------------------------------------------
 
 
-def _trie(level, terms, nvars):
-    """Group {(j_1, ..., j_r): payload} into a trie over the exponents,
-    for contraction with `level`'s dot op.
-
-    Returns (leaves, inner, ops).  leaves is (cs, nodes): the
-    coefficients in operand form, and for each node at depth r-1 its
-    (j_r, index into cs) pairs.  inner[d] lists, for slot r-2-d, each
-    node's (j, child index) pairs; the last level of inner holds the
-    root alone.  ops is ``level.dot_ops`` for the node with the most
-    children: the exp/log op once a packed level has its tables.
-    """
-    nodes, cs = {}, []
-    for key, c in terms.items():
-        nodes.setdefault(key[:-1], []).append((key[-1], len(cs)))
-        cs.append(c)
-    levels = [list(nodes.values())]
-    for _ in range(nvars - 1):
-        parents = {}
-        for i, prefix in enumerate(nodes):
-            parents.setdefault(prefix[:-1], []).append((prefix[-1], i))
-        levels.append(list(parents.values()))
-        nodes = parents
-    spread, _, _ = ops = level.dot_ops(max(map(len, itertools.chain(*levels)), default=1))
-    return (list(map(spread, cs)), levels[0]), levels[1:], ops
-
-
 def _frobenius_row(x, level, top):
     """Payloads of x, x**q, ..., x**(q**top) in `level`."""
     powers = [x.embed_to(level)]
@@ -405,19 +378,11 @@ def _contract_last(dot, leaves, row):
     return dot(row, cs, nodes)
 
 
-def _contract_inner(dot, inner, rows, vals):
-    """Slots r-2 .. 0 contracted in turn, Horner style, starting from
-    the last slot's values; returns the operand at the root."""
-    for row, nodes in zip(reversed(rows[:-1]), inner):
-        vals = dot(row, vals, nodes)
-    return vals[0] if vals else dot((), (), [()])[0]  # no terms: an empty sum
-
-
 class QPowerPoly(SparsePoly):
     """Sparse polynomial whose monomials are x_1**(q**j_1) ... x_r**(q**j_r),
-    keyed by the Frobenius-exponent tuple (j_1 .. j_r).  Evaluation is
-    GF(q)-linear in every argument, and contracts one slot at a time
-    over a trie of the exponents, as `PairingEvaluator` does.
+    keyed by the Frobenius-exponent tuple (j_1 .. j_r), GF(q)-linear in
+    every argument.  It has no evaluation of its own: `PairingEvaluator`
+    contracts its terms one slot at a time over a trie of the exponents.
 
     A sparse polynomial (``polynomials.SparsePoly``): the constructor
     validates terms from outside (user code, JSON), and every internal
@@ -432,11 +397,6 @@ class QPowerPoly(SparsePoly):
 
     max_frob_exp = SparsePoly._top_exponent
 
-    def degree_in(self, j):
-        """Actual degree in slot j, i.e. q**max_frob_exp."""
-        e = self.max_frob_exp(j)
-        return 0 if e < 0 else self.ctx.q**e
-
     def top_slice(self, j, frob_exp):
         """Coefficient of x_{j+1}**(q**frob_exp) as a polynomial in the
         remaining variables (slot j removed)."""
@@ -445,18 +405,6 @@ class QPowerPoly(SparsePoly):
             if key[j] == frob_exp:
                 terms[key[:j] + key[j + 1 :]] = c
         return QPowerPoly._wrap(self.ctx, self.nvars - 1, terms)
-
-    def __call__(self, points):
-        """The value at `points`, in the highest of their levels and the
-        coefficients'.  Unlike `PairingEvaluator`, it builds no tables."""
-        if len(points) != self.nvars:
-            raise ArityMismatch(f"need {self.nvars} arguments")
-        level = functools.reduce(common_level, (x.ctx for x in points), self.ctx)
-        leaves, inner, (spread, dot, payload) = _trie(level, self._payloads(level), self.nvars)
-        rows = [list(map(spread, _frobenius_row(x, level, self.max_frob_exp(slot))))
-                for slot, x in enumerate(points)]
-        vals = _contract_last(dot, leaves, rows[-1])
-        return FieldElement(level, payload(_contract_inner(dot, inner, rows, vals)))
 
     def _sorted_payloads(self):
         return sorted(self._vals.items(), key=lambda item: item[0])
@@ -663,7 +611,24 @@ class PairingEvaluator:
         self._top = max((max(k) for k in terms), default=0)
         # an evaluator runs many products: tables now, not after `order` slow ops
         level.ensure_tables()
-        self._trie = _trie(level, terms, poly.nvars)
+        # the trie, (leaves, inner, ops): leaves is (cs, nodes), the
+        # coefficients in operand form and each depth r-1 node's (j_r, index
+        # into cs) pairs; inner[d] lists each node's (j, child index) pairs
+        # for slot r-2-d, its last level the root alone; ops is the level's
+        # dot op for the node with the most children
+        nodes, cs = {}, []
+        for key, c in terms.items():
+            nodes.setdefault(key[:-1], []).append((key[-1], len(cs)))
+            cs.append(c)
+        levels = [list(nodes.values())]
+        for _ in range(poly.nvars - 1):
+            parents = {}
+            for i, prefix in enumerate(nodes):
+                parents.setdefault(prefix[:-1], []).append((prefix[-1], i))
+            levels.append(list(parents.values()))
+            nodes = parents
+        spread, _, _ = ops = level.dot_ops(max(map(len, itertools.chain(*levels)), default=1))
+        self._trie = (list(map(spread, cs)), levels[0]), levels[1:], ops
         # point -> [[Frobenius row, its operand form or None], last-slot values or None]
         self._memo = {}
 
@@ -690,9 +655,13 @@ class PairingEvaluator:
             if row[1] is None:
                 row[1] = list(map(spread, row[0]))
             rows.append(row[1])
-        if entry[1] is None:
-            entry[1] = _contract_last(dot, leaves, rows[-1])
-        return FieldElement(self.level, payload(_contract_inner(dot, inner, rows, entry[1])))
+        vals = entry[1]
+        if vals is None:
+            vals = entry[1] = _contract_last(dot, leaves, rows[-1])
+        # slots r-2 .. 0 in turn, Horner style
+        for row, nodes in zip(reversed(rows[:-1]), inner):
+            vals = dot(row, vals, nodes)
+        return FieldElement(self.level, payload(vals[0] if vals else dot((), (), [()])[0]))
 
     def values(self, points):
         """W's payload in `level` at every tuple of product(points,

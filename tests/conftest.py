@@ -1,6 +1,9 @@
+import functools
+
 import pytest
 from hypothesis import settings
 
+from drinfeld.fields import common_level
 from drinfeld.verify import default_bundle, run_suites
 
 # every property test is reproducible: the same examples on every run
@@ -21,3 +24,17 @@ def bundle_reports(bundle):
         label: run_suites(entry.config, entry.suites)
         for label, entry in bundle.items()
     }
+
+
+def flat_evaluate(poly, betas):
+    """A q-power polynomial at `betas`, in the highest of their levels and
+    the coefficients', every term multiplied out in turn: the oracle for
+    `PairingEvaluator`."""
+    level = functools.reduce(common_level, (beta.ctx for beta in betas), poly.ctx)
+    acc = level.zero_element
+    for key, c in poly.terms.items():
+        term = c.embed_to(level)
+        for beta, j in zip(betas, key):
+            term = term * beta.embed_to(level).frobenius(j)
+        acc = acc + term
+    return acc

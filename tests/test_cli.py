@@ -379,6 +379,15 @@ def test_config_without_module_exit2_before_output(capsys, tmp_path, command):
     assert code == 0 and out
 
 
+@pytest.mark.parametrize("command", ["torsion", "galois-det"])
+def test_configs_that_list_no_a_exit2(capsys, tmp_path, command):
+    # each used to print nothing and exit 0
+    module = {k: v for k, v in CFG_I.items() if k != "a_list"}
+    for config in (module, {"configs": [module, module]}, {"configs": []}):
+        code, out, err = run_cli(capsys, command, "--config", _config_file(tmp_path, config))
+        assert code == 2 and out == "" and "the configs list no a" in err, config
+
+
 def test_verify_suite_filter(capsys, tmp_path):
     path = _config_file(tmp_path, CFG_I)
     code, out, _ = run_cli(capsys, "verify", "--config", path, "--suite", "det")

@@ -1,20 +1,21 @@
 """The sum-of-products op behind the trie contraction (`FieldCtx.dot_ops`)
-against the mul/add loop, and `PairingEvaluator` and `QPowerPoly.__call__`
-against every term multiplied out in turn, on Kronecker levels above the
-pack cap, a tower level, a level too wide for Kronecker data and packed
-levels (the exp/log op, towers included); and the rule that an evaluator,
-not plain arithmetic or a one-shot `QPowerPoly` call, builds a packed
-level's tables."""
+against the mul/add loop, and `PairingEvaluator`, its one caller, against
+every term multiplied out in turn (`flat_evaluate`), on Kronecker levels
+above the pack cap, a tower level, a level too wide for Kronecker data and
+packed levels (the exp/log op, towers included); and the rule that an
+evaluator, not plain arithmetic or a one-shot `weil_evaluate`, builds a
+packed level's tables."""
 
 import itertools
 
 import pytest
+from conftest import flat_evaluate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drinfeld.core import DrinfeldModule, torsion
 from drinfeld.fields import PACKED_MAX_ORDER, FieldCtx, FieldElement, extend, make_field
-from drinfeld.pairing import PairingEvaluator, QPowerPoly, weil_evaluate
+from drinfeld.pairing import PairingEvaluator, weil_evaluate
 from drinfeld.polynomials import UniPoly
 
 F2, F3, F5, F7, F11 = (make_field(p) for p in (2, 3, 5, 7, 11))
@@ -154,17 +155,6 @@ def test_dot_of_zeros_and_of_no_terms_is_zero(name):
     assert payload(dot((), (), [()])[0]) == zero
 
 
-def flat_evaluate(poly, betas):
-    """Every term of the q-power polynomial multiplied out in turn."""
-    acc = poly.ctx.zero_element
-    for key, c in poly.terms.items():
-        term = c
-        for beta, j in zip(betas, key):
-            term = term * beta.embed_to(poly.ctx).frobenius(j)
-        acc = acc + term
-    return acc
-
-
 @st.composite
 def evaluations(draw, names=sorted(LEVELS)):
     """An evaluator on one of the named levels for a module over its base
@@ -185,22 +175,22 @@ def evaluations(draw, names=sorted(LEVELS)):
 
 @settings(max_examples=30)
 @given(evaluations())
-def test_evaluator_and_poly_call_match_flat_evaluation(case):
+def test_evaluator_matches_flat_evaluation(case):
     ev, points = case
     betas = points[:-1]
     expected = flat_evaluate(ev.poly, betas)
-    assert ev(betas) == ev.poly(betas) == expected
+    assert ev(betas) == expected
     # warm: the last-slot vector and the operand rows come from the memo
     assert ev(betas) == expected
     rotated = [points[-1]] + betas[1:]
-    assert ev(rotated) == ev.poly(rotated) == flat_evaluate(ev.poly, rotated)
+    assert ev(rotated) == flat_evaluate(ev.poly, rotated)
 
 
 @pytest.mark.parametrize("name", sorted(EVERY))
 @PER_LEVEL
 @given(data=st.data())
-def test_evaluator_and_poly_call_match_flat_evaluation_on_each_level(name, data):
-    inner = test_evaluator_and_poly_call_match_flat_evaluation.hypothesis.inner_test
+def test_evaluator_matches_flat_evaluation_on_each_level(name, data):
+    inner = test_evaluator_matches_flat_evaluation.hypothesis.inner_test
     inner(data.draw(evaluations([name])))
 
 
@@ -240,21 +230,24 @@ def builds(monkeypatch):
     return built
 
 
-def _poly(ctx):
-    """A q-power polynomial over `ctx` in two variables, and two points."""
-    terms = {(0, 1): ctx.payload_of_rank(5), (1, 0): ctx.one(), (2, 2): ctx.payload_of_rank(7)}
-    points = [ctx.element_of_rank(3), ctx.element_of_rank(ctx.order - 2)]
-    return QPowerPoly._wrap(ctx, 2, terms), points
-
-
-@pytest.mark.parametrize("name", ["GF(2^15)", "GF(3^8)", "GF(9)^2 tower"])
-def test_a_one_shot_call_builds_no_tables(name, builds):
-    ctx = _fresh(PACKED[name])
-    poly, points = _poly(ctx)
-    spread, _, payload = ctx.dot_ops(3)
-    assert spread is payload  # without tables, operands are the payloads
-    assert poly(points) == flat_evaluate(poly, points)
-    assert builds == [] and ctx._log is None
+@pytest.mark.parametrize("name, p, e, theta, g, a", [
+    ("GF(2^15)", 2, 1, 1, (1, 1), (1, 1, 1)),  # a = T^2 + T + 1
+    ("GF(3^8)", 3, 1, 2, (1, 1), (0, 1)),  # a = T
+    ("GF(9)^2 tower", 3, 2, 1, (1,), (0, 1)),  # rank 1 over GF(9), a = T
+])
+def test_a_one_shot_weil_evaluate_builds_no_tables(name, p, e, theta, g, a, builds):
+    K = make_field(p, e)
+    phi = DrinfeldModule(K, K.element_of_rank(theta), tuple(map(K.element_of_rank, g)))
+    a = UniPoly.from_ranks(K, a)
+    tm = torsion(phi, a)
+    assert tm.level is PACKED[name]
+    ctx = _fresh(tm.level)
+    betas = tm.points()[-phi.rank:]
+    expected = weil_evaluate(phi, a, betas)
+    assert not expected.is_zero()
+    # the same points on a torsion level that has no tables yet
+    assert weil_evaluate(phi, a, [FieldElement(ctx, x.val) for x in betas]).val == expected.val
+    assert ctx not in builds and ctx._log is None
 
 
 @pytest.mark.parametrize("name", ["GF(2^15)", "GF(3^8)", "GF(9)^2 tower"])
@@ -267,9 +260,8 @@ def test_an_evaluator_builds_the_tables_once(name, builds):
     ev = PairingEvaluator(phi, a, ctx)
     assert builds == [ctx]
     assert ctx.dot_ops.__func__ is FieldCtx._log_dot_ops
-    poly, points = _poly(ctx)
-    assert ev(points) == ev.poly(points) == flat_evaluate(ev.poly, points)
-    assert poly(points) == flat_evaluate(poly, points)
+    points = [ctx.element_of_rank(3), ctx.element_of_rank(ctx.order - 2)]
+    assert ev(points) == flat_evaluate(ev.poly, points)
     PairingEvaluator(phi, a, ctx)
     x, y = points[0].val, points[1].val
     for _ in range(ctx.order):
@@ -305,5 +297,5 @@ def test_evaluators_agree_with_weil_evaluate_on_a_packed_torsion_level(p, theta,
     warm = [ev(t) for t in tuples]
     expected = [weil_evaluate(phi, a, t) for t in tuples]
     assert cold == warm == expected
-    assert [ev.poly(t) for t in tuples] == [flat_evaluate(ev.poly, t) for t in tuples] == expected
+    assert [flat_evaluate(ev.poly, t) for t in tuples] == expected
     assert any(not v.is_zero() for v in expected)

@@ -4,8 +4,8 @@ slot.  It equals the per-tuple `__call__` on random small modules over
 GF(2), GF(3), GF(4) and GF(4) over GF(2) (rank 1-3, deg a = 1-2) and the
 direct contraction `weil_evaluate` on a few tuples; it runs one dot per
 (point, vector of the later slots) and streams the root's; and hand
-mutants of it, and of the contraction behind `__call__`, fail the
-pairing or compatibility suite on the stock bundle."""
+mutants of it, and of `__call__`'s contraction, fail the pairing or
+compatibility suite on the stock bundle."""
 
 import functools
 import inspect
@@ -112,7 +112,7 @@ def test_sweep_runs_one_dot_per_point_and_later_vector():
     assert sizes[n + n * n:] == [root] * n**3
 
 
-# hand mutants of the sweep, and one of the contraction of __call__:
+# hand mutants of the sweep, and one of __call__'s contraction:
 # (owner, function, its text, the mutated text)
 SWEEP_MUTANTS = {
     # the root's loops swapped: each suffix vector meets every point of slot 0
@@ -123,7 +123,7 @@ SWEEP_MUTANTS = {
         "inner[-1]) for v in vecs for row in rows)"),
     # __call__ takes slots 1 .. r-1's rows for slots 0 .. r-2
     "rows shifted a slot in __call__": (
-        pairing, "_contract_inner", "reversed(rows[:-1])", "reversed(rows[1:])"),
+        PairingEvaluator, "__call__", "reversed(rows[:-1])", "reversed(rows[1:])"),
     # slot 1 is never contracted at r = 3: the root reads the last slot's vectors
     "one inner level skipped": (
         PairingEvaluator, "values", "for nodes in inner[:-1]:", "for nodes in inner[1:-1]:"),
@@ -151,7 +151,7 @@ def test_sweep_mutants_fail_agreement_or_compatibility(monkeypatch, mutant):
     # the sweep meets the direct contraction in agreement and itself in
     # compatibility; __call__ meets the direct values in multilinear, and
     # its counterexamples reproduce in isolation
-    caught = ({"pairing.poly_agreement", "compatibility.identity"} if owner is PairingEvaluator
+    caught = ({"pairing.poly_agreement", "compatibility.identity"} if name == "values"
               else {"pairing.multilinear"})
     assert failed & caught, failed
     assert all(reevaluate(c.counterexample) for c in failures

@@ -6,6 +6,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drinfeld import pairing, polynomials, verify
 from drinfeld.core import DrinfeldModule, TorsionModule, torsion
@@ -84,14 +86,44 @@ def test_leading_suite_skips_rank1_split():
     assert any(c.status == "skipped" for c in report.checks)
 
 
-def test_leading_records_scalar_for_nonrational_top_coefficient():
+def test_leading_asserts_c_for_a_nonrational_top_coefficient():
+    # K = GF(4) over GF(2), g_2 = w outside GF(2) and a = T^2 + T, so
+    # c = g_2**(q**(r-1)) = w**2, where g_2**(n-1) would be w
     cfg = VerificationConfig(p=2, k_extensions=(2,), theta=[0, 1],
                              g=(1, [0, 1]), a_list=((0, 1, 1),))
     report = verify_leading_term(cfg)
     assert report.ok()
     split = next(c for c in report.checks if "split" in c.name)
-    assert split.details is not None and "observed_c" in split.details
-    assert split.details["asserted"] is False
+    w = cfg.module().g[-1]
+    assert w**2 != w and split.details == {"c": (w**2).to_json()}
+
+
+# K over GF(q) as (p, e, k_extensions): GF(2^2), GF(2^3) and GF(3^2) over
+# the prime field, GF(4^2) over GF(4)
+LEADING_FIELDS = [(2, 1, (2,)), (2, 1, (3,)), (3, 1, (2,)), (2, 2, (2,))]
+
+
+@st.composite
+def leading_configs(draw):
+    """A rank 2-3 module over one of LEADING_FIELDS, g_r drawn over all of
+    K, and one monic a over GF(q) of degree 1-3."""
+    p, e, ks = draw(st.sampled_from(LEADING_FIELDS))
+    q = p**e
+    ranks = st.integers(0, q ** ks[0] - 1)
+    r = draw(st.integers(2, 3))
+    g = tuple(draw(ranks) for _ in range(r - 1)) + (draw(st.integers(1, q ** ks[0] - 1)),)
+    a = tuple(draw(st.integers(0, q - 1)) for _ in range(draw(st.integers(1, 3)))) + (1,)
+    return VerificationConfig(p=p, e=e, k_extensions=ks, theta=draw(ranks), g=g, a_list=(a,))
+
+
+@settings(max_examples=40)
+@given(leading_configs())
+def test_leading_split_holds_with_the_closed_form_c(cfg):
+    # c = prod_{i=1}^{n-1} g_r**(q**(ri-1)); with g_r outside GF(q) and
+    # n >= 2 it differs from g_r**(n-1), and with q**(ri) in place of
+    # q**(ri-1) it fails as well
+    report = verify_leading_term(cfg)
+    assert report.ok(), report.failures()
 
 
 def test_budget_guard():
@@ -392,7 +424,7 @@ def test_default_bundle_report_is_golden(bundle, bundle_reports):
     obj = {"ok": all(r.ok() for r in bundle_reports.values()), "reports": reports}
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == (
-        "73a692be8c343ac11e1eee1d713850c263f683a499ee37860ef37cb4077b4728"
+        "95a7ea54b340701ad65c2725290de2878f55824872faae03c1cea9f7b3a6debc"
     )
 
 
