@@ -41,6 +41,7 @@ from .errors import (
 )
 from .fields import (
     FieldElement,
+    _digits,
     _pstrip,
     as_vector,
     dim_between,
@@ -236,7 +237,7 @@ def operator_kernel(op, level, base):
     """GF(q)-basis of the kernel of a twisted-polynomial operator acting
     on one tower level, via a matrix kernel over the base field."""
     dim = dim_between(level, base)
-    # ranks flatten coordinates, so unit vector j over GF(q) has rank q**j
+    # as_vector reads the base-q digits of a rank, so unit vector j has rank q**j
     std = [level.element_of_rank(base.order**j) for j in range(dim)]
     columns = [as_vector(op(b), base) for b in std]
     rows = [[columns[j][i] for j in range(dim)] for i in range(dim)]
@@ -361,8 +362,8 @@ class TorsionModule:
         if not 0 <= index < self.count():
             raise IndexError(f"torsion point index {index} outside range({self.count()})")
         base, point = self.phi.base, self.level.zero_element
-        for b in reversed(self.fq_basis):
-            index, digit = divmod(index, base.order)
+        digits = _digits(index, base.order, len(self.fq_basis))
+        for b, digit in zip(reversed(self.fq_basis), digits):
             point = point + base.element_of_rank(digit).embed_to(self.level) * b
         return point
 

@@ -13,7 +13,10 @@ element's coordinates, little-endian in the residue generator, to
 base-p digits; modulus searches and exhaustive sweeps enumerate
 elements in rank order, and root searches sort by rank, which is what
 makes runs reproducible across machines.  Embedding a lower level
-keeps ranks.
+keeps ranks.  ``_digits`` and ``_from_digits`` are the one codec
+between a number and its little-endian digits, so the coordinates of
+x over a level L below are the base-|L| digits of x's rank
+(``as_vector``).
 
 A raw payload takes one of two forms, known only to this module:
 
@@ -31,11 +34,11 @@ and exp is zero from there on, so a zero needs no branch.  For odd p,
 addition uses Zech logarithms, zech[k] = log(1 + g**k) (K. Huber,
 "Some comments on Zech's logarithms", IEEE Trans. IT 36, 1990).  The
 tables are built in one pass x -> g*x off two half-rank tables
-(``_times``), on demand: at once for a `PairingEvaluator`, for plain
-arithmetic only after ``order`` operations on the slow digit path
-(coordinates over the parent, the tuple-level multiply, back to a rank;
-over GF(2), a carry-less multiply of the rank bits), so a level that a
-search touches a few hundred times never pays for its tables.
+(``_times``), on demand: when the level's dot op is first asked for,
+else after ``order`` operations on the slow digit path (coordinates
+over the parent, the tuple-level multiply, back to a rank; over GF(2),
+a carry-less multiply of the rank bits), so a level that a search
+touches a few hundred times never pays for its tables.
 
 A level of degree d directly over GF(p) multiplies coordinate tuples by
 Kronecker substitution whenever d*(p-1)**2 + (p-1) < 256: each tuple
@@ -220,6 +223,24 @@ def _ppow_mod(ctx, f, exponent, mod):
     return _power(mulmod, _pmod(ctx, f, mod), exponent, [ctx.one()])
 
 
+def _digits(n, base, count):
+    """The `count` lowest base-`base` digits of n, little-endian."""
+    out = []
+    for _ in range(count):
+        n, c = divmod(n, base)
+        out.append(c)
+    return out
+
+
+def _from_digits(digits, base):
+    """The number whose base-`base` digits, little-endian, are the
+    sequence `digits`: the inverse of ``_digits``."""
+    n = 0
+    for c in reversed(digits):
+        n = n * base + c
+    return n
+
+
 # ---------------------------------------------------------------------------
 # Kronecker substitution over GF(p): a polynomial is an int, one byte per
 # coefficient, little-endian
@@ -400,12 +421,7 @@ def _find_irreducible(ctx, degree):
     one = ctx.one()
     start = order if _no_irreducible_binomial(order, degree) else 0
     for n in range(start, order**degree):
-        coeffs = []
-        k = n
-        for _ in range(degree):
-            coeffs.append(ctx.payload_of_rank(k % order))
-            k //= order
-        candidate = coeffs + [one]
+        candidate = list(map(ctx.payload_of_rank, _digits(n, order, degree))) + [one]
         if _is_irreducible(ctx, candidate):
             found = ctx._ext_cache[("found", degree)] = tuple(candidate)
             return found
@@ -465,11 +481,13 @@ class FieldCtx:
     built its tables.  ``dot_ops(terms)``, the trie contraction's op,
     gives ``(spread, dot, payload)``: payload to operand form, the
     operand sums of row[j] * vals[i] over each node's (j, i) pairs (at
-    most `terms` of them), and back.  Once a packed extension level has
-    its tables, an operand is a log, a product one exp lookup, summed
-    by XOR or Zech.  A tuple level directly over GF(p) with Kronecker
-    data reduces once per node (`_kron_dot_ops`); on any other level
-    operands are payloads and dot is the mul/add loop.
+    most `terms` of them), and back.  A packed extension level builds
+    its tables when its dot op is first asked for; an operand is then a
+    log, a product one exp lookup, summed by XOR or Zech.  A tuple level
+    directly over GF(p) with Kronecker data reduces once per node
+    (`_kron_dot_ops`); on any other level operands are payloads and dot
+    is the mul/add loop.  ``_mul_coords``, chosen once per extension
+    level, multiplies coordinate tuples over the parent.
     """
 
     __slots__ = (
@@ -492,6 +510,7 @@ class FieldCtx:
         "_one",
         "_mask",
         "_kron",
+        "_mul_coords",
         "_slow_ops",
         "_log",
         "_exp",
@@ -508,6 +527,7 @@ class FieldCtx:
         self._mod = modulus  # parent payloads, little-endian
         self._mask = None  # modulus bits, for GF(2^d) over GF(2) only
         self._kron = None  # Kronecker reduction data, for levels over GF(p) only
+        self._mul_coords = None  # the product of coordinate tuples, for extension levels
         if parent is None:
             self.order = p
             self.dim_over_prime = 1
@@ -522,8 +542,10 @@ class FieldCtx:
             self.base = parent.base
             self.packed = self.order <= PACKED_MAX_ORDER
             self.modulus = tuple(parent._coordinate_tuple(c) for c in modulus)
+            self._mul_coords = self._mul_generic
             if parent.parent is None:
-                self._kron = _kron_modulus(p, modulus)
+                self._kron = kron = _kron_modulus(p, modulus)
+                self._mul_coords = self._mul_schoolbook if kron is None else self._mul_over_prime
                 if self.packed and p == 2:
                     self._mask = self._from_coords(modulus)
         if self.packed:
@@ -560,6 +582,7 @@ class FieldCtx:
             if p != 2:
                 self.add, self.sub, self.neg = self._add_slow, self._sub_slow, self._neg_slow
             self.mul = self._mul_slow
+            self.dot_ops = self._log_dot_ops
         elif p != 2 and self._kron is not None:
             # one int add of the packed coordinates, one translate reduces every slot
             d, _, mod_p, neg_p = self._kron
@@ -575,14 +598,14 @@ class FieldCtx:
 
             self.add, self.sub = add, sub
             self.neg = lambda a: tuple(bytes(a).translate(neg_p))
-            self.mul = self._mul_over_prime
+            self.mul = self._mul_coords
         else:
             # look the parent's ops up per call: a packed parent may switch to tables
             self.add = self.sub = lambda a, b: tuple(map(par.add, a, b))
             if p != 2:
                 self.sub = lambda a, b: tuple(map(par.sub, a, b))
                 self.neg = lambda a: tuple(map(par.neg, a))
-            self.mul = self._mul_over_prime if par.parent is None else self._mul_generic
+            self.mul = self._mul_coords
 
     # -- payload arithmetic -------------------------------------------------
 
@@ -593,8 +616,8 @@ class FieldCtx:
         return self._one
 
     def _plain_dot_ops(self, terms):
-        # bound once: a packed level's ops switch only when it builds its
-        # tables, and `PairingEvaluator`, the one caller, builds them first
+        # bound once: only a packed extension level switches its ops, and
+        # it takes `_log_dot_ops`
         zero, mul, add = self._zero, self.mul, self.add
 
         def dot(row, vals, nodes):
@@ -611,6 +634,8 @@ class FieldCtx:
         return _same, dot, _same
 
     def _log_dot_ops(self, terms):
+        if self._log is None:
+            self._build_tables()
         log, exp, add = self._log, self._exp, self.add
 
         def dot(row, vals, nodes):
@@ -625,13 +650,9 @@ class FieldCtx:
         return log.__getitem__, dot, exp.__getitem__
 
     def _mul_over_prime(self, a, b):
-        # coefficients are plain ints mod p: one Kronecker product unless
-        # a byte slot could overflow
-        kron = self._kron
-        if kron is None:
-            return self._mul_schoolbook(a, b)
+        # coefficients are plain ints mod p: one Kronecker product
         pack = int.from_bytes
-        return tuple(_kron_mulmod(pack(bytes(a), "little"), pack(bytes(b), "little"), kron))
+        return tuple(_kron_mulmod(pack(bytes(a), "little"), pack(bytes(b), "little"), self._kron))
 
     def _mul_schoolbook(self, a, b):
         p = self.p
@@ -699,26 +720,13 @@ class FieldCtx:
     def _coords(self, a):
         """Parent payloads of `a`, little-endian: the digits of a rank on
         a packed level, the tuple itself above the cap."""
-        if not self.packed:
-            return a
-        size = self.parent.order
-        out = []
-        for _ in range(self.degree):
-            a, c = divmod(a, size)
-            out.append(c)
-        return out
+        return _digits(a, self.parent.order, self.degree) if self.packed else a
 
     def _from_coords(self, coords):
-        if not self.packed:
-            return tuple(coords)
-        size = self.parent.order
-        r = 0
-        for c in reversed(coords):
-            r = r * size + c
-        return r
+        return _from_digits(coords, self.parent.order) if self.packed else tuple(coords)
 
     def _tick(self):
-        # a held slow op may tick after the switch or an evaluator's build: build once
+        # a held slow op may tick after the switch or a dot op's build: build once
         self._slow_ops += 1
         if self._slow_ops == self.order and self._log is None:
             self._build_tables()
@@ -726,8 +734,7 @@ class FieldCtx:
     def _mul_raw(self, a, b):
         if self._mask is not None:
             return self._mul_gf2(a, b)
-        mul = self._mul_over_prime if self.parent.parent is None else self._mul_generic
-        return self._from_coords(mul(self._coords(a), self._coords(b)))
+        return self._from_coords(self._mul_coords(self._coords(a), self._coords(b)))
 
     def _mul_slow(self, a, b):
         self._tick()
@@ -749,11 +756,6 @@ class FieldCtx:
     def _pow_raw(self, a, e):
         return _power(self._mul_raw, a, e, 1)
 
-    def ensure_tables(self):
-        """Build a packed extension level's tables now if they are missing."""
-        if self._log is None and self.packed and self.parent is not None:
-            self._build_tables()
-
     def _build_tables(self):
         """Log/exp tables (and Zech logarithms for odd p) of a packed
         level, from the powers of its smallest-rank primitive element g,
@@ -761,7 +763,7 @@ class FieldCtx:
         is zero from there to twice that: an index sum with it reads 0."""
         n = self.order - 1
         factors = _prime_factors(n)
-        mul = self._mul_over_prime if self.parent.parent is None else self._mul_generic
+        mul = self._mul_coords
         one = tuple(self._coords(1))  # powers on coordinates: one digit split per candidate
         g = 2
         while any(_power(mul, tuple(self._coords(g)), n // f, one) == one for f in factors):
@@ -800,8 +802,8 @@ class FieldCtx:
             def add(u, v):
                 return int.from_bytes((u + v).to_bytes(d, "little").translate(mod_p), "little")
 
-            images = [int.from_bytes(bytes(r // p**i % p for i in range(d)), "little")
-                      for r in (self._mul_raw(g, p**k) for k in range(d))]
+            images = [int.from_bytes(bytes(_digits(self._mul_raw(g, p**k), p, d)), "little")
+                      for k in range(d)]
         low, high = _span(images[:h], p, add), _span(images[h:], p, add)
         if p == 2:
             return lambda x: low[x & (size - 1)] ^ high[x >> h]
@@ -817,7 +819,6 @@ class FieldCtx:
             return exp[log[a] + log[b]]
 
         self.mul = mul
-        self.dot_ops = self._log_dot_ops
         if self.p == 2:
             return  # add, sub and neg stay xor and the identity
         half = n // 2  # g**half = -1
@@ -893,10 +894,7 @@ class FieldCtx:
         if self.packed:
             return a
         par = self.parent
-        r = 0
-        for c in reversed(a):
-            r = r * par.order + par.rank_of(c)
-        return r
+        return _from_digits(list(map(par.rank_of, a)), par.order)
 
     def payload_of_rank(self, n):
         if not 0 <= require_int(n, "rank") < self.order:
@@ -904,11 +902,7 @@ class FieldCtx:
         if self.packed:
             return n
         par = self.parent
-        coeffs = []
-        for _ in range(self.degree):
-            coeffs.append(par.payload_of_rank(n % par.order))
-            n //= par.order
-        return tuple(coeffs)
+        return tuple(map(par.payload_of_rank, _digits(n, par.order, self.degree)))
 
     def iter_payloads(self):
         if self.packed:
@@ -987,14 +981,10 @@ class FieldCtx:
             return a
         if self.parent is None or not self.is_above(to_ctx):
             raise LevelMismatch(f"{self!r} does not project onto {to_ctx!r}")
-        if self.packed:
-            if a >= to_ctx.order:
-                raise NotInSubfield(f"element is not in the image of {to_ctx!r}")
-            return a
-        par = self.parent
-        if any(c != par._zero for c in a[1:]):
+        rank = self.rank_of(a)  # embedding keeps ranks: the image is ranks < |to_ctx|
+        if rank >= to_ctx.order:
             raise NotInSubfield(f"element is not in the image of {to_ctx!r}")
-        return par.project_payload(a[0], to_ctx)
+        return to_ctx.payload_of_rank(rank)
 
     # -- serialization ------------------------------------------------------
 
@@ -1353,16 +1343,13 @@ def determinant(rows):
 
 
 def as_vector(x, over):
-    """Coordinates of x with respect to the tower basis over `over`."""
-    if x.ctx is over:
-        return [x]
-    if x.ctx.parent is None:
-        raise LevelMismatch(f"{over!r} is not below {x.ctx!r}")
-    parent = x.ctx.parent
-    out = []
-    for c in x.ctx._coords(x.val):
-        out.extend(as_vector(FieldElement(parent, c), over))
-    return out
+    """Coordinates of x with respect to the tower basis over `over`: the
+    base-|over| digits of x's rank, which on a packed `over` are already
+    the payloads."""
+    digits = _digits(x.rank(), over.order, dim_between(x.ctx, over))
+    if not over.packed:
+        digits = map(over.payload_of_rank, digits)
+    return [FieldElement(over, c) for c in digits]
 
 
 def from_vector(coeffs, level):
@@ -1372,18 +1359,9 @@ def from_vector(coeffs, level):
     if not coeffs:
         raise WrongLength("empty coordinate vector")
     low = coeffs[0].ctx
-    for c in coeffs:
-        if c.ctx is not low:
-            raise LevelMismatch("coordinates live in different levels")
-    if level is low:
-        if len(coeffs) != 1:
-            raise WrongLength(f"expected 1 coordinate, got {len(coeffs)}")
-        return coeffs[0]
+    if any(c.ctx is not low for c in coeffs):
+        raise LevelMismatch("coordinates live in different levels")
     expected = dim_between(level, low)
     if len(coeffs) != expected:
         raise WrongLength(f"expected {expected} coordinates, got {len(coeffs)}")
-    chunk = expected // level.degree
-    parts = []
-    for i in range(level.degree):
-        parts.append(from_vector(coeffs[i * chunk : (i + 1) * chunk], level.parent).val)
-    return FieldElement(level, level._from_coords(parts))
+    return level.element_of_rank(_from_digits([c.rank() for c in coeffs], low.order))

@@ -574,8 +574,8 @@ class PairingEvaluator:
     (``FieldCtx.dot_ops``).  On a tuple level directly over GF(p) with
     Kronecker data (GF(2^31), GF(3^40), ...) a node adds its bigint
     products unreduced and reduces once.  On a packed level (GF(2^15),
-    GF(3^8), ...) the build makes the level's tables, operands are logs
-    and a product is one exp lookup.  Tuple towers and levels too
+    GF(3^8), ...) asking for the dot op builds the tables; operands are
+    logs and a product is one exp lookup.  Tuple towers and levels too
     wide for Kronecker data run the mul/add loop, skipping zeros.  The
     trie's coefficients take operand form once, at build.
 
@@ -609,8 +609,6 @@ class PairingEvaluator:
         terms = poly._payloads(level)
         self.poly = QPowerPoly._wrap(level, poly.nvars, terms)
         self._top = max((max(k) for k in terms), default=0)
-        # an evaluator runs many products: tables now, not after `order` slow ops
-        level.ensure_tables()
         # the trie, (leaves, inner, ops): leaves is (cs, nodes), the
         # coefficients in operand form and each depth r-1 node's (j_r, index
         # into cs) pairs; inner[d] lists each node's (j, child index) pairs

@@ -3,7 +3,8 @@ import functools
 import pytest
 from hypothesis import settings
 
-from drinfeld.fields import common_level
+from drinfeld.errors import LevelMismatch
+from drinfeld.fields import FieldElement, common_level
 from drinfeld.verify import default_bundle, run_suites
 
 # every property test is reproducible: the same examples on every run
@@ -38,3 +39,18 @@ def flat_evaluate(poly, betas):
             term = term * beta.embed_to(level).frobenius(j)
         acc = acc + term
     return acc
+
+
+def tower_as_vector(x, over):
+    """Coordinates of x over `over` by walking the tower: each coordinate
+    over the parent level, expanded in turn down to `over`.  The oracle
+    for `fields.as_vector`, which reads the digits of x's rank instead."""
+    if x.ctx is over:
+        return [x]
+    if x.ctx.parent is None:
+        raise LevelMismatch(f"{over!r} is not below {x.ctx!r}")
+    parent = x.ctx.parent
+    out = []
+    for c in x.ctx._coords(x.val):
+        out.extend(tower_as_vector(FieldElement(parent, c), over))
+    return out

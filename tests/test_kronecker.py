@@ -112,8 +112,9 @@ def test_kronecker_add_sub_neg_match_coordinatewise(case):
 @SETTINGS
 @given(st.data())
 def test_wide_slots_keep_the_schoolbook(data):
+    assert WIDE._kron is None and WIDE._mul_coords == WIDE._mul_schoolbook
     a, b = data.draw(coordinates(WIDE)), data.draw(coordinates(WIDE))
-    assert WIDE._mul_over_prime(a, b) == _sympy_mulmod(WIDE, a, b)
+    assert WIDE._mul_coords(a, b) == _sympy_mulmod(WIDE, a, b)
     x, y = WIDE.element_from_json(a), WIDE.element_from_json(b)
     assert (x * y).to_json() == list(_sympy_mulmod(WIDE, a, b))
 
