@@ -43,6 +43,7 @@ from .fields import (
     FieldElement,
     _digits,
     _pstrip,
+    _span,
     as_vector,
     dim_between,
     extend,
@@ -246,17 +247,14 @@ def operator_kernel(op, level, base):
 
 def fq_span(basis, level, base):
     """All base-field combinations of the given points, in `rank_vectors`
-    order of their coefficients (the first varying slowest).  Built one
-    basis point at a time: each of its q scalar multiples is added to
-    every combination of the points before it."""
+    order of their coefficients (the first varying slowest): the span of
+    each point's q scalar multiples, by ``fields._span``, the basis
+    reversed since there the first varies fastest."""
     scalars = [level.embed_payload(s, base) for s in base.iter_payloads()]
-    add, mul = level.add, level.mul
-    points = [level.zero()]
-    for b in basis:
-        b = level.embed_payload(b.val, b.ctx)
-        multiples = [mul(s, b) for s in scalars]
-        points = [add(p, m) for p in points for m in multiples]
-    return [FieldElement(level, v) for v in points]
+    mul = level.mul
+    multiples = [[mul(s, level.embed_payload(b.val, b.ctx)) for s in scalars]
+                 for b in reversed(basis)]
+    return [FieldElement(level, v) for v in _span(multiples, level.add, level.zero())]
 
 
 def _tau_s_order(phi_a, s, cap):
@@ -359,7 +357,7 @@ class TorsionModule:
     def point(self, index):
         """points()[index], from the index's base-q digits, first slowest;
         IndexError outside range(count())."""
-        if not 0 <= index < self.count():
+        if not 0 <= require_int(index, "torsion point index") < self.count():
             raise IndexError(f"torsion point index {index} outside range({self.count()})")
         base, point = self.phi.base, self.level.zero_element
         digits = _digits(index, base.order, len(self.fq_basis))

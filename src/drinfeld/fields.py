@@ -65,7 +65,9 @@ Levels memoize nothing but their log tables: ``frobenius(a, k)`` is
 degrees asked for; it makes ``extend`` return the identical level.
 
 These algorithms live here once, on payloads, for the whole package.
-``_power`` is the one square-and-multiply.  The ``_p*`` helpers on
+``_power`` is the one square-and-multiply, ``_prime_factors`` the one
+trial division, and ``_span`` the one digit-span builder (``_times``'
+half-rank tables, ``core.fq_span``).  The ``_p*`` helpers on
 little-endian payload lists (``_pcombine``, ``_pmul``, ``_pdivmod``,
 ``_pgcd``, ``_pxgcd``, ``_ppow_mod``) are its univariate polynomial
 arithmetic; ``polynomials.UniPoly`` wraps them.  ``_frobenius_map`` is
@@ -336,11 +338,13 @@ def _kron_dot_ops(p, kron, terms):
     return spread, dot, payload
 
 
-def _span(images, p, add):
-    """Entry i is the `add`-sum of c_k * images[k] over i's base-p digits c_k."""
-    table = [0]
-    for b in images:
-        table = [add(v, m) for m in accumulate([b] * (p - 1), add, initial=0) for v in table]
+def _span(multiples, add, zero):
+    """Every `add`-sum of one entry from each list of `multiples`, the
+    first list's entry varying fastest: entry i picks multiples[k][c_k]
+    for i's digits c_k, base len(multiples[k]), little-endian."""
+    table = [zero]
+    for ms in multiples:
+        table = [add(v, m) for m in ms for v in table]
     return table
 
 
@@ -428,22 +432,8 @@ def _find_irreducible(ctx, degree):
     raise ReducibleModulus(f"no irreducible of degree {degree}")  # pragma: no cover
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
-
-
 def _prime_factors(n):
+    """n's distinct prime factors by trial division: [] below 2, [n] for a prime n."""
     out = []
     d = 2
     while d * d <= n:
@@ -753,9 +743,6 @@ class FieldCtx:
     def _neg_slow(self, a):
         return self._coordwise(self.parent.neg, a)
 
-    def _pow_raw(self, a, e):
-        return _power(self._mul_raw, a, e, 1)
-
     def _build_tables(self):
         """Log/exp tables (and Zech logarithms for odd p) of a packed
         level, from the powers of its smallest-rank primitive element g,
@@ -804,7 +791,8 @@ class FieldCtx:
 
             images = [int.from_bytes(bytes(_digits(self._mul_raw(g, p**k), p, d)), "little")
                       for k in range(d)]
-        low, high = _span(images[:h], p, add), _span(images[h:], p, add)
+        multiples = [list(accumulate([b] * (p - 1), add, initial=0)) for b in images]
+        low, high = _span(multiples[:h], add, 0), _span(multiples[h:], add, 0)
         if p == 2:
             return lambda x: low[x & (size - 1)] ^ high[x >> h]
         digit = bytes(b"0123456789abcdefghijklmnopqrstuvwxyz"[b % p] for b in range(256))
@@ -1030,14 +1018,14 @@ def make_field(p, e=1, modulus=None):
     modulus lists e + 1 ints in range(p), little-endian; nothing is
     reduced mod p.
     """
-    if not isinstance(p, int) or not _is_prime(p):
+    # a prime seen before skips the trial division
+    if not isinstance(p, int) or p not in _PRIME_FIELDS and _prime_factors(p) != [p]:
         raise NonPrimeCharacteristic(f"{p} is not prime")
     if require_int(e, "extension degree") < 1:
         raise InvalidDegree(f"extension degree {e} < 1")
     prime = _PRIME_FIELDS.get(p)
     if prime is None:
-        prime = FieldCtx(p)
-        _PRIME_FIELDS[p] = prime
+        prime = _PRIME_FIELDS[p] = FieldCtx(p)
     if e == 1:
         if modulus is not None:
             raise MalformedInput("a modulus only makes sense for e >= 2")
@@ -1222,6 +1210,7 @@ class FieldElement:
 
     def frobenius(self, k=1):
         """self ** (q**k) for q the cardinality of the tower's base."""
+        k = require_int(k, "Frobenius exponent")
         return FieldElement(self.ctx, self.ctx.frobenius(self.val, k))
 
     def embed_to(self, level):

@@ -61,11 +61,11 @@ depth d has at most C(r, d) states, where expanding the determinant
 would take r! products per f_a term.
 `PairingEvaluator` evaluates it on many tuples: it groups the terms
 into a trie over their Frobenius exponents, contracts one slot at a
-time, and memoizes the last slot's contraction per point, in a memo of
-at most `_MEMO_SIZE` points; each trie node is one sum of the level's
-dot op.  No other code contracts the trie.  Its `values` streams every
-tuple of a point list, each slot contracted once per point and tuple
-of later points.  `weil_values` contracts f_a against Moore
+time, and memoizes per point its Frobenius row, in the dot op's operand
+form only, and the last slot's contraction, for at most `_MEMO_SIZE`
+points; each trie node is one sum of the level's dot op.  No other
+code contracts the trie.  Its `values` streams every tuple of a point
+list, each slot contracted once per point and tuple of later points.  `weil_values` contracts f_a against Moore
 determinants directly, the independent oracle, and checks no value;
 `weil_evaluate` runs it on one tuple and trips unless the value lies
 in the determinant module's torsion.
@@ -444,15 +444,10 @@ def moore_poly(r, ctx):
 
 def moore_eval(betas):
     """Moore determinant of the arguments, by Gaussian elimination on
-    the evaluated matrix."""
-    r = len(betas)
-    rows = []
-    for x in betas:
-        row = [x]
-        for _ in range(r - 1):
-            row.append(row[-1].frobenius(1))
-        rows.append(row)
-    return determinant(rows)
+    the evaluated matrix, each row built in its point's own level."""
+    top = len(betas) - 1
+    return determinant([[FieldElement(x.ctx, v) for v in _frobenius_row(x, x.ctx, top)]
+                        for x in betas])
 
 
 # ---------------------------------------------------------------------------
@@ -581,12 +576,12 @@ class PairingEvaluator:
 
     The last slot's contraction, a vector over the trie nodes at depth
     r-1, depends only on that slot's point.  A per-point memo holds the
-    point's Frobenius row, beta, beta**q, ... as payloads of `level`,
-    the row's operand form, made on the point's first use in a call or sweep,
-    and that vector, filled on the point's first use in the last slot
-    (`powers_of` fills only the row).  The memo keeps at most
-    `_MEMO_SIZE` points and drops the oldest first; a point evicted and
-    seen again costs about one uncached contraction.
+    point's Frobenius row, beta, beta**q, ..., in operand form only,
+    converted when `powers_of`, a call or a sweep first sees the point
+    (`powers_of` maps it back by the dot op's `payload`), and that
+    vector, filled on the point's first use in the last slot.  The memo
+    keeps at most `_MEMO_SIZE` points and drops the oldest first; a
+    point evicted and seen again costs about one uncached contraction.
 
     `values(points)` is the exhaustive sweep: it yields W's payload at
     every tuple of product(points, repeat=r), in that order, with no
@@ -627,32 +622,31 @@ class PairingEvaluator:
             nodes = parents
         spread, _, _ = ops = level.dot_ops(max(map(len, itertools.chain(*levels)), default=1))
         self._trie = (list(map(spread, cs)), levels[0]), levels[1:], ops
-        # point -> [[Frobenius row, its operand form or None], last-slot values or None]
+        # point -> [Frobenius row in operand form, last-slot values or None]
         self._memo = {}
 
     def _entry(self, beta):
         entry = self._memo.get(beta)
         if entry is None:
-            row = _frobenius_row(beta, self.level, self._top)
-            entry = _remember(self._memo, beta, [[row, None], None])
+            spread = self._trie[2][0]
+            row = list(map(spread, _frobenius_row(beta, self.level, self._top)))
+            entry = _remember(self._memo, beta, [row, None])
         return entry
 
     def powers_of(self, beta):
         """beta, beta**q, ..., up to the largest Frobenius exponent of
         the pairing polynomial, as elements of `level`."""
-        return [FieldElement(self.level, v) for v in self._entry(beta)[0][0]]
+        payload = self._trie[2][2]
+        return [FieldElement(self.level, payload(v)) for v in self._entry(beta)[0]]
 
     def __call__(self, betas):
         if len(betas) != self.poly.nvars:
             raise ArityMismatch(f"need {self.poly.nvars} arguments")
-        leaves, inner, (spread, dot, payload) = self._trie
+        leaves, inner, (_, dot, payload) = self._trie
         rows = []
         for beta in betas:
             entry = self._entry(beta)
-            row = entry[0]
-            if row[1] is None:
-                row[1] = list(map(spread, row[0]))
-            rows.append(row[1])
+            rows.append(entry[0])
         vals = entry[1]
         if vals is None:
             vals = entry[1] = _contract_last(dot, leaves, rows[-1])
@@ -667,16 +661,13 @@ class PairingEvaluator:
         vector come from the memo, once per point; slots r-2 .. 1 each
         make one vector per tuple of the slots from there on, one dot per
         (point, vector of the later slots), and the root's dots stream."""
-        leaves, inner, (spread, dot, payload) = self._trie
+        leaves, inner, (_, dot, payload) = self._trie
         rows, vecs = [], []
         for beta in points:
             entry = self._entry(beta)
-            row = entry[0]
-            if row[1] is None:
-                row[1] = list(map(spread, row[0]))
             if entry[1] is None:
-                entry[1] = _contract_last(dot, leaves, row[1])
-            rows.append(row[1])
+                entry[1] = _contract_last(dot, leaves, entry[0])
+            rows.append(entry[0])
             vecs.append(entry[1])
         for nodes in inner[:-1]:
             vecs = [dot(row, v, nodes) for row in rows for v in vecs]

@@ -538,3 +538,11 @@ def test_point_index_outside_the_points_raises():
     for index in (tm.count(), tm.count() + 1, -1):
         with pytest.raises(IndexError):
             tm.point(index)
+
+
+@pytest.mark.parametrize("index", [True, 1.0])
+def test_point_index_must_be_an_int(index):
+    # point(True) used to return point 1, point(1.0) blame a "rank"
+    tm = torsion(rank2_module(), UniPoly.from_ranks(F2, [1, 1, 1]))
+    with pytest.raises(MalformedInput, match="torsion point index"):
+        tm.point(index)

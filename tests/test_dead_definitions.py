@@ -1,12 +1,15 @@
-"""Every function, class and method the package defines is used somewhere.
+"""Every function, class and method the package defines is used somewhere,
+and a private one is used by the package or the bench, not only by tests.
 
-The check reads the source with the stdlib ``ast``.  A module-level
+The checks read the source with the stdlib ``ast``.  A module-level
 function or class of ``src/drinfeld``, or a method of such a class other
 than a dunder, must occur as a name or as an attribute in some module
-under ``src/``, ``tests/`` or ``perfbench/``.  It matches bare names, not
-objects: any attribute of the same name counts as a use.  A name reached
-only through a string or ``getattr`` is out of its reach and looks dead
-to it."""
+under ``src/``, ``tests/`` or ``perfbench/``; when its name starts with
+an underscore and ``tests/`` names it, ``src/`` or ``perfbench/`` must
+name it too, so no private helper lives on in the package for the tests
+alone.  They match bare names, not objects: any attribute of the same
+name counts as a use.  A name reached only through a string or
+``getattr`` is out of their reach and looks dead to them."""
 
 import ast
 import pathlib
@@ -49,16 +52,38 @@ def dead_definitions(source, used):
                   if name not in used)
 
 
+def only_tested(source, production, tested):
+    """(line, name) of every underscore-named definition in `source` whose
+    name is in `tested` but not in `production`."""
+    return sorted((line, name) for line, name in definitions(ast.parse(source))
+                  if name.startswith("_") and name in tested and name not in production)
+
+
+def tree_references(*tops):
+    """Every name and attribute in the modules under the given top-level directories."""
+    return references(ast.parse(path.read_text(encoding="utf-8"))
+                      for top in tops for path in (ROOT / top).rglob("*.py"))
+
+
 @pytest.fixture(scope="module")
-def used():
-    paths = [path for top in ("src", "tests", "perfbench")
-             for path in (ROOT / top).rglob("*.py")]
-    return references(ast.parse(path.read_text(encoding="utf-8")) for path in paths)
+def production():
+    return tree_references("src", "perfbench")
+
+
+@pytest.fixture(scope="module")
+def tested():
+    return tree_references("tests")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
-def test_every_definition_is_referenced(path, used):
-    assert dead_definitions(path.read_text(encoding="utf-8"), used) == []
+def test_every_definition_is_referenced(path, production, tested):
+    assert dead_definitions(path.read_text(encoding="utf-8"), production | tested) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_private_definition_serves_only_the_tests(path, production, tested):
+    source = path.read_text(encoding="utf-8")
+    assert only_tested(source, production, tested) == []
 
 
 def test_the_check_reports_a_dead_function():
@@ -75,3 +100,22 @@ def test_the_check_reports_a_dead_function():
     )
     caller = ast.parse("Box().size()\n")
     assert dead_definitions(source, references([ast.parse(source), caller])) == [(3, "dead")]
+
+
+def test_the_check_reports_a_private_definition_only_tests_name():
+    source = (
+        "def _shared():\n"
+        "    return 1\n"
+        "def _oracle():\n"
+        "    return _shared()\n"
+        "class Box:\n"
+        "    def _size(self):\n"
+        "        return 0\n"
+        "def _unused():\n"
+        "    return 2\n"
+        "def public():\n"
+        "    return _shared()\n"
+    )
+    tested = references([ast.parse("_oracle(); Box()._size(); _shared(); public()\n")])
+    production = references([ast.parse(source)])
+    assert only_tested(source, production, tested) == [(3, "_oracle"), (6, "_size")]

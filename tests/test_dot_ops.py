@@ -211,6 +211,41 @@ def test_rank3_gf2_28_evaluator_matches_weil_evaluate():
     assert any(not v.is_zero() for v in values)
 
 
+@pytest.mark.parametrize("name", ["GF(2^15)", "GF(2^20)", "GF(4^9) tower"])
+def test_each_row_takes_operand_form_once(name):
+    """The log, Kronecker and plain dot ops: `spread` converts a point's
+    Frobenius row when `powers_of`, a call or a sweep first sees the
+    point, and never again; `powers_of` reads the row back exactly."""
+    level = EVERY[name]
+    K = level.base
+    phi = DrinfeldModule(K, K.one_element, (K.one_element, K.one_element))
+    ev = PairingEvaluator(phi, UniPoly.from_ranks(K, [1, 1, 1]), level)
+    leaves, inner, (spread, dot, payload) = ev._trie
+    spread_args = []
+    ev._trie = leaves, inner, (lambda x: spread_args.append(x) or spread(x), dot, payload)
+    w, x, y, z = (level.element_of_rank(i) for i in (0, 3, 5, level.order - 1))
+    width = ev._top + 1
+
+    def row(b):
+        return [b.frobenius(j) for j in range(width)]
+
+    assert ev.powers_of(w) == row(w)
+    seen = [v.val for v in row(w)]
+    assert spread_args == seen
+    ev([w, x])  # x first seen by a call
+    seen += [v.val for v in row(x)]
+    assert spread_args == seen
+    sweep = list(ev.values([x, y, w]))  # y first seen by a sweep
+    seen += [v.val for v in row(y)]
+    assert spread_args == seen
+    ev([y, x]), ev([x, w])
+    assert list(ev.values([x, y, w])) == sweep
+    assert [ev.powers_of(b) for b in (w, x, y)] == [row(w), row(x), row(y)]
+    assert spread_args == seen
+    assert ev.powers_of(z) == row(z)
+    assert spread_args == seen + [v.val for v in row(z)]
+
+
 def _fresh(level):
     """An uncached copy of a packed level, so that its tables are missing."""
     return FieldCtx(level.p, parent=level.parent, degree=level.degree, modulus=level._mod)

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+import sympy
 
 from drinfeld.errors import (
     DivisionByZero,
@@ -48,9 +49,23 @@ def test_make_field_f9_modulus():
     assert (y * y).to_json() == [2, 0]
 
 
-def test_make_field_rejects_composite_characteristic():
+@pytest.mark.parametrize("p", [0, 1, -7, 4, 91, True])
+def test_make_field_rejects_every_non_prime(p):
     with pytest.raises(NonPrimeCharacteristic):
-        make_field(4)
+        make_field(p)
+    with pytest.raises(NonPrimeCharacteristic):  # reported before a bad degree
+        make_field(p, 0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 65537])
+def test_make_field_accepts_primes(p):
+    ctx = make_field(p)
+    assert ctx.order == p and ctx.parent is None and make_field(p) is ctx
+
+
+def test_prime_factors_is_the_primality_test():
+    for n in range(-20, 5001):
+        assert (fields._prime_factors(n) == [n]) == sympy.isprime(n), n
 
 
 def test_make_field_rejects_reducible_modulus():
@@ -123,6 +138,14 @@ def test_frobenius_fixes_base():
         assert x.frobenius(1) == x
         lifted = x.embed_to(top)
         assert lifted.frobenius(1) == lifted
+
+
+@pytest.mark.parametrize("k", [True, 1.0])
+def test_frobenius_exponent_must_be_an_int(k):
+    # x.frobenius(True) used to return x**q, x.frobenius(1.0) die with TypeError
+    x = extend(F2, 3).element_of_rank(3)
+    with pytest.raises(MalformedInput, match="Frobenius exponent"):
+        x.frobenius(k)
 
 
 def test_frobenius_example_f9_over_f3():

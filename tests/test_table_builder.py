@@ -9,9 +9,15 @@ import itertools
 
 import pytest
 
-from drinfeld.fields import FieldCtx, _prime_factors, extend, make_field
+from drinfeld.fields import FieldCtx, _power, _prime_factors, extend, make_field
 
 F2, F3, F5, F7 = (make_field(p) for p in (2, 3, 5, 7))
+
+
+def _pow_raw(ctx, a, e):
+    """a**e on the digit path: square-and-multiply by ``_mul_raw``."""
+    return _power(ctx._mul_raw, a, e, 1)
+
 
 SMALL = {  # order <= 729, checked exhaustively
     "GF(2^9)": extend(F2, 9),
@@ -65,7 +71,7 @@ def test_tables_are_the_powers_of_g_by_mul_raw(name):
     ctx = _fresh({**SMALL, **LARGE}[name])
     n = ctx.order - 1
     g = 2  # the smallest-rank primitive element
-    while any(ctx._pow_raw(g, n // f) == 1 for f in _prime_factors(n)):
+    while any(_pow_raw(ctx, g, n // f) == 1 for f in _prime_factors(n)):
         g += 1
     powers = [1]
     for _ in range(n - 1):
@@ -92,7 +98,7 @@ def test_search_on_coordinates_finds_the_g_of_the_search_on_ranks(name):
     ctx = _fresh(SEARCH[name])
     n = ctx.order - 1
     g = 2  # the search on ranks by _pow_raw, one digit split per product
-    while any(ctx._pow_raw(g, n // f) == 1 for f in _prime_factors(n)):
+    while any(_pow_raw(ctx, g, n // f) == 1 for f in _prime_factors(n)):
         g += 1
     assert ctx._exp[1] == g
     x = 1
