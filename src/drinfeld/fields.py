@@ -20,40 +20,44 @@ x over a level L below are the base-|L| digits of x's rank
 
 A raw payload takes one of two forms, known only to this module:
 
-* packed: an element of the prime field, or of any extension level of
-  order <= PACKED_MAX_ORDER (2**16), is its rank, a plain int.  For
-  p = 2 addition is ``a ^ b``; embedding is the identity and projecting
-  down is a range check.
-* tuple: above the cap an element is a tuple of parent payloads, so a
-  tuple level over a packed parent holds ints as coordinates.
+* packed: an element of the prime field, of any extension level of
+  order <= PACKED_MAX_ORDER (2**16), or of a level of any degree
+  directly over GF(2), is its rank, a plain int.  For p = 2 addition is
+  ``a ^ b``; embedding is the identity and projecting down is a range
+  check.
+* tuple: on any other level an element is a tuple of parent payloads,
+  so a tuple level over a packed parent holds ints as coordinates.
 
-A packed level multiplies through log/exp tables of the powers of its
-smallest-rank primitive element g: a*b = exp[log a + log b], with
-inverse and power read off log a as well; log 0 is 2(order-1)
-and exp is zero from there on, so a zero needs no branch.  For odd p,
-addition uses Zech logarithms, zech[k] = log(1 + g**k) (K. Huber,
-"Some comments on Zech's logarithms", IEEE Trans. IT 36, 1990).  The
-tables are built in one pass x -> g*x off two half-rank tables
+A packed level up to the cap multiplies through log/exp tables of the
+powers of its smallest-rank primitive element g: a*b = exp[log a +
+log b], with inverse and power read off log a as well; log 0 is
+2(order-1) and exp is zero from there on, so a zero needs no branch.
+For odd p, addition uses Zech logarithms, zech[k] = log(1 + g**k) (K.
+Huber, "Some comments on Zech's logarithms", IEEE Trans. IT 36, 1990).
+The tables are built in one pass x -> g*x off two half-rank tables
 (``_times``), on demand: when the level's dot op is first asked for,
-else after ``order`` operations on the slow digit path (coordinates
-over the parent, the tuple-level multiply, back to a rank; over GF(2),
-a carry-less multiply of the rank bits), so a level that a search
-touches a few hundred times never pays for its tables.
+else after ``order`` operations on the slow path (over GF(2) the
+product below, else coordinates over the parent, the tuple-level
+multiply and back to a rank), so a level that a search touches a few
+hundred times never pays for its tables.  Tables stop at the cap; the
+rank form does not.
 
-A level of degree d directly over GF(p) multiplies coordinate tuples by
-Kronecker substitution whenever d*(p-1)**2 + (p-1) < 256: each tuple
-becomes an int with one byte per coefficient, one bigint product gives
-every slot below 256, and one ``bytes.translate`` reduces every slot
-mod p.  The modulus is then folded in: x**d = -tail, so the part above
-x**(d-1) times the packed -tail is added back into the low half, again
-with every slot below 256, until the high half is zero.  Each fold
-lowers the top degree, so this ends for every monic modulus; one whose
-tail has degree at most (d+1)/2, as the modulus search's picks usually
-do, needs at most two folds.  The same bound lets odd-p add and sub on
-such a tuple level be one int add and one translate, the Frobenius map
-h -> h**p mod f over GF(p) run on packed ints, and a sum of products
-(``FieldCtx.dot_ops``) reduce once per sum.
-Above the bound (large p times d, say GF(1009^2)) the schoolbook
+A level of degree d directly over GF(2) multiplies ranks carry-lessly
+at every d (``_gf2_slots``): bit i goes to slot i of w bytes, w the
+least with d < 256**w; one bigint product counts each coefficient (at
+most d), one AND with the slots' low bits keeps its parity, the part
+above x**(d-1) times the spread tail (x**d = tail) is added back into
+the low slots until nothing is left above, and the slots compact to a
+rank.  Over odd p, when d*(p-1)**2 + (p-1) < 256, a coordinate tuple
+packs one byte per coefficient (Kronecker substitution): one
+``bytes.translate`` reduces each slot of the product mod p, and -tail
+folds in alike.  Each fold lowers the top degree, so this ends for
+every monic modulus, in at most two folds when the tail has degree at
+most (d+1)/2, as the modulus search's picks usually do.  Either way a
+sum of products (``FieldCtx.dot_ops``) is reduced once per sum.  The
+byte bound also makes odd-p add and sub one int add and one translate,
+and runs the modulus search's Frobenius map h -> h**p mod f on packed
+ints, over GF(2) too; above it (say GF(1009^2)) the schoolbook
 multiply stays.  Payloads are ints or tuples, so equality and hashing
 are structural and every value is immutable.  The public wrapper is
 :class:`FieldElement`; ``element_of_rank`` and the nested-array form
@@ -294,22 +298,23 @@ def _kron_mulmod(a, b, kron):
     return _kron_fold((a * b).to_bytes(2 * d - 1, "little").translate(mod_p), kron)
 
 
+def _slot_width(bound):
+    """The least w >= 1 with bound < 256**w: bytes per slot for values up to `bound`."""
+    return (bound.bit_length() + 7) // 8 or 1
+
+
 def _kron_dot_ops(p, kron, terms):
-    """``FieldCtx.dot_ops`` of a level of degree d directly over GF(p).
+    """``FieldCtx.dot_ops`` of a level of degree d directly over odd p.
 
     An operand packs a payload with w-byte slots, w the least width with
     terms * d * (p-1)**2 < 256**w, so a sum of `terms` bigint products
     carries no slot into the next.  ``dot`` reduces each sum once: byte
-    i of every slot, translated by b -> b * 256**i mod p (zero for
-    p = 2, i > 0), summed over i and translated mod p, then the fold."""
+    i of every slot, translated by b -> b * 256**i mod p, summed over i
+    and translated mod p, then the fold."""
     d, _, mod_p, _ = kron
-    bound = terms * d * (p - 1) ** 2
-    w = 1
-    while 256**w <= bound:
-        w += 1
+    w = _slot_width(terms * d * (p - 1) ** 2)
     size = (2 * d - 1) * w
-    high = [(i, bytes(b * pow(256, i, p) % p for b in range(256)))
-            for i in range(1, w) if pow(256, i, p)]
+    high = [(i, bytes(b * pow(256, i, p) % p for b in range(256))) for i in range(1, w)]
     pack = int.from_bytes
 
     def spread(a):
@@ -336,6 +341,60 @@ def _kron_dot_ops(p, kron, terms):
         return tuple(x.to_bytes(d * w, "little")[::w])
 
     return spread, dot, payload
+
+
+# ---------------------------------------------------------------------------
+# GF(2)[x] on ints: a polynomial is its rank, bit i the coefficient of x**i
+# ---------------------------------------------------------------------------
+
+
+def _gf2_slots(d, mod, bound):
+    """Rank to slots, a sum of products (no slot above `bound`) to its
+    residue mod `mod` (the bits of a degree-d modulus), and slots back to
+    a rank; a slot is w bytes, w the least with bound < 256**w."""
+    w = _slot_width(bound)
+    ones = int.from_bytes(b"\x01".rjust(w, b"\x00") * (2 * d - 1), "big")
+    shift = 8 * w * d
+    low = (1 << shift) - 1
+    digits = (ones & low) * 0x30  # b"0" in the low byte of each of d slots
+
+    def spread(a):
+        bits = format(a, "b").encode()  # b"0" and b"1": the low bit is the digit
+        if w > 1:
+            buf = bytearray(w * len(bits))
+            buf[w - 1::w] = bits
+            bits = buf
+        return int.from_bytes(bits, "big") & ones
+
+    tail = spread(mod ^ 1 << d)  # x**d = tail
+
+    def reduce(s):
+        s &= ones
+        while high := s >> shift:
+            s = ((s & low) + high * tail) & ones
+        return s
+
+    def compact(s):
+        return int((s | digits).to_bytes(w * d, "big")[w - 1::w], 2)
+
+    return spread, reduce, compact
+
+
+def _gf2_mulmod(d, mod):
+    """The product of ranks mod `mod`, from one bigint product; a square spreads once."""
+    spread, reduce, compact = _gf2_slots(d, mod, d)
+    return lambda a, b: compact(reduce((x := spread(a)) * (x if a is b else spread(b))))
+
+
+def _gf2_dot_ops(d, mod, terms):
+    """``FieldCtx.dot_ops`` of GF(2^d) above the cap: slots for a sum of
+    `terms` products, reduced once per node, the result still spread."""
+    spread, reduce, compact = _gf2_slots(d, mod, terms * d)
+
+    def dot(row, vals, nodes):
+        return [reduce(sum([row[j] * vals[i] for j, i in node])) for node in nodes]
+
+    return spread, dot, compact
 
 
 def _span(multiples, add, zero):
@@ -467,17 +526,18 @@ class FieldCtx:
     identical constructions return the identical context object.
 
     ``add``, ``sub``, ``neg`` and ``mul`` are per-level callables on
-    payloads; a packed level swaps them for table lookups once it has
-    built its tables.  ``dot_ops(terms)``, the trie contraction's op,
+    payloads; a level up to the cap swaps them for table lookups once it
+    has built its tables.  ``dot_ops(terms)``, the trie contraction's op,
     gives ``(spread, dot, payload)``: payload to operand form, the
     operand sums of row[j] * vals[i] over each node's (j, i) pairs (at
-    most `terms` of them), and back.  A packed extension level builds
-    its tables when its dot op is first asked for; an operand is then a
-    log, a product one exp lookup, summed by XOR or Zech.  A tuple level
-    directly over GF(p) with Kronecker data reduces once per node
-    (`_kron_dot_ops`); on any other level operands are payloads and dot
-    is the mul/add loop.  ``_mul_coords``, chosen once per extension
-    level, multiplies coordinate tuples over the parent.
+    most `terms` of them), and back.  Up to the cap it is the log op,
+    whose first request builds the tables: an operand is a log, a
+    product one exp lookup, summed by XOR or Zech.  Above it GF(2^d)
+    takes the binary op (`_gf2_dot_ops`) and odd GF(p^d) with Kronecker
+    data the Kronecker op (`_kron_dot_ops`), each reducing once per
+    node; elsewhere the plain op's operands are payloads and dot is the
+    mul/add loop.  ``_mul_coords``, chosen once per extension level,
+    multiplies coordinate tuples over the parent.
     """
 
     __slots__ = (
@@ -498,7 +558,7 @@ class FieldCtx:
         "_mod",
         "_zero",
         "_one",
-        "_mask",
+        "_clmul",
         "_kron",
         "_mul_coords",
         "_slow_ops",
@@ -515,8 +575,8 @@ class FieldCtx:
         self.parent = parent
         self.degree = degree
         self._mod = modulus  # parent payloads, little-endian
-        self._mask = None  # modulus bits, for GF(2^d) over GF(2) only
-        self._kron = None  # Kronecker reduction data, for levels over GF(p) only
+        self._clmul = None  # the product of ranks, for GF(2^d) over GF(2) only
+        self._kron = None  # Kronecker reduction data, for levels over odd GF(p) only
         self._mul_coords = None  # the product of coordinate tuples, for extension levels
         if parent is None:
             self.order = p
@@ -530,14 +590,14 @@ class FieldCtx:
             self.dim_over_prime = parent.dim_over_prime * degree
             self.q = parent.q
             self.base = parent.base
-            self.packed = self.order <= PACKED_MAX_ORDER
+            self.packed = self.order <= PACKED_MAX_ORDER or p == 2 and parent.parent is None
             self.modulus = tuple(parent._coordinate_tuple(c) for c in modulus)
             self._mul_coords = self._mul_generic
-            if parent.parent is None:
+            if parent.parent is None and p == 2:
+                self._clmul = _gf2_mulmod(degree, _from_digits(modulus, 2))
+            elif parent.parent is None:
                 self._kron = kron = _kron_modulus(p, modulus)
                 self._mul_coords = self._mul_schoolbook if kron is None else self._mul_over_prime
-                if self.packed and p == 2:
-                    self._mask = self._from_coords(modulus)
         if self.packed:
             self._zero, self._one = 0, 1
         else:
@@ -553,8 +613,6 @@ class FieldCtx:
     def _install_ops(self):
         p, par = self.p, self.parent
         self.dot_ops = self._plain_dot_ops
-        if self._kron is not None and not self.packed:
-            self.dot_ops = partial(_kron_dot_ops, p, self._kron)
         if p == 2:
             # characteristic 2: -a = a at every level, and on ranks a + b is a ^ b
             self.neg = _same
@@ -568,12 +626,16 @@ class FieldCtx:
                 self.sub = lambda a, b: (a - b) % p
                 self.neg = lambda a: -a % p
                 self.mul = lambda a, b: a * b % p
-        elif self.packed:
+        elif self.order <= PACKED_MAX_ORDER:
             if p != 2:
                 self.add, self.sub, self.neg = self._add_slow, self._sub_slow, self._neg_slow
             self.mul = self._mul_slow
             self.dot_ops = self._log_dot_ops
-        elif p != 2 and self._kron is not None:
+        elif self.packed:
+            # GF(2^d) above the cap builds no tables: ranks multiply carry-lessly
+            self.mul = self._clmul
+            self.dot_ops = partial(_gf2_dot_ops, self.degree, _from_digits(self._mod, 2))
+        elif self._kron is not None:
             # one int add of the packed coordinates, one translate reduces every slot
             d, _, mod_p, neg_p = self._kron
             pack = int.from_bytes
@@ -588,7 +650,7 @@ class FieldCtx:
 
             self.add, self.sub = add, sub
             self.neg = lambda a: tuple(bytes(a).translate(neg_p))
-            self.mul = self._mul_coords
+            self.mul, self.dot_ops = self._mul_coords, partial(_kron_dot_ops, p, self._kron)
         else:
             # look the parent's ops up per call: a packed parent may switch to tables
             self.add = self.sub = lambda a, b: tuple(map(par.add, a, b))
@@ -688,28 +750,11 @@ class FieldCtx:
                     prod[off + j] = psub(prod[off + j], pmul(c, mj))
         return tuple(prod[:d])
 
-    def _mul_gf2(self, a, b):
-        # packed GF(2^d) over GF(2): carry-less product, reduced by the modulus
-        if a < b:
-            a, b = b, a
-        r = 0
-        while b:
-            if b & 1:
-                r ^= a
-            a <<= 1
-            b >>= 1
-        d, mask = self.degree, self._mask
-        top = r.bit_length() - 1
-        while top >= d:
-            r ^= mask << (top - d)
-            top = r.bit_length() - 1
-        return r
-
     # The slow digit path of a packed level, used until its tables exist.
 
     def _coords(self, a):
         """Parent payloads of `a`, little-endian: the digits of a rank on
-        a packed level, the tuple itself above the cap."""
+        a packed level, the tuple itself on a tuple level."""
         return _digits(a, self.parent.order, self.degree) if self.packed else a
 
     def _from_coords(self, coords):
@@ -722,8 +767,8 @@ class FieldCtx:
             self._build_tables()
 
     def _mul_raw(self, a, b):
-        if self._mask is not None:
-            return self._mul_gf2(a, b)
+        if self._clmul is not None:
+            return self._clmul(a, b)
         return self._from_coords(self._mul_coords(self._coords(a), self._coords(b)))
 
     def _mul_slow(self, a, b):
@@ -750,10 +795,12 @@ class FieldCtx:
         is zero from there to twice that: an index sum with it reads 0."""
         n = self.order - 1
         factors = _prime_factors(n)
-        mul = self._mul_coords
-        one = tuple(self._coords(1))  # powers on coordinates: one digit split per candidate
+        mul, lift = self._clmul, _same  # over GF(2) the ranks are the coordinates
+        if mul is None:  # powers on coordinates: one digit split per candidate
+            mul, lift = self._mul_coords, lambda x: tuple(self._coords(x))
+        one = lift(1)
         g = 2
-        while any(_power(mul, tuple(self._coords(g)), n // f, one) == one for f in factors):
+        while any(_power(mul, lift(g), n // f, one) == one for f in factors):
             g += 1
         step = self._times(g)
         log = array("I", [2 * n]) * self.order
@@ -842,7 +889,7 @@ class FieldCtx:
             return self._exp[self.order - 1 - self._log[a]]
         if self.parent is None:
             return pow(a, self.p - 2, self.p)
-        if self.packed:
+        if self.order <= PACKED_MAX_ORDER:
             self._tick()
         par = self.parent
         mod = list(self._mod)

@@ -566,13 +566,15 @@ class PairingEvaluator:
     by contracting one slot at a time, Horner style, from the last slot
     up: a node's value is the sum over its children j of x_s**(q**j)
     times the child's value, one sum of the level's dot op
-    (``FieldCtx.dot_ops``).  On a tuple level directly over GF(p) with
-    Kronecker data (GF(2^31), GF(3^40), ...) a node adds its bigint
-    products unreduced and reduces once.  On a packed level (GF(2^15),
-    GF(3^8), ...) asking for the dot op builds the tables; operands are
-    logs and a product is one exp lookup.  Tuple towers and levels too
-    wide for Kronecker data run the mul/add loop, skipping zeros.  The
-    trie's coefficients take operand form once, at build.
+    (``FieldCtx.dot_ops``).  With the binary op of GF(2^d) above the
+    table cap (GF(2^31), GF(2^28), ...) and the Kronecker op of a tuple
+    level over odd GF(p) (GF(3^40), ...), a node adds its bigint products
+    unreduced and reduces once.  On a packed level up to the cap
+    (GF(2^15), GF(3^8), ...) asking for the dot op builds the tables;
+    operands are logs and a product is one exp lookup.  Tuple towers and
+    levels too wide for Kronecker data run the plain mul/add loop,
+    skipping zeros.  The trie's coefficients take operand form once, at
+    build.
 
     The last slot's contraction, a vector over the trie nodes at depth
     r-1, depends only on that slot's point.  A per-point memo holds the

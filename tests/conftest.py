@@ -4,7 +4,7 @@ import pytest
 from hypothesis import settings
 
 from drinfeld.errors import LevelMismatch
-from drinfeld.fields import FieldElement, common_level
+from drinfeld.fields import FieldCtx, FieldElement, common_level, extend, make_field
 from drinfeld.verify import default_bundle, run_suites
 
 # every property test is reproducible: the same examples on every run
@@ -54,3 +54,22 @@ def tower_as_vector(x, over):
     for c in x.ctx._coords(x.val):
         out.extend(tower_as_vector(FieldElement(parent, c), over))
     return out
+
+
+# monic irreducibles over GF(2) with few terms, by the exponents of their
+# middle terms (each checked with sympy's gf_irreducible_p): degrees whose
+# modulus search takes seconds
+BINARY_MODULI = {254: (1, 2, 7), 255: (52,), 256: (2, 5, 10), 511: (10,)}
+
+
+@functools.cache
+def binary_level(d):
+    """GF(2^d) directly over GF(2): the searched level, or at a degree of
+    BINARY_MODULI the level on that modulus, built without a search."""
+    F2 = make_field(2)
+    if d not in BINARY_MODULI:
+        return extend(F2, d)
+    mod = [0] * (d + 1)
+    for k in (0, *BINARY_MODULI[d], d):
+        mod[k] = 1
+    return FieldCtx(2, parent=F2, degree=d, modulus=tuple(mod))

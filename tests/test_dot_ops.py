@@ -1,30 +1,42 @@
 """The sum-of-products op behind the trie contraction (`FieldCtx.dot_ops`)
 against the mul/add loop, and `PairingEvaluator`, its one caller, against
 every term multiplied out in turn (`flat_evaluate`), on Kronecker levels
-above the pack cap, a tower level, a level too wide for Kronecker data and
-packed levels (the exp/log op, towers included); and the rule that an
-evaluator, not plain arithmetic or a one-shot `weil_evaluate`, builds a
-packed level's tables."""
+above the pack cap, binary levels above it (the carry-less op), a tower
+level, a level too wide for Kronecker data and packed levels (the exp/log
+op, towers included); and the rule that an evaluator, not plain
+arithmetic or a one-shot `weil_evaluate`, builds a packed level's tables."""
 
 import itertools
+import random
 
 import pytest
-from conftest import flat_evaluate
+from conftest import binary_level, flat_evaluate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drinfeld.core import DrinfeldModule, torsion
-from drinfeld.fields import PACKED_MAX_ORDER, FieldCtx, FieldElement, extend, make_field
+from drinfeld.fields import (
+    PACKED_MAX_ORDER,
+    FieldCtx,
+    FieldElement,
+    _gf2_dot_ops,
+    _kron_dot_ops,
+    extend,
+    make_field,
+)
 from drinfeld.pairing import PairingEvaluator, weil_evaluate
 from drinfeld.polynomials import UniPoly
 
 F2, F3, F5, F7, F11 = (make_field(p) for p in (2, 3, 5, 7, 11))
 
 KRONECKER = {
-    "GF(2^20)": extend(F2, 20),
     "GF(3^11)": extend(F3, 11),
     "GF(5^7)": extend(F5, 7),
     "GF(7^6)": extend(F7, 6),
+}
+BINARY = {
+    "GF(2^20)": extend(F2, 20),
+    "GF(2^255)": binary_level(255),
 }
 OTHER = {
     "GF(4^9) tower": extend(make_field(2, 2), 9),
@@ -41,7 +53,7 @@ PACKED = {
 }
 for ctx in PACKED.values():
     ctx.dot_ops(1)  # a packed level builds its tables when its dot op is asked for
-LEVELS = {**KRONECKER, **OTHER}
+LEVELS = {**KRONECKER, **BINARY, **OTHER}
 EVERY = {**LEVELS, **PACKED}
 
 SETTINGS = settings(max_examples=40)
@@ -51,9 +63,15 @@ PER_LEVEL = settings(max_examples=8)
 
 def test_levels_take_the_op_they_should():
     for ctx in LEVELS.values():
-        assert ctx.order > PACKED_MAX_ORDER and not ctx.packed
+        assert ctx.order > PACKED_MAX_ORDER and ctx.packed == (ctx.p == 2 and ctx.parent is F2)
     for ctx in KRONECKER.values():
         assert ctx._kron is not None and ctx.parent.parent is None
+        assert ctx.dot_ops.func is _kron_dot_ops
+    # a binary level above the cap: its rank is its payload, and it builds no tables
+    for ctx in BINARY.values():
+        assert ctx.dot_ops.func is _gf2_dot_ops and ctx._kron is None
+        spread, _, payload = ctx.dot_ops(100)
+        assert payload(spread(ctx.order - 1)) == ctx.order - 1 and ctx._log is None
     assert OTHER["GF(4^9) tower"].parent.parent is not None
     assert OTHER["GF(11^5)"]._kron is None
     # the plain op's operands are the payloads themselves
@@ -69,7 +87,8 @@ def test_levels_take_the_op_they_should():
         assert spread(0) == 2 * n and payload(2 * n) == 0
         assert [spread(ctx.one()), spread(ctx._exp[n - 1])] == [0, n - 1]
         assert all(payload(spread(x)) == x for x in (0, 1, 2, n // 2, n))
-    assert PACKED["GF(2^15)"]._kron is not None and PACKED["GF(9)^2 tower"]._kron is None
+    assert PACKED["GF(3^8)"]._kron is not None and PACKED["GF(9)^2 tower"]._kron is None
+    assert PACKED["GF(2^15)"]._clmul is not None and PACKED["GF(2^15)"]._kron is None
 
 
 def loop_dot(ctx, xs, ys):
@@ -86,15 +105,15 @@ def _width(ctx, terms):
     return (top.bit_length() - 1) // (8 * (ctx.degree - 1))
 
 
-@pytest.mark.parametrize("name", sorted(KRONECKER))
+@pytest.mark.parametrize("name", sorted(KRONECKER) + sorted(BINARY))
 @pytest.mark.parametrize("width", [1, 2])
 def test_dot_at_the_largest_term_count_of_a_width(name, width):
     # every coefficient p-1: the middle slot of the unreduced sum reaches
     # terms * d * (p-1)**2, the bound the slot width is chosen from
-    ctx = KRONECKER[name]
+    ctx = LEVELS[name]
     per_term = ctx.degree * (ctx.p - 1) ** 2
     most = (256**width - 1) // per_term
-    top = (ctx.p - 1,) * ctx.degree
+    top = ctx.payload_of_rank(ctx.order - 1)
     for terms, expected_width in ((most, width), (most + 1, width + 1)):
         assert _width(ctx, terms) == expected_width
         spread, dot, payload = ctx.dot_ops(terms)
@@ -194,26 +213,43 @@ def test_evaluator_matches_flat_evaluation_on_each_level(name, data):
     inner(data.draw(evaluations([name])))
 
 
-def test_rank3_gf2_28_evaluator_matches_weil_evaluate():
-    # the rank-3 module of the pairing-sweep benchmark: torsion in GF(2^28)
+@pytest.mark.parametrize("g, a, m, step", [
+    ((1, 0, 1), (0, 0, 0, 1), 28, 37),  # rank 3, a = T^3: torsion in GF(2^28)
+    ((1, 1), (1, 1, 0, 1, 1, 1), 31, 97),  # a = T^5+T^4+T^3+T+1: torsion in GF(2^31)
+], ids=["GF(2^28)", "GF(2^31)"])
+def test_binary_torsion_evaluator_matches_weil_evaluate(g, a, m, step):
+    # the two binary modules of the pairing-sweep benchmark, theta = 1
     K = F2
-    phi = DrinfeldModule(K, K.one_element, (K.one_element, K.zero_element, K.one_element))
-    a = UniPoly.from_ranks(K, [0, 0, 0, 1])
+    phi = DrinfeldModule(K, K.one_element, tuple(map(K.element_of_rank, g)))
+    a = UniPoly.from_ranks(K, a)
     tm = torsion(phi, a)
-    assert tm.level.order == 2**28 and tm.level._kron is not None
+    assert tm.level.order == 2**m and tm.level.packed and tm.level.dot_ops.func is _gf2_dot_ops
     ev = PairingEvaluator(phi, a, tm.level)
     points = tm.points()
     values = []
-    for idx in itertools.islice(itertools.combinations(range(1, len(points), 37), 3), 4):
+    for idx in itertools.islice(itertools.combinations(range(1, len(points), step), phi.rank), 4):
         betas = [points[i] for i in idx]
         values.append(ev(betas))
         assert values[-1] == weil_evaluate(phi, a, betas)
     assert any(not v.is_zero() for v in values)
+    assert tm.level._log is None
 
 
-@pytest.mark.parametrize("name", ["GF(2^15)", "GF(2^20)", "GF(4^9) tower"])
+def test_evaluator_on_gf2_255_matches_flat_evaluation():
+    # r = 2, a = T^2 + T + 1 over GF(2), random points of GF(2^255)
+    level, K = BINARY["GF(2^255)"], F2
+    phi = DrinfeldModule(K, K.one_element, (K.one_element, K.one_element))
+    ev = PairingEvaluator(phi, UniPoly.from_ranks(K, [1, 1, 1]), level)
+    rng = random.Random(255)
+    points = [level.element_of_rank(rng.randrange(level.order)) for _ in range(4)]
+    for betas in itertools.combinations(points, 2):
+        assert ev(betas) == flat_evaluate(ev.poly, betas)
+    assert level._log is None
+
+
+@pytest.mark.parametrize("name", ["GF(2^15)", "GF(2^20)", "GF(3^11)", "GF(4^9) tower"])
 def test_each_row_takes_operand_form_once(name):
-    """The log, Kronecker and plain dot ops: `spread` converts a point's
+    """The log, carry-less, Kronecker and plain dot ops: `spread` converts a point's
     Frobenius row when `powers_of`, a call or a sweep first sees the
     point, and never again; `powers_of` reads the row back exactly."""
     level = EVERY[name]

@@ -1,7 +1,8 @@
-"""Kronecker-substitution arithmetic on levels over GF(p), against the
-schoolbook multiply and sympy's galoistools; the irreducibility test,
-the binomial skip of the modulus search and splitting_level against
-sympy too."""
+"""Kronecker-substitution arithmetic on levels over odd GF(p), against
+the schoolbook multiply and sympy's galoistools; the irreducibility
+test, the binomial skip of the modulus search and splitting_level
+against sympy too.  A level over GF(2) holds its rank and multiplies
+carry-lessly instead (test_gf2_product)."""
 
 import itertools
 import math
@@ -37,18 +38,13 @@ def _first_dense_irreducible(p, d):
     raise AssertionError("no dense irreducible")  # pragma: no cover
 
 
-# x^200 + x^81 + x^2 + x + 1, irreducible over GF(2) (checked with sympy)
-GF2_200 = [1, 1, 1] + [0] * 78 + [1] + [0] * 118 + [1]
-
 LEVELS = {
     # at or just under the byte bound d*(p-1)**2 + (p-1) < 256
-    "GF(2^200)": extend(F2, 200, modulus=GF2_200),
     "GF(3^63)": extend(F3, 63),
     "GF(5^15)": extend(F5, 15),
     "GF(7^6)": extend(F7, 6),
     # a dense modulus: every fold lowers the top degree by one only
     "GF(3^12) dense": extend(F3, 12, modulus=_first_dense_irreducible(3, 12)),
-    "GF(2^31)": extend(F2, 31),
     "GF(3^40)": make_field(3, 40),
 }
 WIDE = extend(F17, 3)  # 3 * 16**2 + 16 >= 256: the schoolbook stays
@@ -60,6 +56,8 @@ def test_byte_bound_picks_the_levels():
     for ctx in LEVELS.values():
         assert ctx._kron is not None and ctx.parent.parent is None
     assert WIDE._kron is None
+    # over GF(2) no level takes Kronecker data; the modulus search still does
+    assert extend(F2, 31)._kron is None and extend(F2, 31).packed
     for p, d in ((2, 254), (3, 63), (5, 15), (7, 6), (11, 2), (13, 1)):
         assert _kron_modulus(p, [1] * (d + 1)) is not None
         assert _kron_modulus(p, [1] * (d + 2)) is None
@@ -100,7 +98,7 @@ def test_kronecker_mul_matches_schoolbook_and_sympy(case):
 
 
 @SETTINGS
-@given(level_and_pair([name for name, ctx in LEVELS.items() if ctx.p != 2]))
+@given(level_and_pair())
 def test_kronecker_add_sub_neg_match_coordinatewise(case):
     ctx, a, b = case
     p = ctx.p

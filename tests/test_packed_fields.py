@@ -1,6 +1,7 @@
-"""Properties of both element forms: packed levels (order <= 2^16, the
-element is its rank) with and without their log/Zech tables, and tuple
-levels above the cap, over a prime or a packed parent."""
+"""Properties of both element forms: packed levels (the element is its
+rank: order <= 2^16, with and without their log/Zech tables, or any
+degree directly over GF(2)), and tuple levels above the cap, over a
+prime, a packed parent or a binary level above the cap."""
 
 import itertools
 import random
@@ -26,9 +27,10 @@ LEVELS = {
     "GF(4)^3": extend(F4, 3),  # packed over packed
     "GF(9)^4": extend(F9, 4),  # odd p: packed over packed, q = 9
     "GF(2^8)^3": extend(F256, 3),  # tuple level over a packed parent
-    "GF(2^17)": extend(F2, 17),  # tuple level over the prime field
+    "GF(2^17)": extend(F2, 17),  # packed above the cap: over GF(2), with no tables
     "GF(9)^6": extend(F9, 6),  # odd p: tuple level over a packed parent
     "GF(3^11)": extend(F3, 11),  # odd p: tuple level over the prime field
+    "GF(2^17)^2": extend(extend(F2, 17), 2),  # tuple level over a binary parent
 }
 PACKED = [name for name, ctx in LEVELS.items() if ctx.order <= PACKED_MAX_ORDER]
 
@@ -41,9 +43,10 @@ def _pow_raw(ctx, a, e):
 
 
 def test_levels_have_the_intended_form():
-    assert [LEVELS[name].packed for name in LEVELS] == [True] * 5 + [False] * 4
+    assert [LEVELS[name].packed for name in LEVELS] == [True] * 5 + [False, True] + [False] * 3
     assert LEVELS["GF(2^8)^3"].parent.packed and LEVELS["GF(2^17)"].parent is F2
     assert LEVELS["GF(9)^6"].parent.packed and LEVELS["GF(3^11)"].parent is F3
+    assert LEVELS["GF(2^17)^2"].parent is LEVELS["GF(2^17)"]
 
 
 @st.composite
@@ -186,19 +189,20 @@ def _gf(coords):
 @settings(max_examples=12)
 @given(level_and_ranks(("GF(2^17)", "GF(3^11)"), count=1))
 def test_frobenius_and_inverse_on_tuple_levels_match_sympy(case):
+    # GF(2^17) holds ranks and GF(3^11) tuples; to_json is the coordinates on both
     ctx, (x,) = case
     p, m = ctx.p, ctx.degree  # q = p on these levels over GF(p)
-    f, mod = _gf(x.val), _gf(ctx._mod)
+    f, mod = _gf(x.to_json()), _gf(ctx._mod)
     for k in range(-m, 2 * m + 1):
         y = x.frobenius(k)
         if k >= 0:
-            assert _gf(y.val) == gf_pow_mod(f, p**k, mod, p, ZZ), (ctx, x, k)
+            assert _gf(y.to_json()) == gf_pow_mod(f, p**k, mod, p, ZZ), (ctx, x, k)
         else:  # Frobenius by -k undoes Frobenius by k
-            assert gf_pow_mod(_gf(y.val), p**-k, mod, p, ZZ) == f, (ctx, x, k)
+            assert gf_pow_mod(_gf(y.to_json()), p**-k, mod, p, ZZ) == f, (ctx, x, k)
     if not x.is_zero():
         assert x * x.inverse() == ctx.one_element
         inv, _, one = gf_gcdex(f, mod, p, ZZ)  # inv * f + _ * mod = 1
-        assert one == [1] and _gf(x.inverse().val) == inv
+        assert one == [1] and _gf(x.inverse().to_json()) == inv
 
 
 @pytest.mark.parametrize("name", ["GF(2^15)", "GF(9)^4"])

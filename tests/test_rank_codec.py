@@ -26,7 +26,8 @@ TOPS = {
     "GF(2^17)": make_field(2, 17),
     "GF(3^40)": extend(make_field(3), 40),
     "GF(37^2)": make_field(37, 2),
-    "GF(2^17)^2": extend(make_field(2, 17), 2),  # a tuple level over a tuple level
+    "GF(2^17)^2": extend(make_field(2, 17), 2),  # a tuple level over a binary rank level
+    "GF(3^11)^2": extend(extend(make_field(3), 11), 2),  # a tuple level over a tuple level
 }
 
 
@@ -45,9 +46,10 @@ SETTINGS = settings(max_examples=150)
 
 
 def test_the_towers_take_both_payload_forms():
-    assert [top.packed for top in TOPS.values()] == [True, False, False, False, True, False]
-    assert TOPS["GF(9)^6"].parent.packed and not TOPS["GF(2^17)^2"].parent.packed
-    assert len(PAIRS) == 6 + 6 + 3 + 3 + 3 + 6
+    assert [top.packed for top in TOPS.values()] == [True, False, True, False, True, False, False]
+    assert TOPS["GF(9)^6"].parent.packed and TOPS["GF(2^17)^2"].parent.packed
+    assert not TOPS["GF(3^11)^2"].parent.packed
+    assert len(PAIRS) == 6 + 6 + 3 + 3 + 3 + 6 + 6
 
 
 @st.composite
