@@ -36,30 +36,34 @@ For odd p, addition uses Zech logarithms, zech[k] = log(1 + g**k) (K.
 Huber, "Some comments on Zech's logarithms", IEEE Trans. IT 36, 1990).
 The tables are built in one pass x -> g*x off two half-rank tables
 (``_times``), on demand: when the level's dot op is first asked for,
-else after ``order`` operations on the slow path (over GF(2) the
-product below, else coordinates over the parent, the tuple-level
-multiply and back to a rank), so a level that a search touches a few
+else after ``order`` operations on the slow path (the level's product
+``_mul_coords``, on ranks over GF(2), else on coordinates over the
+parent and back to a rank), so a level that a search touches a few
 hundred times never pays for its tables.  Tables stop at the cap; the
 rank form does not.
 
-A level of degree d directly over GF(2) multiplies ranks carry-lessly
-at every d (``_gf2_slots``): bit i goes to slot i of w bytes, w the
-least with d < 256**w; one bigint product counts each coefficient (at
-most d), one AND with the slots' low bits keeps its parity, the part
-above x**(d-1) times the spread tail (x**d = tail) is added back into
-the low slots until nothing is left above, and the slots compact to a
-rank.  Over odd p, when d*(p-1)**2 + (p-1) < 256, a coordinate tuple
-packs one byte per coefficient (Kronecker substitution): one
-``bytes.translate`` reduces each slot of the product mod p, and -tail
-folds in alike.  Each fold lowers the top degree, so this ends for
-every monic modulus, in at most two folds when the tail has degree at
-most (d+1)/2, as the modulus search's picks usually do.  Either way a
-sum of products (``FieldCtx.dot_ops``) is reduced once per sum.  The
-byte bound also makes odd-p add and sub one int add and one translate,
-and runs the modulus search's Frobenius map h -> h**p mod f on packed
-ints, over GF(2) too; above it (say GF(1009^2)) the schoolbook
-multiply stays.  Payloads are ints or tuples, so equality and hashing
-are structural and every value is immutable.  The public wrapper is
+A level of degree d directly over GF(p) multiplies through the slot
+codec of its modulus (``_slots``, Kronecker substitution), one per
+characteristic: a polynomial becomes an int with one slot of w bytes
+per coefficient, one bigint product multiplies, and the part above
+x**(d-1), times -tail where x**d = -tail, is folded back into the low
+slots until nothing is left above.  Over GF(2) the codec takes ranks
+(``_gf2_slots``), and one AND with the slots' low bits keeps each
+coefficient's parity.  Over odd p it takes coordinate tuples, and
+``bytes.translate`` reads each slot mod p, byte by byte.  Operands take
+w bytes, w the least with terms*d*(p-1)**2 < 256**w for a sum of
+`terms` products, so no slot carries into the next; odd-p folds take
+wf bytes, wf the least with (p-1) + (d-1)*(p-1)**2 < 256**wf.  The
+translate tables read a slot of w bytes only when w*(p-1) < 256, so a
+level with max(w, wf)*(p-1) >= 256 (p >= 128, or wide slots at large
+d) has no codec and multiplies by ``_mul_generic``, as a tower level
+does; no other bound on d applies.  A level's product is the one-term
+codec.  Above the cap its sums of products (``FieldCtx.dot_ops``) take
+the codec for their term count and are reduced once per sum, and
+odd-p add and sub are one int add and one translate.  The Frobenius
+map h -> h**p mod f over GF(p) (``_frobenius_map``) runs on the same
+codec.  Payloads are ints or tuples, so equality and hashing are
+structural and every value is immutable.  The public wrapper is
 :class:`FieldElement`; ``element_of_rank`` and the nested-array form
 (``element_from_json``, lists or tuples) are the ways in from outside.
 
@@ -248,54 +252,15 @@ def _from_digits(digits, base):
 
 
 # ---------------------------------------------------------------------------
-# Kronecker substitution over GF(p): a polynomial is an int, one byte per
-# coefficient, little-endian
+# slot codecs of GF(p)[x] mod a monic polynomial: a polynomial is an int, one
+# slot of bytes per coefficient, little-endian (Kronecker substitution)
 # ---------------------------------------------------------------------------
 
 
-def _kron_modulus(p, mod):
-    """Reduction data ``(d, tail, mod_p, neg_p)`` for multiplying modulo
-    the monic `mod` (ints in range(p), little-endian) of degree d, or
-    None when a byte slot could overflow: a product slot sums up to d
-    terms below (p-1)**2, and a fold adds one more coefficient."""
-    d = len(mod) - 1
-    if d * (p - 1) ** 2 + (p - 1) >= 256:
-        return None
-    tail = int.from_bytes(bytes(-c % p for c in mod[:d]), "little")  # x**d = -tail
-    return (d, tail) + _byte_tables(p)
-
-
-@lru_cache(maxsize=16)  # only p <= 13 passes the byte bound, p <= 36 builds tables
-def _byte_tables(p):
-    """Translate tables that map a byte to itself mod p and to its
-    negative mod p."""
-    return bytes(i % p for i in range(256)), bytes(-i % p for i in range(256))
-
-
-def _kron_fold(s, kron):
-    """Bytes of s mod f, for the 2d-1 bytes s of a polynomial whose
-    every slot is already reduced mod p.
-
-    The part above x**(d-1) times the packed -tail goes back into the
-    low half, and every slot is reduced again.  Each fold lowers the top
-    degree, so the loop ends for every monic f; two folds suffice when
-    the tail has degree at most (d+1)/2."""
-    d, tail, mod_p, _ = kron
-    size = len(s)
-    high = int.from_bytes(s[d:], "little")
-    while high:
-        s = (int.from_bytes(s[:d], "little") + high * tail).to_bytes(size, "little")
-        s = s.translate(mod_p)
-        high = int.from_bytes(s[d:], "little")
-    return s[:d]
-
-
-def _kron_mulmod(a, b, kron):
-    """Bytes of a * b mod f, for packed polynomials a, b of degree < d:
-    one bigint product, every slot reduced mod p by a translate, then
-    the fold."""
-    d, _, mod_p, _ = kron
-    return _kron_fold((a * b).to_bytes(2 * d - 1, "little").translate(mod_p), kron)
+@lru_cache(maxsize=128)  # codecs need p < 128, ``_times`` p <= 36: a few factors per p
+def _byte_table(p, factor=1):
+    """The translate table that maps a byte b to b * factor mod p."""
+    return bytes(b * factor % p for b in range(256))
 
 
 def _slot_width(bound):
@@ -303,56 +268,70 @@ def _slot_width(bound):
     return (bound.bit_length() + 7) // 8 or 1
 
 
-def _kron_dot_ops(p, kron, terms):
-    """``FieldCtx.dot_ops`` of a level of degree d directly over odd p.
-
-    An operand packs a payload with w-byte slots, w the least width with
-    terms * d * (p-1)**2 < 256**w, so a sum of `terms` bigint products
-    carries no slot into the next.  ``dot`` reduces each sum once: byte
-    i of every slot, translated by b -> b * 256**i mod p, summed over i
-    and translated mod p, then the fold."""
-    d, _, mod_p, _ = kron
-    w = _slot_width(terms * d * (p - 1) ** 2)
-    size = (2 * d - 1) * w
-    high = [(i, bytes(b * pow(256, i, p) % p for b in range(256))) for i in range(1, w)]
+def _byte_slots(p, w, count):
+    """``(widen, residues)`` for ints of `count` w-byte slots, w*(p-1) < 256:
+    widen puts bytes into slots, one each, and residues reads each slot
+    mod p into a byte: byte i of every slot, translated by
+    b -> b * 256**i mod p, summed over i and translated mod p."""
     pack = int.from_bytes
+    mod_p = _byte_table(p)
+    if w == 1:
+        return lambda b: pack(b, "little"), lambda s: s.to_bytes(count, "little").translate(mod_p)
+    size = count * w
+    high = [(i, _byte_table(p, pow(256, i, p))) for i in range(1, w)]
 
-    def spread(a):
-        buf = bytearray(d * w)
-        buf[::w] = bytes(a)
+    def widen(b):
+        buf = bytearray(len(b) * w)
+        buf[::w] = b
         return pack(buf, "little")
 
-    def dot(row, vals, nodes):
-        out = []
-        for node in nodes:
-            s = sum([row[j] * vals[i] for j, i in node]).to_bytes(size, "little")
-            slots = s[::w].translate(mod_p)
-            if high:
-                acc = pack(slots, "little")
-                for i, table in high:
-                    acc += pack(s[i::w].translate(table), "little")
-                slots = acc.to_bytes(2 * d - 1, "little").translate(mod_p)
-            buf = bytearray(d * w)
-            buf[::w] = _kron_fold(slots, kron)
-            out.append(pack(buf, "little"))
-        return out
+    def residues(s):
+        s = s.to_bytes(size, "little")
+        acc = pack(s[::w].translate(mod_p), "little")
+        for i, table in high:
+            acc += pack(s[i::w].translate(table), "little")
+        return acc.to_bytes(count, "little").translate(mod_p)
 
-    def payload(x):
+    return widen, residues
+
+
+def _slots(p, mod, terms):
+    """The codec of GF(p)[x] modulo the monic `mod` (ints in range(p),
+    little-endian) of degree d for sums of up to `terms` products, with
+    the slot widths w and wf of the module docstring:
+    ``(spread, reduce, compact)``, or None when max(w, wf)*(p-1) >= 256.
+    spread takes an operand (a rank over GF(2), else at most d
+    coordinates) to slots, reduce a sum of products of operands to its
+    residue, again an operand, and compact an operand back.  Each fold
+    lowers the top degree, so reduce ends for every monic `mod`, in at
+    most two folds when the tail has degree at most (d+1)/2, as the
+    modulus search's picks usually do."""
+    d = len(mod) - 1
+    w = _slot_width(terms * d * (p - 1) ** 2)
+    if p == 2:
+        return _gf2_slots(d, _from_digits(mod, 2), w)
+    wf = _slot_width((p - 1) + (d - 1) * (p - 1) ** 2)
+    if max(w, wf) * (p - 1) >= 256:
+        return None
+    widen, residues = _byte_slots(p, w, 2 * d - 1)
+    fold_widen, fold_residues = _byte_slots(p, wf, 2 * d - 1)
+    tail = fold_widen(bytes(-c % p for c in mod[:d]))
+
+    def reduce(s):
+        s = residues(s)
+        while high := fold_widen(s[d:]):
+            s = fold_residues(fold_widen(s[:d]) + high * tail)
+        return widen(s[:d])
+
+    def compact(x):
         return tuple(x.to_bytes(d * w, "little")[::w])
 
-    return spread, dot, payload
+    return widen, reduce, compact
 
 
-# ---------------------------------------------------------------------------
-# GF(2)[x] on ints: a polynomial is its rank, bit i the coefficient of x**i
-# ---------------------------------------------------------------------------
-
-
-def _gf2_slots(d, mod, bound):
-    """Rank to slots, a sum of products (no slot above `bound`) to its
-    residue mod `mod` (the bits of a degree-d modulus), and slots back to
-    a rank; a slot is w bytes, w the least with bound < 256**w."""
-    w = _slot_width(bound)
+def _gf2_slots(d, mod, w):
+    """``_slots`` over GF(2), on ranks, with w-byte slots; `mod` holds
+    the bits of the degree-d modulus, and bit i of a rank goes to slot i."""
     ones = int.from_bytes(b"\x01".rjust(w, b"\x00") * (2 * d - 1), "big")
     shift = 8 * w * d
     low = (1 << shift) - 1
@@ -380,21 +359,9 @@ def _gf2_slots(d, mod, bound):
     return spread, reduce, compact
 
 
-def _gf2_mulmod(d, mod):
-    """The product of ranks mod `mod`, from one bigint product; a square spreads once."""
-    spread, reduce, compact = _gf2_slots(d, mod, d)
+def _slot_product(spread, reduce, compact):
+    """The product of a one-term codec; a square spreads once."""
     return lambda a, b: compact(reduce((x := spread(a)) * (x if a is b else spread(b))))
-
-
-def _gf2_dot_ops(d, mod, terms):
-    """``FieldCtx.dot_ops`` of GF(2^d) above the cap: slots for a sum of
-    `terms` products, reduced once per node, the result still spread."""
-    spread, reduce, compact = _gf2_slots(d, mod, terms * d)
-
-    def dot(row, vals, nodes):
-        return [reduce(sum([row[j] * vals[i] for j, i in node])) for node in nodes]
-
-    return spread, dot, compact
 
 
 def _span(multiples, add, zero):
@@ -408,22 +375,25 @@ def _span(multiples, add, zero):
 
 
 def _frobenius_map(ctx, f):
-    """h -> h**|ctx| mod the monic f on payload lists: by Kronecker
-    products when ctx is GF(p) and f has Kronecker data, else by
-    ``_ppow_mod``.  Build it once per modulus."""
-    order = ctx.order
-    kron = _kron_modulus(ctx.p, f) if ctx.parent is None else None
-    if kron is None:
+    """h -> h**|ctx| mod the monic f on payload lists: through f's slot
+    codec when ctx is GF(p) and f has one, else by ``_ppow_mod``.  Build
+    it once per modulus."""
+    order, d = ctx.order, len(f) - 1
+    codec = _slots(ctx.p, f, 1) if ctx.parent is None else None
+    if codec is None:
         return lambda h: _ppow_mod(ctx, h, order, f)
-    pack = int.from_bytes
-
-    def mulmod(a, b):
-        return pack(_kron_mulmod(a, b, kron), "little")
+    spread, reduce, compact = codec
+    if order == 2:  # the codec of GF(2) takes ranks
+        encode, decode = partial(_from_digits, base=2), lambda x: _digits(x, 2, d)
+    else:
+        encode = decode = _same
+    one = spread(encode([1]))
 
     def frob(h):
-        # one byte slot per coefficient: h must have degree below f's
-        h = pack(bytes(_pmod(ctx, h, f) if len(h) >= len(f) else h), "little")
-        return _pstrip(ctx, _power(mulmod, h, order, 1).to_bytes(kron[0], "little"))
+        if len(h) > d:  # one slot per coefficient below x**d
+            h = _pmod(ctx, h, f)
+        x = _power(lambda u, v: reduce(u * v), spread(encode(h)), order, one)
+        return _pstrip(ctx, decode(compact(x)))
 
     return frob
 
@@ -532,12 +502,15 @@ class FieldCtx:
     operand sums of row[j] * vals[i] over each node's (j, i) pairs (at
     most `terms` of them), and back.  Up to the cap it is the log op,
     whose first request builds the tables: an operand is a log, a
-    product one exp lookup, summed by XOR or Zech.  Above it GF(2^d)
-    takes the binary op (`_gf2_dot_ops`) and odd GF(p^d) with Kronecker
-    data the Kronecker op (`_kron_dot_ops`), each reducing once per
-    node; elsewhere the plain op's operands are payloads and dot is the
-    mul/add loop.  ``_mul_coords``, chosen once per extension level,
-    multiplies coordinate tuples over the parent.
+    product one exp lookup, summed by XOR or Zech.  Above it a level
+    directly over GF(p) takes its slot codec's op (``_slot_dot_ops``):
+    operands are spread, and a node's products are summed unreduced and
+    reduced once.  Where the codec has no slots for `terms` products,
+    and on every other level, the plain op's operands are payloads and
+    dot is the mul/add loop.  ``_mul_coords``, chosen once per extension
+    level, is its product: the one-term codec directly over GF(p), on
+    ranks over GF(2) and on coordinate tuples over odd p, else
+    ``_mul_generic`` on coordinate tuples over the parent.
     """
 
     __slots__ = (
@@ -558,8 +531,6 @@ class FieldCtx:
         "_mod",
         "_zero",
         "_one",
-        "_clmul",
-        "_kron",
         "_mul_coords",
         "_slow_ops",
         "_log",
@@ -575,9 +546,7 @@ class FieldCtx:
         self.parent = parent
         self.degree = degree
         self._mod = modulus  # parent payloads, little-endian
-        self._clmul = None  # the product of ranks, for GF(2^d) over GF(2) only
-        self._kron = None  # Kronecker reduction data, for levels over odd GF(p) only
-        self._mul_coords = None  # the product of coordinate tuples, for extension levels
+        self._mul_coords = None  # an extension level's product (see the class docstring)
         if parent is None:
             self.order = p
             self.dim_over_prime = 1
@@ -592,12 +561,6 @@ class FieldCtx:
             self.base = parent.base
             self.packed = self.order <= PACKED_MAX_ORDER or p == 2 and parent.parent is None
             self.modulus = tuple(parent._coordinate_tuple(c) for c in modulus)
-            self._mul_coords = self._mul_generic
-            if parent.parent is None and p == 2:
-                self._clmul = _gf2_mulmod(degree, _from_digits(modulus, 2))
-            elif parent.parent is None:
-                self._kron = kron = _kron_modulus(p, modulus)
-                self._mul_coords = self._mul_schoolbook if kron is None else self._mul_over_prime
         if self.packed:
             self._zero, self._one = 0, 1
         else:
@@ -626,31 +589,33 @@ class FieldCtx:
                 self.sub = lambda a, b: (a - b) % p
                 self.neg = lambda a: -a % p
                 self.mul = lambda a, b: a * b % p
-        elif self.order <= PACKED_MAX_ORDER:
+            return
+        codec = _slots(p, self._mod, 1) if par.parent is None else None
+        self._mul_coords = self._mul_generic if codec is None else _slot_product(*codec)
+        if self.order <= PACKED_MAX_ORDER:
             if p != 2:
                 self.add, self.sub, self.neg = self._add_slow, self._sub_slow, self._neg_slow
             self.mul = self._mul_slow
             self.dot_ops = self._log_dot_ops
-        elif self.packed:
-            # GF(2^d) above the cap builds no tables: ranks multiply carry-lessly
-            self.mul = self._clmul
-            self.dot_ops = partial(_gf2_dot_ops, self.degree, _from_digits(self._mod, 2))
-        elif self._kron is not None:
-            # one int add of the packed coordinates, one translate reduces every slot
-            d, _, mod_p, neg_p = self._kron
-            pack = int.from_bytes
+        elif codec is not None:
+            # above the cap a level over GF(p) builds no tables: it multiplies
+            # through its codec, and over odd p adds one byte per coordinate
+            # (a codec has 2(p-1) < 256) by one int add and one translate
+            self.mul, self.dot_ops = self._mul_coords, self._slot_dot_ops
+            if p != 2:
+                d, mod_p, neg_p = self.degree, _byte_table(p), _byte_table(p, -1)
+                pack = int.from_bytes
 
-            def add(a, b):
-                s = pack(bytes(a), "little") + pack(bytes(b), "little")
-                return tuple(s.to_bytes(d, "little").translate(mod_p))
+                def add(a, b):
+                    s = pack(bytes(a), "little") + pack(bytes(b), "little")
+                    return tuple(s.to_bytes(d, "little").translate(mod_p))
 
-            def sub(a, b):
-                s = pack(bytes(a), "little") + pack(bytes(b).translate(neg_p), "little")
-                return tuple(s.to_bytes(d, "little").translate(mod_p))
+                def sub(a, b):
+                    s = pack(bytes(a), "little") + pack(bytes(b).translate(neg_p), "little")
+                    return tuple(s.to_bytes(d, "little").translate(mod_p))
 
-            self.add, self.sub = add, sub
-            self.neg = lambda a: tuple(bytes(a).translate(neg_p))
-            self.mul, self.dot_ops = self._mul_coords, partial(_kron_dot_ops, p, self._kron)
+                self.add, self.sub = add, sub
+                self.neg = lambda a: tuple(bytes(a).translate(neg_p))
         else:
             # look the parent's ops up per call: a packed parent may switch to tables
             self.add = self.sub = lambda a, b: tuple(map(par.add, a, b))
@@ -701,29 +666,17 @@ class FieldCtx:
 
         return log.__getitem__, dot, exp.__getitem__
 
-    def _mul_over_prime(self, a, b):
-        # coefficients are plain ints mod p: one Kronecker product
-        pack = int.from_bytes
-        return tuple(_kron_mulmod(pack(bytes(a), "little"), pack(bytes(b), "little"), self._kron))
+    def _slot_dot_ops(self, terms):
+        # above the cap on a level over GF(p): one codec reduce per node
+        codec = _slots(self.p, self._mod, terms)
+        if codec is None:
+            return self._plain_dot_ops(terms)
+        spread, reduce, compact = codec
 
-    def _mul_schoolbook(self, a, b):
-        p = self.p
-        d = self.degree
-        prod = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        mod = self._mod
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[k] % p
-            if c:
-                off = k - d
-                for j in range(d):
-                    mj = mod[j]
-                    if mj:
-                        prod[off + j] -= c * mj
-        return tuple(c % p for c in prod[:d])
+        def dot(row, vals, nodes):
+            return [reduce(sum([row[j] * vals[i] for j, i in node])) for node in nodes]
+
+        return spread, dot, compact
 
     def _mul_generic(self, a, b):
         par = self.parent
@@ -767,8 +720,8 @@ class FieldCtx:
             self._build_tables()
 
     def _mul_raw(self, a, b):
-        if self._clmul is not None:
-            return self._clmul(a, b)
+        if self.p == 2 and self.parent.parent is None:  # the codec of GF(2) takes ranks
+            return self._mul_coords(a, b)
         return self._from_coords(self._mul_coords(self._coords(a), self._coords(b)))
 
     def _mul_slow(self, a, b):
@@ -795,9 +748,10 @@ class FieldCtx:
         is zero from there to twice that: an index sum with it reads 0."""
         n = self.order - 1
         factors = _prime_factors(n)
-        mul, lift = self._clmul, _same  # over GF(2) the ranks are the coordinates
-        if mul is None:  # powers on coordinates: one digit split per candidate
-            mul, lift = self._mul_coords, lambda x: tuple(self._coords(x))
+        # powers on coordinates, one digit split per candidate; the codec of GF(2) takes ranks
+        mul, lift = self._mul_coords, lambda x: tuple(self._coords(x))
+        if self.p == 2 and self.parent.parent is None:
+            lift = _same
         one = lift(1)
         g = 2
         while any(_power(mul, lift(g), n // f, one) == one for f in factors):
@@ -831,7 +785,7 @@ class FieldCtx:
         if p == 2:
             add, images = xor, [self._mul_raw(g, 1 << k) for k in range(d)]
         else:
-            mod_p = _byte_tables(p)[0]
+            mod_p = _byte_table(p)
 
             def add(u, v):
                 return int.from_bytes((u + v).to_bytes(d, "little").translate(mod_p), "little")

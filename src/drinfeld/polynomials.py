@@ -296,8 +296,8 @@ def roots_in_field(f, level):
 
     No element is tried.  With Q = |level|, g = gcd(f, x**Q - x) is the
     product of the distinct linear factors of f over the level; x**Q mod
-    f is one step of ``fields._frobenius_map``, by Kronecker products
-    when the level is GF(p) and f fits its byte slots.
+    f is one step of ``fields._frobenius_map``, through f's slot codec
+    when the level is GF(p) and the codec has slots for f.
     Equal-degree splitting (von zur Gathen and Gerhard, *Modern
     Computer Algebra*, ch. 14) takes g apart: for odd p,
     gcd((x + delta)**((Q-1)/2) - 1, h) keeps the roots alpha with
@@ -373,8 +373,8 @@ def splitting_level(f):
     Returns GF(Q**d) over f's level, where d is the lcm of the distinct
     degrees of f's irreducible factors, the yields of the distinct-degree
     loop on monic f (``fields._pdistinct_degree``, never a full
-    factorization; its x**(Q**i) steps run on Kronecker products when
-    f's level is GF(p) and f fits their byte slots).
+    factorization; its x**(Q**i) steps run through f's slot codec when
+    f's level is GF(p) and the codec has slots for f).
     """
     if f.degree < 1:
         raise ValueError("splitting level of a constant polynomial")

@@ -966,25 +966,41 @@ def bundle_from_json(obj, **overrides):
 
 def reevaluate(counterexample):
     """Recompute a stored counterexample in isolation; True means the
-    mismatch reproduces."""
+    mismatch reproduces.  A counterexample that is not an object, or
+    whose "inputs" is not an object, lacks a key its identity reads or
+    holds one of the wrong shape, is MalformedInput."""
+    if not isinstance(counterexample, dict):
+        raise MalformedInput(f"a counterexample is an object, got {counterexample!r}")
     identity = counterexample.get("identity")
     inputs = counterexample.get("inputs", {})
+    if not isinstance(inputs, dict):
+        raise MalformedInput(f"counterexample inputs must be an object, got {inputs!r}")
+
+    def listed(key):
+        value = inputs.get(key)
+        if not isinstance(value, (list, tuple)):
+            raise MalformedInput(f"inputs.{key} must be a list, got {value!r}")
+        return value
+
     if identity in ("f_chain_eq_recursive", "f_rootfree_eq_chain"):
-        p, r = require_int(inputs["p"], "inputs.p"), require_int(inputs["r"], "inputs.r")
-        a = UniPoly.from_ranks(make_field(p, inputs.get("e", 1)), inputs["a"])
+        p, r = require_int(inputs.get("p"), "inputs.p"), require_int(inputs.get("r"), "inputs.r")
+        a = UniPoly.from_ranks(make_field(p, inputs.get("e", 1)), listed("a"))
         other = f_rootfree if identity == "f_rootfree_eq_chain" else f_recursive
         return f_chain_sum(a, r).poly != other(a, r).poly
     if identity in ("multilinear", "compatibility"):
-        phi = DrinfeldModule.from_json(inputs["module"])
+        phi = DrinfeldModule.from_json(inputs.get("module"))
         base = phi.base
-        level = field_from_descriptor(inputs["level"])
-        points = [level.element_from_json(p) for p in inputs["points"]]
-        a = UniPoly.from_ranks(base, inputs["a"])
-        b = UniPoly.from_ranks(base, inputs["b"])
+        level = field_from_descriptor(inputs.get("level"))
+        points = [level.element_from_json(p) for p in listed("points")]
+        if len(points) != phi.rank:
+            raise MalformedInput(f"inputs.points needs {phi.rank} points, got {len(points)}")
+        a = UniPoly.from_ranks(base, listed("a"))
+        b = UniPoly.from_ranks(base, listed("b"))
         psi = _det_module(phi)
         if identity == "multilinear":
-            slot = inputs["slot"]
-            require_int(slot, "inputs.slot")
+            slot = require_int(inputs.get("slot"), "inputs.slot")
+            if not 0 <= slot < len(points):
+                raise MalformedInput(f"inputs.slot {slot} is not a slot of {len(points)} points")
             scaled = list(points)
             scaled[slot] = phi.phi(b)(points[slot])
             lhs = PairingEvaluator(phi, a, level)(scaled)

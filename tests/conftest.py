@@ -56,20 +56,58 @@ def tower_as_vector(x, over):
     return out
 
 
-# monic irreducibles over GF(2) with few terms, by the exponents of their
-# middle terms (each checked with sympy's gf_irreducible_p): degrees whose
-# modulus search takes seconds
-BINARY_MODULI = {254: (1, 2, 7), 255: (52,), 256: (2, 5, 10), 511: (10,)}
+def mul_schoolbook(ctx, a, b):
+    """The product of coordinate tuples `a` and `b` of a level directly
+    over odd GF(p), coefficient by coefficient, reduced by the level's
+    modulus one top coefficient at a time: the oracle for the slot codec
+    (``fields._slots``)."""
+    p, d, mod = ctx.p, ctx.degree, ctx._mod
+    prod = [0] * (2 * d - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    for k in range(2 * d - 2, d - 1, -1):
+        c = prod[k] % p
+        for j in range(d):
+            prod[k - d + j] -= c * mod[j]
+    return tuple(c % p for c in prod[:d])
+
+
+# monic irreducibles over GF(p) by their coefficients below x**d, each
+# checked with sympy's gf_irreducible_p: over GF(2) few terms, at degrees
+# whose modulus search takes seconds; over odd p x**(d-1) + a*x**k + c, so
+# that a product folds up to d-1 times, at levels past the byte bound
+# d*(p-1)**2 + (p-1) < 256 of the earlier one-byte Kronecker product
+MODULI = {
+    (2, 254): {0: 1, 1: 1, 2: 1, 7: 1},
+    (2, 255): {0: 1, 52: 1},
+    (2, 256): {0: 1, 2: 1, 5: 1, 10: 1},
+    (2, 511): {0: 1, 10: 1},
+    (3, 64): {0: 1, 7: 2, 63: 1},
+    (3, 100): {0: 1, 1: 2, 99: 1},
+    (5, 16): {0: 1, 2: 1, 15: 1},
+    (7, 7): {0: 6, 1: 1, 6: 1},
+    (13, 5): {0: 4, 1: 1, 4: 1},
+    (17, 5): {0: 4, 1: 1, 4: 1},
+    (127, 3): {0: 2, 1: 1, 2: 1},
+    (127, 5): {0: 2, 1: 1, 4: 1},
+    (131, 3): {0: 3, 1: 1, 2: 1},
+}
 
 
 @functools.cache
+def prime_level(p, d):
+    """GF(p^d) directly over GF(p): the searched level, or at a key of
+    MODULI the level on that modulus, built without a search."""
+    F = make_field(p)
+    if (p, d) not in MODULI:
+        return extend(F, d)
+    mod = [0] * d + [1]
+    for k, c in MODULI[p, d].items():
+        mod[k] = c
+    return FieldCtx(p, parent=F, degree=d, modulus=tuple(mod))
+
+
 def binary_level(d):
-    """GF(2^d) directly over GF(2): the searched level, or at a degree of
-    BINARY_MODULI the level on that modulus, built without a search."""
-    F2 = make_field(2)
-    if d not in BINARY_MODULI:
-        return extend(F2, d)
-    mod = [0] * (d + 1)
-    for k in (0, *BINARY_MODULI[d], d):
-        mod[k] = 1
-    return FieldCtx(2, parent=F2, degree=d, modulus=tuple(mod))
+    """GF(2^d) directly over GF(2), as ``prime_level`` builds it."""
+    return prime_level(2, d)

@@ -1,10 +1,11 @@
 """The sum-of-products op behind the trie contraction (`FieldCtx.dot_ops`)
 against the mul/add loop, and `PairingEvaluator`, its one caller, against
-every term multiplied out in turn (`flat_evaluate`), on Kronecker levels
-above the pack cap, binary levels above it (the carry-less op), a tower
-level, a level too wide for Kronecker data and packed levels (the exp/log
-op, towers included); and the rule that an evaluator, not plain
-arithmetic or a one-shot `weil_evaluate`, builds a packed level's tables."""
+every term multiplied out in turn (`flat_evaluate`), on levels over odd
+GF(p) above the pack cap (the slot codec's op, in one- and two-byte fold
+slots), binary levels above it (the codec's carry-less op), a tower
+level, a level without a codec and packed levels (the exp/log op, towers
+included); and the rule that an evaluator, not plain arithmetic or a
+one-shot `weil_evaluate`, builds a packed level's tables."""
 
 import itertools
 import random
@@ -19,8 +20,7 @@ from drinfeld.fields import (
     PACKED_MAX_ORDER,
     FieldCtx,
     FieldElement,
-    _gf2_dot_ops,
-    _kron_dot_ops,
+    _slots,
     extend,
     make_field,
 )
@@ -29,10 +29,11 @@ from drinfeld.polynomials import UniPoly
 
 F2, F3, F5, F7, F11 = (make_field(p) for p in (2, 3, 5, 7, 11))
 
-KRONECKER = {
+CODEC = {
     "GF(3^11)": extend(F3, 11),
     "GF(5^7)": extend(F5, 7),
     "GF(7^6)": extend(F7, 6),
+    "GF(11^5)": extend(F11, 5),  # folds in two-byte slots
 }
 BINARY = {
     "GF(2^20)": extend(F2, 20),
@@ -40,7 +41,7 @@ BINARY = {
 }
 OTHER = {
     "GF(4^9) tower": extend(make_field(2, 2), 9),
-    "GF(11^5)": extend(F11, 5),
+    "GF(1009^2)": extend(make_field(1009), 2),  # no codec: 1008 * w >= 256
 }
 PACKED = {
     "GF(2^2)": extend(F2, 2),
@@ -53,7 +54,7 @@ PACKED = {
 }
 for ctx in PACKED.values():
     ctx.dot_ops(1)  # a packed level builds its tables when its dot op is asked for
-LEVELS = {**KRONECKER, **BINARY, **OTHER}
+LEVELS = {**CODEC, **BINARY, **OTHER}
 EVERY = {**LEVELS, **PACKED}
 
 SETTINGS = settings(max_examples=40)
@@ -64,16 +65,16 @@ PER_LEVEL = settings(max_examples=8)
 def test_levels_take_the_op_they_should():
     for ctx in LEVELS.values():
         assert ctx.order > PACKED_MAX_ORDER and ctx.packed == (ctx.p == 2 and ctx.parent is F2)
-    for ctx in KRONECKER.values():
-        assert ctx._kron is not None and ctx.parent.parent is None
-        assert ctx.dot_ops.func is _kron_dot_ops
+    for ctx in CODEC.values():
+        assert _slots(ctx.p, ctx._mod, 1) is not None and ctx.parent.parent is None
+        assert ctx.dot_ops.__func__ is FieldCtx._slot_dot_ops
     # a binary level above the cap: its rank is its payload, and it builds no tables
     for ctx in BINARY.values():
-        assert ctx.dot_ops.func is _gf2_dot_ops and ctx._kron is None
+        assert ctx.dot_ops.__func__ is FieldCtx._slot_dot_ops
         spread, _, payload = ctx.dot_ops(100)
         assert payload(spread(ctx.order - 1)) == ctx.order - 1 and ctx._log is None
     assert OTHER["GF(4^9) tower"].parent.parent is not None
-    assert OTHER["GF(11^5)"]._kron is None
+    assert _slots(1009, OTHER["GF(1009^2)"]._mod, 1) is None
     # the plain op's operands are the payloads themselves
     for ctx in OTHER.values():
         spread, _, payload = ctx.dot_ops(100)
@@ -87,8 +88,11 @@ def test_levels_take_the_op_they_should():
         assert spread(0) == 2 * n and payload(2 * n) == 0
         assert [spread(ctx.one()), spread(ctx._exp[n - 1])] == [0, n - 1]
         assert all(payload(spread(x)) == x for x in (0, 1, 2, n // 2, n))
-    assert PACKED["GF(3^8)"]._kron is not None and PACKED["GF(9)^2 tower"]._kron is None
-    assert PACKED["GF(2^15)"]._clmul is not None and PACKED["GF(2^15)"]._kron is None
+    # the slow path of a packed level over GF(p) multiplies through its codec
+    for name in ("GF(3^8)", "GF(2^15)"):
+        ctx = PACKED[name]
+        assert ctx._mul_coords != ctx._mul_generic
+    assert PACKED["GF(9)^2 tower"]._mul_coords == PACKED["GF(9)^2 tower"]._mul_generic
 
 
 def loop_dot(ctx, xs, ys):
@@ -105,8 +109,10 @@ def _width(ctx, terms):
     return (top.bit_length() - 1) // (8 * (ctx.degree - 1))
 
 
-@pytest.mark.parametrize("name", sorted(KRONECKER) + sorted(BINARY))
-@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("name, width", [
+    (name, width) for name in sorted(CODEC) + sorted(BINARY) for width in (1, 2)
+    if LEVELS[name].degree * (LEVELS[name].p - 1) ** 2 < 256**width  # one term fits
+])
 def test_dot_at_the_largest_term_count_of_a_width(name, width):
     # every coefficient p-1: the middle slot of the unreduced sum reaches
     # terms * d * (p-1)**2, the bound the slot width is chosen from
@@ -223,7 +229,8 @@ def test_binary_torsion_evaluator_matches_weil_evaluate(g, a, m, step):
     phi = DrinfeldModule(K, K.one_element, tuple(map(K.element_of_rank, g)))
     a = UniPoly.from_ranks(K, a)
     tm = torsion(phi, a)
-    assert tm.level.order == 2**m and tm.level.packed and tm.level.dot_ops.func is _gf2_dot_ops
+    assert tm.level.order == 2**m and tm.level.packed
+    assert tm.level.dot_ops.__func__ is FieldCtx._slot_dot_ops
     ev = PairingEvaluator(phi, a, tm.level)
     points = tm.points()
     values = []
@@ -249,7 +256,7 @@ def test_evaluator_on_gf2_255_matches_flat_evaluation():
 
 @pytest.mark.parametrize("name", ["GF(2^15)", "GF(2^20)", "GF(3^11)", "GF(4^9) tower"])
 def test_each_row_takes_operand_form_once(name):
-    """The log, carry-less, Kronecker and plain dot ops: `spread` converts a point's
+    """The log, carry-less, odd-p codec and plain dot ops: `spread` converts a point's
     Frobenius row when `powers_of`, a call or a sweep first sees the
     point, and never again; `powers_of` reads the row back exactly."""
     level = EVERY[name]

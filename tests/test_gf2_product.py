@@ -1,6 +1,6 @@
 """The one GF(2)[x] product of the levels directly over GF(2): ranks
 spread into byte slots, one bigint product, the parity mask and the fold
-(``fields._gf2_slots``), against sympy's galoistools at every degree and
+(the slot codec ``fields._slots`` over GF(2)), against sympy's galoistools at every degree and
 against the log tables where a level has them; and the rule that a level
 above the table cap never builds them."""
 
@@ -39,7 +39,7 @@ def _sympy_mul(ctx, a, b):
 def test_every_level_over_gf2_holds_its_rank():
     for d in DEGREES:
         ctx = binary_level(d)
-        assert ctx.packed and ctx.parent is F2 and ctx._clmul is not None
+        assert ctx.packed and ctx.parent is F2 and ctx._mul_coords != ctx._mul_generic
         assert ctx.payload_of_rank(ctx.order - 1) == ctx.order - 1
     # a tuple level over a binary parent multiplies over that parent
     above = binary_level(17)
@@ -58,7 +58,7 @@ def test_product_power_inverse_and_frobenius_match_sympy(d, data):
     k = data.draw(st.integers(-d, 2 * d))
     A, mod = _big(a), _modulus(ctx)
     j = k % d  # a**(2**k) with k taken modulo the degree over GF(2)
-    clmul = ctx._clmul
+    clmul = ctx._mul_coords  # the codec's product, on ranks
     product, square = clmul(a, b), clmul(a, a)
     assert product == _sympy_mul(ctx, a, b) and square == _sympy_mul(ctx, a, a)
     powered = _power(clmul, a, e, 1)

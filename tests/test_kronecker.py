@@ -1,31 +1,49 @@
-"""Kronecker-substitution arithmetic on levels over odd GF(p), against
-the schoolbook multiply and sympy's galoistools; the irreducibility
-test, the binomial skip of the modulus search and splitting_level
-against sympy too.  A level over GF(2) holds its rank and multiplies
+"""The slot codec of the levels directly over odd GF(p) (``fields._slots``,
+Kronecker substitution): products, squares, powers, Frobenius maps,
+inverses and sums of products, against the schoolbook oracle
+(``conftest.mul_schoolbook``) and sympy's galoistools, on both sides of
+the byte bound d*(p-1)**2 + (p-1) < 256 of the earlier one-byte product,
+and on levels that have no codec; the rule that picks the slot widths
+and gives no codec; the irreducibility test, the binomial skip of the
+modulus search, the searched moduli and splitting_level against sympy
+and a pinned digest.  A level over GF(2) holds its rank and multiplies
 carry-lessly instead (test_gf2_product)."""
 
+import hashlib
 import itertools
+import json
 import math
 
 import pytest
+from conftest import mul_schoolbook, prime_level
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import ZZ
-from sympy.polys.galoistools import gf_factor, gf_irreducible_p, gf_mul, gf_rem
+from sympy.polys.galoistools import (
+    gf_factor,
+    gf_gcdex,
+    gf_irreducible_p,
+    gf_mul,
+    gf_pow_mod,
+    gf_rem,
+    gf_strip,
+)
 
 from drinfeld.errors import MalformedInput
 from drinfeld.fields import (
+    PACKED_MAX_ORDER,
+    FieldElement,
     _find_irreducible,
     _is_irreducible,
-    _kron_modulus,
     _no_irreducible_binomial,
+    _slots,
     extend,
     field_from_descriptor,
     make_field,
 )
 from drinfeld.polynomials import UniPoly, splitting_level
 
-F2, F3, F5, F7, F17 = (make_field(p) for p in (2, 3, 5, 7, 17))
+F2, F3 = make_field(2), make_field(3)
 
 
 def _first_dense_irreducible(p, d):
@@ -38,29 +56,53 @@ def _first_dense_irreducible(p, d):
     raise AssertionError("no dense irreducible")  # pragma: no cover
 
 
-LEVELS = {
-    # at or just under the byte bound d*(p-1)**2 + (p-1) < 256
-    "GF(3^63)": extend(F3, 63),
-    "GF(5^15)": extend(F5, 15),
-    "GF(7^6)": extend(F7, 6),
-    # a dense modulus: every fold lowers the top degree by one only
-    "GF(3^12) dense": extend(F3, 12, modulus=_first_dense_irreducible(3, 12)),
-    "GF(3^40)": make_field(3, 40),
-}
-WIDE = extend(F17, 3)  # 3 * 16**2 + 16 >= 256: the schoolbook stays
+# (p, d) on both sides of the old byte bound; keys of conftest.MODULI are
+# built on a modulus whose x**(d-1) coefficient is 1
+CODEC = {f"GF({p}^{d})": prime_level(p, d) for p, d in (
+    (3, 63), (3, 64), (3, 100), (5, 15), (5, 16), (7, 6), (7, 7),
+    (13, 2), (13, 5), (17, 5), (127, 3),
+)}
+CODEC["GF(3^12) dense"] = extend(F3, 12, modulus=_first_dense_irreducible(3, 12))
+CODEC["GF(3^40)"] = make_field(3, 40)
+NO_CODEC = {f"GF({p}^{d})": prime_level(p, d) for p, d in ((127, 5), (131, 3), (1009, 2))}
+LEVELS = {**CODEC, **NO_CODEC}
 
 SETTINGS = settings(max_examples=60)
 
 
-def test_byte_bound_picks_the_levels():
-    for ctx in LEVELS.values():
-        assert ctx._kron is not None and ctx.parent.parent is None
-    assert WIDE._kron is None
-    # over GF(2) no level takes Kronecker data; the modulus search still does
-    assert extend(F2, 31)._kron is None and extend(F2, 31).packed
-    for p, d in ((2, 254), (3, 63), (5, 15), (7, 6), (11, 2), (13, 1)):
-        assert _kron_modulus(p, [1] * (d + 1)) is not None
-        assert _kron_modulus(p, [1] * (d + 2)) is None
+def _widths(p, d, terms):
+    """The operand and fold slot widths of the rule, by counting up."""
+    w = next(w for w in itertools.count(1) if terms * d * (p - 1) ** 2 < 256**w)
+    wf = next(w for w in itertools.count(1) if (p - 1) + (d - 1) * (p - 1) ** 2 < 256**w)
+    return w, wf
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 31, 61, 127, 131, 257])
+def test_slots_are_none_exactly_when_a_slot_outgrows_the_byte_tables(p):
+    for d, terms in itertools.product(range(1, 41), (1, 16, 300)):
+        w, wf = _widths(p, d, terms)
+        codec = _slots(p, [1] * (d + 1), terms)
+        assert (codec is None) == (max(w, wf) * (p - 1) >= 256), (p, d, terms)
+        if codec is not None:  # x**(d-1) spreads to bit 8w(d-1)
+            top = 1 << d - 1 if p == 2 else (0,) * (d - 1) + (1,)
+            assert codec[0](top).bit_length() == 8 * w * (d - 1) + 1
+
+
+def test_the_codec_picks_the_levels():
+    for ctx in CODEC.values():
+        assert ctx.parent.parent is None and _slots(ctx.p, ctx._mod, 1) is not None
+        assert ctx._mul_coords != ctx._mul_generic
+    for ctx in NO_CODEC.values():
+        assert _slots(ctx.p, ctx._mod, 1) is None and ctx._mul_coords == ctx._mul_generic
+    # (w, wf) of a product: the levels take one- and two-byte operand and
+    # fold slots, on both sides of the old bound
+    widths = {(3, 63): (1, 1), (3, 64): (2, 1), (3, 100): (2, 2), (5, 15): (1, 1),
+              (5, 16): (2, 1), (7, 6): (1, 1), (7, 7): (1, 1), (127, 3): (2, 2)}
+    for (p, d), pair in widths.items():
+        assert _widths(p, d, 1) == pair
+    # a tower level has no codec: its coordinates are not ints mod p
+    tower = extend(make_field(3, 2), 6)
+    assert tower.order > PACKED_MAX_ORDER and tower._mul_coords == tower._mul_generic
 
 
 @st.composite
@@ -74,47 +116,121 @@ def coordinates(draw, ctx):
     ))
 
 
-@st.composite
-def level_and_pair(draw, names=tuple(LEVELS)):
-    ctx = LEVELS[draw(st.sampled_from(names))]
-    return ctx, draw(coordinates(ctx)), draw(coordinates(ctx))
+def _big(c):
+    return gf_strip([int(x) for x in c[::-1]])  # sympy is big-endian
+
+
+def _little(ctx, r):
+    r = [int(x) for x in r[::-1]]
+    return tuple(r + [0] * (ctx.degree - len(r)))
 
 
 def _sympy_mulmod(ctx, a, b):
+    p = ctx.p
+    return _little(ctx, gf_rem(gf_mul(_big(a), _big(b), p, ZZ), _big(ctx._mod), p, ZZ))
+
+
+def _sympy_powmod(ctx, a, e):
+    return _little(ctx, gf_pow_mod(_big(a), e, _big(ctx._mod), ctx.p, ZZ))
+
+
+def _element(ctx, a):
+    return ctx.element_from_json(list(a))
+
+
+@pytest.mark.parametrize("name", sorted(LEVELS))
+@settings(max_examples=10)
+@given(data=st.data())
+def test_products_powers_frobenius_and_inverses_match_sympy(name, data):
+    ctx = LEVELS[name]
     p, d = ctx.p, ctx.degree
-    big = lambda c: [int(x) for x in c[::-1]]  # noqa: E731 - sympy is big-endian
-    r = gf_rem(gf_mul(big(a), big(b), p, ZZ), big(ctx._mod), p, ZZ)
-    r = [int(x) for x in r[::-1]]
-    return tuple(r + [0] * (d - len(r)))
+    a, b = data.draw(coordinates(ctx)), data.draw(coordinates(ctx))
+    e = data.draw(st.integers(0, 300))
+    product, square = mul_schoolbook(ctx, a, b), mul_schoolbook(ctx, a, a)
+    assert product == _sympy_mulmod(ctx, a, b) and square == _sympy_mulmod(ctx, a, a)
+    assert ctx._mul_coords(a, b) == product and ctx._mul_coords(a, a) == square
+    x, y = _element(ctx, a), _element(ctx, b)
+    assert (x * y).to_json() == list(product) and (x * x).to_json() == list(square)
+    assert (x**e).to_json() == list(_sympy_powmod(ctx, a, e))
+    # frobenius(k) is a**(q**(k mod m)), m the degree over GF(q): step
+    # sympy's q-th power the shorter way round the orbit
+    m = d // ctx.base.degree
+    k = data.draw(st.sampled_from((1, 2, -1, -2, m)))
+    j = k % m
+    frob = x.frobenius(k).to_json()
+    steps, start, end = (j, a, frob) if 2 * j <= m else (m - j, frob, a)
+    for _ in range(steps):
+        start = _sympy_powmod(ctx, start, ctx.q)
+    assert list(start) == list(end)
+    if any(a):
+        inv, _, one = gf_gcdex(_big(a), _big(ctx._mod), p, ZZ)  # inv * a + _ * mod = 1
+        assert one == [1] and x.inverse().to_json() == list(_little(ctx, inv))
+
+
+def _coordinate_sum(ctx, vectors):
+    return [sum(cs) % ctx.p for cs in zip(*vectors)] if vectors else [0] * ctx.degree
+
+
+@pytest.mark.parametrize("name", sorted(LEVELS))
+@pytest.mark.parametrize("terms", [1, 16, 300])
+@settings(max_examples=3)
+@given(data=st.data())
+def test_dot_ops_match_the_oracle(name, terms, data):
+    # a few drawn products, the rest all-(p-1) squares: every product slot
+    # of the sum at its largest
+    ctx = LEVELS[name]
+    n = data.draw(st.integers(0, min(terms, 4)))
+    pairs = [(data.draw(coordinates(ctx)), data.draw(coordinates(ctx))) for _ in range(n)]
+    top = (ctx.p - 1,) * ctx.degree
+    pairs += [(top, top)] * (terms - n)
+    square = mul_schoolbook(ctx, top, top)
+    assert square == _sympy_mulmod(ctx, top, top)
+    products = [mul_schoolbook(ctx, a, b) for a, b in pairs[:n]] + [square] * (terms - n)
+    spread, dot, payload = ctx.dot_ops(terms)
+    row = [spread(_element(ctx, a).val) for a, _ in pairs]
+    vals = [spread(_element(ctx, b).val) for _, b in pairs]
+    nodes = [[(k, k) for k in range(terms)], [(k, k) for k in range(n)]]
+    got = [FieldElement(ctx, payload(v)).to_json() for v in dot(row, vals, nodes)]
+    assert got == [_coordinate_sum(ctx, products), _coordinate_sum(ctx, products[:n])]
+
+
+@st.composite
+def level_and_pair(draw, levels=LEVELS):
+    ctx = levels[draw(st.sampled_from(sorted(levels)))]
+    return ctx, draw(coordinates(ctx)), draw(coordinates(ctx))
 
 
 @SETTINGS
 @given(level_and_pair())
 def test_kronecker_mul_matches_schoolbook_and_sympy(case):
     ctx, a, b = case
-    expected = ctx._mul_schoolbook(a, b)
-    assert ctx.mul(a, b) == ctx._mul_over_prime(a, b) == expected
-    assert expected == _sympy_mulmod(ctx, a, b)
+    assert ctx._mul_coords(a, b) == mul_schoolbook(ctx, a, b) == _sympy_mulmod(ctx, a, b)
+
+
+TUPLE_LEVELS = {name: ctx for name, ctx in LEVELS.items() if not ctx.packed}
 
 
 @SETTINGS
-@given(level_and_pair())
+@given(level_and_pair(TUPLE_LEVELS))
 def test_kronecker_add_sub_neg_match_coordinatewise(case):
     ctx, a, b = case
     p = ctx.p
     assert ctx.add(a, b) == tuple((x + y) % p for x, y in zip(a, b))
     assert ctx.sub(a, b) == tuple((x - y) % p for x, y in zip(a, b))
     assert ctx.neg(a) == tuple(-x % p for x in a)
+    assert ctx.mul(a, b) == _sympy_mulmod(ctx, a, b)
 
 
 @SETTINGS
-@given(st.data())
-def test_wide_slots_keep_the_schoolbook(data):
-    assert WIDE._kron is None and WIDE._mul_coords == WIDE._mul_schoolbook
-    a, b = data.draw(coordinates(WIDE)), data.draw(coordinates(WIDE))
-    assert WIDE._mul_coords(a, b) == _sympy_mulmod(WIDE, a, b)
-    x, y = WIDE.element_from_json(a), WIDE.element_from_json(b)
-    assert (x * y).to_json() == list(_sympy_mulmod(WIDE, a, b))
+@given(level_and_pair(NO_CODEC))
+def test_levels_without_a_codec_multiply_generically(case):
+    ctx, a, b = case
+    assert ctx._mul_coords == ctx._mul_generic and ctx.mul == ctx._mul_generic
+    assert ctx._mul_coords(a, b) == _sympy_mulmod(ctx, a, b)
+    x, y = _element(ctx, a), _element(ctx, b)
+    assert (x * y).to_json() == list(_sympy_mulmod(ctx, a, b))
+    spread, _, payload = ctx.dot_ops(16)  # the plain op: operands are payloads
+    assert spread(a) is a and payload(a) is a
 
 
 @settings(max_examples=150)
@@ -126,12 +242,16 @@ def test_is_irreducible_matches_sympy_degrees_5_to_12(data):
     assert _is_irreducible(make_field(p), f) == gf_irreducible_p(f[::-1], p, ZZ), (p, f)
 
 
-def test_is_irreducible_matches_sympy_without_kronecker():
-    # over GF(17) no degree >= 1 fits a byte slot: the generic powering runs
+@pytest.mark.parametrize("p", [17, 131])
+def test_is_irreducible_matches_sympy_past_the_byte_bound(p):
+    # over GF(17) the codec folds in two-byte slots; GF(131) has no codec
+    # and the generic powering runs
+    F = make_field(p)
     for d in (2, 3):
-        for low in itertools.islice(itertools.product(range(17), repeat=d), 1000):
+        assert (_slots(p, [1] * (d + 1), 1) is None) == (p == 131)
+        for low in itertools.islice(itertools.product(range(p), repeat=d), 1000):
             f = list(low)[::-1] + [1]
-            assert _is_irreducible(F17, f) == gf_irreducible_p(f[::-1], 17, ZZ), f
+            assert _is_irreducible(F, f) == gf_irreducible_p(f[::-1], p, ZZ), f
 
 
 def test_found_modulus_is_the_first_irreducible_in_counting_order():
@@ -141,6 +261,29 @@ def test_found_modulus_is_the_first_irreducible_in_counting_order():
             if gf_irreducible_p(f[::-1], p, ZZ):
                 break
         assert list(_find_irreducible(make_field(p), d)) == f, (p, d)
+
+
+# degrees of make_field(p, d) on both sides of the old byte bound
+PINNED_DEGREES = {
+    2: [*range(2, 17), 28, 31, 64],
+    3: [*range(2, 9), 40, 63, 64, 65],
+    5: [*range(2, 7), 15, 16, 17],
+    7: [*range(2, 9)],
+    11: [*range(2, 6)],
+    13: [*range(2, 6)],
+}
+
+
+def test_searched_moduli_are_pinned():
+    # one digest of the descriptors, as the search found them when its
+    # Frobenius map ran on one-byte Kronecker products inside the byte
+    # bound and on the generic powering beyond it
+    descs = [make_field(p, d).descriptor() for p, ds in PINNED_DEGREES.items() for d in ds]
+    descs += [extend(make_field(p, 2), m).descriptor() for p in (2, 3) for m in range(1, 9)]
+    assert len(descs) == 68
+    assert hashlib.sha256(json.dumps(descs).encode()).hexdigest() == (
+        "19323c11ee088f228fa0fff7db0a8574a2174d2485934d7e6f5df52be58c5fc6"
+    )
 
 
 BINOMIAL_FIELDS = [

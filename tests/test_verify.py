@@ -4,6 +4,7 @@ import inspect
 import itertools
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 from drinfeld import pairing, polynomials, verify
 from drinfeld.core import DrinfeldModule, TorsionModule, torsion
-from drinfeld.errors import ConfigurationTooLarge, MalformedInput
-from drinfeld.pairing import FaPoly
+from drinfeld.errors import ConfigurationTooLarge, MalformedInput, RationalityFailure
+from drinfeld.pairing import FaPoly, QPowerPoly
 from drinfeld.polynomials import MultiPoly, UniPoly
 from drinfeld.verify import (
     VerificationConfig,
@@ -241,10 +242,10 @@ def test_mutation_psi_sign_invisible_in_char2(monkeypatch):
     assert report.ok()
 
 
-def test_mutation_fab_product_detected(monkeypatch):
-    # the pairing for ab is built from f_a * f_b instead of f_ab
-    base = PAIR_I.base_ctx()
-    ((a_ranks, b_ranks),) = PAIR_I.ab_pairs
+def _break_fab(monkeypatch, cfg):
+    """The pairing for ab is built from f_a * f_b instead of f_ab."""
+    base = cfg.base_ctx()
+    ((a_ranks, b_ranks),) = cfg.ab_pairs
     a, b = UniPoly.from_ranks(base, a_ranks), UniPoly.from_ranks(base, b_ranks)
     real = pairing.f_rootfree
 
@@ -254,10 +255,137 @@ def test_mutation_fab_product_detected(monkeypatch):
         return FaPoly(real(a, r).poly * real(b, r).poly, c, r, "rootfree", ())
 
     monkeypatch.setattr(pairing, "f_rootfree", broken)
+
+
+def test_mutation_fab_product_detected(monkeypatch):
+    _break_fab(monkeypatch, PAIR_I)
     report = verify_compatibility(PAIR_I)
     fails = report.failures()
     assert fails and fails[0].counterexample["identity"] == "compatibility"
     assert reevaluate(fails[0].counterexample)
+
+
+def test_mutation_fab_product_detected_by_sampling(monkeypatch):
+    # 16 points of phi[T^2] in rank 2: 256 tuples exceed the budget, so
+    # the check samples 50 of them
+    cfg = replace(PAIR_I, budget=50)
+    _break_fab(monkeypatch, cfg)
+    (check,) = verify_compatibility(cfg).checks
+    assert check.status == "fail" and check.counterexample["identity"] == "compatibility"
+    inputs = check.counterexample["inputs"]
+    assert (inputs["a"], inputs["b"]) == ([0, 1], [0, 1]) and len(inputs["points"]) == 2
+    assert reevaluate(check.counterexample)
+
+
+def test_mutation_degree_bound_detected(monkeypatch):
+    # x_1**10 added to every chain sum: above the bound n - 1 in slot 1 alone
+    def with_x1_high(f):
+        exps = (10,) + (0,) * (f.nvars - 1)
+        return f + MultiPoly(f.ctx, f.nvars, {exps: f.ctx.one_element})
+
+    _break_chain_sum(monkeypatch, with_x1_high)
+    fails = [c for c in verify_f_identities(SMALL_F).failures()
+             if c.name.startswith("f.degree_bound")]
+    assert len(fails) == 18  # the six monic a of degree 1 or 2, in ranks 1-3
+    for check in fails:
+        counterexample = check.counterexample
+        assert counterexample["identity"] == "f_degree_bound"
+        assert counterexample["inputs"]["var"] == 1 and counterexample["lhs"] == 10
+        assert counterexample["rhs"] == len(counterexample["inputs"]["a"]) - 2
+
+
+def test_mutation_irrational_chain_sum_fails_both_congruences(monkeypatch):
+    # the chain sum of a = T^2 + T + 1 in rank 2 reports a coefficient
+    # outside GF(2); its two congruence checks fail, and nothing else does
+    real = verify.f_chain_sum
+
+    def irrational(a, r):
+        if [c.rank() for c in a.coeffs] == [1, 1, 1] and r == 2:
+            raise RationalityFailure("coefficient outside GF(2)")
+        return real(a, r)
+
+    monkeypatch.setattr(verify, "f_chain_sum", irrational)
+    fails = verify_congruences(SMALL_F).failures()
+    assert sorted(c.name for c in fails) == [
+        "congruence.exchange[q=2,r=2,a=T^2 + T + 1]",
+        "congruence.root_peel[q=2,r=2,a=T^2 + T + 1]",
+    ]
+    for check in fails:
+        assert check.counterexample == {
+            "identity": "f_rationality",
+            "inputs": {"p": 2, "e": 1, "a": [1, 1, 1], "r": 2},
+            "lhs": "coefficient outside GF(2)",
+            "rhs": "every coefficient in GF(q)",
+        }
+
+
+LEADING_R2 = VerificationConfig(p=2, theta=1, g=(1, 1), a_list=((1, 1),))
+
+
+def _break_weil_polynomial(monkeypatch, alter):
+    """The verifier's full-arity W_a becomes alter(W_a, r * deg a)."""
+    real = verify.weil_polynomial
+
+    def broken(phi, a, arity=None):
+        w = real(phi, a, arity)
+        return w if arity is not None else alter(w, phi.rank * a.degree)
+
+    monkeypatch.setattr(verify, "weil_polynomial", broken)
+
+
+def test_mutation_leading_degree_bound_detected(monkeypatch):
+    # a term x_1**(q**(rn)) joins W_a, one above the bound rn - 1
+    def with_high_term(w, rn):
+        terms = dict(w.terms)
+        terms[(rn,) + (0,) * (w.nvars - 1)] = w.ctx.one_element
+        return QPowerPoly(w.ctx, w.nvars, terms)
+
+    _break_weil_polynomial(monkeypatch, with_high_term)
+    report = verify_leading_term(LEADING_R2)
+    assert [c.name for c in report.failures()] == ["leading.degree_bound[a=T + 1]"]
+    assert report.failures()[0].counterexample == {
+        "identity": "w_degree_bound", "inputs": {"a": [1, 1], "var": 1}, "lhs": 2, "rhs": 1}
+
+
+def test_mutation_leading_split_detected(monkeypatch):
+    # W_a loses one term of top degree rn - 1 in the last slot
+    def without_a_top_term(w, rn):
+        terms = dict(w.terms)
+        del terms[min(key for key in terms if key[-1] == rn - 1)]
+        return QPowerPoly(w.ctx, w.nvars, terms)
+
+    _break_weil_polynomial(monkeypatch, without_a_top_term)
+    report = verify_leading_term(LEADING_R2)
+    (check,) = report.failures()
+    assert check.name == "leading.split[a=T + 1]"
+    counterexample = check.counterexample
+    assert counterexample["identity"] == "leading_split"
+    assert counterexample["inputs"] == {"a": [1, 1]}
+    assert counterexample["lhs"] != counterexample["rhs"]
+
+
+def test_mutation_psi_sign_detected_by_the_det_suite(monkeypatch):
+    _drop_psi_sign(monkeypatch)
+    (check,) = verify_det_representation(DET_Q3).checks
+    assert check.status == "fail" and check.name == "det.scalar_match[a=T]"
+    counterexample = check.counterexample
+    assert counterexample["identity"] == "det_representation"
+    assert counterexample["inputs"]["a"] == [0, 1] and counterexample["inputs"]["k"] >= 0
+    assert counterexample["lhs"] != counterexample["rhs"]
+
+
+def test_mutation_psi_sign_makes_galois_det_exit_1(monkeypatch, tmp_path, capsys):
+    from drinfeld.cli import main
+
+    monkeypatch.setattr(DrinfeldModule, "det_module",
+                        lambda phi: DrinfeldModule(phi.K, phi.theta, (phi.g[-1],)))
+    path = tmp_path / "det-q3-r2.json"
+    path.write_text(json.dumps({"p": 3, "theta": 2, "g": [1, 1], "a_list": [[0, 1]]}))
+    assert main(["galois-det", "--config", str(path)]) == 1
+    assert " != psi-scalar = " in capsys.readouterr().out
+    assert main(["galois-det", "--config", str(path), "--json"]) == 1
+    (table,) = [json.loads(capsys.readouterr().out)]
+    assert table["a"] == [0, 1] and not all(row["equal"] for row in table["powers"])
 
 
 # hand mutants of f_a's site expansion: (function, its text, the mutated text)
@@ -400,6 +528,28 @@ def test_reevaluate_fallback_compares_sides():
 )
 def test_reevaluate_never_coerces_inputs(inputs):
     counterexample = {"identity": "f_chain_eq_recursive", "inputs": inputs}
+    with pytest.raises(MalformedInput):
+        reevaluate(counterexample)
+
+
+# a multilinear counterexample's inputs, well formed apart from its points
+# (not torsion, which only the recomputation finds)
+MULTILINEAR_INPUTS = {
+    "module": {"K": {"p": 2, "e": 1, "tower": []}, "theta": 1, "g": [1, 1]},
+    "level": {"p": 2, "e": 1, "tower": [{"degree": 2, "modulus": [1, 1, 1]}]},
+    "points": [[0, 1], [1, 1]], "a": [0, 1], "b": [0, 1], "slot": 0,
+}
+
+
+@pytest.mark.parametrize("counterexample", [
+    {"identity": "multilinear"},
+    {"identity": "f_chain_eq_recursive", "inputs": []},
+    {"identity": "f_chain_eq_recursive", "inputs": {"p": 2, "r": 2, "a": 5}},
+    {"identity": "multilinear", "inputs": {**MULTILINEAR_INPUTS, "points": 5}},
+    {"identity": "multilinear", "inputs": {**MULTILINEAR_INPUTS, "slot": 7}},
+    ["multilinear"],
+], ids=["no inputs", "inputs a list", "a an int", "points an int", "slot 7", "not an object"])
+def test_reevaluate_rejects_malformed_counterexamples(counterexample):
     with pytest.raises(MalformedInput):
         reevaluate(counterexample)
 
