@@ -78,12 +78,19 @@ trial division, and ``_span`` the one digit-span builder (``_times``'
 half-rank tables, ``core.fq_span``).  The ``_p*`` helpers on
 little-endian payload lists (``_pcombine``, ``_pmul``, ``_pdivmod``,
 ``_pgcd``, ``_pxgcd``, ``_ppow_mod``) are its univariate polynomial
-arithmetic; ``polynomials.UniPoly`` wraps them.  ``_frobenius_map`` is
-the one h -> h**Q mod f, and the lazy ``_pdistinct_degree`` the one
-distinct-degree loop over it, for any monic f: the irreducibility test
-reads its first yield, ``polynomials.splitting_level`` all of them.
-The Gauss-Jordan ``_row_reduce`` is its only elimination; ``kernel``,
-``solve`` and ``determinant`` are edges over it.  ``common_level`` is
+arithmetic; ``polynomials.UniPoly`` wraps them.  Over GF(2), division
+and both gcds run by shift-XOR on ints, bit i the coefficient of x**i
+(``_gf2_*``), as does ``inv`` on a level directly over GF(2), on ranks.
+``_frobenius_map`` is the one h -> h**Q mod f, and the lazy
+``_pdistinct_degree`` the one distinct-degree loop over it, for any
+monic f: the irreducibility test reads its first yield,
+``polynomials.splitting_level`` all of them.  The Gauss-Jordan
+``_row_reduce`` is its only elimination; ``kernel``, ``solve`` and
+``determinant`` are edges over it that read their entries off its rows.
+Over GF(p) with w*(p-1) < 256, w the slot width of (p-1) + (p-1)**2, a
+row is one int: a bit per entry over GF(2), a row update one XOR, else
+a w-byte slot per entry, an update one multiply-add and one translate
+to residues.  Other levels reduce payload lists.  ``common_level`` is
 the one rule for mixed levels: lift to the higher of two comparable
 levels, else LevelMismatch.
 
@@ -99,7 +106,7 @@ from __future__ import annotations
 from array import array
 from functools import lru_cache, partial
 from itertools import accumulate
-from operator import and_, xor
+from operator import and_, getitem, xor
 
 from .errors import (
     DivisionByZero,
@@ -156,6 +163,8 @@ def _pdivmod(ctx, num, den):
     den = _pstrip(ctx, den)
     if not den:
         raise DivisionByZero("polynomial division by zero")
+    if ctx.order == 2:
+        return tuple(map(_gf2_list, _gf2_divmod(_gf2_int(num), _gf2_int(den))))
     num = list(num)
     dd = len(den) - 1
     zero = ctx.zero()
@@ -187,6 +196,11 @@ def _pmonic(ctx, f):
 
 
 def _pgcd(ctx, f, g):
+    if ctx.order == 2:
+        f, g = _gf2_int(f), _gf2_int(g)
+        while g:
+            f, g = g, _gf2_divmod(f, g)[1]
+        return _gf2_list(f)
     f, g = _pstrip(ctx, f), _pstrip(ctx, g)
     while g:
         f, g = g, _pmod(ctx, f, g)
@@ -195,22 +209,51 @@ def _pgcd(ctx, f, g):
 
 def _pxgcd(ctx, f, g):
     """Extended gcd: returns (d, u, v) with u*f + v*g = d, d monic."""
-    zero, one = ctx.zero(), ctx.one()
+    if ctx.order == 2:
+        return tuple(map(_gf2_list, _gf2_xgcd(_gf2_int(f), _gf2_int(g))))
     r0, r1 = _pstrip(ctx, f), _pstrip(ctx, g)
-    u0, u1 = [one], []
-    v0, v1 = [], [one]
+    u0, u1, v0, v1 = [ctx.one()], [], [], [ctx.one()]
     while r1:
         q, r = _pdivmod(ctx, r0, r1)
         r0, r1 = r1, r
         u0, u1 = u1, _pcombine(ctx, ctx.sub, u0, _pmul(ctx, q, u1))
         v0, v1 = v1, _pcombine(ctx, ctx.sub, v0, _pmul(ctx, q, v1))
     if r0:
-        inv = ctx.inv(r0[-1])
-        scale = [inv]
-        r0 = _pmul(ctx, r0, scale)
-        u0 = _pmul(ctx, u0, scale)
-        v0 = _pmul(ctx, v0, scale)
+        scale = [ctx.inv(r0[-1])]
+        r0, u0, v0 = (_pmul(ctx, h, scale) for h in (r0, u0, v0))
     return r0, u0, v0
+
+
+# GF(2)[x] on ints: bit i is the coefficient of x**i
+_TO_ASCII, _FROM_ASCII = bytes.maketrans(b"\0\1", b"01"), bytes.maketrans(b"01", b"\0\1")
+
+
+def _gf2_int(f):
+    """The int of a little-endian list of GF(2) payloads."""
+    return int(bytes(f)[::-1].translate(_TO_ASCII) or b"0", 2)
+
+
+def _gf2_list(n):
+    """The stripped list of an int: the inverse of ``_gf2_int``."""
+    return list(format(n, "b").encode()[::-1].translate(_FROM_ASCII)) if n else []
+
+
+def _gf2_divmod(a, b):
+    """Quotient and remainder in GF(2)[x] on ints, b nonzero, by shift-XOR."""
+    q, db = 0, b.bit_length()
+    while (s := a.bit_length() - db) >= 0:
+        q, a = q ^ 1 << s, a ^ b << s
+    return q, a
+
+
+def _gf2_xgcd(a, b):
+    """``_pxgcd`` on ints: x**s * b comes off a, u and v alike, so u*a + v*b = d."""
+    u0, u1, v0, v1 = 1, 0, 0, 1
+    while b:
+        while (s := a.bit_length() - b.bit_length()) >= 0:
+            a, u0, v0 = a ^ b << s, u0 ^ u1 << s, v0 ^ v1 << s
+        a, b, u0, u1, v0, v1 = b, a, u1, u0, v1, v0
+    return a, u0, v0
 
 
 def _power(mul, x, e, one):
@@ -383,10 +426,8 @@ def _frobenius_map(ctx, f):
     if codec is None:
         return lambda h: _ppow_mod(ctx, h, order, f)
     spread, reduce, compact = codec
-    if order == 2:  # the codec of GF(2) takes ranks
-        encode, decode = partial(_from_digits, base=2), lambda x: _digits(x, 2, d)
-    else:
-        encode = decode = _same
+    # the codec of GF(2) takes ranks
+    encode, decode = (_gf2_int, _gf2_list) if order == 2 else (_same, _same)
     one = spread(encode([1]))
 
     def frob(h):
@@ -846,6 +887,8 @@ class FieldCtx:
         if self.order <= PACKED_MAX_ORDER:
             self._tick()
         par = self.parent
+        if par.order == 2:  # a rank is its GF(2)[x] int
+            return _gf2_xgcd(a, _gf2_int(self._mod))[1]
         mod = list(self._mod)
         d, u, _ = _pxgcd(par, list(self._coords(a)), mod)
         if len(d) != 1:  # pragma: no cover - modulus is irreducible
@@ -1244,15 +1287,18 @@ def _row_reduce(ctx, rows, ncols):
     their first `ncols` columns; later columns follow the row operations.
     Rows of `rows` are replaced, never written into, so callers may share them.
 
-    Afterwards rows[:rank] are the reduced pivot rows.  Returns the
-    pivot columns and the product of the pivots, negated once per row
-    swap: the determinant when the matrix is square of full rank."""
+    Afterwards rows[:rank] are the reduced pivot rows, as ints or lists
+    (module docstring).  Returns the pivot columns, the product of the
+    pivots negated once per row swap (the determinant when the matrix is
+    square of full rank), and entry(row, col), a payload off a row."""
+    p = ctx.p
+    if ctx.parent is None and (w := _slot_width((p - 1) + (p - 1) ** 2)) * (p - 1) < 256:
+        return _int_row_reduce(p, w, rows, ncols)
     zero = ctx.zero()
     mul, sub, inv = ctx.mul, ctx.sub, ctx.inv
-    pivots = []
-    det = ctx.one()
-    rank = 0
+    pivots, det = [], ctx.one()
     for col in range(ncols):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != zero), None)
         if pivot is None:
             continue
@@ -1260,16 +1306,41 @@ def _row_reduce(ctx, rows, ncols):
             rows[rank], rows[pivot] = rows[pivot], rows[rank]
             det = ctx.neg(det)
         lead = rows[rank][col]
-        det = mul(det, lead)
-        scale = inv(lead)
+        det, scale = mul(det, lead), inv(lead)
         top = rows[rank] = [mul(x, scale) for x in rows[rank]]
         for r, row in enumerate(rows):
             c = row[col]
             if r != rank and c != zero:
                 rows[r] = [sub(x, mul(c, y)) for x, y in zip(row, top)]
         pivots.append(col)
-        rank += 1
-    return pivots, det
+    return pivots, det, getitem
+
+
+def _int_row_reduce(p, w, rows, ncols):
+    """``_row_reduce`` on int rows over GF(p): entry j is bit j for p = 2,
+    else the low byte of w-byte slot j (``_byte_slots``)."""
+    if p == 2:
+        rows[:] = map(_gf2_int, rows)
+        bits, mask, reduce, add = 1, 1, _same, xor
+    else:
+        widen, residues = _byte_slots(p, w, len(rows[0]))
+        rows[:] = [widen(bytes(row)) for row in rows]
+        bits, mask, reduce = 8 * w, 255, lambda s: widen(residues(s))
+        add = lambda a, b: widen(residues(a + b))
+    pivots, det = [], 1
+    for col in range(ncols):
+        shift, rank = col * bits, len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r] >> shift & mask), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            rows[rank], rows[pivot], det = rows[pivot], rows[rank], -det
+        lead = rows[rank] >> shift & mask
+        det, top = det * lead % p, reduce(rows[rank] * pow(lead, p - 2, p))
+        rows[:] = [add(row, (p - c) * top) if (c := row >> shift & mask) else row for row in rows]
+        rows[rank] = top
+        pivots.append(col)
+    return pivots, det, lambda row, col: row >> col * bits & mask
 
 
 def _payload_rows(rows):
@@ -1277,12 +1348,10 @@ def _payload_rows(rows):
     payload lists, after the one check of the matrix contract."""
     if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("a matrix needs at least one row, all of one nonzero length")
-    ctx = rows[0][0].ctx
-    out = []
-    for row in rows:
-        if any(x.ctx is not ctx for x in row):
-            raise LevelMismatch("matrix entries live in different levels")
-        out.append([x.val for x in row])
+    ctx, width = rows[0][0].ctx, len(rows[0])
+    out = [[x.val for x in row if x.ctx is ctx] for row in rows]  # short where a level differs
+    if any(len(row) != width for row in out):
+        raise LevelMismatch("matrix entries live in different levels")
     return ctx, out
 
 
@@ -1294,14 +1363,14 @@ def kernel(matrix):
     """
     ctx, rows = _payload_rows(matrix)
     ncols = len(rows[0])
-    pivots, _ = _row_reduce(ctx, rows, ncols)
+    pivots, _, entry = _row_reduce(ctx, rows, ncols)
     zero, one = ctx.zero(), ctx.one()
     basis = []
     for free in sorted(set(range(ncols)) - set(pivots)):
         vec = [zero] * ncols
         vec[free] = one
         for row, pc in zip(rows, pivots):
-            vec[pc] = ctx.neg(row[free])
+            vec[pc] = ctx.neg(entry(row, free))
         basis.append(tuple(FieldElement(ctx, v) for v in vec))
     return basis
 
@@ -1313,12 +1382,12 @@ def solve(rows, rhs):
         raise ValueError(f"{len(rhs)} right-hand sides for {len(rows)} rows")
     ctx, aug = _payload_rows([list(r) + [b] for r, b in zip(rows, rhs)])
     ncols = len(aug[0]) - 1
-    pivots, _ = _row_reduce(ctx, aug, ncols)
-    if any(row[-1] != ctx.zero() for row in aug[len(pivots):]):
+    pivots, _, entry = _row_reduce(ctx, aug, ncols)
+    if any(entry(row, ncols) != ctx.zero() for row in aug[len(pivots):]):
         return None
     sol = [ctx.zero()] * ncols
     for row, pc in zip(aug, pivots):
-        sol[pc] = row[-1]
+        sol[pc] = entry(row, ncols)
     return [FieldElement(ctx, v) for v in sol]
 
 
@@ -1328,7 +1397,7 @@ def determinant(rows):
     ctx, mat = _payload_rows(rows)
     if len(mat) != len(mat[0]):
         raise ValueError(f"determinant of a {len(mat)}x{len(mat[0])} matrix")
-    pivots, det = _row_reduce(ctx, mat, len(mat))
+    pivots, det, _ = _row_reduce(ctx, mat, len(mat))
     return FieldElement(ctx, det if len(pivots) == len(mat) else ctx.zero())
 
 

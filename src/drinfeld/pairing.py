@@ -524,7 +524,7 @@ def moore_contraction(f_poly, images, level):
     shared by every term: one `_row_reduce` per term."""
     acc, add, mul, r = level.zero(), level.add, level.mul, f_poly.nvars
     for exps, c in f_poly._payloads(level).items():
-        pivots, det = _row_reduce(level, [images[slot][e] for slot, e in enumerate(exps)], r)
+        pivots, det, _ = _row_reduce(level, [images[slot][e] for slot, e in enumerate(exps)], r)
         if len(pivots) == r:
             acc = add(acc, mul(c, det))
     return FieldElement(level, acc)
