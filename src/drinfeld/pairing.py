@@ -58,7 +58,8 @@ module.  `weil_polynomial` builds it by Horner contraction over the trie
 of f_a's exponents, from the last slot up: a node keeps one polynomial
 per set of Moore rows taken by the slots of its prefix, so a node at
 depth d has at most C(r, d) states, where expanding the determinant
-would take r! products per f_a term.
+would take r! products per f_a term.  Over GF(p) each is one int, a box
+of slots stepped by shift and add, or a dict if a slot or box is too big.
 `PairingEvaluator` evaluates it on many tuples: it groups the terms
 into a trie over their Frobenius exponents, contracts one slot at a
 time, and memoizes per point its Frobenius row, in the dot op's operand
@@ -78,6 +79,7 @@ the module's `_require_torsion_operator`, as in `core.torsion`.
 from __future__ import annotations
 
 import itertools
+import re
 from math import comb
 
 from .errors import (
@@ -87,7 +89,7 @@ from .errors import (
     NotTorsionPoint,
     RationalityFailure,
 )
-from .fields import FieldElement, _pmul, _row_reduce, determinant
+from .fields import FieldElement, _byte_slots, _pmul, _row_reduce, _slot_width, determinant
 from .polynomials import (
     MultiPoly,
     SparsePoly,
@@ -469,37 +471,75 @@ def weil_polynomial(phi, a, arity=None):
     +-(phi_{T^e} twisted by q**t) times the child's entry for used+{t},
     the sign the parity of used rows above t.  The leaves hold f_a's
     coefficients under the full set, the root W_a under the empty one.
+
+    Over GF(p) `_horner` keeps an entry as one int, a box: after s
+    slots, base**s slots, base = 1 + the largest twisted exponent, key
+    (j_1, .., j_s) at slot sum_i j_i * base**(s-i), so prepending j with
+    coefficient c is `acc += c * entry << j * stride`, an XOR of bits
+    over GF(2).  Over odd p a slot has w bytes for the n*r products
+    (n = deg a) it takes a round, reduced once a round by `_byte_slots`.
+    A tower, w*(p-1) >= 256 or a box over 2**24 bytes keeps dicts.
     """
     r = phi.rank if arity is None else arity
     phi._require_over_base(a)
     _check_inputs(a, r, phi.rank)
-    K = phi.K
-    mul, add, neg, zero = K.mul, K.add, K.neg, K.zero()
-    # twisted[i][t][odd]: (k + t, +-c_k**(q**t)) over the nonzero
-    # coefficients c_k of phi_{T^i}, as payloads of K
-    twisted = []
+    return QPowerPoly._wrap(phi.K, r, _horner(*_horner_inputs(phi, a, r)))
+
+
+def _horner_inputs(phi, a, r):
+    """`_horner`'s (K, twisted, f_a's terms on K, r): twisted[i][t][odd]
+    lists (k + t, +-c_k**(q**t)) over the nonzero c_k of phi_{T^i}."""
+    K, twisted = phi.K, []
     for i in range(a.degree):
         coeffs = [(k, c.embed_to(K).val) for k, c in enumerate(phi.phi_tpow(i).coeffs)
                   if not c.is_zero()]
         plus = [[(k + t, K.frobenius(v, t)) for k, v in coeffs] for t in range(r)]
-        twisted.append([(row, [(j, neg(v)) for j, v in row]) for row in plus])
-    # node prefix -> {used rows as a bit mask: {exponent key: payload}}
-    nodes = {e: {(1 << r) - 1: {(): c}} for e, c in f_rootfree(a, r).poly._payloads(K).items()}
-    for _ in range(r):
-        parents = {}
+        twisted.append([(row, [(j, K.neg(v)) for j, v in row]) for row in plus])
+    return K, twisted, f_rootfree(a, r).poly._payloads(K), r
+
+
+def _horner(K, twisted, leaves, r, packed=True):
+    """`weil_polynomial`'s contraction of the f_a terms `leaves`: W_a's
+    {exponent key: payload} terms, on boxes if `packed` and K allow."""
+    p, n, mul, add, zero = K.p, len(twisted), K.mul, K.add, K.zero()
+    base = 1 + max(j for rows in twisted for row, _ in rows for j, _ in row)
+    w = _slot_width(n * r * (p - 1) ** 2)
+    bits = 1 if p == 2 else 8 * w
+    packed &= K.parent is None and w * (p - 1) < 256 and base**r * bits <= 8 << 24
+    # node prefix -> {used rows as a bit mask: entry}
+    nodes = {e: {(1 << r) - 1: c if packed else {(): c}} for e, c in leaves.items()}
+    for s in range(r):
+        stride, parents = bits * base**s, {}
         for prefix, states in nodes.items():
             rows, parent = twisted[prefix[-1]], parents.setdefault(prefix[:-1], {})
             # the child's entry for `used` feeds the parent's for used - {t}
             for used, poly in states.items():
                 for t in range(r):
                     if used >> t & 1:
-                        acc = parent.setdefault(used ^ 1 << t, {})
+                        acc = parent.get(used ^ 1 << t, 0 if packed else {})
                         for j, c in rows[t][(used >> t + 1).bit_count() & 1]:
-                            for key, v in poly.items():
-                                key = (j,) + key
-                                acc[key] = add(acc.get(key, zero), mul(c, v))
+                            if not packed:
+                                for key, v in poly.items():
+                                    key = (j,) + key
+                                    acc[key] = add(acc.get(key, zero), mul(c, v))
+                            elif p == 2:
+                                acc ^= poly << j * stride
+                            else:
+                                acc += c * poly << j * stride
+                        parent[used ^ 1 << t] = acc
+        if packed and p > 2:
+            widen, residues = _byte_slots(p, w, base ** (s + 1))
+            parents = {e: {u: widen(residues(x)) for u, x in st.items()}
+                       for e, st in parents.items()}
         nodes = parents
-    return QPowerPoly._wrap(K, r, nodes.get((), {}).get(0, {}))
+    if not packed:
+        return nodes.get((), {}).get(0, {})
+    size, data = base ** (r // 2), nodes[()][0].to_bytes(base**r * bits // 8 + 1, "little")
+    lo, hi = (list(itertools.product(range(base), repeat=m)) for m in (r // 2, r - r // 2))
+    at = [m.start() for m in re.finditer(rb"[^\x00]", data)]
+    found = (((8 * i + k, 1) for i in at for k in range(8) if data[i] >> k & 1) if p == 2
+             else ((i // w, data[i]) for i in at))
+    return {hi[k // size] + lo[k % size]: c for k, c in found}
 
 
 def _torsion_guard(phi, a, betas):

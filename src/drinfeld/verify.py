@@ -964,17 +964,27 @@ def bundle_from_json(obj, **overrides):
 # ---------------------------------------------------------------------------
 
 
+# every identity a suite's counterexample can name
+_IDENTITIES = tuple("""f_chain_eq_recursive f_rootfree_eq_chain f_rationality f_symmetry
+    f_root_order f_degree_bound f_closed_const_one f_closed_tn f_closed_n2 f_closed_n3r3
+    f_closed_r2 congruence_exchange congruence_root_peel multilinear additive alternating
+    surjective nondegenerate galois poly_agreement compatibility w_degree_bound leading_split
+    det_representation""".split())
+
+
 def reevaluate(counterexample):
     """Recompute a stored counterexample in isolation; True means the
-    mismatch reproduces.  A counterexample that is not an object, or
-    whose "inputs" is not an object, lacks a key its identity reads or
-    holds one of the wrong shape, is MalformedInput."""
+    mismatch reproduces.  A counterexample that is no object, names no
+    suite's identity, or whose "inputs" is no object, lacks a key its
+    identity reads or holds one of the wrong shape, is MalformedInput."""
     if not isinstance(counterexample, dict):
         raise MalformedInput(f"a counterexample is an object, got {counterexample!r}")
     identity = counterexample.get("identity")
     inputs = counterexample.get("inputs", {})
     if not isinstance(inputs, dict):
         raise MalformedInput(f"counterexample inputs must be an object, got {inputs!r}")
+    if identity not in _IDENTITIES:
+        raise MalformedInput(f"no suite reports the identity {identity!r}")
 
     def listed(key):
         value = inputs.get(key)

@@ -8,6 +8,8 @@ GF(3) and GF(4)."""
 import hashlib
 import json
 
+import pytest
+
 from drinfeld.cli import main
 
 GF4 = {"p": 2, "e": 2, "tower": [{"degree": 2, "modulus": [1, 1, 1]}]}
@@ -90,3 +92,26 @@ def test_cli_json_equals_an_independent_serializer(capsys, tmp_path):
             pos += 1
         expected = "".join(json.dumps(doc, indent=2, sort_keys=True) + "\n" for doc in docs)
         assert out == expected, argv
+
+
+def _all_ones(K, r):
+    one = 1 if K["e"] == 1 else [1, 0]
+    return {"K": K, "theta": one, "g": [one] * r}
+
+
+# weil --json above the default bundle's rank 3, for theta = 1, g all ones
+# and a = T^3 + T^2 + T: packed builds over GF(2) and GF(3), the dict loop
+# over GF(4); the digests were taken on the dict loop alone
+@pytest.mark.parametrize("module, digest", [
+    (_all_ones({"p": 2, "e": 1, "tower": []}, 4),
+     "c57e2a1024770698e877422d191eb0d27625b4e910fd079ea6e155aef3f32cf1"),
+    (_all_ones({"p": 3, "e": 1, "tower": []}, 4),
+     "553b2a58084a30827f857d3f299b50682e3b7c38fd175cee2657a2de1ee7533f"),
+    (_all_ones({"p": 2, "e": 1, "tower": []}, 5),
+     "d00bea6949c16412714fffaa372d574f66420abf3d7b5821592755a5c35d8e99"),
+    (_all_ones(GF4, 4),
+     "569ba1ab12f71c89dcc13073283b250b1010469624f6044c69b468377cd1951d"),
+], ids=["GF(2) r=4", "GF(3) r=4", "GF(2) r=5", "GF(4) r=4"])
+def test_high_rank_weil_json_is_golden(capsys, module, digest):
+    assert main(["weil", "--module", json.dumps(module), "--a", "0,1,1,1", "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -4,6 +4,7 @@ import inspect
 import itertools
 import json
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -512,8 +513,23 @@ def test_run_suites_rejects_unknown():
 
 
 def test_reevaluate_fallback_compares_sides():
-    assert reevaluate({"identity": "anything", "lhs": [1], "rhs": [2]})
-    assert not reevaluate({"identity": "anything", "lhs": [1], "rhs": [1]})
+    assert reevaluate({"identity": "det_representation", "lhs": [1], "rhs": [2]})
+    assert not reevaluate({"identity": "det_representation", "lhs": [1], "rhs": [1]})
+
+
+@pytest.mark.parametrize("identity", ["anything", None, ["det_representation"], "f_closed_"])
+def test_reevaluate_rejects_an_identity_no_suite_reports(identity):
+    with pytest.raises(MalformedInput, match="no suite reports"):
+        reevaluate({"identity": identity, "lhs": [1], "rhs": [2]})
+
+
+def test_reevaluate_knows_every_identity_the_suites_report():
+    # each literal name passed to _mismatch or _constructions_agree, and each f_closed_ label
+    source = inspect.getsource(verify)
+    names = set(re.findall(r'_mismatch\(\s*"(\w+)"', source))
+    names |= set(re.findall(r'_constructions_agree\(\s*"(\w+)"', source))
+    names |= {f"f_closed_{label}" for label in re.findall(r'closed\.append\(\("(\w+)"', source)}
+    assert len(names) == 24 and names == set(verify._IDENTITIES)
 
 
 @pytest.mark.parametrize(
