@@ -31,7 +31,9 @@ vector over the open bond per prefix of digits goes through M_m for each
 next digit m; the last slot's exponent is the bond l' < n it closes.
 R[e] for e < n is the unit vector of T^e; the residues above stay on
 `UniPoly`, the polynomial-layer calls that perfbench counts for `fa`.
-At n = 1 there is one site and f_a = 1 in every r.
+At n = 1 there is one site and f_a = 1 in every r.  Every route to a
+pairing value reads f_a through `f_rootfree`, and the site rows are
+built once per (field, a); f_a itself is expanded on every call.
 
 The chain sum above (`f_chain_sum`, `f_root_order_variant`) and a
 peel-one-root recursion (`f_recursive`) are kept as its independent
@@ -39,12 +41,14 @@ oracles; only the verification suites, the tests and the CLI's
 `--route chain|recursive|both` use them.  The oracles find the roots
 of a once per (field, a): `roots_in_field` splits gcd(a, x^Q - x) by
 equal-degree splitting, with no element scan, and the splitting level
-and the rank-ordered roots go into a memo.  That memo and the one of
-finished chain sums (`_F_CACHE`) each keep at most `_MEMO_SIZE`
-entries and drop the oldest first; a recursion's result is not kept,
-since each (a, r) asks for it once.  `chain_sum_over_roots` builds each
-chain term as an outer product of r univariate factors, one per segment
-of the root list, each the next wider segment's times one (x - alpha);
+and the rank-ordered roots go into a memo.  The module's memos are
+`_ROOTS_CACHE` (field, a), `_F_CACHE` of finished chain sums (field, a,
+r) and `_SITE_CACHE` of site rows (field, a); each keeps at most
+`_MEMO_SIZE` entries, written only by `_remember`, and drops the oldest
+first.  A recursion's result is not kept, since each (a, r) asks for it
+once.  `chain_sum_over_roots` builds each chain term as an outer product
+of r univariate factors, one per segment of the root list, each the next
+wider segment's times one (x - alpha);
 `linear_factors` multiplies the recursion's and root-peel's products likewise.
 
 The pairing itself contracts f_a against Moore determinants of
@@ -134,7 +138,7 @@ class FaPoly:
         return f"FaPoly({self.render()!r}, route={self.route!r})"
 
 
-# entries each memo keeps (the root-oracle memos, and the point memo of
+# entries each memo keeps (the module's three memos, and the point memo of
 # each PairingEvaluator); past this the oldest entry goes
 _MEMO_SIZE = 512
 
@@ -247,9 +251,17 @@ def _check_inputs(a, r, top=None):
         raise ArityMismatch(f"arity must be {span}, got {r!r}")
 
 
+# (field, a) -> _site_rows(a)
+_SITE_CACHE = {}
+
+
 def _site_rows(a):
-    """Row l' of every M_m side by side, per open bond l': the nonzero
-    (m*n + l, M_m[l'][l]).  Block l' + k of row l' is D[k] as it stands."""
+    """(D, rows): row l' of every M_m side by side, per open bond l', the
+    nonzero (m*n + l, M_m[l'][l]).  Block l' + k of row l' is D[k] as it
+    stands.  Memoized per (field, a), as tuples no caller can change."""
+    key = (a.ctx, a.coeffs)
+    if (got := _SITE_CACHE.get(key)) is not None:
+        return got
     ctx, n, coeffs = a.ctx, a.degree, a._payloads(a.ctx)
     zero, add, mul = ctx.zero(), ctx.add, ctx.mul
     D = [coeffs[k + 1 : n + 1] + [zero] * k for k in range(n)]  # D[k][l] = a_(k+l+1)
@@ -264,11 +276,14 @@ def _site_rows(a):
             for m, x in R[lb + k - n]:
                 for l in range(n - k):
                     acc[lb][m * n + l] = add(acc[lb][m * n + l], mul(x, D[k][l]))
-    return D, [[(i, c) for i, c in enumerate(row) if c != zero] for row in acc]
+    rows = tuple([tuple([(i, c) for i, c in enumerate(row) if c != zero]) for row in acc])
+    return _remember(_SITE_CACHE, key, (tuple(map(tuple, D)), rows))
 
 
 def f_rootfree(a, r):
-    """f_a from its site matrices (module docstring): no roots, no memo."""
+    """f_a from its site matrices (module docstring), no roots.  Only the
+    rows are memoized: over a run of distinct `fa` queries a memo of f_a
+    itself keeps entries no query hits (0.26 MB over 113 queries)."""
     _check_inputs(a, r)
     if a.degree == 1:  # one site: f_a = 1, built in time linear in r
         return FaPoly(MultiPoly.one(a.ctx, r), a, r, "rootfree", ())

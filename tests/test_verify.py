@@ -397,6 +397,9 @@ SITE_MUTANTS = {
     "D shifted by one": ("_site_rows", "coeffs[k + 1 : n + 1]", "coeffs[k : n]"),
     # only chains whose last bond is 0 give a term; the others are dropped
     "last bond not closed": ("f_rootfree", "enumerate(v)}", "enumerate(v[:1])}"),
+    # the site memo forgets a's coefficients: the rows of the first a of a
+    # degree are served for every a of that degree
+    "memo key drops a": ("_site_rows", "key = (a.ctx, a.coeffs)", "key = (a.ctx, a.degree)"),
 }
 
 
@@ -407,6 +410,9 @@ def test_mutation_site_expansion_detected(monkeypatch, tmp_path, capsys, mutant)
     name, text, mutated = SITE_MUTANTS[mutant]
     source = inspect.getsource(getattr(pairing, name))
     assert source.count(text) == 1
+    # from an empty memo, so that no correct rows cached earlier hide the
+    # mutant; emptied before the copy, so that the mutant writes to it too
+    monkeypatch.setattr(pairing, "_SITE_CACHE", {})
     namespace = dict(vars(pairing))
     exec(compile(source.replace(text, mutated), pairing.__file__, "exec"), namespace)
     monkeypatch.setattr(pairing, name, namespace[name])
